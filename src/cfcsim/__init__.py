@@ -7,7 +7,8 @@ from .core import (
     ConfigError,
     Polarity,
     RangeSelect,
-    decode_isi,
+    dead_time,
+    decode,
     ideal_isi,
     ideal_rate,
     rectify,
@@ -27,14 +28,12 @@ from .decoder import (
 from .simulator import (
     AckModel,
     AerEvent,
-    ChannelState,
     EventCapError,
     EventStream,
     Phase,
     SimResult,
     StateTrace,
     TraceOptions,
-    nonideal,
     oracle_simulate,
     power_estimate,
     simulate,

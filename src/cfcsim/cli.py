@@ -2,8 +2,11 @@
 
     cfcsim simulate --config spec.json --out run/
     cfcsim decode events.csv --out run/ [--config spec.json] [--compensate]
-    cfcsim preset fig4 --out results/fig4 [--seed 1] [--parallel 4]
+    cfcsim preset fig4 --out results/fig4 [--seed 1] [--compensate]
     cfcsim sweep --start 1e-9 --stop 1e-8 --steps 10 --dwell 0.1 --out run/
+
+``--compensate`` subtracts the mean dead time (reset pulse, ack latency
+and half the ack jitter) from every interval before decoding.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 runtime error.
 Omitting ``--seed`` uses the fixed default 0; nothing ever draws from
@@ -14,29 +17,26 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import formats
-from .core import CfcConfig, ConfigError
-from .decoder import reconstruct, sweep_analysis
-from .experiment import DEFAULT_SEED, load_spec, run_decode, run_simulate
+from .core import CfcConfig, ConfigError, dead_time
+from .experiment import DEFAULT_SEED, load_spec, read_json_object, run_decode, run_simulate, run_sweep
 from .presets import PRESETS, run_preset
-from .simulator import AckModel, simulate
-from .stimulus import staircase_sweep
+from .simulator import AckModel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _add_common(p: argparse.ArgumentParser, config_help: str) -> None:
-    p.add_argument("--config", type=Path, default=None, help=config_help)
+def _add_common(p: argparse.ArgumentParser, config_help: Optional[str]) -> None:
+    if config_help is not None:
+        p.add_argument("--config", type=Path, default=None, help=config_help)
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help=f"random seed (default {DEFAULT_SEED})")
-    p.add_argument("--parallel", type=int, default=1, help="worker threads for independent sub-runs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,12 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument(
         "--compensate",
         action="store_true",
-        help="subtract the dead time (reset pulse + ack latency) from every interval",
+        help="subtract the mean dead time (reset pulse + ack latency + half the ack jitter) from every interval",
     )
 
     p_pre = sub.add_parser("preset", help="run a canned end-to-end experiment")
     p_pre.add_argument("name", choices=sorted(PRESETS), help="preset name")
-    _add_common(p_pre, "unused; presets are self-contained")
+    _add_common(p_pre, None)
     p_pre.add_argument("--compensate", action="store_true", help="decode with dead-time compensation")
 
     p_swp = sub.add_parser("sweep", help="staircase sweep with per-step decode")
@@ -80,12 +80,7 @@ def _load_decode_config(path: Optional[Path], seed: int) -> tuple[CfcConfig, Ack
     """Decode accepts either a full experiment spec or flat config overrides."""
     if path is None:
         return CfcConfig(), AckModel(seed=seed)
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
+    raw = read_json_object(path)
     if "config" in raw or "stimulus" in raw:
         spec = load_spec(raw, seed_override=seed)
         return spec.config, spec.ack
@@ -106,7 +101,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_decode(args) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     config, ack = _load_decode_config(args.config, seed)
-    compensation = config.t_rst + ack.latency if args.compensate else 0.0
+    compensation = dead_time(config, ack) if args.compensate else 0.0
     out_path = run_decode(args.events, config, args.out, compensation=compensation)
     print(f"decoded {args.events} -> {out_path}")
     return EXIT_OK
@@ -114,39 +109,21 @@ def _cmd_decode(args) -> int:
 
 def _cmd_preset(args) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    result = run_preset(args.name, args.out, seed=seed, compensate=args.compensate, parallel=args.parallel)
+    result = run_preset(args.name, args.out, seed=seed, compensate=args.compensate)
     print(f"preset {result.name}: {len(result.files)} files -> {result.out_dir}")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    overrides = {}
-    if args.config is not None:
-        try:
-            overrides = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}: not valid JSON: {exc}") from None
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"{args.config}: top level must be a JSON object")
-    config = CfcConfig.from_dict(overrides)
+    config = CfcConfig.from_dict(read_json_object(args.config) if args.config is not None else {})
     ack = AckModel(seed=seed)
-    compensation = config.t_rst + ack.latency if args.compensate else 0.0
-    signal, schedule = staircase_sweep(args.start, args.stop, args.steps, args.dwell)
-    duration = schedule.span[1]
-    result = simulate(config, signal, duration, ack=ack)
-    points = sweep_analysis(result.events, schedule, config, compensation=compensation)
-    recon = reconstruct(result.events, config, compensation=compensation)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    formats.write_signal_csv(out / "truth.csv", signal)
-    formats.write_events_csv(out / "events.csv", result.events)
-    formats.write_recon_csv(out / "recon.csv", recon)
-    from .presets import _write_sweep_csv
-
-    _write_sweep_csv(out / "sweep.csv", points)
+    compensation = dead_time(config, ack) if args.compensate else 0.0
+    events, points, _ = run_sweep(
+        config, ack, args.start, args.stop, args.steps, args.dwell, args.out, compensation=compensation
+    )
     measured = sum(1 for p in points if p.decoded is not None)
-    formats.write_summary_json(out / "summary.json", {
+    formats.write_summary_json(args.out / "summary.json", {
         "name": "sweep",
         "seed": seed,
         "start_A": args.start,
@@ -154,12 +131,12 @@ def _cmd_sweep(args) -> int:
         "steps": args.steps,
         "dwell_s": args.dwell,
         "compensation_s": compensation,
-        "event_count": len(result.events),
+        "event_count": len(events),
         "steps_measured": measured,
         "steps_no_measurement": len(points) - measured,
         "config": config.to_dict(),
     })
-    print(f"sweep: {len(result.events)} events, {measured}/{len(points)} steps measured -> {out}")
+    print(f"sweep: {len(events)} events, {measured}/{len(points)} steps measured -> {args.out}")
     return EXIT_OK
 
 

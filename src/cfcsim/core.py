@@ -16,6 +16,7 @@ algebra shared by the simulator and the decoder:
     rate(i)  = i / (c1 * delta_v)                  low range
     rate(i)  = i / (alpha * beta * c1 * delta_v)   high range
     decode(dt) = scale * c1 * delta_v / (dt - dead_time)
+    dead_time  = t_rst + ack latency + ack jitter / 2
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum, IntEnum
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from .simulator import AckModel
 
 
 class ConfigError(ValueError):
@@ -223,23 +229,32 @@ def ideal_isi(
     return 1.0 / rate
 
 
-def decode_isi(
-    config: CfcConfig,
-    isi: float,
-    selected: RangeSelect,
-    dead_time_comp: float = 0.0,
-) -> float:
-    """Reconstruct the input current from one inter-event interval.
+def dead_time(config: CfcConfig, ack: "AckModel") -> float:
+    """Mean time a channel spends blind after each event.
 
-    With ``dead_time_comp`` = 0 this is the plain inverse of the rate
-    law; setting it to the reset-pulse width plus acknowledge latency
-    removes the systematic read-low error at high rates.
+    The reset pulse plus the mean acknowledge wait: the fixed latency
+    plus half the uniform jitter.  Subtracting this mean from every
+    interval is the non-paralyzable dead-time correction, which stays
+    unbiased under acknowledge jitter.
     """
-    if dead_time_comp < 0:
-        raise ValueError(f"dead-time compensation must be non-negative, got {dead_time_comp}")
-    if isi <= dead_time_comp:
+    return config.t_rst + ack.latency + 0.5 * ack.jitter
+
+
+def decode(config: CfcConfig, isis, sf, compensation: float = 0.0):
+    """Reconstruct input currents from inter-event intervals.
+
+    ``sf`` is the range flag of each interval's closing event.  With
+    ``compensation`` = 0 this is the plain inverse of the rate law;
+    setting it to :func:`dead_time` removes the systematic read-low
+    error at high rates.  Works elementwise on scalars or arrays.
+    """
+    if compensation < 0:
+        raise ValueError(f"dead-time compensation must be non-negative, got {compensation}")
+    isis = np.asarray(isis, dtype=np.float64)
+    if np.any(isis <= compensation):
         raise ValueError(
-            f"interval shorter than dead time ({isi} <= {dead_time_comp}): "
+            f"interval shorter than dead time ({compensation} s): "
             "corrupt event stream or mis-set compensation"
         )
-    return config.scale(selected) * config.c1 * config.delta_v / (isi - dead_time_comp)
+    scale = np.where(np.asarray(sf) == int(RangeSelect.HIGH), config.alpha * config.beta, 1.0)
+    return scale * config.c1 * config.delta_v / (isis - compensation)

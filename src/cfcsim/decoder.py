@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .core import CfcConfig, RangeSelect
+from .core import CfcConfig, RangeSelect, decode
 from .simulator import AerEvent, EventStream, as_stream
 from .stimulus import SweepSchedule
 
@@ -62,30 +62,18 @@ def reconstruct(
     continuity for streams that lack them; it is off by default and the
     flags carried by the events are trusted.
     """
-    if compensation < 0:
-        raise ValueError(f"compensation must be non-negative, got {compensation}")
     stream = as_stream(events)
-    if len(stream) >= 1 and np.unique(stream.channel).size > 1:
+    if np.unique(stream.channel).size > 1:
         raise ValueError("event stream mixes multiple channels; reconstruct one at a time")
-    if len(stream) < 2:
-        return ReconstructedSignal(
-            np.empty(0), np.empty(0), np.empty(0, dtype=np.uint8),
-            config, compensation, placement,
-        )
     t = stream.t_req
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("event stream must be strictly increasing in time")
     isis = np.diff(t)
-    if np.any(isis <= compensation):
-        raise ValueError(
-            "interval shorter than dead time: corrupt event stream or mis-set compensation"
-        )
+    if np.any(isis <= 0):
+        raise ValueError("event stream must be strictly increasing in time")
     if infer_ranges:
         sf = _infer_ranges(config, isis, compensation)
     else:
         sf = stream.sf[1:]
-    scale = np.where(sf == int(RangeSelect.HIGH), config.alpha * config.beta, 1.0)
-    i_est = scale * config.c1 * config.delta_v / (isis - compensation)
+    i_est = decode(config, isis, sf, compensation)
     if placement is Placement.MIDPOINT:
         sample_t = 0.5 * (t[:-1] + t[1:])
     else:
@@ -101,8 +89,8 @@ def _infer_ranges(config: CfcConfig, isis: np.ndarray, compensation: float) -> n
     the range closer in decode value to the previous sample wins (the
     first ambiguous interval defaults to the low range).
     """
-    base = config.c1 * config.delta_v / (isis - compensation)
-    high = config.alpha * config.beta * base
+    base = decode(config, isis, RangeSelect.LOW, compensation)
+    high = decode(config, isis, RangeSelect.HIGH, compensation)
     out = np.zeros(isis.size, dtype=np.uint8)
     prev: Optional[float] = None
     for k in range(isis.size):
@@ -257,10 +245,6 @@ def sweep_analysis(
             continue
         tt = t[lo:hi]
         sf = stream.sf[lo + 1:hi]
-        isis = np.diff(tt)
-        if np.any(isis <= compensation):
-            raise ValueError("interval shorter than dead time inside a sweep step")
-        scale = np.where(sf == int(RangeSelect.HIGH), config.alpha * config.beta, 1.0)
-        decoded = scale * config.c1 * config.delta_v / (isis - compensation)
+        decoded = decode(config, np.diff(tt), sf, compensation)
         out.append(SweepPoint(step.level, float(decoded.mean()), n))
     return out

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import formats
 from .core import CfcConfig, ConfigError
-from .decoder import Placement, reconstruct
-from .simulator import AckModel, SimResult, TraceOptions, simulate, power_estimate
+from .decoder import Placement, SweepPoint, reconstruct, sweep_analysis
+from .simulator import AckModel, EventStream, SimResult, TraceOptions, simulate, power_estimate
 from .stimulus import (
     CurrentSignal,
     SpikeTrain,
@@ -160,6 +160,17 @@ def build_stimulus(
     raise ConfigError(f"unknown stimulus kind {kind!r}")
 
 
+def read_json_object(path: Union[str, Path]) -> dict:
+    """Parse a JSON file whose top level must be an object."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
+    return raw
+
+
 def load_spec(
     source: Union[str, Path, dict],
     seed_override: Optional[int] = None,
@@ -167,16 +178,13 @@ def load_spec(
 ) -> ExperimentSpec:
     """Parse an experiment description from a JSON file or a dict."""
     if isinstance(source, (str, Path)):
-        try:
-            raw = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{source}: not valid JSON: {exc}") from None
+        raw = read_json_object(source)
         context = str(source)
     else:
         raw = source
         context = "experiment spec"
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{context}: top level must be a JSON object")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{context}: top level must be a JSON object")
     _reject_unknown(
         raw, {"name", "config", "stimulus", "duration", "ack", "seed", "trace"}, context
     )
@@ -251,6 +259,37 @@ def run_simulate(spec: ExperimentSpec, out_dir: Union[str, Path]) -> dict:
     summary = summarize(spec, result)
     formats.write_summary_json(out / "summary.json", summary)
     return summary
+
+
+def run_sweep(
+    config: CfcConfig,
+    ack: AckModel,
+    start: float,
+    stop: float,
+    steps: int,
+    dwell: float,
+    out_dir: Union[str, Path],
+    compensation: float = 0.0,
+) -> tuple[EventStream, list[SweepPoint], list[Path]]:
+    """Run one staircase sweep and decode it per step and in full.
+
+    Writes ``truth.csv``, ``events.csv``, ``recon.csv`` and ``sweep.csv``
+    into ``out_dir`` and returns the events, the per-step points and the
+    written files; the caller writes its own summary.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    signal, schedule = staircase_sweep(start, stop, steps, dwell)
+    events = simulate(config, signal, schedule.span[1], ack=ack).events
+    points = sweep_analysis(events, schedule, config, compensation=compensation)
+    recon = reconstruct(events, config, compensation=compensation)
+    files = [
+        formats.write_signal_csv(out / "truth.csv", signal),
+        formats.write_events_csv(out / "events.csv", events),
+        formats.write_recon_csv(out / "recon.csv", recon),
+        formats.write_sweep_csv(out / "sweep.csv", points),
+    ]
+    return events, points, files
 
 
 def run_decode(

@@ -10,6 +10,7 @@ Schemas:
     recon   ``t_s,i_A,range``
     signal  ``t_s,i_A``                       ground-truth currents
     spikes  ``t_s``
+    sweep   ``level_A,i_decoded_A,n_events``  empty decode = no measurement
     fit     flat ``key=value`` lines
 """
 
@@ -21,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .decoder import ExponentialFit, ReconstructedSignal
+from .decoder import ExponentialFit, ReconstructedSignal, SweepPoint
 from .simulator import EventStream, StateTrace
 from .stimulus import CurrentSignal, SpikeTrain
 
@@ -30,6 +31,7 @@ TRACE_HEADER = "t_s,v_low_V,v_high_V,phase,selected"
 RECON_HEADER = "t_s,i_A,range"
 SIGNAL_HEADER = "t_s,i_A"
 SPIKES_HEADER = "t_s"
+SWEEP_HEADER = "level_A,i_decoded_A,n_events"
 
 
 class CsvFormatError(ValueError):
@@ -125,6 +127,16 @@ def write_signal_csv(path: Union[str, Path], signal: CurrentSignal) -> Path:
 def write_spikes_csv(path: Union[str, Path], train: SpikeTrain) -> Path:
     path = Path(path)
     lines = [SPIKES_HEADER] + [_f(t) for t in train.times]
+    path.write_text("\n".join(lines) + "\n", newline="\n")
+    return path
+
+
+def write_sweep_csv(path: Union[str, Path], points: list[SweepPoint]) -> Path:
+    path = Path(path)
+    lines = [SWEEP_HEADER]
+    for p in points:
+        decoded = "" if p.decoded is None else _f(p.decoded)
+        lines.append(f"{_f(p.level)},{decoded},{p.n_events}")
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path
 

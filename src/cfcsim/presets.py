@@ -27,20 +27,12 @@ from typing import Callable, Union
 import numpy as np
 
 from . import formats
-from .core import CfcConfig, ConfigError, DEFAULT_CONFIG
-from .decoder import fit_exponential, reconstruct, sweep_analysis
+from .core import CfcConfig, ConfigError, DEFAULT_CONFIG, dead_time
+from .decoder import fit_exponential, reconstruct
+from .experiment import run_sweep
 from .simulator import AckModel, simulate
-from .stimulus import (
-    FIVE_RANGE_SWEEPS,
-    AdexParams,
-    adex_neuron,
-    dpi_synapse,
-    pfet_gate_sweep,
-    regular_train,
-    staircase_sweep,
-)
+from .stimulus import FIVE_RANGE_SWEEPS, AdexParams, adex_neuron, dpi_synapse, pfet_gate_sweep, regular_train
 
-SWEEP_HEADER = "level_A,i_decoded_A,n_events"
 COMPARISON_HEADER = "t_s,i_model_A,i_decoded_A,rel_err,flag"
 
 
@@ -50,15 +42,6 @@ class PresetResult:
     out_dir: Path
     files: list[Path]
     summary: dict
-
-
-def _write_sweep_csv(path: Path, points) -> Path:
-    lines = [SWEEP_HEADER]
-    for p in points:
-        decoded = "" if p.decoded is None else repr(float(p.decoded))
-        lines.append(f"{float(p.level)!r},{decoded},{p.n_events}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-    return path
 
 
 def _write_comparison_csv(path: Path, t, model, decoded, config: CfcConfig) -> Path:
@@ -77,56 +60,32 @@ def _write_comparison_csv(path: Path, t, model, decoded, config: CfcConfig) -> P
     return path
 
 
-def _preset_fig4(out: Path, seed: int, compensate: bool, parallel: int) -> PresetResult:
+def _preset_fig4(out: Path, seed: int, compensate: bool) -> PresetResult:
     """Five staircase sweeps, each decoded per step."""
     config = DEFAULT_CONFIG
     ack = AckModel(seed=seed)
-    compensation = config.t_rst + ack.latency if compensate else 0.0
+    compensation = dead_time(config, ack) if compensate else 0.0
     steps, dwell = 20, 0.05
-
-    def run_one(idx_range):
-        idx, (lo, hi) = idx_range
-        sweep_dir = out / f"sweep{idx + 1}"
-        sweep_dir.mkdir(parents=True, exist_ok=True)
-        signal, schedule = staircase_sweep(lo, hi, steps, dwell)
-        result = simulate(config, signal, schedule.span[1], ack=ack)
-        points = sweep_analysis(result.events, schedule, config, compensation=compensation)
-        recon = reconstruct(result.events, config, compensation=compensation)
-        files = [
-            formats.write_signal_csv(sweep_dir / "truth.csv", signal),
-            formats.write_events_csv(sweep_dir / "events.csv", result.events),
-            formats.write_recon_csv(sweep_dir / "recon.csv", recon),
-            _write_sweep_csv(sweep_dir / "sweep.csv", points),
-        ]
+    files: list[Path] = []
+    sweeps = []
+    for idx, (lo, hi) in enumerate(FIVE_RANGE_SWEEPS):
+        events, points, sweep_files = run_sweep(
+            config, ack, lo, hi, steps, dwell, out / f"sweep{idx + 1}", compensation=compensation
+        )
+        files.extend(sweep_files)
         measured = [p for p in points if p.decoded is not None]
         in_band = [
             abs(p.decoded - p.level) / p.level
             for p in measured
             if 10e-12 <= p.level <= config.i_max_valid
         ]
-        stats = {
+        sweeps.append({
             "range_A": [lo, hi],
-            "events": len(result.events),
+            "events": len(events),
             "steps_measured": len(measured),
             "steps_no_measurement": len(points) - len(measured),
             "max_rel_err_in_band": max(in_band) if in_band else None,
-        }
-        return files, stats
-
-    jobs = list(enumerate(FIVE_RANGE_SWEEPS))
-    if parallel > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(j) for j in jobs]
-
-    files: list[Path] = []
-    sweeps = []
-    for f, stats in results:
-        files.extend(f)
-        sweeps.append(stats)
+        })
     summary = {
         "preset": "fig4",
         "seed": seed,
@@ -140,11 +99,11 @@ def _preset_fig4(out: Path, seed: int, compensate: bool, parallel: int) -> Prese
     return PresetResult("fig4", out, files, summary)
 
 
-def _preset_fig5(out: Path, seed: int, compensate: bool, parallel: int) -> PresetResult:
+def _preset_fig5(out: Path, seed: int, compensate: bool) -> PresetResult:
     """Gate-voltage sweep of a subthreshold p-FET into the monitor."""
     config = replace(DEFAULT_CONFIG, i_sw=100e-9)  # scaling threshold raised to 100 nA
     ack = AckModel(seed=seed)
-    compensation = config.t_rst + ack.latency if compensate else 0.0
+    compensation = dead_time(config, ack) if compensate else 0.0
     duration = 2.0
     signal = pfet_gate_sweep(
         vg_start=1.8,
@@ -190,11 +149,11 @@ def _preset_fig5(out: Path, seed: int, compensate: bool, parallel: int) -> Prese
     return PresetResult("fig5", out, files, summary)
 
 
-def _preset_fig6(out: Path, seed: int, compensate: bool, parallel: int) -> PresetResult:
+def _preset_fig6(out: Path, seed: int, compensate: bool) -> PresetResult:
     """Monitor the membrane current of a spiking neuron."""
     config = DEFAULT_CONFIG
     ack = AckModel(seed=seed)
-    compensation = config.t_rst + ack.latency if compensate else 0.0
+    compensation = dead_time(config, ack) if compensate else 0.0
     duration = 1.5
     drive = regular_train(20.0, duration)
     synapse = dpi_synapse(drive, tau=20e-3, weight_jump=0.5e-9, i_base=20e-12, duration=duration)
@@ -228,11 +187,11 @@ def _preset_fig6(out: Path, seed: int, compensate: bool, parallel: int) -> Prese
     return PresetResult("fig6", out, files, summary)
 
 
-def _preset_fig7(out: Path, seed: int, compensate: bool, parallel: int) -> PresetResult:
+def _preset_fig7(out: Path, seed: int, compensate: bool) -> PresetResult:
     """Synapse current transients; recover the decay time constant."""
     config = DEFAULT_CONFIG
     ack = AckModel(seed=seed)
-    compensation = config.t_rst + ack.latency if compensate else 0.0
+    compensation = dead_time(config, ack) if compensate else 0.0
     duration = 1.2
     tau, weight = 20e-3, 1e-9
     drive = regular_train(5.0, 1.0)  # sparse spikes leave full decays visible
@@ -263,7 +222,7 @@ def _preset_fig7(out: Path, seed: int, compensate: bool, parallel: int) -> Prese
     return PresetResult("fig7", out, files, summary)
 
 
-PRESETS: dict[str, Callable[[Path, int, bool, int], PresetResult]] = {
+PRESETS: dict[str, Callable[[Path, int, bool], PresetResult]] = {
     "fig4": _preset_fig4,
     "fig5": _preset_fig5,
     "fig6": _preset_fig6,
@@ -276,11 +235,10 @@ def run_preset(
     out_dir: Union[str, Path],
     seed: int = 0,
     compensate: bool = False,
-    parallel: int = 1,
 ) -> PresetResult:
     """Run one named preset into ``out_dir`` (created if needed)."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return PRESETS[name](out, seed, compensate, parallel)
+    return PRESETS[name](out, seed, compensate)

@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import CfcConfig, ConfigError, Polarity, RangeSelect, ideal_rate, rectify, select_range
+from .core import CfcConfig, ConfigError, Polarity, RangeSelect, dead_time, ideal_rate, rectify, select_range
 from .stimulus import CurrentSignal
 
 DEFAULT_EVENT_CAP = 100_000_000
@@ -47,17 +47,6 @@ class Phase(Enum):
     INTEGRATING = "integrating"
     REQUEST_PENDING = "request_pending"
     RESET_PULSE = "reset_pulse"
-
-
-@dataclass
-class ChannelState:
-    """Live state of one channel (what the trace samples)."""
-
-    v_low: float           # V, held on the small capacitor
-    v_high: float          # V, held on the large capacitor
-    selected: RangeSelect
-    phase: Phase
-    t_phase_start: float   # s, when the current phase began
 
 
 @dataclass(frozen=True)
@@ -192,17 +181,6 @@ class StateTrace:
     def rows(self):
         return zip(self.t, self.v_low, self.v_high, self.phase, self.selected)
 
-    def states(self):
-        """Yield ``(t, ChannelState)`` pairs; each state's phase-start
-        time is recovered from the recorded phase boundaries."""
-        t_phase = 0.0
-        prev_phase: Optional[Phase] = None
-        for t, v_low, v_high, phase, selected in self.rows():
-            if phase is not prev_phase:
-                t_phase = t
-                prev_phase = phase
-            yield t, ChannelState(v_low, v_high, selected, phase, t_phase)
-
 
 @dataclass
 class SimResult:
@@ -220,18 +198,6 @@ class EventCapError(RuntimeError):
         self.cap = cap
         self.events = events
         self.trace = trace
-
-
-def nonideal(config: CfcConfig, i_rect: float) -> float:
-    """Mirror-leakage floor: currents at or below it vanish entirely.
-
-    Modelled as a hard cutoff rather than a subtracted leak: a
-    subtractive leak would skew readings just above the floor by tens of
-    percent, while measured behaviour there is accurate.
-    """
-    if i_rect < 0:
-        raise ValueError(f"rectified current must be non-negative, got {i_rect}")
-    return 0.0 if i_rect <= config.i_leak_floor else i_rect
 
 
 def power_estimate(
@@ -281,7 +247,12 @@ def _split_linear(a, b, ya, yb, targets):
 def _effective_segments(config: CfcConfig, stimulus: CurrentSignal, duration: float):
     """Linear pieces of effective (rectified + floored) current covering
     [0, duration], split so no piece straddles the leak floor, the range
-    threshold or its hysteresis band edge."""
+    threshold or its hysteresis band edge.
+
+    The leak floor is a hard cutoff rather than a subtracted leak: a
+    subtractive leak would skew readings just above the floor by tens of
+    percent, while measured behaviour there is accurate.
+    """
     accept_positive = config.polarity is Polarity.SINK_N
     thresholds = [config.i_leak_floor, config.i_sw]
     if config.hysteresis > 0:
@@ -379,6 +350,7 @@ def simulate(
     v_ref_h, v_ref_l, t_rst = config.v_ref_h, config.v_ref_l, config.t_rst
     c_low = config.c1
     c_high = config.alpha * config.beta * config.c1
+    dead = dead_time(config, ack)  # exact per cycle on the jitter-free batched path
 
     rec = _Recorder(trace) if trace is not None else None
     ev_t: list[float] = []
@@ -443,8 +415,14 @@ def simulate(
                         v_high = v_active - drop
                     t = b
                     break
-                period = isi_int + ack.latency + t_rst
-                n = int(math.floor((b - first) / period + 1e-9)) + 1
+                period = isi_int + dead
+                # largest n with first + period * (n - 1) <= b, counted on
+                # the expression that places the events below
+                n = int((b - first) / period) + 1
+                while n > 1 and first + period * (n - 1) > b:
+                    n -= 1
+                while first + period * n <= b:
+                    n += 1
                 room = max_events - len(ev_t)
                 clipped = n > room
                 n = min(n, room)
@@ -454,7 +432,7 @@ def simulate(
                 if clipped:
                     events, tr = _partial(None)
                     raise EventCapError(max_events, events, tr)
-                dead_until = float(times[-1]) + ack.latency + t_rst
+                dead_until = float(times[-1]) + dead
                 if dead_until >= b:
                     in_dead = True
                     t = b
@@ -530,29 +508,12 @@ def simulate_many(
     channels: Sequence[tuple[CfcConfig, CurrentSignal]],
     duration: float,
     ack: Optional[AckModel] = None,
-    parallel: int = 1,
 ) -> EventStream:
-    """Simulate independent channels and merge their events by timestamp.
-
-    Channels share no mutable state, so the merge is identical whatever
-    the execution order; ``parallel`` > 1 runs them on a thread pool.
-    """
+    """Simulate independent channels and merge their events by timestamp."""
     addresses = [cfg.channel_address for cfg, _ in channels]
     if len(set(addresses)) != len(addresses):
         raise ConfigError("channel addresses must be unique")
-
-    def one(pair):
-        cfg, stim = pair
-        return simulate(cfg, stim, duration, ack=ack).events
-
-    if parallel > 1 and len(channels) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            streams = list(pool.map(one, channels))
-    else:
-        streams = [one(pair) for pair in channels]
-    return EventStream.merge(streams)
+    return EventStream.merge([simulate(cfg, stim, duration, ack=ack).events for cfg, stim in channels])
 
 
 # ---------------------------------------------------------------------------

@@ -106,9 +106,6 @@ class CurrentSignal:
             ib = self.i_start[j] + slope * (hi - a)
             yield float(lo), float(hi), float(ia), float(ib)
 
-    def max_abs_current(self) -> float:
-        return float(max(np.abs(self.i_start).max(), np.abs(self.i_end).max()))
-
     @classmethod
     def from_segments(
         cls,

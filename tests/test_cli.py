@@ -190,6 +190,29 @@ def test_decode_compensation_includes_ack_latency(tmp_path):
     assert decoded == pytest.approx(np.full(decoded.size, 1e-6), rel=1e-9)
 
 
+def test_decode_compensation_uses_mean_ack_jitter(tmp_path):
+    from cfcsim.formats import write_events_csv
+    from cfcsim.simulator import AckModel
+
+    cfg = CfcConfig(i_leak_floor=0.0)
+    ack = AckModel(latency=1e-7, jitter=2e-7)
+    ev = simulate(cfg, constant(1e-6, 0.02), 0.02, ack=ack).events
+    p = write_events_csv(tmp_path / "events.csv", ev)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "duration": 0.02,
+        "stimulus": {"kind": "constant", "i": 1e-6},
+        "config": {"i_leak_floor": 0.0},
+        "ack": {"latency": 1e-7, "jitter": 2e-7},
+    }))
+    out = tmp_path / "out"
+    assert main(["decode", str(p), "--out", str(out), "--config", str(spec), "--compensate"]) == 0
+    rows = (out / "recon.csv").read_text().splitlines()[1:]
+    decoded = np.asarray([float(r.split(",")[1]) for r in rows])
+    # subtracting t_rst + latency + jitter / 2 leaves the mean unbiased
+    assert abs(decoded.mean() / 1e-6 - 1) < 1e-3
+
+
 def test_preset_unknown_name_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["preset", "nosuch", "--out", str(tmp_path)])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,12 +10,14 @@ from cfcsim.core import (
     ConfigError,
     Polarity,
     RangeSelect,
-    decode_isi,
+    dead_time,
+    decode,
     ideal_isi,
     ideal_rate,
     rectify,
     select_range,
 )
+from cfcsim.simulator import AckModel
 
 CFG = CfcConfig()
 IDEAL = CfcConfig(t_rst=0.0, i_leak_floor=0.0)
@@ -170,34 +173,46 @@ def test_rate_scale_invariance(i, k):
 
 
 def test_decode_anchors():
-    assert decode_isi(CFG, 0.1, RangeSelect.LOW) == pytest.approx(1e-12, rel=1e-12)
-    assert decode_isi(CFG, 10e-6, RangeSelect.HIGH) == pytest.approx(1e-6, rel=1e-12)
+    assert decode(CFG, 0.1, RangeSelect.LOW) == pytest.approx(1e-12, rel=1e-12)
+    assert decode(CFG, 10e-6, RangeSelect.HIGH) == pytest.approx(1e-6, rel=1e-12)
+
+
+def test_decode_is_vectorised_over_intervals_and_flags():
+    out = decode(CFG, np.array([0.1, 10e-6]), np.array([0, 1], dtype=np.uint8))
+    assert out == pytest.approx([1e-12, 1e-6], rel=1e-12)
 
 
 def test_decode_dead_time_compensation():
     # 10.1 us measured at 1 uA with a 0.1 us reset pulse
-    raw = decode_isi(CFG, 10.1e-6, RangeSelect.HIGH)
+    raw = decode(CFG, 10.1e-6, RangeSelect.HIGH)
     assert raw == pytest.approx(1e-6 * (10.0 / 10.1), rel=1e-12)
-    fixed = decode_isi(CFG, 10.1e-6, RangeSelect.HIGH, dead_time_comp=0.1e-6)
+    fixed = decode(CFG, 10.1e-6, RangeSelect.HIGH, compensation=0.1e-6)
     assert fixed == pytest.approx(1e-6, rel=1e-12)
 
 
 def test_decode_interval_shorter_than_dead_time():
     with pytest.raises(ValueError, match="shorter than dead time"):
-        decode_isi(CFG, 50e-9, RangeSelect.LOW, dead_time_comp=100e-9)
+        decode(CFG, 50e-9, RangeSelect.LOW, compensation=100e-9)
     with pytest.raises(ValueError):
-        decode_isi(CFG, 1e-3, RangeSelect.LOW, dead_time_comp=-1e-9)
+        decode(CFG, 1e-3, RangeSelect.LOW, compensation=-1e-9)
+
+
+def test_dead_time_is_reset_plus_mean_ack_wait():
+    assert dead_time(CFG, AckModel()) == CFG.t_rst
+    assert dead_time(CFG, AckModel(latency=4e-7)) == pytest.approx(5e-7, rel=1e-12)
+    # uniform jitter in [0, 0.2 us) waits 0.1 us on average
+    assert dead_time(CFG, AckModel(latency=1e-7, jitter=2e-7)) == pytest.approx(3e-7, rel=1e-12)
 
 
 @given(currents)
 def test_roundtrip_identity_both_ranges(i):
     for sel in RangeSelect:
         isi = ideal_isi(CFG, i, sel)
-        assert decode_isi(CFG, isi, sel) == pytest.approx(i, rel=1e-12)
+        assert decode(CFG, isi, sel) == pytest.approx(i, rel=1e-12)
 
 
 @given(currents, st.floats(min_value=0.0, max_value=1e-6))
 def test_roundtrip_with_compensation(i, comp):
     sel = select_range(CFG, i)
     isi = ideal_isi(CFG, i, sel) + comp
-    assert decode_isi(CFG, isi, sel, dead_time_comp=comp) == pytest.approx(i, rel=1e-12)
+    assert decode(CFG, isi, sel, compensation=comp) == pytest.approx(i, rel=1e-12)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfcsim.core import CfcConfig, RangeSelect, select_range
+from cfcsim.core import CfcConfig, RangeSelect, dead_time, select_range
 from cfcsim.decoder import (
     Placement,
     ReconstructedSignal,
@@ -13,7 +13,7 @@ from cfcsim.decoder import (
     resample,
     sweep_analysis,
 )
-from cfcsim.simulator import AerEvent, EventStream, simulate
+from cfcsim.simulator import AckModel, AerEvent, EventStream, simulate
 from cfcsim.stimulus import (
     CurrentSignal,
     SpikeTrain,
@@ -286,6 +286,17 @@ def test_range_flag_matches_decoded_current(i):
     rec = reconstruct(ev, CFG, compensation=CFG.t_rst)
     for k in range(len(rec)):
         assert RangeSelect(int(rec.ranges[k])) is select_range(CFG, float(rec.i_est[k]))
+
+
+def test_mean_dead_time_compensates_ack_jitter():
+    # 1 uA with 0.1 us latency and 0.2 us uniform jitter: subtracting only
+    # the fixed part reads ~1% low, the mean dead time is unbiased
+    ack = AckModel(latency=1e-7, jitter=2e-7, seed=0)
+    ev = simulate(CFG, constant(1e-6, 0.05), 0.05, ack=ack).events
+    fixed_only = reconstruct(ev, CFG, compensation=CFG.t_rst + ack.latency).i_est.mean()
+    mean_dead = reconstruct(ev, CFG, compensation=dead_time(CFG, ack)).i_est.mean()
+    assert -0.012 < fixed_only / 1e-6 - 1 < -0.008
+    assert abs(mean_dead / 1e-6 - 1) < 5e-4
 
 
 def test_midpoint_beats_at_second_on_ramps():

@@ -1,24 +1,25 @@
 import json
-from pathlib import Path
 
 import pytest
 
+from cfcsim.cli import main
 from cfcsim.core import ConfigError
 from cfcsim.presets import run_preset
+from cfcsim.stimulus import FIVE_RANGE_SWEEPS
 
 
-def _files_of(root: Path):
-    return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
-
-
-def test_fig4_parallel_matches_sequential(tmp_path):
-    seq = tmp_path / "seq"
-    par = tmp_path / "par"
-    run_preset("fig4", seq, seed=1, parallel=1)
-    run_preset("fig4", par, seed=1, parallel=4)
-    assert _files_of(seq) == _files_of(par)
-    for rel in _files_of(seq):
-        assert (seq / rel).read_bytes() == (par / rel).read_bytes(), rel
+def test_sweep_command_matches_fig4_fifth_sweep(tmp_path):
+    # fig4 and `cfcsim sweep` share one sweep pipeline: the same range,
+    # steps, dwell and seed must give byte-identical files
+    run_preset("fig4", tmp_path / "fig4", seed=1)
+    lo, hi = FIVE_RANGE_SWEEPS[4]
+    assert main([
+        "sweep", "--start", repr(lo), "--stop", repr(hi), "--steps", "20", "--dwell", "0.05",
+        "--seed", "1", "--out", str(tmp_path / "swp"),
+    ]) == 0
+    for name in ("truth.csv", "events.csv", "recon.csv", "sweep.csv"):
+        fig4 = (tmp_path / "fig4" / "sweep5" / name).read_bytes()
+        assert (tmp_path / "swp" / name).read_bytes() == fig4, name
 
 
 def test_fig4_writes_five_sweep_tables(tmp_path):

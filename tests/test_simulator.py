@@ -11,7 +11,6 @@ from cfcsim.simulator import (
     EventStream,
     Phase,
     TraceOptions,
-    nonideal,
     power_estimate,
     simulate,
     simulate_many,
@@ -27,11 +26,17 @@ IDEAL = CfcConfig(t_rst=0.0, i_leak_floor=0.0)
 # ---------------------------------------------------------------------------
 
 
-def test_nonideal_hard_cutoff():
-    assert nonideal(CFG, 5.0e-12) == 0.0
-    assert nonideal(CFG, 5.5e-12) == 0.0  # inclusive at the floor
-    assert nonideal(CFG, 10e-12) == 10e-12  # unchanged above it
-    assert nonideal(CfcConfig(i_leak_floor=0.0), 1e-15) == 1e-15
+def test_leak_floor_hard_cutoff():
+    assert len(simulate(CFG, constant(5.0e-12, 1.0), 1.0).events) == 0
+    assert len(simulate(CFG, constant(5.5e-12, 1.0), 1.0).events) == 0  # inclusive at the floor
+    # just above it the current is passed unchanged, not reduced by a leak
+    above = simulate(CFG, constant(6e-12, 0.1), 0.1).events
+    assert len(above) == 5
+    assert above.t_req[0] == pytest.approx(ideal_isi(CFG, 6e-12), rel=1e-12)
+    # with no floor even a femtoamp integrates: 1 fA fills 100 fF * 1 V in 100 s
+    femto = simulate(CfcConfig(i_leak_floor=0.0), constant(1e-15, 250.0), 250.0).events
+    assert len(femto) == 2
+    assert femto.t_req[0] == pytest.approx(100.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +194,37 @@ def test_deterministic_with_jittered_ack():
     assert not np.array_equal(a.t_req, c.t_req)
 
 
+def test_batched_path_emits_no_event_past_the_run():
+    # the run ends 1e-10 of a period before a tenth cycle would fire
+    isi = ideal_isi(CFG, 1e-9)
+    period = isi + CFG.t_rst
+    d = isi + 9 * period - 1e-10 * period
+    for trace in (None, TraceOptions()):
+        ev = simulate(CFG, constant(1e-9, d), d, trace=trace).events
+        assert len(ev) == 9
+        assert ev.t_req[-1] <= d
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=3e-6), min_size=1, max_size=4),
+    st.floats(min_value=1e-4, max_value=1e-3),
+    st.sampled_from([0.0, 1e-7]),
+)
+def test_flat_staircases_match_with_trace_on_and_off(levels, dwell, latency):
+    duration = len(levels) * dwell
+    stim = CurrentSignal.from_breakpoints(
+        [(k * dwell, lv) for k, lv in enumerate(levels)], "step", end=duration
+    )
+    ack = AckModel(latency=latency)
+    plain = simulate(CFG, stim, duration, ack=ack).events
+    traced = simulate(CFG, stim, duration, ack=ack, trace=TraceOptions()).events
+    assert len(plain) == len(traced)
+    assert np.array_equal(plain.sf, traced.sf)
+    assert np.all(np.abs(plain.t_req - traced.t_req) <= 1e-9)
+    assert np.all(plain.t_req <= duration) and np.all(traced.t_req <= duration)
+
+
 def test_batched_and_stepped_paths_agree():
     # tracing forces the per-cycle path; event times must match the
     # batched constant-current path to rounding
@@ -244,11 +280,15 @@ def test_trace_phases_and_voltage_bounds():
             Phase.RESET_PULSE: {Phase.INTEGRATING, Phase.RESET_PULSE},
         }[a]
         assert b in allowed, f"illegal phase transition {a} -> {b}"
-    # state snapshots carry the time their phase began
-    for t, state in tr.states():
-        assert state.t_phase_start <= t
-        if state.phase is Phase.REQUEST_PENDING:
-            assert (state.v_low if state.selected == 0 else state.v_high) == cfg.v_ref_l
+    # every row lies at or after the start of its phase; a pending
+    # request holds the active capacitor at the threshold
+    t_phase, prev_phase = 0.0, None
+    for t, v_low, v_high, phase, selected in tr.rows():
+        if phase is not prev_phase:
+            t_phase, prev_phase = t, phase
+        assert t_phase <= t
+        if phase is Phase.REQUEST_PENDING:
+            assert (v_low if selected == 0 else v_high) == cfg.v_ref_l
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +300,12 @@ def test_simulate_many_merges_by_timestamp():
     cfg_a = CfcConfig(t_rst=0.0, i_leak_floor=0.0, channel_address=0)
     cfg_b = CfcConfig(t_rst=0.0, i_leak_floor=0.0, channel_address=3)
     channels = [(cfg_a, constant(1e-9, 1e-2)), (cfg_b, constant(3e-9, 1e-2))]
-    seq = simulate_many(channels, 1e-2, parallel=1)
-    par = simulate_many(channels, 1e-2, parallel=2)
-    assert np.array_equal(seq.t_req, par.t_req)
-    assert np.array_equal(seq.channel, par.channel)
-    assert np.all(np.diff(seq.t_req) >= 0)
-    assert set(np.unique(seq.channel)) == {0, 3}
+    merged = simulate_many(channels, 1e-2)
+    assert np.all(np.diff(merged.t_req) >= 0)
+    assert set(np.unique(merged.channel)) == {0, 3}
+    for cfg, stim in channels:
+        alone = simulate(cfg, stim, 1e-2).events
+        assert np.array_equal(merged.t_req[merged.channel == cfg.channel_address], alone.t_req)
     with pytest.raises(ConfigError, match="unique"):
         simulate_many([(cfg_a, constant(1e-9, 1e-2)), (cfg_a, constant(1e-9, 1e-2))], 1e-2)
 
