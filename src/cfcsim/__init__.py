@@ -33,7 +33,6 @@ from .simulator import (
     Phase,
     SimResult,
     StateTrace,
-    TraceOptions,
     oracle_simulate,
     power_estimate,
     simulate,

@@ -30,7 +30,7 @@ import numpy as np
 from . import formats
 from .core import CfcConfig, ConfigError
 from .decoder import Placement, SweepPoint, reconstruct, sweep_analysis
-from .simulator import AckModel, EventStream, SimResult, TraceOptions, simulate, power_estimate
+from .simulator import AckModel, EventStream, SimResult, simulate, power_estimate
 from .stimulus import (
     CurrentSignal,
     SpikeTrain,
@@ -250,8 +250,7 @@ def run_simulate(spec: ExperimentSpec, out_dir: Union[str, Path]) -> dict:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trace_opts = TraceOptions() if spec.trace else None
-    result = simulate(spec.config, spec.stimulus, spec.duration, ack=spec.ack, trace=trace_opts)
+    result = simulate(spec.config, spec.stimulus, spec.duration, ack=spec.ack, trace=spec.trace)
     formats.write_events_csv(out / "events.csv", result.events)
     formats.write_signal_csv(out / "truth.csv", spec.stimulus)
     if result.trace is not None:

@@ -26,6 +26,10 @@ charge balance
 is a quadratic in the crossing time.  No fixed time step exists in this
 path; :func:`oracle_simulate` is the deliberately different brute-force
 integrator used to cross-check it in the tests.
+
+The state trace (capacitor voltages, phase and range over time) is
+rebuilt after the run from the pieces and the events, so asking for it
+leaves the event kernel and its output unchanged.
 """
 
 from __future__ import annotations
@@ -146,40 +150,31 @@ class AckModel:
         return None
 
 
-@dataclass(frozen=True)
-class TraceOptions:
-    """State-trace sampling: all phase boundaries, plus extra samples so
-    that no gap exceeds ``sample_dt`` (when set)."""
-
-    sample_dt: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.sample_dt is not None and self.sample_dt <= 0:
-            raise ConfigError(f"sample_dt must be positive, got {self.sample_dt}")
-
-
+@dataclass(frozen=True, eq=False)
 class StateTrace:
-    """Recorded (t, v_low, v_high, phase, selected) rows."""
+    """Rows (t, v_low, v_high, phase, selected) of a run, held as columns.
 
-    def __init__(self):
-        self.t: list[float] = []
-        self.v_low: list[float] = []
-        self.v_high: list[float] = []
-        self.phase: list[Phase] = []
-        self.selected: list[RangeSelect] = []
+    ``phase`` holds :class:`Phase` members and ``selected`` the range in
+    force at each row (0 = low, 1 = high).
+    """
 
-    def add(self, t: float, v_low: float, v_high: float, phase: Phase, selected: RangeSelect) -> None:
-        self.t.append(t)
-        self.v_low.append(v_low)
-        self.v_high.append(v_high)
-        self.phase.append(phase)
-        self.selected.append(selected)
+    t: np.ndarray
+    v_low: np.ndarray
+    v_high: np.ndarray
+    phase: np.ndarray
+    selected: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.t)
+        return int(self.t.size)
 
     def rows(self):
-        return zip(self.t, self.v_low, self.v_high, self.phase, self.selected)
+        return zip(
+            self.t.tolist(),
+            self.v_low.tolist(),
+            self.v_high.tolist(),
+            self.phase,
+            (RangeSelect(s) for s in self.selected.tolist()),
+        )
 
 
 @dataclass
@@ -189,15 +184,14 @@ class SimResult:
 
 
 class EventCapError(RuntimeError):
-    """The event-count safety cap was hit; partial results are attached."""
+    """The event-count safety cap was hit; the events so far are attached."""
 
-    def __init__(self, cap: int, events: EventStream, trace: Optional[StateTrace]):
+    def __init__(self, cap: int, events: EventStream):
         super().__init__(
-            f"event cap of {cap} exceeded; simulation truncated (partial results attached)"
+            f"event cap of {cap} exceeded; simulation truncated (partial events attached)"
         )
         self.cap = cap
         self.events = events
-        self.trace = trace
 
 
 def power_estimate(
@@ -290,32 +284,13 @@ def _segment_selection(config: CfcConfig, segments) -> list[RangeSelect]:
 # ---------------------------------------------------------------------------
 
 
-class _Recorder:
-    """Trace bookkeeping kept out of the hot loop."""
-
-    def __init__(self, opts: TraceOptions):
-        self.trace = StateTrace()
-        self.sample_dt = opts.sample_dt
-
-    def add(self, t, v_low, v_high, phase, sel):
-        self.trace.add(t, v_low, v_high, phase, sel)
-
-    def integration(self, t0, t1, v_low, v_high, sel, c_eq, i0, slope):
-        """Densify an integration stretch; voltages follow the exact
-        quadratic charge integral."""
-        if self.sample_dt is None or t1 - t0 <= self.sample_dt:
-            return
-        n = int(math.floor((t1 - t0) / self.sample_dt))
-        for k in range(1, n + 1):
-            tau = t0 + k * self.sample_dt
-            if tau >= t1:
-                break
-            dtau = tau - t0
-            drop = (i0 * dtau + 0.5 * slope * dtau * dtau) / c_eq
-            if sel is RangeSelect.LOW:
-                self.add(tau, v_low - drop, v_high, Phase.INTEGRATING, sel)
-            else:
-                self.add(tau, v_low, v_high - drop, Phase.INTEGRATING, sel)
+def _channel_stream(config: CfcConfig, ev_t: list[float], ev_sf: list[int]) -> EventStream:
+    """One channel's event times and ranges as a stream."""
+    return EventStream(
+        np.asarray(ev_t),
+        np.full(len(ev_t), config.channel_address, dtype=np.int64),
+        np.asarray(ev_sf, dtype=np.uint8),
+    )
 
 
 def simulate(
@@ -323,15 +298,16 @@ def simulate(
     stimulus: CurrentSignal,
     duration: float,
     ack: Optional[AckModel] = None,
-    trace: Optional[TraceOptions] = None,
+    trace: bool = False,
     max_events: int = DEFAULT_EVENT_CAP,
 ) -> SimResult:
     """Run one channel against a stimulus and collect its event stream.
 
     Deterministic: the same config, stimulus and ack seed produce
-    bit-identical event lists on every run.  Raises
-    :class:`EventCapError` (with partial results attached) if more than
-    ``max_events`` crossings occur.
+    bit-identical event lists on every run, with or without ``trace``,
+    which only adds the :class:`StateTrace` rebuilt from the finished
+    run.  Raises :class:`EventCapError` (with the events so far
+    attached) if more than ``max_events`` crossings occur.
     """
     if duration <= 0:
         raise ConfigError(f"duration must be positive, got {duration}")
@@ -348,72 +324,37 @@ def simulate(
     selections = _segment_selection(config, segments)
 
     v_ref_h, v_ref_l, t_rst = config.v_ref_h, config.v_ref_l, config.t_rst
-    c_low = config.c1
-    c_high = config.alpha * config.beta * config.c1
+    caps = tuple(config.scale(r) * config.c1 for r in RangeSelect)  # indexed by range
     dead = dead_time(config, ack)  # exact per cycle on the jitter-free batched path
 
-    rec = _Recorder(trace) if trace is not None else None
     ev_t: list[float] = []
     ev_sf: list[int] = []
 
-    v_low = v_high = v_ref_h
+    v = [v_ref_h, v_ref_h]  # capacitor voltages, indexed by range
     dead_until = 0.0
-    ack_boundary = 0.0  # request-pending ends, reset pulse begins
     in_dead = False
-    last_sel = selections[0] if selections else RangeSelect.LOW
-    if rec:
-        rec.add(0.0, v_low, v_high, Phase.INTEGRATING, last_sel)
-
-    def _partial(trace_obj):
-        events = EventStream(
-            np.asarray(ev_t),
-            np.full(len(ev_t), config.channel_address, dtype=np.int64),
-            np.asarray(ev_sf, dtype=np.uint8),
-        )
-        return events, trace_obj
 
     for (a, b, ia, ib), sel in zip(segments, selections):
         slope = (ib - ia) / (b - a)
-        c_eq = c_low if sel is RangeSelect.LOW else c_high
-        if rec and sel is not last_sel:
-            if in_dead and a < dead_until:
-                phase_now = Phase.REQUEST_PENDING if a < ack_boundary else Phase.RESET_PULSE
-            else:
-                phase_now = Phase.INTEGRATING
-            rec.add(a, v_low, v_high, phase_now, sel)
-        last_sel = sel
+        c_eq = caps[sel]
         t = a
         if in_dead:
             if dead_until >= b:
                 continue
             t = dead_until
-            v_low = v_high = v_ref_h
+            v = [v_ref_h, v_ref_h]
             in_dead = False
-            if rec:
-                rec.add(t, v_low, v_high, Phase.INTEGRATING, sel)
         while t < b:
-            v_active = v_low if sel is RangeSelect.LOW else v_high
+            v_active = v[sel]
             q_need = c_eq * (v_active - v_ref_l)
             i_t = ia + slope * (t - a)
 
             # batched steady-state cycles on flat stretches
-            if (
-                slope == 0.0
-                and rng is None
-                and rec is None
-                and i_t > 0.0
-                and v_low == v_ref_h
-                and v_high == v_ref_h
-            ):
+            if slope == 0.0 and rng is None and i_t > 0.0 and v[0] == v_ref_h and v[1] == v_ref_h:
                 isi_int = q_need / i_t
                 first = t + isi_int
                 if first > b:
-                    drop = (b - t) * i_t / c_eq
-                    if sel is RangeSelect.LOW:
-                        v_low = v_active - drop
-                    else:
-                        v_high = v_active - drop
-                    t = b
+                    v[sel] = v_active - (b - t) * i_t / c_eq
                     break
                 period = isi_int + dead
                 # largest n with first + period * (n - 1) <= b, counted on
@@ -430,27 +371,18 @@ def simulate(
                 ev_t.extend(times.tolist())
                 ev_sf.extend([int(sel)] * n)
                 if clipped:
-                    events, tr = _partial(None)
-                    raise EventCapError(max_events, events, tr)
+                    raise EventCapError(max_events, _channel_stream(config, ev_t, ev_sf))
                 dead_until = float(times[-1]) + dead
                 if dead_until >= b:
                     in_dead = True
-                    t = b
                     break
                 t = dead_until
-                v_low = v_high = v_ref_h
+                v = [v_ref_h, v_ref_h]
                 continue
 
             q_avail = 0.5 * (i_t + ib) * (b - t)
             if q_need > 0.0 and q_avail < q_need:
-                if rec:
-                    rec.integration(t, b, v_low, v_high, sel, c_eq, i_t, slope)
-                drop = q_avail / c_eq
-                if sel is RangeSelect.LOW:
-                    v_low = v_active - drop
-                else:
-                    v_high = v_active - drop
-                t = b
+                v[sel] = v_active - q_avail / c_eq
                 break
 
             if q_need <= 0.0:
@@ -459,7 +391,6 @@ def simulate(
                     # at a boundary, but no current flows here: hold rather
                     # than emit a zero-current event that exact arithmetic
                     # would never produce
-                    t = b
                     break
                 t_ev = t
             else:
@@ -468,40 +399,96 @@ def simulate(
                 if t_ev > b:
                     t_ev = b
             if len(ev_t) >= max_events:
-                events, tr = _partial(rec.trace if rec else None)
-                raise EventCapError(max_events, events, tr)
-            if rec:
-                rec.integration(t, t_ev, v_low, v_high, sel, c_eq, i_t, slope)
+                raise EventCapError(max_events, _channel_stream(config, ev_t, ev_sf))
             ev_t.append(t_ev)
             ev_sf.append(int(sel))
             latency = ack.latency + (rng.uniform(0.0, ack.jitter) if rng is not None else 0.0)
-            if sel is RangeSelect.LOW:
-                v_low = v_ref_l
-            else:
-                v_high = v_ref_l
-            ack_boundary = t_ev + latency
-            if rec:
-                rec.add(t_ev, v_low, v_high, Phase.REQUEST_PENDING, sel)
-                if ack_boundary <= duration:
-                    rec.add(ack_boundary, v_low, v_high, Phase.RESET_PULSE, sel)
             dead_until = t_ev + latency + t_rst
             if dead_until >= b:
                 in_dead = True
-                t = b
                 break
             t = dead_until
-            v_low = v_high = v_ref_h
-            if rec:
-                rec.add(t, v_low, v_high, Phase.INTEGRATING, sel)
+            v = [v_ref_h, v_ref_h]
 
-    if rec:
-        end_phase = Phase.INTEGRATING
-        if in_dead and dead_until > duration:
-            end_phase = Phase.REQUEST_PENDING if duration < ack_boundary else Phase.RESET_PULSE
-        rec.add(duration, v_low, v_high, end_phase, last_sel)
+    events = _channel_stream(config, ev_t, ev_sf)
+    if not trace:
+        return SimResult(events=events)
+    # the kernel drew one latency per event from this same generator
+    rng = ack.rng_for(config.channel_address)
+    n = len(events)
+    jitter = rng.uniform(0.0, ack.jitter, size=n) if rng is not None else np.zeros(n)
+    latencies = ack.latency + jitter
+    return SimResult(events, _state_trace(config, segments, selections, events, latencies, duration))
 
-    events, _ = _partial(None)
-    return SimResult(events=events, trace=rec.trace if rec else None)
+
+def _state_trace(
+    config: CfcConfig, segments, selections, events: EventStream, latencies: np.ndarray, duration: float
+) -> StateTrace:
+    """Rebuild the state trace of a finished run from its effective pieces,
+    their range selections, its events and their acknowledge latencies.
+
+    Rows: the start, every range switch, the end of the run and, per
+    event, its request, its acknowledge (kept at or before the end) and
+    the end of its reset (kept before the end), sorted by time.  While
+    integrating, each capacitor sits at v_ref_h less the charge its range
+    took in since the last reset ended, over its capacitance.  From a
+    request to the end of its reset, the capacitor that fired holds
+    v_ref_l and the other one keeps its value at the request.
+    """
+    starts, ends, i_a, i_b = np.asarray(segments, dtype=np.float64).T
+    sel = np.asarray(selections, dtype=np.uint8)
+    slope = (i_b - i_a) / (ends - starts)
+    caps = np.asarray([config.scale(r) * config.c1 for r in RangeSelect])
+
+    # charge each range took in from t = 0 to the start of every piece
+    q_piece = 0.5 * (i_a + i_b) * (ends - starts)
+    q_start = np.zeros((2, starts.size))
+    for r in RangeSelect:
+        q_start[r, 1:] = np.cumsum(np.where(sel == r, q_piece, 0.0))[:-1]
+
+    def charge(t):
+        """Charge per range (rows) taken in over [0, t] (columns)."""
+        k = np.searchsorted(starts, t, side="right") - 1
+        dt = t - starts[k]
+        q = q_start[:, k]
+        q[sel[k], np.arange(t.size)] += i_a[k] * dt + 0.5 * slope[k] * dt * dt
+        return q
+
+    t_ev = events.t_req
+    n = t_ev.size
+    ack = t_ev + latencies
+    reset_end = ack + config.t_rst
+
+    # each event's request, acknowledge and reset end, in that order
+    t_cycle = np.column_stack((t_ev, ack, reset_end)).ravel()
+    cycle = np.array([Phase.REQUEST_PENDING, Phase.RESET_PULSE, Phase.INTEGRATING], dtype=object)
+    phase_cycle = np.tile(cycle, n)
+    keep = np.column_stack((np.ones(n, dtype=bool), ack <= duration, reset_end < duration)).ravel()
+
+    # the start, each range switch and the end take the phase in force
+    t_fixed = np.concatenate(([0.0], starts[np.flatnonzero(sel[1:] != sel[:-1]) + 1], [duration]))
+    in_force = np.searchsorted(t_cycle, t_fixed, side="right") - 1
+    phase_fixed = np.append(phase_cycle, Phase.INTEGRATING)[in_force]  # -1: before any event
+
+    # the end row goes last, after any acknowledge at the very end
+    t = np.concatenate((t_fixed[:-1], t_cycle[keep], t_fixed[-1:]))
+    phase = np.concatenate((phase_fixed[:-1], phase_cycle[keep], phase_fixed[-1:]))
+    row_in_cycle = np.concatenate((in_force[:-1], np.flatnonzero(keep), in_force[-1:]))
+    order = np.argsort(t, kind="stable")
+    t, phase = t[order], phase[order]
+    owner = row_in_cycle[order] // 3  # the last event at or before the row; -1 for none
+
+    # charge counts from the last reset end up to the row, or, from a
+    # request to its reset end, up to the request
+    integrating = phase == Phase.INTEGRATING
+    dead = np.flatnonzero(~integrating)
+    since = np.concatenate(([0.0], reset_end))[owner + integrating]
+    held = t.copy()
+    held[dead] = t_ev[owner[dead]]
+    v = config.v_ref_h - (charge(held) - charge(since)) / caps[:, None]
+    v[events.sf[owner[dead]], dead] = config.v_ref_l
+    selected = sel[np.searchsorted(starts, t, side="right") - 1]
+    return StateTrace(t, v[RangeSelect.LOW], v[RangeSelect.HIGH], phase, selected)
 
 
 def simulate_many(
@@ -623,15 +610,7 @@ def oracle_simulate(
 
     while t < duration:
         if len(ev_t) >= max_events:
-            raise EventCapError(
-                max_events,
-                EventStream(
-                    np.asarray(ev_t),
-                    np.full(len(ev_t), config.channel_address, dtype=np.int64),
-                    np.asarray(ev_sf, dtype=np.uint8),
-                ),
-                None,
-            )
+            raise EventCapError(max_events, _channel_stream(config, ev_t, ev_sf))
         t_hi = min(duration, t + chunk * dt)
         n = max(1, int(math.ceil((t_hi - t) / dt - 1e-12)))
         ts = t + dt * np.arange(n + 1)
@@ -674,8 +653,4 @@ def oracle_simulate(
         t = t_ev + latency + t_rst
         v_low = v_high = v_ref_h
 
-    return EventStream(
-        np.asarray(ev_t),
-        np.full(len(ev_t), config.channel_address, dtype=np.int64),
-        np.asarray(ev_sf, dtype=np.uint8),
-    )
+    return _channel_stream(config, ev_t, ev_sf)

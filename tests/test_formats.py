@@ -15,7 +15,7 @@ from cfcsim.formats import (
     write_summary_json,
     write_trace_csv,
 )
-from cfcsim.simulator import EventStream, TraceOptions, simulate
+from cfcsim.simulator import EventStream, simulate
 from cfcsim.stimulus import constant, regular_train, staircase_sweep
 
 IDEAL = CfcConfig(t_rst=0.0, i_leak_floor=0.0)
@@ -61,7 +61,7 @@ def test_empty_events_file_reads_empty(tmp_path):
 
 
 def test_trace_and_recon_and_spikes_files(tmp_path):
-    result = simulate(IDEAL, constant(1e-9, 1e-3), 1e-3, trace=TraceOptions())
+    result = simulate(IDEAL, constant(1e-9, 1e-3), 1e-3, trace=True)
     tr = write_trace_csv(tmp_path / "trace.csv", result.trace)
     lines = tr.read_text().splitlines()
     assert lines[0] == "t_s,v_low_V,v_high_V,phase,selected"

@@ -53,6 +53,16 @@ def test_agreement_with_ack_latency_and_reset():
     _agree(cfg, stim, 1e-3, dt=5e-10, ack=AckModel(latency=3e-7))
 
 
+def test_agreement_with_jittered_ack():
+    # a jittered acknowledge sends fresh flat pieces through the per-event
+    # path, and both integrators must draw the same latencies
+    stim = CurrentSignal.from_breakpoints(
+        [(0.0, 2e-9), (2e-4, 30e-9), (4e-4, 5e-9)], "step", end=6e-4
+    )
+    sim, _ = _agree(CFG, stim, 6e-4, dt=5e-10, ack=AckModel(latency=1e-7, jitter=2e-7, seed=5))
+    assert len(sim) == 13
+
+
 def test_high_current_reset_pulse_agreement():
     # ~1 uA on the high range: the 0.1 us reset pulse stretches the ideal
     # 10 us interval, and both paths must stretch it identically

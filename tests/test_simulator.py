@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfcsim.core import CfcConfig, ConfigError, Polarity, RangeSelect, ideal_isi, ideal_rate
@@ -10,7 +10,6 @@ from cfcsim.simulator import (
     EventCapError,
     EventStream,
     Phase,
-    TraceOptions,
     power_estimate,
     simulate,
     simulate_many,
@@ -199,7 +198,7 @@ def test_batched_path_emits_no_event_past_the_run():
     isi = ideal_isi(CFG, 1e-9)
     period = isi + CFG.t_rst
     d = isi + 9 * period - 1e-10 * period
-    for trace in (None, TraceOptions()):
+    for trace in (False, True):
         ev = simulate(CFG, constant(1e-9, d), d, trace=trace).events
         assert len(ev) == 9
         assert ev.t_req[-1] <= d
@@ -207,31 +206,28 @@ def test_batched_path_emits_no_event_past_the_run():
 
 @settings(max_examples=25, deadline=None)
 @given(
-    st.lists(st.floats(min_value=0.0, max_value=3e-6), min_size=1, max_size=4),
-    st.floats(min_value=1e-4, max_value=1e-3),
-    st.sampled_from([0.0, 1e-7]),
+    levels=st.lists(st.floats(min_value=0.0, max_value=3e-6), min_size=1, max_size=4),
+    dwell=st.floats(min_value=1e-4, max_value=1e-3),
+    latency=st.sampled_from([0.0, 1e-7]),
+    jitter=st.sampled_from([0.0, 2e-7]),
+    linear=st.booleans(),
+    config=st.sampled_from([CFG, IDEAL]),
 )
-def test_flat_staircases_match_with_trace_on_and_off(levels, dwell, latency):
+# a constant on the ideal channel: the batched path, cycle after cycle
+@example(levels=[2e-9], dwell=2e-3, latency=0.0, jitter=0.0, linear=False, config=IDEAL)
+def test_events_match_with_trace_on_and_off(levels, dwell, latency, jitter, linear, config):
     duration = len(levels) * dwell
     stim = CurrentSignal.from_breakpoints(
-        [(k * dwell, lv) for k, lv in enumerate(levels)], "step", end=duration
+        [(k * dwell, lv) for k, lv in enumerate(levels)],
+        "linear" if linear else "step",
+        end=duration,
     )
-    ack = AckModel(latency=latency)
-    plain = simulate(CFG, stim, duration, ack=ack).events
-    traced = simulate(CFG, stim, duration, ack=ack, trace=TraceOptions()).events
-    assert len(plain) == len(traced)
+    ack = AckModel(latency=latency, jitter=jitter, seed=3)
+    plain = simulate(config, stim, duration, ack=ack).events
+    traced = simulate(config, stim, duration, ack=ack, trace=True).events
+    assert np.array_equal(plain.t_req, traced.t_req)
     assert np.array_equal(plain.sf, traced.sf)
-    assert np.all(np.abs(plain.t_req - traced.t_req) <= 1e-9)
-    assert np.all(plain.t_req <= duration) and np.all(traced.t_req <= duration)
-
-
-def test_batched_and_stepped_paths_agree():
-    # tracing forces the per-cycle path; event times must match the
-    # batched constant-current path to rounding
-    plain = simulate(IDEAL, constant(2e-9, 2e-3), 2e-3).events
-    traced = simulate(IDEAL, constant(2e-9, 2e-3), 2e-3, trace=TraceOptions()).events
-    assert len(plain) == len(traced)
-    assert plain.t_req == pytest.approx(traced.t_req, rel=1e-12)
+    assert np.all(plain.t_req <= duration)
 
 
 # ---------------------------------------------------------------------------
@@ -258,37 +254,74 @@ def test_event_cap_truncates_with_partial_results():
     assert len(exc2.value.events) == 10
 
 
+_NEXT_PHASE = {
+    Phase.INTEGRATING: Phase.REQUEST_PENDING,
+    Phase.REQUEST_PENDING: Phase.RESET_PULSE,
+    Phase.RESET_PULSE: Phase.INTEGRATING,
+}
+
+
+def _assert_trace_in_order(tr):
+    """Times never decrease, and each row enters the next phase of the
+    cycle, or keeps its phase where the range switches or the run ends."""
+    assert np.all(np.diff(tr.t) >= 0)
+    rows = list(tr.rows())
+    for k in range(1, len(rows)):
+        _, _, _, before, sel_before = rows[k - 1]
+        _, _, _, phase, sel = rows[k]
+        if phase is before:
+            assert sel != sel_before or k == len(rows) - 1, f"row {k} repeats {phase}"
+        else:
+            assert phase is _NEXT_PHASE[before], f"illegal phase transition {before} -> {phase}"
+
+
 def test_trace_phases_and_voltage_bounds():
     ack = AckModel(latency=3e-6)
     cfg = CfcConfig(i_leak_floor=0.0)
-    result = simulate(cfg, constant(1e-9, 1e-3), 1e-3, ack=ack, trace=TraceOptions(sample_dt=2e-5))
+    result = simulate(cfg, constant(1e-9, 1e-3), 1e-3, ack=ack, trace=True)
     tr = result.trace
     assert tr is not None and len(tr) > 10
-    ts = np.asarray(tr.t)
-    assert np.all(np.diff(ts) >= 0)
     assert np.all(np.asarray(tr.v_low) >= cfg.v_ref_l - 1e-12)
     assert np.all(np.asarray(tr.v_low) <= cfg.v_ref_h + 1e-12)
     assert np.all(np.asarray(tr.v_high) >= cfg.v_ref_l - 1e-12)
     assert np.all(np.asarray(tr.v_high) <= cfg.v_ref_h + 1e-12)
     # phases cycle integrating -> request_pending -> reset_pulse -> integrating
-    phases = tr.phase
-    for k in range(len(phases) - 1):
-        a, b = phases[k], phases[k + 1]
-        allowed = {
-            Phase.INTEGRATING: {Phase.INTEGRATING, Phase.REQUEST_PENDING},
-            Phase.REQUEST_PENDING: {Phase.RESET_PULSE},
-            Phase.RESET_PULSE: {Phase.INTEGRATING, Phase.RESET_PULSE},
-        }[a]
-        assert b in allowed, f"illegal phase transition {a} -> {b}"
-    # every row lies at or after the start of its phase; a pending
-    # request holds the active capacitor at the threshold
-    t_phase, prev_phase = 0.0, None
+    _assert_trace_in_order(tr)
+    # a pending request holds the active capacitor at the threshold
     for t, v_low, v_high, phase, selected in tr.rows():
-        if phase is not prev_phase:
-            t_phase, prev_phase = t, phase
-        assert t_phase <= t
         if phase is Phase.REQUEST_PENDING:
             assert (v_low if selected == 0 else v_high) == cfg.v_ref_l
+
+
+def test_trace_time_runs_forward_across_a_switch_during_a_pending_request():
+    # the low cap fires at 100 us, the range switches at 101 us while the
+    # request waits 3 us for its acknowledge
+    stim = CurrentSignal.from_breakpoints([(0.0, 1e-9), (101e-6, 20e-9)], "step", end=300e-6)
+    cfg = CfcConfig(i_leak_floor=0.0)
+    tr = simulate(cfg, stim, 300e-6, ack=AckModel(latency=3e-6), trace=True).trace
+    _assert_trace_in_order(tr)
+    assert [(phase.value, int(sel)) for _, _, _, phase, sel in tr.rows()] == [
+        ("integrating", 0),
+        ("request_pending", 0),
+        ("request_pending", 1),
+        ("reset_pulse", 1),
+        ("integrating", 1),
+        ("integrating", 1),
+    ]
+
+
+def test_trace_replays_the_kernel_latency_draws():
+    # on a jittered flat piece every event after the first lands one ideal
+    # interval after the reset that precedes it ends
+    i = 1e-9
+    ack = AckModel(latency=1e-6, jitter=2e-6, seed=11)
+    result = simulate(CFG, constant(i, 2e-3), 2e-3, ack=ack, trace=True)
+    reset_ends = [
+        t for t, _, _, phase, _ in result.trace.rows() if phase is Phase.INTEGRATING and 0.0 < t < 2e-3
+    ]
+    gaps = result.events.t_req[1:] - np.asarray(reset_ends[: len(result.events) - 1])
+    assert len(gaps) > 10
+    assert gaps == pytest.approx(np.full(len(gaps), ideal_isi(CFG, i)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
