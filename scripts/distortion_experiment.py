@@ -12,20 +12,21 @@ Usage:
 
 import numpy as np
 
-from cfcsim import CfcConfig, constant, reconstruct, simulate
+from cfcsim import AckModel, CfcConfig, constant, dead_time, ideal_isi, reconstruct, simulate
 
 
 def main() -> None:
     config = CfcConfig()
+    dead = dead_time(config, AckModel())
     print(f"reset pulse: {config.t_rst * 1e6:.2f} us,"
           f" validity bound: {config.i_max_valid * 1e6:.1f} uA\n")
     print(f"{'i_A':>10} {'rate_hz':>12} {'raw_read_low':>13} {'compensated':>12}")
     for i in np.asarray([0.2e-6, 0.5e-6, 1e-6, 2e-6, 4e-6, 8e-6]):
-        isi = 100.0 * config.c1 * config.delta_v / i
-        duration = 300 * (isi + config.t_rst)
+        isi = ideal_isi(config, i)
+        duration = 300 * (isi + dead)
         events = simulate(config, constant(i, duration), duration).events
         raw = float(np.mean(reconstruct(events, config).i_est))
-        comp = float(np.mean(reconstruct(events, config, compensation=config.t_rst).i_est))
+        comp = float(np.mean(reconstruct(events, config, compensation=dead).i_est))
         print(f"{i:10.1e} {1.0 / isi:12.0f} {1 - raw / i:13.4%} {abs(1 - comp / i):12.2e}")
 
 

@@ -13,12 +13,11 @@ import argparse
 
 import numpy as np
 
-from cfcsim import CfcConfig, constant, reconstruct, select_range, simulate
+from cfcsim import AckModel, CfcConfig, constant, dead_time, ideal_isi, reconstruct, simulate
 
 
 def decoded_mean(config, i, compensation=0.0, cycles=14):
-    isi = config.scale(select_range(config, i)) * config.c1 * config.delta_v / i
-    duration = cycles * (isi + config.t_rst)
+    duration = cycles * (ideal_isi(config, i) + dead_time(config, AckModel()))
     events = simulate(config, constant(i, duration), duration).events
     if len(events) < 2:
         return None
@@ -36,7 +35,7 @@ def main() -> None:
 
     ideal = CfcConfig(t_rst=0.0, i_leak_floor=0.0)
     defaults = CfcConfig()
-    comp = defaults.t_rst if args.compensate else 0.0
+    comp = dead_time(defaults, AckModel()) if args.compensate else 0.0
 
     currents = np.logspace(np.log10(args.lo), np.log10(args.hi), args.points)
     print(f"{'programmed_A':>14} {'ideal_A':>14} {'err':>9} {'defaults_A':>14} {'err':>9}")

@@ -11,6 +11,8 @@ Schemas:
     signal  ``t_s,i_A``                       ground-truth currents
     spikes  ``t_s``
     sweep   ``level_A,i_decoded_A,n_events``  empty decode = no measurement
+    comparison  ``t_s,i_model_A,i_decoded_A,rel_err,flag``
+                flag: ``ok``, ``below_floor`` or ``above_valid``
     fit     flat ``key=value`` lines
 """
 
@@ -22,6 +24,7 @@ from typing import Union
 
 import numpy as np
 
+from .core import CfcConfig
 from .decoder import ExponentialFit, ReconstructedSignal, SweepPoint
 from .simulator import EventStream, StateTrace
 from .stimulus import CurrentSignal, SpikeTrain
@@ -32,23 +35,39 @@ RECON_HEADER = "t_s,i_A,range"
 SIGNAL_HEADER = "t_s,i_A"
 SPIKES_HEADER = "t_s"
 SWEEP_HEADER = "level_A,i_decoded_A,n_events"
+COMPARISON_HEADER = "t_s,i_model_A,i_decoded_A,rel_err,flag"
+
+#: Rows formatted and held in memory at a time by :func:`_write_table`.
+_BLOCK = 8192
 
 
 class CsvFormatError(ValueError):
     """A CSV file does not match its documented schema."""
 
 
-def _f(x: float) -> str:
-    return repr(float(x))
+def _write_table(path: Union[str, Path], header: str, *columns) -> Path:
+    """Write equal-length columns as CSV rows under ``header``.
+
+    A column is a numpy array or a sequence of Python numbers or strings;
+    each cell is ``str`` of its value, which for a float is its shortest
+    round-tripping ``repr``.  Rows are formatted ``_BLOCK`` at a time, so
+    memory is bounded by one block rather than by the table.
+    """
+    path = Path(path)
+    n = len(columns[0])
+    with path.open("w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n, _BLOCK):
+            cells = []
+            for column in columns:
+                block = column[lo:lo + _BLOCK]
+                cells.append(map(str, block.tolist() if isinstance(block, np.ndarray) else block))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    return path
 
 
 def write_events_csv(path: Union[str, Path], events: EventStream) -> Path:
-    path = Path(path)
-    lines = [EVENTS_HEADER]
-    for k in range(len(events)):
-        lines.append(f"{_f(events.t_req[k])},{int(events.channel[k])},{int(events.sf[k])}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-    return path
+    return _write_table(path, EVENTS_HEADER, events.t_req, events.channel, events.sf)
 
 
 def read_events_csv(path: Union[str, Path]) -> EventStream:
@@ -86,59 +105,54 @@ def read_events_csv(path: Union[str, Path]) -> EventStream:
 
 
 def write_trace_csv(path: Union[str, Path], trace: StateTrace) -> Path:
-    path = Path(path)
-    lines = [TRACE_HEADER]
-    for t, vl, vh, phase, sel in trace.rows():
-        lines.append(f"{_f(t)},{_f(vl)},{_f(vh)},{phase.value},{int(sel)}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-    return path
+    phase = [p.value for p in trace.phase]
+    return _write_table(path, TRACE_HEADER, trace.t, trace.v_low, trace.v_high, phase, trace.selected)
 
 
 def write_recon_csv(path: Union[str, Path], signal: ReconstructedSignal) -> Path:
-    path = Path(path)
-    lines = [RECON_HEADER]
-    for k in range(len(signal)):
-        lines.append(f"{_f(signal.t[k])},{_f(signal.i_est[k])},{int(signal.ranges[k])}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-    return path
+    return _write_table(path, RECON_HEADER, signal.t, signal.i_est, signal.ranges)
 
 
 def write_signal_csv(path: Union[str, Path], signal: CurrentSignal) -> Path:
     """Emit a piecewise-linear signal as its segment endpoints.
 
     Adjacent rows with the same time mark a step discontinuity, which
-    external plotting tools render as a vertical edge.
+    external plotting tools render as a vertical edge.  A segment's start
+    row is left out where it repeats the previous segment's end row.
     """
-    path = Path(path)
     ends = np.append(signal.times[1:], signal.end)
-    lines = [SIGNAL_HEADER]
-    prev = None
-    for j in range(signal.times.size):
-        start = (float(signal.times[j]), float(signal.i_start[j]))
-        if start != prev:
-            lines.append(f"{_f(start[0])},{_f(start[1])}")
-        stop = (float(ends[j]), float(signal.i_end[j]))
-        lines.append(f"{_f(stop[0])},{_f(stop[1])}")
-        prev = stop
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-    return path
+    t = np.column_stack((signal.times, ends)).ravel()
+    i = np.column_stack((signal.i_start, signal.i_end)).ravel()
+    keep = np.ones(t.size, dtype=bool)
+    keep[2::2] = signal.i_start[1:] != signal.i_end[:-1]
+    return _write_table(path, SIGNAL_HEADER, t[keep], i[keep])
 
 
 def write_spikes_csv(path: Union[str, Path], train: SpikeTrain) -> Path:
-    path = Path(path)
-    lines = [SPIKES_HEADER] + [_f(t) for t in train.times]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-    return path
+    return _write_table(path, SPIKES_HEADER, train.times)
 
 
 def write_sweep_csv(path: Union[str, Path], points: list[SweepPoint]) -> Path:
-    path = Path(path)
-    lines = [SWEEP_HEADER]
-    for p in points:
-        decoded = "" if p.decoded is None else _f(p.decoded)
-        lines.append(f"{_f(p.level)},{decoded},{p.n_events}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-    return path
+    levels = [float(p.level) for p in points]
+    decoded = ["" if p.decoded is None else float(p.decoded) for p in points]
+    return _write_table(path, SWEEP_HEADER, levels, decoded, [int(p.n_events) for p in points])
+
+
+def write_comparison_csv(path: Union[str, Path], t, model, decoded, config: CfcConfig) -> Path:
+    """Decoded against modelled current on a time grid.
+
+    ``rel_err`` is ``nan`` where the model is 0; ``flag`` marks the
+    points below the leak floor and above the validity bound.
+    """
+    t, model, decoded = (np.asarray(a, dtype=np.float64) for a in (t, model, decoded))
+    with np.errstate(all="ignore"):
+        rel = np.where(model != 0, (decoded - model) / model, np.nan)
+    flag = np.where(
+        model <= config.i_leak_floor,
+        "below_floor",
+        np.where(model > config.i_max_valid, "above_valid", "ok"),
+    )
+    return _write_table(path, COMPARISON_HEADER, t, model, decoded, rel, flag)
 
 
 def write_fit_record(path: Union[str, Path], fit: ExponentialFit, extra: dict | None = None) -> Path:
@@ -152,7 +166,7 @@ def write_fit_record(path: Union[str, Path], fit: ExponentialFit, extra: dict | 
     }
     if extra:
         record.update(extra)
-    lines = [f"{key}={_f(value)}" for key, value in record.items()]
+    lines = [f"{key}={float(value)!r}" for key, value in record.items()]
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path
 

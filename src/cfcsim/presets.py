@@ -27,13 +27,11 @@ from typing import Callable, Union
 import numpy as np
 
 from . import formats
-from .core import CfcConfig, ConfigError, DEFAULT_CONFIG, dead_time
+from .core import ConfigError, DEFAULT_CONFIG, dead_time
 from .decoder import fit_exponential, reconstruct
 from .experiment import run_sweep
 from .simulator import AckModel, simulate
 from .stimulus import FIVE_RANGE_SWEEPS, AdexParams, adex_neuron, dpi_synapse, pfet_gate_sweep, regular_train
-
-COMPARISON_HEADER = "t_s,i_model_A,i_decoded_A,rel_err,flag"
 
 
 @dataclass
@@ -42,22 +40,6 @@ class PresetResult:
     out_dir: Path
     files: list[Path]
     summary: dict
-
-
-def _write_comparison_csv(path: Path, t, model, decoded, config: CfcConfig) -> Path:
-    lines = [COMPARISON_HEADER]
-    for k in range(t.size):
-        m, d = float(model[k]), float(decoded[k])
-        rel = (d - m) / m if m != 0 else float("nan")
-        if m <= config.i_leak_floor:
-            flag = "below_floor"
-        elif m > config.i_max_valid:
-            flag = "above_valid"
-        else:
-            flag = "ok"
-        lines.append(f"{float(t[k])!r},{m!r},{d!r},{rel!r},{flag}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-    return path
 
 
 def _preset_fig4(out: Path, seed: int, compensate: bool) -> PresetResult:
@@ -132,7 +114,7 @@ def _preset_fig5(out: Path, seed: int, compensate: bool) -> PresetResult:
         formats.write_signal_csv(out / "truth.csv", signal),
         formats.write_events_csv(out / "events.csv", result.events),
         formats.write_recon_csv(out / "recon.csv", recon),
-        _write_comparison_csv(out / "comparison.csv", grid, model, decoded, config),
+        formats.write_comparison_csv(out / "comparison.csv", grid, model, decoded, config),
     ]
     summary = {
         "preset": "fig5",
@@ -170,7 +152,7 @@ def _preset_fig6(out: Path, seed: int, compensate: bool) -> PresetResult:
         formats.write_signal_csv(out / "truth.csv", proxy),
         formats.write_events_csv(out / "events.csv", result.events),
         formats.write_recon_csv(out / "recon.csv", recon),
-        _write_comparison_csv(out / "comparison.csv", grid, model, decoded, config),
+        formats.write_comparison_csv(out / "comparison.csv", grid, model, decoded, config),
     ]
     summary = {
         "preset": "fig6",

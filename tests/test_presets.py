@@ -40,6 +40,15 @@ def test_fig5_compensation_removes_dead_time_distortion(tmp_path):
     # so the 0.1 us reset pulse costs ~10% uncompensated
     assert 0.05 < raw.summary["max_rel_err_in_band"] < 0.12
     assert comp.summary["max_rel_err_in_band"] < 0.005
+    # the comparison table flags exactly the grid points the summary counts,
+    # and the sweep starts below the leak floor
+    lines = (tmp_path / "raw" / "comparison.csv").read_text().splitlines()
+    assert lines[0] == "t_s,i_model_A,i_decoded_A,rel_err,flag"
+    flags = [row.rsplit(",", 1)[1] for row in lines[1:]]
+    assert flags[0] == "below_floor"
+    assert flags.count("below_floor") == raw.summary["grid_points_below_floor"] > 0
+    assert flags.count("above_valid") == raw.summary["grid_points_above_valid"] > 0
+    assert set(flags) == {"ok", "below_floor", "above_valid"}
 
 
 def test_fig6_monitors_neuron_through_range_switch(tmp_path):
