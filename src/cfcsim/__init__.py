@@ -27,7 +27,6 @@ from .decoder import (
 )
 from .simulator import (
     AckModel,
-    AerEvent,
     EventCapError,
     EventStream,
     Phase,
@@ -44,7 +43,6 @@ from .stimulus import (
     CurrentSignal,
     SpikeTrain,
     SweepSchedule,
-    SweepStep,
     adex_neuron,
     constant,
     dpi_synapse,

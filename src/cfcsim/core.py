@@ -22,6 +22,7 @@ algebra shared by the simulator and the decoder:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from enum import Enum, IntEnum
 from typing import TYPE_CHECKING, Optional
@@ -34,6 +35,23 @@ if TYPE_CHECKING:
 
 class ConfigError(ValueError):
     """A configuration, stimulus or experiment description is invalid."""
+
+
+def _number(value, key: str, context: str, integer: bool = False):
+    """Check one numeric value read from a description file.
+
+    Returns ``value`` when it is a real number other than NaN (and,
+    with ``integer``, has no fractional part; it is then returned as an
+    int).  Anything else, such as null, a string or a boolean, raises a
+    :class:`ConfigError` that names ``key`` and its ``context``.
+    """
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and not math.isnan(value)
+    if ok and integer:
+        ok = isinstance(value, numbers.Integral) or float(value).is_integer()
+    if not ok:
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{context}: {key!r} must be {kind}, got {value!r}")
+    return int(value) if integer else value
 
 
 class Polarity(Enum):
@@ -95,15 +113,17 @@ class CfcConfig:
             )
         if not self.i_sw > 0:
             raise ConfigError(f"i_sw must be positive, got {self.i_sw}")
-        if self.t_rst < 0:
+        if not self.t_rst >= 0:
             raise ConfigError(f"t_rst must be non-negative, got {self.t_rst}")
-        if self.i_leak_floor < 0:
+        if not self.i_leak_floor >= 0:
             raise ConfigError(f"i_leak_floor must be non-negative, got {self.i_leak_floor}")
+        if not self.i_max_valid > 0:
+            raise ConfigError(f"i_max_valid must be positive, got {self.i_max_valid}")
         if not 0 <= self.hysteresis < 1:
             raise ConfigError(f"hysteresis must lie in [0, 1), got {self.hysteresis}")
         if not isinstance(self.polarity, Polarity):
             raise ConfigError(f"polarity must be a Polarity, got {self.polarity!r}")
-        if self.channel_address < 0 or int(self.channel_address) != self.channel_address:
+        if not (self.channel_address >= 0 and float(self.channel_address).is_integer()):
             raise ConfigError(f"channel_address must be a small non-negative integer, got {self.channel_address}")
 
     @property
@@ -136,7 +156,7 @@ class CfcConfig:
         unknown = set(overrides) - known
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-        values = dict(overrides)
+        values = {k: v if k == "polarity" else _number(v, k, "config") for k, v in overrides.items()}
         if "polarity" in values and not isinstance(values["polarity"], Polarity):
             try:
                 values["polarity"] = Polarity(values["polarity"])

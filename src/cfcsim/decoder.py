@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import curve_fit
 
 from .core import CfcConfig, RangeSelect, decode
-from .simulator import AerEvent, EventStream, as_stream
+from .simulator import EventStream
 from .stimulus import SweepSchedule
 
 
@@ -40,16 +40,13 @@ class ReconstructedSignal:
     t: np.ndarray          # s, strictly increasing sample times
     i_est: np.ndarray      # A, decoded currents (all positive)
     ranges: np.ndarray     # uint8, 0 = low range, 1 = high range
-    config: CfcConfig
-    compensation: float
-    placement: Placement
 
     def __len__(self) -> int:
         return int(self.t.size)
 
 
 def reconstruct(
-    events: Union[EventStream, Iterable[AerEvent]],
+    events: EventStream,
     config: CfcConfig,
     compensation: float = 0.0,
     placement: Placement = Placement.MIDPOINT,
@@ -62,23 +59,22 @@ def reconstruct(
     continuity for streams that lack them; it is off by default and the
     flags carried by the events are trusted.
     """
-    stream = as_stream(events)
-    if np.unique(stream.channel).size > 1:
+    if np.unique(events.channel).size > 1:
         raise ValueError("event stream mixes multiple channels; reconstruct one at a time")
-    t = stream.t_req
+    t = events.t_req
     isis = np.diff(t)
     if np.any(isis <= 0):
         raise ValueError("event stream must be strictly increasing in time")
     if infer_ranges:
         sf = _infer_ranges(config, isis, compensation)
     else:
-        sf = stream.sf[1:]
+        sf = events.sf[1:]
     i_est = decode(config, isis, sf, compensation)
     if placement is Placement.MIDPOINT:
         sample_t = 0.5 * (t[:-1] + t[1:])
     else:
         sample_t = t[1:].copy()
-    return ReconstructedSignal(sample_t, i_est, sf.astype(np.uint8), config, compensation, placement)
+    return ReconstructedSignal(sample_t, i_est, sf.astype(np.uint8))
 
 
 def _infer_ranges(config: CfcConfig, isis: np.ndarray, compensation: float) -> np.ndarray:
@@ -211,7 +207,7 @@ class SweepPoint:
 
 
 def sweep_analysis(
-    events: Union[EventStream, Iterable[AerEvent]],
+    events: EventStream,
     schedule: SweepSchedule,
     config: CfcConfig,
     settle_fraction: float = 0.2,
@@ -227,24 +223,21 @@ def sweep_analysis(
     """
     if not 0.0 <= settle_fraction < 1.0:
         raise ValueError(f"settle_fraction must lie in [0, 1), got {settle_fraction}")
-    stream = as_stream(events)
-    t = stream.t_req
+    t = events.t_req
     start, end = schedule.span
-    if len(stream) and (t[0] < start - 1e-15 or t[-1] > end + 1e-15):
+    if len(events) and (t[0] < start - 1e-15 or t[-1] > end + 1e-15):
         raise ValueError(
             f"events outside the sweep schedule span [{start}, {end}]"
         )
     out: list[SweepPoint] = []
-    for step in schedule.steps:
-        w0 = step.t_start + settle_fraction * (step.t_end - step.t_start)
+    for t0, t1, level in zip(schedule.t_start.tolist(), schedule.t_end.tolist(), schedule.levels.tolist()):
+        w0 = t0 + settle_fraction * (t1 - t0)
         lo = int(np.searchsorted(t, w0, side="left"))
-        hi = int(np.searchsorted(t, step.t_end, side="right"))
+        hi = int(np.searchsorted(t, t1, side="right"))
         n = hi - lo
         if n < 2:
-            out.append(SweepPoint(step.level, None, n))
+            out.append(SweepPoint(level, None, n))
             continue
-        tt = t[lo:hi]
-        sf = stream.sf[lo + 1:hi]
-        decoded = decode(config, np.diff(tt), sf, compensation)
-        out.append(SweepPoint(step.level, float(decoded.mean()), n))
+        decoded = decode(config, np.diff(t[lo:hi]), events.sf[lo + 1:hi], compensation)
+        out.append(SweepPoint(level, float(decoded.mean()), n))
     return out

@@ -28,7 +28,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import formats
-from .core import CfcConfig, ConfigError
+from .core import CfcConfig, ConfigError, _number
 from .decoder import Placement, SweepPoint, reconstruct, sweep_analysis
 from .simulator import AckModel, EventStream, SimResult, simulate, power_estimate
 from .stimulus import (
@@ -72,14 +72,25 @@ def _require(d: dict, key: str, context: str):
     return d[key]
 
 
+def _float(d: dict, key: str, context: str) -> float:
+    """The required numeric value under ``key``, as a float."""
+    return float(_number(_require(d, key, context), key, context))
+
+
+def _optional(d: dict, key: str, context: str):
+    """The numeric value under ``key``, or None when it is absent or null."""
+    value = d.get(key)
+    return None if value is None else _number(value, key, context)
+
+
 def _build_train(desc: dict, duration: float, seed: int) -> SpikeTrain:
     _reject_unknown(desc, {"kind", "rate", "seed", "times"}, "spike train")
     kind = _require(desc, "kind", "spike train")
     if kind == "regular":
-        return regular_train(float(_require(desc, "rate", "spike train")), duration)
+        return regular_train(_float(desc, "rate", "spike train"), duration)
     if kind == "poisson":
-        train_seed = desc.get("seed", seed)
-        return poisson_train(float(_require(desc, "rate", "spike train")), duration, int(train_seed))
+        train_seed = _number(desc.get("seed", seed), "seed", "spike train", integer=True)
+        return poisson_train(_float(desc, "rate", "spike train"), duration, train_seed)
     if kind == "explicit":
         return SpikeTrain(np.asarray(_require(desc, "times", "spike train"), dtype=float))
     raise ConfigError(f"unknown spike train kind {kind!r}")
@@ -103,15 +114,15 @@ def build_stimulus(
         _reject_unknown(desc, {"kind", "i"}, "constant stimulus")
         if duration is None:
             raise ConfigError("constant stimulus needs an explicit duration")
-        return constant(float(_require(desc, "i", "constant stimulus")), duration), None, duration
+        return constant(_float(desc, "i", "constant stimulus"), duration), None, duration
 
     if kind == "staircase":
         _reject_unknown(desc, {"kind", "start", "stop", "steps", "dwell"}, "staircase stimulus")
         signal, schedule = staircase_sweep(
-            float(_require(desc, "start", "staircase")),
-            float(_require(desc, "stop", "staircase")),
-            int(_require(desc, "steps", "staircase")),
-            float(_require(desc, "dwell", "staircase")),
+            _float(desc, "start", "staircase"),
+            _float(desc, "stop", "staircase"),
+            _number(_require(desc, "steps", "staircase"), "steps", "staircase", integer=True),
+            _float(desc, "dwell", "staircase"),
         )
         span = schedule.span[1]
         if duration is not None and duration > span:
@@ -129,14 +140,16 @@ def build_stimulus(
         if duration is None:
             raise ConfigError("pfet_sweep stimulus needs an explicit duration")
         signal = pfet_gate_sweep(
-            float(_require(desc, "vg_start", "pfet_sweep")),
-            float(_require(desc, "vg_stop", "pfet_sweep")),
+            _float(desc, "vg_start", "pfet_sweep"),
+            _float(desc, "vg_stop", "pfet_sweep"),
             duration,
-            i0=float(_require(desc, "i0", "pfet_sweep")),
-            slope_per_decade=float(_require(desc, "slope_per_decade", "pfet_sweep")),
-            i_sat=float(_require(desc, "i_sat", "pfet_sweep")),
-            vg_ref=desc.get("vg_ref"),
-            points_per_decade=int(desc.get("points_per_decade", 100)),
+            i0=_float(desc, "i0", "pfet_sweep"),
+            slope_per_decade=_float(desc, "slope_per_decade", "pfet_sweep"),
+            i_sat=_float(desc, "i_sat", "pfet_sweep"),
+            vg_ref=_optional(desc, "vg_ref", "pfet_sweep"),
+            points_per_decade=_number(
+                desc.get("points_per_decade", 100), "points_per_decade", "pfet_sweep", integer=True
+            ),
         )
         return signal, None, duration
 
@@ -149,11 +162,11 @@ def build_stimulus(
         train = _build_train(_require(desc, "train", "dpi_synapse"), duration, seed)
         signal = dpi_synapse(
             train,
-            tau=float(_require(desc, "tau", "dpi_synapse")),
-            weight_jump=float(_require(desc, "weight_jump", "dpi_synapse")),
-            i_base=float(_require(desc, "i_base", "dpi_synapse")),
+            tau=_float(desc, "tau", "dpi_synapse"),
+            weight_jump=_float(desc, "weight_jump", "dpi_synapse"),
+            i_base=_float(desc, "i_base", "dpi_synapse"),
             duration=duration,
-            resolution=desc.get("resolution"),
+            resolution=_optional(desc, "resolution", "dpi_synapse"),
         )
         return signal, None, duration
 
@@ -188,9 +201,10 @@ def load_spec(
     _reject_unknown(
         raw, {"name", "config", "stimulus", "duration", "ack", "seed", "trace"}, context
     )
-    seed = int(seed_override if seed_override is not None else raw.get("seed", DEFAULT_SEED))
+    seed = raw.get("seed", DEFAULT_SEED) if seed_override is None else seed_override
+    seed = _number(seed, "seed", context, integer=True)
     duration = duration_override if duration_override is not None else raw.get("duration")
-    duration = float(duration) if duration is not None else None
+    duration = float(_number(duration, "duration", context)) if duration is not None else None
 
     cfg_overrides = raw.get("config", {})
     if not isinstance(cfg_overrides, dict):
@@ -202,8 +216,8 @@ def load_spec(
         raise ConfigError(f"{context}: 'ack' must be an object")
     _reject_unknown(ack_desc, {"latency", "jitter"}, "ack model")
     ack = AckModel(
-        latency=float(ack_desc.get("latency", 0.0)),
-        jitter=float(ack_desc.get("jitter", 0.0)),
+        latency=float(_number(ack_desc.get("latency", 0.0), "latency", "ack model")),
+        jitter=float(_number(ack_desc.get("jitter", 0.0), "jitter", "ack model")),
         seed=seed,
     )
 

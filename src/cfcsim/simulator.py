@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,20 +53,11 @@ class Phase(Enum):
     RESET_PULSE = "reset_pulse"
 
 
-@dataclass(frozen=True)
-class AerEvent:
-    """One emitted address-event."""
-
-    t_req: float        # s, request timestamp
-    channel: int
-    sf: RangeSelect     # active range at emission
-
-
 class EventStream:
     """Columnar, immutable-by-convention batch of events.
 
-    Keeps a million events in three flat arrays instead of a million
-    objects; iteration and indexing still hand out :class:`AerEvent`.
+    Request times, channel addresses and range flags (0 = low, 1 = high)
+    in three flat arrays rather than one object per event.
     """
 
     __slots__ = ("t_req", "channel", "sf")
@@ -83,15 +74,6 @@ class EventStream:
         return cls(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8))
 
     @classmethod
-    def from_events(cls, events: Iterable[AerEvent]) -> "EventStream":
-        evs = list(events)
-        return cls(
-            np.asarray([e.t_req for e in evs]),
-            np.asarray([e.channel for e in evs], dtype=np.int64),
-            np.asarray([int(e.sf) for e in evs], dtype=np.uint8),
-        )
-
-    @classmethod
     def merge(cls, streams: Sequence["EventStream"]) -> "EventStream":
         """Merge per-channel streams into one, ordered by (time, channel)."""
         if not streams:
@@ -105,23 +87,8 @@ class EventStream:
     def __len__(self) -> int:
         return int(self.t_req.size)
 
-    def __iter__(self):
-        for k in range(len(self)):
-            yield self[k]
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return EventStream(self.t_req[idx], self.channel[idx], self.sf[idx])
-        return AerEvent(float(self.t_req[idx]), int(self.channel[idx]), RangeSelect(int(self.sf[idx])))
-
     def isis(self) -> np.ndarray:
         return np.diff(self.t_req)
-
-
-def as_stream(events: Union[EventStream, Iterable[AerEvent]]) -> EventStream:
-    if isinstance(events, EventStream):
-        return events
-    return EventStream.from_events(events)
 
 
 @dataclass(frozen=True)
@@ -139,10 +106,12 @@ class AckModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.latency < 0:
+        if not self.latency >= 0:
             raise ConfigError(f"ack latency must be non-negative, got {self.latency}")
-        if self.jitter < 0:
+        if not self.jitter >= 0:
             raise ConfigError(f"ack jitter must be non-negative, got {self.jitter}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"ack seed must be a non-negative integer, got {self.seed!r}")
 
     def rng_for(self, channel_address: int) -> Optional[np.random.Generator]:
         if self.jitter > 0.0:
@@ -167,15 +136,6 @@ class StateTrace:
     def __len__(self) -> int:
         return int(self.t.size)
 
-    def rows(self):
-        return zip(
-            self.t.tolist(),
-            self.v_low.tolist(),
-            self.v_high.tolist(),
-            self.phase,
-            (RangeSelect(s) for s in self.selected.tolist()),
-        )
-
 
 @dataclass
 class SimResult:
@@ -195,7 +155,7 @@ class EventCapError(RuntimeError):
 
 
 def power_estimate(
-    events: Union[EventStream, Iterable[AerEvent]],
+    events: EventStream,
     duration: float,
     energy_per_event: float = 0.36e-12,
     static_power: float = 0.0,
@@ -207,8 +167,7 @@ def power_estimate(
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
-    n = len(as_stream(events))
-    return static_power + energy_per_event * n / duration
+    return static_power + energy_per_event * len(events) / duration
 
 
 # ---------------------------------------------------------------------------

@@ -194,26 +194,18 @@ class SpikeTrain:
         return int(self.times.size)
 
 
-@dataclass(frozen=True)
-class SweepStep:
-    t_start: float
-    t_end: float
-    level: float   # A, programmed current of this step
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepSchedule:
-    """Step timing metadata emitted next to a staircase stimulus."""
+    """Step timing emitted next to a staircase stimulus: step ``k`` holds
+    ``levels[k]`` (A) from ``t_start[k]`` to ``t_end[k]`` (s)."""
 
-    steps: tuple[SweepStep, ...]
+    t_start: np.ndarray
+    t_end: np.ndarray
+    levels: np.ndarray
 
     @property
     def span(self) -> tuple[float, float]:
-        return self.steps[0].t_start, self.steps[-1].t_end
-
-    @property
-    def levels(self) -> np.ndarray:
-        return np.asarray([s.level for s in self.steps])
+        return float(self.t_start[0]), float(self.t_end[-1])
 
 
 def constant(i: float, duration: float) -> CurrentSignal:
@@ -244,9 +236,7 @@ def staircase_sweep(
     levels = start + np.arange(steps) * ((stop - start) / (steps - 1))
     t0 = np.arange(steps) * dwell
     end = steps * dwell
-    schedule = SweepSchedule(
-        tuple(SweepStep(float(k * dwell), float((k + 1) * dwell), float(levels[k])) for k in range(steps))
-    )
+    schedule = SweepSchedule(t0, np.arange(1, steps + 1) * dwell, levels)
     return CurrentSignal(t0, levels, levels.copy(), float(end)), schedule
 
 

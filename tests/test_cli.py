@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,33 @@ def test_sweep_command(tmp_path):
     assert rows[1].split(",")[1] == ""
     summary = json.loads((out / "summary.json").read_text())
     assert summary["steps_no_measurement"] >= 1
+
+
+@pytest.mark.parametrize(
+    "key, updates",
+    [
+        pytest.param("latency", {"ack": {"latency": float("nan")}}, id="nan-latency"),
+        pytest.param("t_rst", {"config": {"t_rst": float("nan")}}, id="nan-t_rst"),
+        pytest.param("i_leak_floor", {"config": {"i_leak_floor": float("nan")}}, id="nan-i_leak_floor"),
+        pytest.param("seed", {"seed": -1, "ack": {"jitter": 1e-7}}, id="negative-seed"),
+        pytest.param("i", {"stimulus": {"kind": "constant", "i": None}}, id="null-i"),
+        pytest.param("c1", {"config": {"c1": None}}, id="null-c1"),
+        pytest.param("seed", {"seed": "x"}, id="string-seed"),
+        pytest.param("duration", {"duration": "x"}, id="string-duration"),
+        pytest.param("vg_ref", {"stimulus": {
+            "kind": "pfet_sweep", "vg_start": 0.5, "vg_stop": 1.5, "i0": 1e-12, "slope_per_decade": 0.1,
+            "i_sat": 1e-6, "vg_ref": "x",
+        }}, id="string-vg_ref"),
+        pytest.param("resolution", {"stimulus": {
+            "kind": "dpi_synapse", "tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11, "resolution": "x",
+            "train": {"kind": "regular", "rate": 20.0},
+        }}, id="string-resolution"),
+    ],
+)
+def test_simulate_bad_value_exit_2_names_key(tmp_path, capsys, key, updates):
+    spec_path = _write_spec(tmp_path / "spec.json", **updates)
+    assert main(["simulate", "--config", str(spec_path), "--out", str(tmp_path / "run")]) == 2
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------

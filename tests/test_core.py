@@ -52,6 +52,11 @@ def test_default_config_anchors():
         {"hysteresis": 1.0},
         {"hysteresis": -0.1},
         {"channel_address": -1},
+        {"t_rst": float("nan")},
+        {"i_leak_floor": float("nan")},
+        {"i_max_valid": 0.0},
+        {"i_max_valid": float("nan")},
+        {"channel_address": float("nan")},
     ],
 )
 def test_config_invariants_rejected(kwargs):

@@ -13,7 +13,7 @@ from cfcsim.decoder import (
     resample,
     sweep_analysis,
 )
-from cfcsim.simulator import AckModel, AerEvent, EventStream, simulate
+from cfcsim.simulator import AckModel, EventStream, simulate
 from cfcsim.stimulus import (
     CurrentSignal,
     SpikeTrain,
@@ -80,13 +80,6 @@ def test_reconstruct_rejects_bad_streams():
         reconstruct(_stream([0.0, 0.1], [0, 0]), CFG, compensation=-1.0)
 
 
-def test_reconstruct_accepts_plain_event_lists():
-    rec = reconstruct(
-        [AerEvent(0.0, 0, RangeSelect.LOW), AerEvent(0.1, 0, RangeSelect.LOW)], CFG
-    )
-    assert rec.i_est[0] == pytest.approx(1e-12, rel=1e-12)
-
-
 def test_infer_ranges_tracks_a_threshold_crossing():
     # inference anchors on continuity, so give it a continuous monitored
     # current that rides through the range switch
@@ -117,7 +110,6 @@ def _recon_from(times, values):
         np.asarray(times, dtype=float),
         np.asarray(values, dtype=float),
         np.zeros(len(times), dtype=np.uint8),
-        CFG, 0.0, Placement.MIDPOINT,
     )
 
 
@@ -150,10 +142,10 @@ def test_staircase_hold_roundtrip_preserves_steps():
     ev = simulate(IDEAL, sig, sched.span[1]).events
     rec = reconstruct(ev, IDEAL)
     grid, vals = resample(rec, 1e-3, ResampleMode.HOLD)
-    for step in sched.steps:
+    for t0, t1, level in zip(sched.t_start, sched.t_end, sched.levels):
         # probe well inside the dwell, away from the transition intervals
-        inside = (grid > step.t_start + 0.003) & (grid < step.t_end - 0.003)
-        assert np.all(np.abs(vals[inside] - step.level) / step.level < 0.005)
+        inside = (grid > t0 + 0.003) & (grid < t1 - 0.003)
+        assert np.all(np.abs(vals[inside] - level) / level < 0.005)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +231,7 @@ def test_sweep_dead_zone_reports_no_measurement():
 def test_sweep_boundary_step_decodes_on_high_range():
     sig, sched = staircase_sweep(5e-9, 10e-9, 2, 0.05)
     ev = simulate(IDEAL, sig, sched.span[1]).events
-    last_dwell = ev.sf[ev.t_req > sched.steps[1].t_start + 1e-3]
+    last_dwell = ev.sf[ev.t_req > sched.t_start[1] + 1e-3]
     assert np.all(last_dwell == 1)  # the tie at i_sw lands on the high range
     points = sweep_analysis(ev, sched, IDEAL)
     assert points[1].decoded == pytest.approx(10e-9, rel=1e-6)

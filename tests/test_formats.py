@@ -3,7 +3,7 @@ import pytest
 
 from cfcsim import formats
 from cfcsim.core import DEFAULT_CONFIG, CfcConfig
-from cfcsim.decoder import ExponentialFit, Placement, ReconstructedSignal, SweepPoint, reconstruct
+from cfcsim.decoder import ExponentialFit, ReconstructedSignal, SweepPoint, reconstruct
 from cfcsim.formats import (
     CsvFormatError,
     read_events_csv,
@@ -128,7 +128,8 @@ def _ref_events(ev):
 
 
 def _ref_trace(tr):
-    rows = [f"{_f(t)},{_f(vl)},{_f(vh)},{ph.value},{int(sel)}" for t, vl, vh, ph, sel in tr.rows()]
+    rows = [f"{_f(tr.t[k])},{_f(tr.v_low[k])},{_f(tr.v_high[k])},{tr.phase[k].value},{int(tr.selected[k])}"
+            for k in range(len(tr))]
     return _ref_table("t_s,v_low_V,v_high_V,phase,selected", rows)
 
 
@@ -191,8 +192,7 @@ def _table_cases(n):
     ev = EventStream(_floats(n), np.resize([0, 7, 2**31, 2**62 + 1], n), k % 2)
     phases = np.resize(np.array(list(Phase), dtype=object), n)
     tr = StateTrace(_floats(n), _floats(n, 1), _floats(n, 2), phases, (k % 2).astype(np.uint8))
-    rec = ReconstructedSignal(_floats(n), _floats(n, 3), (k % 2).astype(np.uint8), DEFAULT_CONFIG, 0.0,
-                              Placement.AT_SECOND)
+    rec = ReconstructedSignal(_floats(n), _floats(n, 3), (k % 2).astype(np.uint8))
     times = np.arange(n) * 1e-4
     times[:1] = -0.0
     spikes = SpikeTrain(np.concatenate(([-0.0, 5e-324], times[2:]))[:n])

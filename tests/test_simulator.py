@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cfcsim.core import CfcConfig, ConfigError, Polarity, RangeSelect, ideal_isi, ideal_rate
 from cfcsim.simulator import (
     AckModel,
-    AerEvent,
     EventCapError,
     EventStream,
     Phase,
@@ -204,8 +203,9 @@ def test_batched_path_emits_no_event_past_the_run():
         assert ev.t_req[-1] <= d
 
 
-@settings(max_examples=25, deadline=None)
-@given(
+# staircases and ramps of up to four levels, with and without
+# acknowledge latency and jitter, on the reference and the ideal channel
+_STAIRCASE_RUNS = dict(
     levels=st.lists(st.floats(min_value=0.0, max_value=3e-6), min_size=1, max_size=4),
     dwell=st.floats(min_value=1e-4, max_value=1e-3),
     latency=st.sampled_from([0.0, 1e-7]),
@@ -213,16 +213,25 @@ def test_batched_path_emits_no_event_past_the_run():
     linear=st.booleans(),
     config=st.sampled_from([CFG, IDEAL]),
 )
-# a constant on the ideal channel: the batched path, cycle after cycle
-@example(levels=[2e-9], dwell=2e-3, latency=0.0, jitter=0.0, linear=False, config=IDEAL)
-def test_events_match_with_trace_on_and_off(levels, dwell, latency, jitter, linear, config):
+
+
+def _staircase_run(levels, dwell, latency, jitter, linear):
+    """Stimulus, duration and acknowledge model of one drawn run."""
     duration = len(levels) * dwell
     stim = CurrentSignal.from_breakpoints(
         [(k * dwell, lv) for k, lv in enumerate(levels)],
         "linear" if linear else "step",
         end=duration,
     )
-    ack = AckModel(latency=latency, jitter=jitter, seed=3)
+    return stim, duration, AckModel(latency=latency, jitter=jitter, seed=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**_STAIRCASE_RUNS)
+# a constant on the ideal channel: the batched path, cycle after cycle
+@example(levels=[2e-9], dwell=2e-3, latency=0.0, jitter=0.0, linear=False, config=IDEAL)
+def test_events_match_with_trace_on_and_off(levels, dwell, latency, jitter, linear, config):
+    stim, duration, ack = _staircase_run(levels, dwell, latency, jitter, linear)
     plain = simulate(config, stim, duration, ack=ack).events
     traced = simulate(config, stim, duration, ack=ack, trace=True).events
     assert np.array_equal(plain.t_req, traced.t_req)
@@ -230,9 +239,40 @@ def test_events_match_with_trace_on_and_off(levels, dwell, latency, jitter, line
     assert np.all(plain.t_req <= duration)
 
 
+@settings(max_examples=25, deadline=None)
+@given(**_STAIRCASE_RUNS)
+# intervals near 1 ns against a 0.2 us dead time, on a ramp (per event)
+# then a flat piece (batched): a request before the previous reset ended
+# would show here
+@example(levels=[1e-6, 2e-6], dwell=1e-4, latency=1e-7, jitter=0.0, linear=True, config=CfcConfig(c1=1e-17))
+def test_every_event_fires_from_an_integrating_stretch(levels, dwell, latency, jitter, linear, config):
+    stim, duration, ack = _staircase_run(levels, dwell, latency, jitter, linear)
+    result = simulate(config, stim, duration, ack=ack, trace=True)
+    t_req, tr = result.events.t_req, result.trace
+    # the first row at each request time is request_pending, and the row
+    # in force up to it is integrating
+    first = np.searchsorted(tr.t, t_req, side="left")
+    assert np.all(first >= 1)
+    assert np.array_equal(tr.t[first], t_req)
+    assert np.all(tr.phase[first] == Phase.REQUEST_PENDING)
+    assert np.all(tr.phase[first - 1] == Phase.INTEGRATING)
+    # an event's reset ends at the first integrating row after its request,
+    # and the next request comes at or after that
+    integrating = np.flatnonzero(tr.phase == Phase.INTEGRATING)
+    reset_end = tr.t[integrating[np.searchsorted(integrating, first[:-1], side="right")]]
+    assert np.all(t_req[1:] >= reset_end)
+
+
 # ---------------------------------------------------------------------------
 # validation, cap, trace
 # ---------------------------------------------------------------------------
+
+
+def test_ack_model_validation():
+    for kwargs in ({"latency": -1e-9}, {"latency": float("nan")}, {"jitter": float("nan")},
+                   {"seed": -1}, {"seed": 1.5}):
+        with pytest.raises(ConfigError):
+            AckModel(**kwargs)
 
 
 def test_simulate_validation():
@@ -265,12 +305,10 @@ def _assert_trace_in_order(tr):
     """Times never decrease, and each row enters the next phase of the
     cycle, or keeps its phase where the range switches or the run ends."""
     assert np.all(np.diff(tr.t) >= 0)
-    rows = list(tr.rows())
-    for k in range(1, len(rows)):
-        _, _, _, before, sel_before = rows[k - 1]
-        _, _, _, phase, sel = rows[k]
+    for k in range(1, len(tr)):
+        before, phase = tr.phase[k - 1], tr.phase[k]
         if phase is before:
-            assert sel != sel_before or k == len(rows) - 1, f"row {k} repeats {phase}"
+            assert tr.selected[k] != tr.selected[k - 1] or k == len(tr) - 1, f"row {k} repeats {phase}"
         else:
             assert phase is _NEXT_PHASE[before], f"illegal phase transition {before} -> {phase}"
 
@@ -288,9 +326,9 @@ def test_trace_phases_and_voltage_bounds():
     # phases cycle integrating -> request_pending -> reset_pulse -> integrating
     _assert_trace_in_order(tr)
     # a pending request holds the active capacitor at the threshold
-    for t, v_low, v_high, phase, selected in tr.rows():
-        if phase is Phase.REQUEST_PENDING:
-            assert (v_low if selected == 0 else v_high) == cfg.v_ref_l
+    pending = tr.phase == Phase.REQUEST_PENDING
+    assert pending.any()
+    assert np.all(np.where(tr.selected == 0, tr.v_low, tr.v_high)[pending] == cfg.v_ref_l)
 
 
 def test_trace_time_runs_forward_across_a_switch_during_a_pending_request():
@@ -300,7 +338,7 @@ def test_trace_time_runs_forward_across_a_switch_during_a_pending_request():
     cfg = CfcConfig(i_leak_floor=0.0)
     tr = simulate(cfg, stim, 300e-6, ack=AckModel(latency=3e-6), trace=True).trace
     _assert_trace_in_order(tr)
-    assert [(phase.value, int(sel)) for _, _, _, phase, sel in tr.rows()] == [
+    assert [(phase.value, int(sel)) for phase, sel in zip(tr.phase, tr.selected)] == [
         ("integrating", 0),
         ("request_pending", 0),
         ("request_pending", 1),
@@ -316,10 +354,9 @@ def test_trace_replays_the_kernel_latency_draws():
     i = 1e-9
     ack = AckModel(latency=1e-6, jitter=2e-6, seed=11)
     result = simulate(CFG, constant(i, 2e-3), 2e-3, ack=ack, trace=True)
-    reset_ends = [
-        t for t, _, _, phase, _ in result.trace.rows() if phase is Phase.INTEGRATING and 0.0 < t < 2e-3
-    ]
-    gaps = result.events.t_req[1:] - np.asarray(reset_ends[: len(result.events) - 1])
+    tr = result.trace
+    reset_ends = tr.t[(tr.phase == Phase.INTEGRATING) & (tr.t > 0.0) & (tr.t < 2e-3)]
+    gaps = result.events.t_req[1:] - reset_ends[: len(result.events) - 1]
     assert len(gaps) > 10
     assert gaps == pytest.approx(np.full(len(gaps), ideal_isi(CFG, i)), rel=1e-12)
 
@@ -344,14 +381,14 @@ def test_simulate_many_merges_by_timestamp():
 
 
 def test_event_stream_container():
-    ev = EventStream.from_events(
-        [AerEvent(1e-3, 0, RangeSelect.LOW), AerEvent(2e-3, 0, RangeSelect.HIGH)]
-    )
+    ev = EventStream([1e-3, 2e-3], [0, 0], [RangeSelect.LOW, RangeSelect.HIGH])
     assert len(ev) == 2
-    assert ev[1] == AerEvent(2e-3, 0, RangeSelect.HIGH)
-    assert [e.sf for e in ev] == [RangeSelect.LOW, RangeSelect.HIGH]
-    assert len(ev[0:1]) == 1
+    assert (ev.t_req.dtype, ev.channel.dtype, ev.sf.dtype) == (np.float64, np.int64, np.uint8)
+    assert ev.sf.tolist() == [0, 1]
     assert ev.isis() == pytest.approx([1e-3])
+    assert len(EventStream.empty()) == 0
+    with pytest.raises(ValueError, match="matching shapes"):
+        EventStream([0.0], [0, 0], [0])
 
 
 # ---------------------------------------------------------------------------

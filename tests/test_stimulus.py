@@ -84,9 +84,11 @@ def test_staircase_levels_and_schedule():
     levels = sched.levels
     assert levels == pytest.approx(1e-9 + np.arange(10) * 1e-9)
     assert sched.span == (0.0, pytest.approx(1.0))
+    # step k runs from k * dwell to (k + 1) * dwell, computed as such
+    assert sched.t_start.tolist() == [k * 0.1 for k in range(10)]
+    assert sched.t_end.tolist() == [(k + 1) * 0.1 for k in range(10)]
     # mid-dwell evaluation hits the programmed level exactly
-    for k, step in enumerate(sched.steps):
-        assert sig.value(0.5 * (step.t_start + step.t_end)) == levels[k]
+    assert np.array_equal(sig.values(0.5 * (sched.t_start + sched.t_end)), levels)
 
 
 def test_five_range_sweep_presets_are_buildable():
@@ -298,7 +300,7 @@ def test_generators_produce_evaluable_signals(steps, start, span, ):
     ts = np.linspace(0.0, sig.end, 31)
     assert np.all(np.isfinite(sig.values(ts)))
     assert np.all(np.diff(sig.times) > 0)
-    assert len(sched.steps) == steps
+    assert sched.t_start.size == sched.t_end.size == sched.levels.size == steps
 
 
 @settings(max_examples=25)
