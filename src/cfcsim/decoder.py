@@ -16,7 +16,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .core import CfcConfig, RangeSelect, decode
 from .simulator import EventStream
@@ -176,6 +175,10 @@ def fit_exponential(
 
     def model(x, amp, tau, base):
         return base + amp * np.exp(-x / tau)
+
+    # imported here: scipy is most of the package's import time, and
+    # nothing else needs it
+    from scipy.optimize import curve_fit
 
     try:
         popt, _ = curve_fit(

@@ -221,6 +221,10 @@ def load_spec(
         seed=seed,
     )
 
+    trace = raw.get("trace", False)
+    if not isinstance(trace, bool):
+        raise ConfigError(f"{context}: 'trace' must be true or false, got {trace!r}")
+
     stimulus_desc = _require(raw, "stimulus", context)
     signal, schedule, duration = build_stimulus(stimulus_desc, duration, seed)
     return ExperimentSpec(
@@ -230,7 +234,7 @@ def load_spec(
         duration=duration,
         ack=ack,
         seed=seed,
-        trace=bool(raw.get("trace", False)),
+        trace=trace,
         schedule=schedule,
     )
 

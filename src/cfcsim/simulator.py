@@ -18,8 +18,9 @@ reselected.
 
 Threshold crossings are solved in closed form.  The stimulus is reduced
 to linear pieces of *effective* current (rectified, leak floor applied,
-split wherever the range selection can change), and within one piece the
-charge balance
+split wherever the range selection can change), built as numpy columns
+together with each piece's range in one vectorised pass over the
+stimulus, and within one piece the charge balance
 
     integral i_eff dt  =  C_equiv * (v_active - v_ref_l)
 
@@ -41,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CfcConfig, ConfigError, Polarity, RangeSelect, dead_time, ideal_rate, rectify, select_range
+from .core import CfcConfig, ConfigError, Polarity, RangeSelect, dead_time, ideal_rate, rectify
 from .stimulus import CurrentSignal
 
 DEFAULT_EVENT_CAP = 100_000_000
@@ -175,67 +176,95 @@ def power_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _split_linear(a, b, ya, yb, targets):
-    """Split the line (a,ya)-(b,yb) at strict interior crossings of targets."""
-    cuts = []
-    if yb != ya:
-        inv = (b - a) / (yb - ya)
-        for tg in targets:
-            if (ya - tg) * (yb - tg) < 0.0:
-                cuts.append((a + (tg - ya) * inv, tg))
-    if not cuts:
-        return [(a, b, ya, yb)]
-    cuts.sort()
-    pieces = []
-    t0, y0 = a, ya
-    for tc, tg in cuts:
-        if tc > t0:
-            pieces.append((t0, tc, y0, tg))
-            t0, y0 = tc, tg
-    if b > t0:
-        pieces.append((t0, b, y0, yb))
-    return pieces
+def _split_at(a, b, ya, yb, targets):
+    """Split the lines (a, ya)-(b, yb) at strict interior crossings of the
+    target levels, as columns in, columns out.
+
+    Within a line the cuts are taken in (time, level) order, and a cut is
+    kept only if it lies after the line's start and after the cut before
+    it: the same pieces, bit for bit, as walking the sorted cuts and
+    keeping each one past the last kept.  Only lines that cross a target
+    are cut, so the work beyond a few comparisons is on those alone.
+    """
+    crosses = [(ya - tg) * (yb - tg) < 0.0 for tg in targets]
+    crossing = np.logical_or.reduce(crosses)
+    rows = np.flatnonzero(crossing)
+    ra, rb, rya, ryb = a[rows], b[rows], ya[rows], yb[rows]
+    inv = (rb - ra) / (ryb - rya)
+    # one column per target; inf marks a target the line does not cross
+    tc = np.column_stack([np.where(c[rows], ra + (tg - rya) * inv, np.inf) for c, tg in zip(crosses, targets)])
+    level = np.broadcast_to(np.asarray(targets, dtype=np.float64), tc.shape)
+    order = np.lexsort((level, tc), axis=-1)
+    tc = np.take_along_axis(tc, order, axis=-1)
+    level = np.take_along_axis(level, order, axis=-1)
+    keep = (tc < np.inf) & (tc > np.maximum(ra[:, None], np.column_stack((ra, tc[:, :-1]))))
+    last = np.where(keep, tc, ra[:, None]).max(axis=1)
+
+    # a cut line's points are its start, its kept cuts and, past the last
+    # of them, its end; consecutive points bound its pieces
+    point = np.column_stack((np.ones(rows.size, dtype=bool), keep, rb > last))
+    pt_t = np.column_stack((ra, tc, rb))[point]
+    pt_y = np.column_stack((rya, level, ryb))[point]
+    n_pts = point.sum(axis=1)
+    row_last = np.cumsum(n_pts) - 1
+    row_first = row_last - n_pts + 1
+
+    counts = np.ones(a.size, dtype=np.intp)
+    counts[rows] = n_pts - 1
+    a, b, ya, yb = (np.repeat(col, counts) for col in (a, b, ya, yb))
+    cut = np.repeat(crossing, counts)
+    a[cut], b[cut] = np.delete(pt_t, row_last), np.delete(pt_t, row_first)
+    ya[cut], yb[cut] = np.delete(pt_y, row_last), np.delete(pt_y, row_first)
+    return a, b, ya, yb
 
 
-def _effective_segments(config: CfcConfig, stimulus: CurrentSignal, duration: float):
+def _effective_pieces(config: CfcConfig, stimulus: CurrentSignal, duration: float):
     """Linear pieces of effective (rectified + floored) current covering
-    [0, duration], split so no piece straddles the leak floor, the range
-    threshold or its hysteresis band edge.
+    [0, duration] and the range each selects, as the columns ``starts,
+    ends, i_a, i_b, sel``.
+
+    The stimulus segments are clipped to the run and split where they
+    cross zero; the pieces of the accepted sign are rectified and split so
+    that none straddles the leak floor, the range threshold or its
+    hysteresis band edge.  Every value is computed with the expressions of
+    :meth:`CurrentSignal.iter_segments`, :func:`~cfcsim.core.rectify` and
+    :func:`~cfcsim.core.select_range`, elementwise.
 
     The leak floor is a hard cutoff rather than a subtracted leak: a
     subtractive leak would skew readings just above the floor by tens of
     percent, while measured behaviour there is accurate.
     """
-    accept_positive = config.polarity is Polarity.SINK_N
+    n = int(np.searchsorted(stimulus.times, duration, side="left"))  # segments starting in the run
+    a = stimulus.times[:n]
+    seg_end = stimulus._segment_ends()[:n]
+    lo, hi = a, np.minimum(seg_end, duration)  # max(a, 0) is a itself: times start at 0
+    i0, i1 = stimulus.i_start[:n], stimulus.i_end[:n]
+    slope = (i1 - i0) / (seg_end - a)
+    starts, ends, ia, ib = _split_at(lo, hi, i0 + slope * (lo - a), i0 + slope * (hi - a), [0.0])
+
+    mid = 0.5 * (ia + ib)
+    accepted = mid > 0.0 if config.polarity is Polarity.SINK_N else mid < 0.0
+    # a blocked piece becomes 0 A, which crosses no threshold below and
+    # sits at or below the (non-negative) leak floor
+    ra = np.where(accepted, np.abs(ia), 0.0)
+    rb = np.where(accepted, np.abs(ib), 0.0)
     thresholds = [config.i_leak_floor, config.i_sw]
     if config.hysteresis > 0:
         thresholds.append(config.i_sw * (1.0 - config.hysteresis))
-    out = []
-    for a, b, ia, ib in stimulus.iter_segments(0.0, duration):
-        for pa, pb, pia, pib in _split_linear(a, b, ia, ib, [0.0]):
-            mid = 0.5 * (pia + pib)
-            accepted = (mid > 0.0) if accept_positive else (mid < 0.0)
-            if not accepted:
-                out.append((pa, pb, 0.0, 0.0))
-                continue
-            ra, rb = abs(pia), abs(pib)
-            for qa, qb, qra, qrb in _split_linear(pa, pb, ra, rb, thresholds):
-                if 0.5 * (qra + qrb) <= config.i_leak_floor:
-                    out.append((qa, qb, 0.0, 0.0))
-                else:
-                    out.append((qa, qb, qra, qrb))
-    return out
+    starts, ends, ra, rb = _split_at(starts, ends, ra, rb, thresholds)
+    blocked = 0.5 * (ra + rb) <= config.i_leak_floor
+    i_a = np.where(blocked, 0.0, ra)
+    i_b = np.where(blocked, 0.0, rb)
 
-
-def _segment_selection(config: CfcConfig, segments) -> list[RangeSelect]:
-    """Range selection per effective piece (constant within each by
-    construction); hysteresis makes it a stateful fold over midpoints."""
-    sels: list[RangeSelect] = []
-    prev: Optional[RangeSelect] = None
-    for _, _, ia, ib in segments:
-        prev = select_range(config, 0.5 * (ia + ib), previous=prev)
-        sels.append(prev)
-    return sels
+    # HIGH at or above i_sw, LOW below the band edge; inside the band the
+    # range in force carries over, and the run starts LOW
+    mid = 0.5 * (i_a + i_b)
+    high = mid >= config.i_sw
+    if config.hysteresis > 0.0:
+        decisive = high | ~(mid >= config.i_sw * (1.0 - config.hysteresis))
+        last = np.maximum.accumulate(np.where(decisive, np.arange(mid.size), -1))
+        high = (last >= 0) & high[last]
+    return starts, ends, i_a, i_b, high.astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +308,7 @@ def simulate(
     ack = AckModel() if ack is None else ack
     rng = ack.rng_for(config.channel_address)
 
-    segments = _effective_segments(config, stimulus, duration)
-    selections = _segment_selection(config, segments)
+    pieces = _effective_pieces(config, stimulus, duration)
 
     v_ref_h, v_ref_l, t_rst = config.v_ref_h, config.v_ref_l, config.t_rst
     caps = tuple(config.scale(r) * config.c1 for r in RangeSelect)  # indexed by range
@@ -293,7 +321,7 @@ def simulate(
     dead_until = 0.0
     in_dead = False
 
-    for (a, b, ia, ib), sel in zip(segments, selections):
+    for a, b, ia, ib, sel in zip(*(col.tolist() for col in pieces)):
         slope = (ib - ia) / (b - a)
         c_eq = caps[sel]
         t = a
@@ -328,7 +356,7 @@ def simulate(
                 n = min(n, room)
                 times = first + period * np.arange(n, dtype=np.float64)
                 ev_t.extend(times.tolist())
-                ev_sf.extend([int(sel)] * n)
+                ev_sf.extend([sel] * n)
                 if clipped:
                     raise EventCapError(max_events, _channel_stream(config, ev_t, ev_sf))
                 dead_until = float(times[-1]) + dead
@@ -360,7 +388,7 @@ def simulate(
             if len(ev_t) >= max_events:
                 raise EventCapError(max_events, _channel_stream(config, ev_t, ev_sf))
             ev_t.append(t_ev)
-            ev_sf.append(int(sel))
+            ev_sf.append(sel)
             latency = ack.latency + (rng.uniform(0.0, ack.jitter) if rng is not None else 0.0)
             dead_until = t_ev + latency + t_rst
             if dead_until >= b:
@@ -377,14 +405,13 @@ def simulate(
     n = len(events)
     jitter = rng.uniform(0.0, ack.jitter, size=n) if rng is not None else np.zeros(n)
     latencies = ack.latency + jitter
-    return SimResult(events, _state_trace(config, segments, selections, events, latencies, duration))
+    return SimResult(events, _state_trace(config, pieces, events, latencies, duration))
 
 
-def _state_trace(
-    config: CfcConfig, segments, selections, events: EventStream, latencies: np.ndarray, duration: float
-) -> StateTrace:
-    """Rebuild the state trace of a finished run from its effective pieces,
-    their range selections, its events and their acknowledge latencies.
+def _state_trace(config: CfcConfig, pieces, events: EventStream, latencies: np.ndarray, duration: float) -> StateTrace:
+    """Rebuild the state trace of a finished run from its effective pieces
+    (the columns of :func:`_effective_pieces`), its events and their
+    acknowledge latencies.
 
     Rows: the start, every range switch, the end of the run and, per
     event, its request, its acknowledge (kept at or before the end) and
@@ -394,8 +421,7 @@ def _state_trace(
     request to the end of its reset, the capacitor that fired holds
     v_ref_l and the other one keeps its value at the request.
     """
-    starts, ends, i_a, i_b = np.asarray(segments, dtype=np.float64).T
-    sel = np.asarray(selections, dtype=np.uint8)
+    starts, ends, i_a, i_b, sel = pieces
     slope = (i_b - i_a) / (ends - starts)
     caps = np.asarray([config.scale(r) * config.c1 for r in RangeSelect])
 

@@ -119,19 +119,17 @@ class CurrentSignal:
     @classmethod
     def from_samples(cls, ts: Sequence[float], values: Sequence[float], end: Optional[float] = None) -> "CurrentSignal":
         """Connect point samples with linear segments (no discontinuities)."""
-        ts = np.asarray(ts, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
+        ts = np.array(ts, dtype=np.float64)
+        values = np.array(values, dtype=np.float64)
         if ts.size < 2:
             raise ConfigError("need at least two samples")
-        t0 = list(ts[:-1])
-        i0 = list(values[:-1])
-        i1 = list(values[1:])
+        t0, i0, i1 = ts[:-1], values[:-1], values[1:]
         sig_end = float(ts[-1]) if end is None else float(end)
         if end is not None and end > ts[-1]:
-            t0.append(float(ts[-1]))
-            i0.append(float(values[-1]))
-            i1.append(float(values[-1]))
-        return cls(np.asarray(t0), np.asarray(i0), np.asarray(i1), sig_end)
+            t0 = np.append(t0, ts[-1])
+            i0 = np.append(i0, values[-1])
+            i1 = np.append(i1, values[-1])
+        return cls(t0, i0, i1, sig_end)
 
     @classmethod
     def from_breakpoints(
@@ -415,36 +413,58 @@ def adex_neuron(
     v_peak = p.peak
     exp_cap = 40.0  # clamp the exponent so runaway RK stages stay finite
 
-    def dvw(v: float, w: float, i_ext: float) -> tuple[float, float]:
-        arg = min((v - p.v_t) / p.delta_t, exp_cap)
-        dv = (-p.g_l * (v - p.e_l) + p.g_l * p.delta_t * math.exp(arg) - w + i_ext) / p.c_m
-        dw = (p.a * (v - p.e_l) - w) / p.tau_w
-        return dv, dw
+    # The four RK stages evaluate
+    #   dv = (-g_l (v - e_l) + g_l delta_t exp(min((v - v_t) / delta_t, exp_cap)) - w + i) / c_m
+    #   dw = (a (v - e_l) - w) / tau_w
+    # written out inline on local floats, every operation in this order.
+    neg_g_l, gd, e_l, v_t, delta_t, c_m = -p.g_l, p.g_l * p.delta_t, p.e_l, p.v_t, p.delta_t, p.c_m
+    a, tau_w = p.a, p.tau_w
+    exp = math.exp
+    t_grid = grid.tolist()
+    i_in_grid = drive.tolist()
 
-    v = p.e_l
+    v = e_l
     w = 0.0
-    v_hist = np.empty(n_steps + 1)
-    v_hist[0] = v
+    v_hist = [v]
     spike_times: list[float] = []
     for k in range(n_steps):
-        h = grid[k + 1] - grid[k]
+        h = t_grid[k + 1] - t_grid[k]
         if h <= 0:
-            v_hist[k + 1] = v
+            v_hist.append(v)
             continue
-        i0, i1, i2 = drive[2 * k], drive[2 * k + 1], drive[2 * k + 2]
-        k1v, k1w = dvw(v, w, i0)
-        k2v, k2w = dvw(v + 0.5 * h * k1v, w + 0.5 * h * k1w, i1)
-        k3v, k3w = dvw(v + 0.5 * h * k2v, w + 0.5 * h * k2w, i1)
-        k4v, k4w = dvw(v + h * k3v, w + h * k3w, i2)
+        i0, i1, i2 = i_in_grid[2 * k], i_in_grid[2 * k + 1], i_in_grid[2 * k + 2]
+        arg = (v - v_t) / delta_t
+        if arg > exp_cap:
+            arg = exp_cap
+        k1v = (neg_g_l * (v - e_l) + gd * exp(arg) - w + i0) / c_m
+        k1w = (a * (v - e_l) - w) / tau_w
+        v2, w2 = v + 0.5 * h * k1v, w + 0.5 * h * k1w
+        arg = (v2 - v_t) / delta_t
+        if arg > exp_cap:
+            arg = exp_cap
+        k2v = (neg_g_l * (v2 - e_l) + gd * exp(arg) - w2 + i1) / c_m
+        k2w = (a * (v2 - e_l) - w2) / tau_w
+        v3, w3 = v + 0.5 * h * k2v, w + 0.5 * h * k2w
+        arg = (v3 - v_t) / delta_t
+        if arg > exp_cap:
+            arg = exp_cap
+        k3v = (neg_g_l * (v3 - e_l) + gd * exp(arg) - w3 + i1) / c_m
+        k3w = (a * (v3 - e_l) - w3) / tau_w
+        v4, w4 = v + h * k3v, w + h * k3w
+        arg = (v4 - v_t) / delta_t
+        if arg > exp_cap:
+            arg = exp_cap
+        k4v = (neg_g_l * (v4 - e_l) + gd * exp(arg) - w4 + i2) / c_m
+        k4w = (a * (v4 - e_l) - w4) / tau_w
         v += (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         w += (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
         if v >= v_peak:
-            spike_times.append(float(grid[k + 1]))
+            spike_times.append(t_grid[k + 1])
             v = p.v_reset
             w += p.b
-        v_hist[k + 1] = v
+        v_hist.append(v)
 
-    proxy = p.i_rest_proxy + p.proxy_gain * p.g_l * (v_hist - p.e_l)
+    proxy = p.i_rest_proxy + p.proxy_gain * p.g_l * (np.asarray(v_hist) - p.e_l)
     signal = CurrentSignal.from_samples(grid, proxy)
     return signal, SpikeTrain(np.asarray(spike_times))
 
@@ -465,6 +485,8 @@ def poisson_train(rate: float, duration: float, seed: int) -> SpikeTrain:
         raise ConfigError(f"rate must be positive, got {rate}")
     if duration < 0:
         raise ConfigError(f"duration must be non-negative, got {duration}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"poisson seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     times: list[float] = []
     t = 0.0

@@ -253,6 +253,13 @@ def test_sweep_command(tmp_path):
             "kind": "dpi_synapse", "tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11, "resolution": "x",
             "train": {"kind": "regular", "rate": 20.0},
         }}, id="string-resolution"),
+        pytest.param("trace", {"trace": "no"}, id="string-trace"),
+        pytest.param("trace", {"trace": 1}, id="number-trace"),
+        pytest.param("trace", {"trace": None}, id="null-trace"),
+        pytest.param("seed", {"duration": 0.5, "stimulus": {
+            "kind": "dpi_synapse", "tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11,
+            "train": {"kind": "poisson", "rate": 20.0, "seed": -1},
+        }}, id="negative-train-seed"),
     ],
 )
 def test_simulate_bad_value_exit_2_names_key(tmp_path, capsys, key, updates):

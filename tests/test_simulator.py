@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfcsim.core import CfcConfig, ConfigError, Polarity, RangeSelect, ideal_isi, ideal_rate
+from cfcsim.core import CfcConfig, ConfigError, Polarity, RangeSelect, ideal_isi, ideal_rate, select_range
 from cfcsim.simulator import (
     AckModel,
     EventCapError,
     EventStream,
     Phase,
+    _effective_pieces,
     power_estimate,
     simulate,
     simulate_many,
@@ -261,6 +264,129 @@ def test_every_event_fires_from_an_integrating_stretch(levels, dwell, latency, j
     integrating = np.flatnonzero(tr.phase == Phase.INTEGRATING)
     reset_end = tr.t[integrating[np.searchsorted(integrating, first[:-1], side="right")]]
     assert np.all(t_req[1:] >= reset_end)
+
+
+# ---------------------------------------------------------------------------
+# effective pieces against the per-piece reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_split_linear(a, b, ya, yb, targets):
+    """Split the line (a,ya)-(b,yb) at strict interior crossings of targets."""
+    cuts = []
+    if yb != ya:
+        inv = (b - a) / (yb - ya)
+        for tg in targets:
+            if (ya - tg) * (yb - tg) < 0.0:
+                cuts.append((a + (tg - ya) * inv, tg))
+    if not cuts:
+        return [(a, b, ya, yb)]
+    cuts.sort()
+    pieces = []
+    t0, y0 = a, ya
+    for tc, tg in cuts:
+        if tc > t0:
+            pieces.append((t0, tc, y0, tg))
+            t0, y0 = tc, tg
+    if b > t0:
+        pieces.append((t0, b, y0, yb))
+    return pieces
+
+
+def _ref_effective_segments(config, stimulus, duration):
+    """Effective pieces built one stimulus piece at a time."""
+    accept_positive = config.polarity is Polarity.SINK_N
+    thresholds = [config.i_leak_floor, config.i_sw]
+    if config.hysteresis > 0:
+        thresholds.append(config.i_sw * (1.0 - config.hysteresis))
+    out = []
+    for a, b, ia, ib in stimulus.iter_segments(0.0, duration):
+        for pa, pb, pia, pib in _ref_split_linear(a, b, ia, ib, [0.0]):
+            mid = 0.5 * (pia + pib)
+            accepted = (mid > 0.0) if accept_positive else (mid < 0.0)
+            if not accepted:
+                out.append((pa, pb, 0.0, 0.0))
+                continue
+            ra, rb = abs(pia), abs(pib)
+            for qa, qb, qra, qrb in _ref_split_linear(pa, pb, ra, rb, thresholds):
+                if 0.5 * (qra + qrb) <= config.i_leak_floor:
+                    out.append((qa, qb, 0.0, 0.0))
+                else:
+                    out.append((qa, qb, qra, qrb))
+    return out
+
+
+def _ref_segment_selection(config, segments):
+    """Range per piece, folded over the midpoints through select_range."""
+    sels = []
+    prev = None
+    for _, _, ia, ib in segments:
+        prev = select_range(config, 0.5 * (ia + ib), previous=prev)
+        sels.append(prev)
+    return sels
+
+
+# thresholds of the configs below and their negatives, or any level
+_LEVELS = st.one_of(
+    st.sampled_from([s * v for v in (0.0, 2e-12, 5.5e-12, 7e-9, 7.5e-9, 1e-8, 2.5e-8) for s in (1.0, -1.0)]),
+    st.floats(min_value=-3e-8, max_value=3e-8),
+)
+
+
+@st.composite
+def _signed_signals(draw):
+    """Columns of a signed signal: up to eight flat or ramping pieces,
+    each starting where the last ended or stepping to a new level."""
+    gaps = draw(st.lists(st.floats(min_value=1e-4, max_value=1e-2), min_size=1, max_size=8))
+    times = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    i_start, i_end = [], []
+    for _ in gaps:
+        i0 = i_end[-1] if i_end and draw(st.booleans()) else draw(_LEVELS)
+        i_start.append(i0)
+        i_end.append(draw(_LEVELS) if draw(st.booleans()) else i0)
+    return times, np.asarray(i_start), np.asarray(i_end), float(times[-1] + gaps[-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    signal=_signed_signals(),
+    config=st.sampled_from([
+        CFG,
+        CfcConfig(hysteresis=0.3),
+        CfcConfig(polarity=Polarity.SOURCE_P),
+        CfcConfig(polarity=Polarity.SOURCE_P, hysteresis=0.25, i_leak_floor=0.0),
+    ]),
+    run_to=st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0)),
+)
+# the run ends inside a ramp that has just crossed zero and the floor
+@example(
+    signal=(np.array([0.0, 1e-3]), np.array([2e-9, -1e-8]), np.array([3e-8, 2e-8]), 2e-3),
+    config=CfcConfig(hysteresis=0.3),
+    run_to=0.7,
+)
+# the run starts inside the hysteresis band, so LOW, and later goes HIGH
+@example(
+    signal=(np.array([0.0, 1e-3]), np.array([8e-9, 2e-8]), np.array([8e-9, 2e-8]), 2e-3),
+    config=CfcConfig(hysteresis=0.3),
+    run_to=1.0,
+)
+# a ramp 4 ulp long on which the band edge (7 nA) and i_sw (10 nA) cut at
+# the same instant: the lower level is kept, the other dropped
+@example(
+    signal=(np.array([0.0, 1.0, 1.0 + 4 * math.ulp(1.0)]), np.array([0.0, 0.0, 4e-8]), np.array([0.0, 4e-8, 4e-8]), 2.0),
+    config=CfcConfig(hysteresis=0.3),
+    run_to=1.0,
+)
+def test_effective_pieces_match_the_per_piece_reference(signal, config, run_to):
+    times, i_start, i_end, end = signal
+    stim = CurrentSignal(times, i_start, i_end, end)
+    duration = end * run_to
+    segments = _ref_effective_segments(config, stim, duration)
+    ref = [*np.array(segments, dtype=np.float64).T, np.array(_ref_segment_selection(config, segments), dtype=np.uint8)]
+    got = _effective_pieces(config, stim, duration)
+    for want, have in zip(ref, got, strict=True):
+        assert have.dtype == want.dtype
+        assert have.tobytes() == want.tobytes()  # -0.0 and 0.0 differ here
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,89 @@ def test_adex_epsp_pipeline_rises_after_each_input_spike():
         assert after > before  # excitatory rise on every input spike
 
 
+def _adex_reference(i_in, p, duration):
+    """The RK4 loop with the derivative as a function called per stage;
+    returns the proxy samples, the spike times and how often a stage hit
+    the exponent clamp."""
+    dt = p.dt
+    n_steps = int(math.ceil(duration / dt))
+    grid = np.minimum(np.arange(n_steps + 1) * dt, duration)
+    drive = i_in.values(np.minimum(np.arange(2 * n_steps + 1) * (dt / 2.0), duration))
+    exp_cap = 40.0
+    capped = 0
+
+    def dvw(v, w, i_ext):
+        nonlocal capped
+        capped += (v - p.v_t) / p.delta_t > exp_cap
+        arg = min((v - p.v_t) / p.delta_t, exp_cap)
+        dv = (-p.g_l * (v - p.e_l) + p.g_l * p.delta_t * math.exp(arg) - w + i_ext) / p.c_m
+        dw = (p.a * (v - p.e_l) - w) / p.tau_w
+        return dv, dw
+
+    v, w = p.e_l, 0.0
+    v_hist = np.empty(n_steps + 1)
+    v_hist[0] = v
+    spikes = []
+    for k in range(n_steps):
+        h = grid[k + 1] - grid[k]
+        if h <= 0:
+            v_hist[k + 1] = v
+            continue
+        i0, i1, i2 = drive[2 * k], drive[2 * k + 1], drive[2 * k + 2]
+        k1v, k1w = dvw(v, w, i0)
+        k2v, k2w = dvw(v + 0.5 * h * k1v, w + 0.5 * h * k1w, i1)
+        k3v, k3w = dvw(v + 0.5 * h * k2v, w + 0.5 * h * k2w, i1)
+        k4v, k4w = dvw(v + h * k3v, w + h * k3w, i2)
+        v += (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        w += (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
+        if v >= p.peak:
+            spikes.append(float(grid[k + 1]))
+            v = p.v_reset
+            w += p.b
+        v_hist[k + 1] = v
+    proxy = p.i_rest_proxy + p.proxy_gain * p.g_l * (v_hist - p.e_l)
+    return grid, proxy, np.asarray(spikes), capped
+
+
+@pytest.mark.parametrize(
+    "drive, params, duration, clamped",
+    [
+        # the fig6 preset: a 20 Hz train through the synapse, 150k steps
+        (dpi_synapse(regular_train(20.0, 1.5), 20e-3, 0.5e-9, 20e-12, 1.5), AdexParams(proxy_gain=40.0), 1.5, False),
+        # 20 uA overshoots v_t by far more than 40 slope factors in a stage,
+        # and the run ends between two grid points
+        (constant(20e-6, 0.0101), AdexParams(), 0.010095, True),
+        # steady firing, where the order of the exponential term's product
+        # in the first (2 nA) and the last (5 nA) stage shows
+        (constant(2e-9, 0.1), AdexParams(), 0.1, False),
+        (constant(5e-9, 0.1), AdexParams(), 0.1, False),
+    ],
+    ids=["fig6", "exp-cap", "2nA", "5nA"],
+)
+def test_adex_matches_the_per_stage_reference(drive, params, duration, clamped):
+    grid, ref_proxy, ref_spikes, capped = _adex_reference(drive, params, duration)
+    assert (capped > 0) == clamped
+    proxy, spikes = adex_neuron(drive, params, duration)
+    # the proxy is an affine image of v, so equal bytes mean equal v
+    assert proxy.times.tobytes() == grid[:-1].tobytes()
+    assert proxy.i_start.tobytes() == ref_proxy[:-1].tobytes()
+    assert proxy.i_end.tobytes() == ref_proxy[1:].tobytes()
+    assert spikes.times.tobytes() == ref_spikes.tobytes()
+    assert proxy.end == grid[-1]
+
+
+def test_from_samples_joins_the_samples_and_holds_the_last_to_end():
+    ts, vals = np.array([0.0, 0.5, 1.0]), np.array([1.0, 3.0, 2.0])
+    sig = CurrentSignal.from_samples(ts, vals)
+    assert sig.times.tolist() == [0.0, 0.5] and sig.end == 1.0
+    assert sig.i_start.tolist() == [1.0, 3.0] and sig.i_end.tolist() == [3.0, 2.0]
+    held = CurrentSignal.from_samples(ts, vals, end=1.5)
+    assert held.times.tolist() == [0.0, 0.5, 1.0] and held.end == 1.5
+    assert held.i_start.tolist() == [1.0, 3.0, 2.0] and held.i_end.tolist() == [3.0, 2.0, 2.0]
+    ts[0], vals[0] = -1.0, 9.0  # the signal keeps its own copy
+    assert sig.times[0] == 0.0 and sig.i_start[0] == 1.0
+
+
 def test_adex_parameter_validation():
     with pytest.raises(ConfigError):
         AdexParams(c_m=0.0)
