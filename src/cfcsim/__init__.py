@@ -16,13 +16,10 @@ from .core import (
 )
 from .decoder import (
     ExponentialFit,
-    Placement,
     ReconstructedSignal,
-    ResampleMode,
     SweepPoint,
     fit_exponential,
     reconstruct,
-    resample,
     sweep_analysis,
 )
 from .simulator import (

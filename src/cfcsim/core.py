@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from typing import TYPE_CHECKING, Optional
 
@@ -64,9 +64,6 @@ class Polarity(Enum):
 
     SOURCE_P = "source_p"
     SINK_N = "sink_n"
-
-    def opposite(self) -> "Polarity":
-        return Polarity.SINK_N if self is Polarity.SOURCE_P else Polarity.SOURCE_P
 
 
 class RangeSelect(IntEnum):
@@ -131,11 +128,6 @@ class CfcConfig:
         """Integration voltage swing v_ref_h - v_ref_l (strictly positive)."""
         return self.v_ref_h - self.v_ref_l
 
-    @property
-    def c2(self) -> float:
-        """Large integrating capacitor, alpha * c1."""
-        return self.alpha * self.c1
-
     def scale(self, selected: RangeSelect) -> float:
         """Effective rate-compression factor of a range: 1 or alpha * beta."""
         return 1.0 if selected is RangeSelect.LOW else self.alpha * self.beta
@@ -146,8 +138,8 @@ class CfcConfig:
         return d
 
     @classmethod
-    def from_dict(cls, overrides: dict, base: Optional["CfcConfig"] = None) -> "CfcConfig":
-        """Build a config from defaults (or ``base``) plus overrides.
+    def from_dict(cls, overrides: dict) -> "CfcConfig":
+        """Build a config from the defaults plus overrides.
 
         Unknown keys are rejected so that typos in configuration files
         fail fast instead of silently running with defaults.
@@ -164,9 +156,7 @@ class CfcConfig:
                 raise ConfigError(
                     f"polarity must be one of {[p.value for p in Polarity]}, got {values['polarity']!r}"
                 ) from None
-        if base is None:
-            return cls(**values)
-        return replace(base, **values)
+        return cls(**values)
 
 
 #: Reference configuration shared by tests, presets and the CLI.

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import formats
 from .core import CfcConfig, ConfigError, _number
-from .decoder import Placement, SweepPoint, reconstruct, sweep_analysis
+from .decoder import SweepPoint, reconstruct, sweep_analysis
 from .simulator import AckModel, EventStream, SimResult, simulate, power_estimate
 from .stimulus import (
     CurrentSignal,
@@ -314,11 +314,10 @@ def run_decode(
     config: CfcConfig,
     out_dir: Union[str, Path],
     compensation: float = 0.0,
-    placement: Placement = Placement.MIDPOINT,
 ) -> Path:
     """Decode an events file into ``recon.csv`` inside ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     events = formats.read_events_csv(events_path)
-    recon = reconstruct(events, config, compensation=compensation, placement=placement)
+    recon = reconstruct(events, config, compensation=compensation)
     return formats.write_recon_csv(out / "recon.csv", recon)

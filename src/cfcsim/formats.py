@@ -19,6 +19,7 @@ Schemas:
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Union
 
@@ -73,7 +74,9 @@ def write_events_csv(path: Union[str, Path], events: EventStream) -> Path:
 def read_events_csv(path: Union[str, Path]) -> EventStream:
     """Parse an events file; malformed rows name their line number.
 
-    A zero-byte file reads as an empty stream.  No ordering is imposed
+    A row is malformed if it does not have three fields, does not parse,
+    or has a non-finite time, a negative channel or a flag other than 0
+    and 1.  A zero-byte file reads as an empty stream.  No ordering is imposed
     here; consumers that need sorted input enforce it themselves.
     """
     path = Path(path)
@@ -93,13 +96,19 @@ def read_events_csv(path: Union[str, Path]) -> EventStream:
         if len(parts) != 3:
             raise CsvFormatError(f"{path}: line {ln}: expected 3 fields, got {len(parts)}")
         try:
-            t.append(float(parts[0]))
-            ch.append(int(parts[1]))
+            time_s = float(parts[0])
+            channel = int(parts[1])
             flag = int(parts[2])
         except ValueError as exc:
             raise CsvFormatError(f"{path}: line {ln}: {exc}") from None
+        if not math.isfinite(time_s):
+            raise CsvFormatError(f"{path}: line {ln}: t_req_s must be finite, got {parts[0]!r}")
+        if channel < 0:
+            raise CsvFormatError(f"{path}: line {ln}: channel must be non-negative, got {channel}")
         if flag not in (0, 1):
             raise CsvFormatError(f"{path}: line {ln}: sf must be 0 or 1, got {flag}")
+        t.append(time_s)
+        ch.append(channel)
         sf.append(flag)
     return EventStream(np.asarray(t), np.asarray(ch, dtype=np.int64), np.asarray(sf, dtype=np.uint8))
 

@@ -27,7 +27,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import formats
-from .core import ConfigError, DEFAULT_CONFIG, dead_time
+from .core import CfcConfig, ConfigError, DEFAULT_CONFIG, dead_time
 from .decoder import fit_exponential, reconstruct
 from .experiment import run_sweep
 from .simulator import AckModel, simulate
@@ -42,11 +42,8 @@ class PresetResult:
     summary: dict
 
 
-def _preset_fig4(out: Path, seed: int, compensate: bool) -> PresetResult:
+def _preset_fig4(out: Path, config: CfcConfig, ack: AckModel, compensation: float) -> tuple[list[Path], dict]:
     """Five staircase sweeps, each decoded per step."""
-    config = DEFAULT_CONFIG
-    ack = AckModel(seed=seed)
-    compensation = dead_time(config, ack) if compensate else 0.0
     steps, dwell = 20, 0.05
     files: list[Path] = []
     sweeps = []
@@ -68,24 +65,11 @@ def _preset_fig4(out: Path, seed: int, compensate: bool) -> PresetResult:
             "steps_no_measurement": len(points) - len(measured),
             "max_rel_err_in_band": max(in_band) if in_band else None,
         })
-    summary = {
-        "preset": "fig4",
-        "seed": seed,
-        "compensation_s": compensation,
-        "steps_per_sweep": steps,
-        "dwell_s": dwell,
-        "config": config.to_dict(),
-        "sweeps": sweeps,
-    }
-    files.append(formats.write_summary_json(out / "summary.json", summary))
-    return PresetResult("fig4", out, files, summary)
+    return files, {"steps_per_sweep": steps, "dwell_s": dwell, "sweeps": sweeps}
 
 
-def _preset_fig5(out: Path, seed: int, compensate: bool) -> PresetResult:
+def _preset_fig5(out: Path, config: CfcConfig, ack: AckModel, compensation: float) -> tuple[list[Path], dict]:
     """Gate-voltage sweep of a subthreshold p-FET into the monitor."""
-    config = replace(DEFAULT_CONFIG, i_sw=100e-9)  # scaling threshold raised to 100 nA
-    ack = AckModel(seed=seed)
-    compensation = dead_time(config, ack) if compensate else 0.0
     duration = 2.0
     signal = pfet_gate_sweep(
         vg_start=1.8,
@@ -116,26 +100,17 @@ def _preset_fig5(out: Path, seed: int, compensate: bool) -> PresetResult:
         formats.write_recon_csv(out / "recon.csv", recon),
         formats.write_comparison_csv(out / "comparison.csv", grid, model, decoded, config),
     ]
-    summary = {
-        "preset": "fig5",
-        "seed": seed,
-        "compensation_s": compensation,
+    return files, {
         "duration_s": duration,
         "events": len(result.events),
         "max_rel_err_in_band": float(rel[in_band].max()),
         "grid_points_below_floor": int((~(model > config.i_leak_floor)).sum()),
         "grid_points_above_valid": int((model > config.i_max_valid).sum()),
-        "config": config.to_dict(),
     }
-    files.append(formats.write_summary_json(out / "summary.json", summary))
-    return PresetResult("fig5", out, files, summary)
 
 
-def _preset_fig6(out: Path, seed: int, compensate: bool) -> PresetResult:
+def _preset_fig6(out: Path, config: CfcConfig, ack: AckModel, compensation: float) -> tuple[list[Path], dict]:
     """Monitor the membrane current of a spiking neuron."""
-    config = DEFAULT_CONFIG
-    ack = AckModel(seed=seed)
-    compensation = dead_time(config, ack) if compensate else 0.0
     duration = 1.5
     drive = regular_train(20.0, duration)
     synapse = dpi_synapse(drive, tau=20e-3, weight_jump=0.5e-9, i_base=20e-12, duration=duration)
@@ -154,26 +129,17 @@ def _preset_fig6(out: Path, seed: int, compensate: bool) -> PresetResult:
         formats.write_recon_csv(out / "recon.csv", recon),
         formats.write_comparison_csv(out / "comparison.csv", grid, model, decoded, config),
     ]
-    summary = {
-        "preset": "fig6",
-        "seed": seed,
-        "compensation_s": compensation,
+    return files, {
         "duration_s": duration,
         "events": len(result.events),
         "high_range_events": int(result.events.sf.sum()),
         "neuron_spikes": len(out_spikes),
         "neuron_rheobase_A": neuron.rheobase(),
-        "config": config.to_dict(),
     }
-    files.append(formats.write_summary_json(out / "summary.json", summary))
-    return PresetResult("fig6", out, files, summary)
 
 
-def _preset_fig7(out: Path, seed: int, compensate: bool) -> PresetResult:
+def _preset_fig7(out: Path, config: CfcConfig, ack: AckModel, compensation: float) -> tuple[list[Path], dict]:
     """Synapse current transients; recover the decay time constant."""
-    config = DEFAULT_CONFIG
-    ack = AckModel(seed=seed)
-    compensation = dead_time(config, ack) if compensate else 0.0
     duration = 1.2
     tau, weight = 20e-3, 1e-9
     drive = regular_train(5.0, 1.0)  # sparse spikes leave full decays visible
@@ -189,26 +155,21 @@ def _preset_fig7(out: Path, seed: int, compensate: bool) -> PresetResult:
         formats.write_recon_csv(out / "recon.csv", recon),
         formats.write_fit_record(out / "fit.txt", fit, extra={"stimulus_tau_s": tau}),
     ]
-    summary = {
-        "preset": "fig7",
-        "seed": seed,
-        "compensation_s": compensation,
+    return files, {
         "duration_s": duration,
         "events": len(result.events),
         "stimulus_tau_s": tau,
         "fitted_tau_s": fit.tau,
         "tau_rel_err": abs(fit.tau - tau) / tau,
-        "config": config.to_dict(),
     }
-    files.append(formats.write_summary_json(out / "summary.json", summary))
-    return PresetResult("fig7", out, files, summary)
 
 
-PRESETS: dict[str, Callable[[Path, int, bool], PresetResult]] = {
-    "fig4": _preset_fig4,
-    "fig5": _preset_fig5,
-    "fig6": _preset_fig6,
-    "fig7": _preset_fig7,
+#: Name -> (experiment, converter config) of every preset.
+PRESETS: dict[str, tuple[Callable[..., tuple[list[Path], dict]], CfcConfig]] = {
+    "fig4": (_preset_fig4, DEFAULT_CONFIG),
+    "fig5": (_preset_fig5, replace(DEFAULT_CONFIG, i_sw=100e-9)),  # scaling threshold raised to 100 nA
+    "fig6": (_preset_fig6, DEFAULT_CONFIG),
+    "fig7": (_preset_fig7, DEFAULT_CONFIG),
 }
 
 
@@ -218,9 +179,21 @@ def run_preset(
     seed: int = 0,
     compensate: bool = False,
 ) -> PresetResult:
-    """Run one named preset into ``out_dir`` (created if needed)."""
+    """Run one named preset into ``out_dir`` (created if needed).
+
+    The preset writes its own files and summary keys; the ack model, the
+    dead-time compensation and the summary keys every preset shares
+    (``preset``, ``seed``, ``compensation_s``, ``config``) are set here,
+    and ``summary.json`` is written last.
+    """
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return PRESETS[name](out, seed, compensate)
+    preset, config = PRESETS[name]
+    ack = AckModel(seed=seed)
+    compensation = dead_time(config, ack) if compensate else 0.0
+    files, summary = preset(out, config, ack, compensation)
+    summary.update(preset=name, seed=seed, compensation_s=compensation, config=config.to_dict())
+    files.append(formats.write_summary_json(out / "summary.json", summary))
+    return PresetResult(name, out, files, summary)

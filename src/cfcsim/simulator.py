@@ -155,20 +155,17 @@ class EventCapError(RuntimeError):
         self.events = events
 
 
-def power_estimate(
-    events: EventStream,
-    duration: float,
-    energy_per_event: float = 0.36e-12,
-    static_power: float = 0.0,
-) -> float:
-    """Average power of a run: static part plus energy per emitted event.
+#: J per emitted event: 36 nW at a sustained 100 kHz output, the
+#: worst-case operating point of the reference channel.
+_ENERGY_PER_EVENT = 0.36e-12
 
-    The default 0.36 pJ/event reproduces 36 nW at a sustained 100 kHz
-    output, the worst-case operating point of the reference channel.
-    """
+
+def power_estimate(events: EventStream, duration: float) -> float:
+    """Average power of a run: a fixed energy per emitted event (the
+    channel draws no static power)."""
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
-    return static_power + energy_per_event * len(events) / duration
+    return _ENERGY_PER_EVENT * len(events) / duration
 
 
 # ---------------------------------------------------------------------------

@@ -61,10 +61,6 @@ class CurrentSignal:
                 f"domain end ({self.end}) must lie beyond the last breakpoint ({times[-1]})"
             )
 
-    @property
-    def duration(self) -> float:
-        return self.end
-
     def _segment_ends(self) -> np.ndarray:
         return np.append(self.times[1:], self.end)
 
@@ -117,19 +113,13 @@ class CurrentSignal:
         return cls(np.asarray(seg_t0), np.asarray(seg_i0), np.asarray(seg_i1), float(end))
 
     @classmethod
-    def from_samples(cls, ts: Sequence[float], values: Sequence[float], end: Optional[float] = None) -> "CurrentSignal":
+    def from_samples(cls, ts: Sequence[float], values: Sequence[float]) -> "CurrentSignal":
         """Connect point samples with linear segments (no discontinuities)."""
         ts = np.array(ts, dtype=np.float64)
         values = np.array(values, dtype=np.float64)
         if ts.size < 2:
             raise ConfigError("need at least two samples")
-        t0, i0, i1 = ts[:-1], values[:-1], values[1:]
-        sig_end = float(ts[-1]) if end is None else float(end)
-        if end is not None and end > ts[-1]:
-            t0 = np.append(t0, ts[-1])
-            i0 = np.append(i0, values[-1])
-            i1 = np.append(i1, values[-1])
-        return cls(t0, i0, i1, sig_end)
+        return cls(ts[:-1], values[:-1], values[1:], float(ts[-1]))
 
     @classmethod
     def from_breakpoints(
@@ -174,11 +164,9 @@ class CurrentSignal:
 
 @dataclass(frozen=True)
 class SpikeTrain:
-    """Strictly increasing spike times, reproducible for a given seed."""
+    """Strictly increasing spike times."""
 
     times: np.ndarray
-    rate: Optional[float] = None   # Hz, generator parameter when applicable
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=np.float64)
@@ -392,9 +380,13 @@ def adex_neuron(
         v >= v_peak  ->  spike, v <- v_reset, w <- w + b
 
     Fixed-step classic Runge-Kutta; the spike cutoff is checked once per
-    step, so spike times are quantised to the step.  The returned current
-    proxy is ``i_rest_proxy + proxy_gain * g_l * (v - e_l)`` sampled at
-    every step: a non-negative-at-rest image of the membrane state that a
+    step, so spike times are quantised to the step.  A step that leaves
+    ``v`` more than 1 V below ``min(e_l, v_reset)`` has diverged (the
+    drive is too strong for ``dt``) and raises :class:`ConfigError`.
+
+    The returned current proxy is
+    ``i_rest_proxy + proxy_gain * g_l * (v - e_l)`` sampled at every
+    step: a non-negative-at-rest image of the membrane state that a
     current monitor can digest (it goes negative below rest, where the
     monitor's input selector blocks it).
     """
@@ -412,6 +404,8 @@ def adex_neuron(
 
     v_peak = p.peak
     exp_cap = 40.0  # clamp the exponent so runaway RK stages stay finite
+    # a step that ends this far below rest has overshot, not integrated
+    v_floor = min(p.e_l, p.v_reset) - 1.0
 
     # The four RK stages evaluate
     #   dv = (-g_l (v - e_l) + g_l delta_t exp(min((v - v_t) / delta_t, exp_cap)) - w + i) / c_m
@@ -462,6 +456,11 @@ def adex_neuron(
             spike_times.append(t_grid[k + 1])
             v = p.v_reset
             w += p.b
+        if not v >= v_floor:  # NaN included
+            raise ConfigError(
+                f"adex_neuron diverged at t = {t_grid[k + 1]!r} s (v = {v!r} V): "
+                f"the step dt = {dt!r} s is too coarse for this drive"
+            )
         v_hist.append(v)
 
     proxy = p.i_rest_proxy + p.proxy_gain * p.g_l * (np.asarray(v_hist) - p.e_l)
@@ -476,7 +475,7 @@ def regular_train(rate: float, duration: float) -> SpikeTrain:
     if duration < 0:
         raise ConfigError(f"duration must be non-negative, got {duration}")
     n = int(math.floor(rate * duration * (1.0 + 1e-12)))
-    return SpikeTrain(np.arange(1, n + 1) / rate, rate=rate)
+    return SpikeTrain(np.arange(1, n + 1) / rate)
 
 
 def poisson_train(rate: float, duration: float, seed: int) -> SpikeTrain:
@@ -495,5 +494,5 @@ def poisson_train(rate: float, duration: float, seed: int) -> SpikeTrain:
         for g in gaps:
             t += g
             if t >= duration:
-                return SpikeTrain(np.asarray(times), rate=rate, seed=seed)
+                return SpikeTrain(np.asarray(times))
             times.append(t)

@@ -7,7 +7,10 @@ contract can be audited in one run:
     pytest -s tests/test_acceptance.py
 """
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -237,25 +240,41 @@ def test_criterion_09_power_figure():
     )
 
 
+#: Recorded SHA-256 of every benchmark output file; the staircase and
+#: neuron workloads are the fig4 and fig6 presets.
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+RECORDED_PRESETS = {"fig4": "staircase", "fig6": "neuron"}
+
+
 def test_criterion_10_preset_determinism(tmp_path):
+    seed = 7
+    recorded = json.loads(DIGESTS.read_text())
     mismatches = []
     slowest = 0.0
     for name in sorted(PRESETS):
         a_dir, b_dir = tmp_path / f"{name}_a", tmp_path / f"{name}_b"
         t0 = time.perf_counter()
-        run_preset(name, a_dir, seed=7)
+        run_preset(name, a_dir, seed=seed)
         slowest = max(slowest, time.perf_counter() - t0)
-        run_preset(name, b_dir, seed=7)
+        run_preset(name, b_dir, seed=seed)
         a_files = sorted(p.relative_to(a_dir) for p in a_dir.rglob("*") if p.is_file())
         b_files = sorted(p.relative_to(b_dir) for p in b_dir.rglob("*") if p.is_file())
         assert a_files == b_files
         for rel in a_files:
             if (a_dir / rel).read_bytes() != (b_dir / rel).read_bytes():
                 mismatches.append(f"{name}/{rel}")
+        if name in RECORDED_PRESETS:
+            # and byte-identical to the recorded outputs of this seed
+            record = recorded[RECORDED_PRESETS[name]]
+            expected = {**record["common"], **record["by_seed"][str(seed)]}
+            assert sorted(expected) == [rel.as_posix() for rel in a_files]
+            for rel, digest in expected.items():
+                if hashlib.sha256((a_dir / rel).read_bytes()).hexdigest() != digest:
+                    mismatches.append(f"{name}/{rel} (recorded digest)")
     assert slowest < 60.0, f"slowest preset took {slowest:.1f}s"
     _verdict(
         "criterion 10 (preset determinism)",
         not mismatches,
-        "all presets rerun byte-identical"
+        "all presets rerun byte-identical, fig4 and fig6 to their recorded digests"
         + f" (slowest {slowest:.1f}s < 60s)" if not mismatches else f"differs: {mismatches}",
     )

@@ -4,15 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfcsim.core import CfcConfig, RangeSelect, dead_time, select_range
-from cfcsim.decoder import (
-    Placement,
-    ReconstructedSignal,
-    ResampleMode,
-    fit_exponential,
-    reconstruct,
-    resample,
-    sweep_analysis,
-)
+from cfcsim.decoder import ReconstructedSignal, fit_exponential, reconstruct, sweep_analysis
 from cfcsim.simulator import AckModel, EventStream, simulate
 from cfcsim.stimulus import (
     CurrentSignal,
@@ -42,8 +34,10 @@ def test_two_events_100ms_apart_decode_to_1pA():
     rec = reconstruct(_stream([0.0, 0.1], [0, 0]), CFG)
     assert len(rec) == 1
     assert rec.i_est[0] == pytest.approx(1e-12, rel=1e-12)
-    assert rec.t[0] == pytest.approx(0.05)  # midpoint placement by default
+    assert rec.t[0] == pytest.approx(0.05)  # sampled at the interval midpoint
     assert rec.ranges[0] == 0
+    three = reconstruct(_stream([0.0, 0.1, 0.3], [0, 0, 0]), CFG)
+    assert three.t == pytest.approx([0.05, 0.2])
 
 
 def test_single_event_or_empty_is_empty_signal():
@@ -57,15 +51,6 @@ def test_dead_time_compensated_high_range():
     assert rec.i_est == pytest.approx(np.full(10, 1e-6), rel=1e-12)
 
 
-def test_placement_modes():
-    ev = _stream([0.0, 0.1, 0.3], [0, 0, 0])
-    mid = reconstruct(ev, CFG, placement=Placement.MIDPOINT)
-    ats = reconstruct(ev, CFG, placement=Placement.AT_SECOND)
-    assert mid.t == pytest.approx([0.05, 0.2])
-    assert ats.t == pytest.approx([0.1, 0.3])
-    assert mid.i_est == pytest.approx(ats.i_est)
-
-
 def test_reconstruct_rejects_bad_streams():
     with pytest.raises(ValueError, match="multiple channels"):
         reconstruct(
@@ -74,34 +59,32 @@ def test_reconstruct_rejects_bad_streams():
         )
     with pytest.raises(ValueError, match="strictly increasing"):
         reconstruct(_stream([0.1, 0.1], [0, 0]), CFG)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        reconstruct(_stream([0.1, np.nan], [0, 0]), CFG)
     with pytest.raises(ValueError, match="shorter than dead time"):
         reconstruct(_stream([0.0, 5e-8], [0, 0]), CFG, compensation=1e-7)
     with pytest.raises(ValueError):
         reconstruct(_stream([0.0, 0.1], [0, 0]), CFG, compensation=-1.0)
 
 
-def test_infer_ranges_tracks_a_threshold_crossing():
-    # inference anchors on continuity, so give it a continuous monitored
-    # current that rides through the range switch
-    stim = CurrentSignal.from_breakpoints([(0.0, 5e-11), (0.02, 40e-9)], "linear", end=0.02)
-    ev = simulate(IDEAL, stim, 0.02).events
-    stripped = EventStream(ev.t_req, ev.channel, np.zeros(len(ev), dtype=np.uint8))
-    inferred = reconstruct(stripped, IDEAL, infer_ranges=True)
-    trusted = reconstruct(ev, IDEAL)
-    assert np.array_equal(inferred.ranges, trusted.ranges)
-    assert inferred.i_est == pytest.approx(trusted.i_est, rel=1e-12)
+# ---------------------------------------------------------------------------
+# reconstruct end to end
+# ---------------------------------------------------------------------------
 
 
-def test_infer_ranges_ambiguous_start_defaults_low():
-    ev = simulate(IDEAL, constant(1e-9, 0.01), 0.01).events
-    stripped = EventStream(ev.t_req, ev.channel, np.zeros(len(ev), dtype=np.uint8))
-    rec = reconstruct(stripped, IDEAL, infer_ranges=True)
-    assert np.all(rec.ranges == 0)
-    assert rec.i_est == pytest.approx(np.full(len(rec), 1e-9), rel=1e-9)
+def test_staircase_hold_roundtrip_preserves_steps():
+    sig, sched = staircase_sweep(1e-9, 5e-9, 5, 0.01)
+    ev = simulate(IDEAL, sig, sched.span[1]).events
+    rec = reconstruct(ev, IDEAL)
+    for t0, t1, level in zip(sched.t_start, sched.t_end, sched.levels):
+        # samples well inside the dwell, away from the transition intervals
+        inside = (rec.t > t0 + 0.003) & (rec.t < t1 - 0.003)
+        assert inside.sum() > 10
+        assert np.all(np.abs(rec.i_est[inside] - level) / level < 0.005)
 
 
 # ---------------------------------------------------------------------------
-# resample
+# exponential fit
 # ---------------------------------------------------------------------------
 
 
@@ -111,46 +94,6 @@ def _recon_from(times, values):
         np.asarray(values, dtype=float),
         np.zeros(len(times), dtype=np.uint8),
     )
-
-
-def test_resample_single_sample_constant():
-    grid, vals = resample(_recon_from([0.5], [2e-9]), 0.1)
-    assert grid == pytest.approx([0.5])
-    assert vals == pytest.approx([2e-9])
-
-
-def test_resample_linear_interpolation():
-    grid, vals = resample(_recon_from([0.0, 1.0], [1e-9, 2e-9]), 0.5, ResampleMode.LINEAR)
-    assert grid == pytest.approx([0.0, 0.5, 1.0])
-    assert vals == pytest.approx([1e-9, 1.5e-9, 2e-9])
-
-
-def test_resample_hold_previous_value():
-    grid, vals = resample(_recon_from([0.0, 1.0], [1e-9, 2e-9]), 0.5, ResampleMode.HOLD)
-    assert vals == pytest.approx([1e-9, 1e-9, 2e-9])
-
-
-def test_resample_validation():
-    with pytest.raises(ValueError, match="empty"):
-        resample(_recon_from([], []), 0.1)
-    with pytest.raises(ValueError, match="dt"):
-        resample(_recon_from([0.0], [1e-9]), 0.0)
-
-
-def test_staircase_hold_roundtrip_preserves_steps():
-    sig, sched = staircase_sweep(1e-9, 5e-9, 5, 0.01)
-    ev = simulate(IDEAL, sig, sched.span[1]).events
-    rec = reconstruct(ev, IDEAL)
-    grid, vals = resample(rec, 1e-3, ResampleMode.HOLD)
-    for t0, t1, level in zip(sched.t_start, sched.t_end, sched.levels):
-        # probe well inside the dwell, away from the transition intervals
-        inside = (grid > t0 + 0.003) & (grid < t1 - 0.003)
-        assert np.all(np.abs(vals[inside] - level) / level < 0.005)
-
-
-# ---------------------------------------------------------------------------
-# exponential fit
-# ---------------------------------------------------------------------------
 
 
 def test_fit_recovers_exact_decay():
@@ -242,8 +185,6 @@ def test_sweep_rejects_out_of_schedule_events():
     ev = _stream([0.05, 0.5], [0, 0])  # second event after the sweep ends
     with pytest.raises(ValueError, match="outside the sweep schedule"):
         sweep_analysis(ev, sched, CFG)
-    with pytest.raises(ValueError, match="settle_fraction"):
-        sweep_analysis(_stream([0.05, 0.06], [0, 0]), sched, CFG, settle_fraction=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +235,8 @@ def test_mean_dead_time_compensates_ack_jitter():
 def test_midpoint_beats_at_second_on_ramps():
     stim = CurrentSignal.from_breakpoints([(0.0, 1e-9), (0.01, 9e-9)], "linear", end=0.01)
     ev = simulate(IDEAL, stim, 0.01).events
-    truth = lambda ts: stim.values(ts)
-    mid = reconstruct(ev, IDEAL, placement=Placement.MIDPOINT)
-    ats = reconstruct(ev, IDEAL, placement=Placement.AT_SECOND)
-    err_mid = np.linalg.norm(mid.i_est - truth(mid.t))
-    err_ats = np.linalg.norm(ats.i_est - truth(ats.t))
-    assert err_mid < err_ats
+    rec = reconstruct(ev, IDEAL)
+    err_mid = np.linalg.norm(rec.i_est - stim.values(rec.t))
+    # the same samples placed at each interval's closing event instead
+    err_at_second = np.linalg.norm(rec.i_est - stim.values(ev.t_req[1:]))
+    assert err_mid < err_at_second

@@ -54,6 +54,17 @@ def test_events_read_errors_name_lines(tmp_path):
     with pytest.raises(CsvFormatError, match="sf must be 0 or 1"):
         read_events_csv(p4)
 
+    for name, row in [("nan", "nan,0,0"), ("inf", "inf,0,0"), ("neg_inf", "-inf,0,1")]:
+        p5 = tmp_path / f"{name}_time.csv"
+        p5.write_text(f"t_req_s,channel,sf\n0.001,0,0\n{row}\n")
+        with pytest.raises(CsvFormatError, match="line 3: t_req_s must be finite"):
+            read_events_csv(p5)
+
+    p6 = tmp_path / "negative_channel.csv"
+    p6.write_text("t_req_s,channel,sf\n0.001,0,0\n0.002,-1,0\n")
+    with pytest.raises(CsvFormatError, match="line 3: channel must be non-negative"):
+        read_events_csv(p6)
+
 
 def test_empty_events_file_reads_empty(tmp_path):
     p = tmp_path / "empty.csv"

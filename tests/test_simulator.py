@@ -50,7 +50,7 @@ def test_power_estimate():
         np.arange(1, 100_001) * 1e-5, np.zeros(100_000), np.zeros(100_000)
     )
     assert power_estimate(hundred_khz, 1.0) == pytest.approx(36e-9, rel=1e-12)
-    assert power_estimate(EventStream.empty(), 1.0, static_power=2e-9) == 2e-9
+    assert power_estimate(EventStream.empty(), 1.0) == 0.0
     ten_khz = EventStream(np.arange(1, 10_001) * 1e-4, np.zeros(10_000), np.zeros(10_000))
     assert power_estimate(ten_khz, 1.0) == pytest.approx(3.6e-9, rel=1e-12)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -322,23 +323,34 @@ def _adex_reference(i_in, p, duration):
 
 
 @pytest.mark.parametrize(
-    "drive, params, duration, clamped",
+    "drive, params, duration, outcome",
     [
         # the fig6 preset: a 20 Hz train through the synapse, 150k steps
-        (dpi_synapse(regular_train(20.0, 1.5), 20e-3, 0.5e-9, 20e-12, 1.5), AdexParams(proxy_gain=40.0), 1.5, False),
-        # 20 uA overshoots v_t by far more than 40 slope factors in a stage,
-        # and the run ends between two grid points
-        (constant(20e-6, 0.0101), AdexParams(), 0.010095, True),
+        (dpi_synapse(regular_train(20.0, 1.5), 20e-3, 0.5e-9, 20e-12, 1.5), AdexParams(proxy_gain=40.0), 1.5, "plain"),
+        # 20 uA overshoots v_t by far more than 40 slope factors in a stage;
+        # the step after the first spike lands hundreds of volts below rest
+        (constant(20e-6, 0.0101), AdexParams(), 0.010095, "diverges"),
+        # 1.5 uA fires on every step and hits the exponent clamp without
+        # diverging, and the run ends between two grid points
+        (constant(1.5e-6, 0.1001), AdexParams(), 0.100005, "clamped"),
         # steady firing, where the order of the exponential term's product
         # in the first (2 nA) and the last (5 nA) stage shows
-        (constant(2e-9, 0.1), AdexParams(), 0.1, False),
-        (constant(5e-9, 0.1), AdexParams(), 0.1, False),
+        (constant(2e-9, 0.1), AdexParams(), 0.1, "plain"),
+        (constant(5e-9, 0.1), AdexParams(), 0.1, "plain"),
     ],
-    ids=["fig6", "exp-cap", "2nA", "5nA"],
+    ids=["fig6", "exp-cap", "1.5uA-cap", "2nA", "5nA"],
 )
-def test_adex_matches_the_per_stage_reference(drive, params, duration, clamped):
+def test_adex_matches_the_per_stage_reference(drive, params, duration, outcome):
     grid, ref_proxy, ref_spikes, capped = _adex_reference(drive, params, duration)
-    assert (capped > 0) == clamped
+    assert (capped > 0) == (outcome != "plain")
+    if outcome == "diverges":
+        # refused at the first step that ends more than 1 V below rest
+        v = params.e_l + (ref_proxy - params.i_rest_proxy) / (params.proxy_gain * params.g_l)
+        first = float(grid[np.argmax(v < min(params.e_l, params.v_reset) - 1.0)])
+        message = rf"t = {re.escape(repr(first))} s .* dt = {re.escape(repr(params.dt))} s"
+        with pytest.raises(ConfigError, match=message):
+            adex_neuron(drive, params, duration)
+        return
     proxy, spikes = adex_neuron(drive, params, duration)
     # the proxy is an affine image of v, so equal bytes mean equal v
     assert proxy.times.tobytes() == grid[:-1].tobytes()
@@ -353,9 +365,6 @@ def test_from_samples_joins_the_samples_and_holds_the_last_to_end():
     sig = CurrentSignal.from_samples(ts, vals)
     assert sig.times.tolist() == [0.0, 0.5] and sig.end == 1.0
     assert sig.i_start.tolist() == [1.0, 3.0] and sig.i_end.tolist() == [3.0, 2.0]
-    held = CurrentSignal.from_samples(ts, vals, end=1.5)
-    assert held.times.tolist() == [0.0, 0.5, 1.0] and held.end == 1.5
-    assert held.i_start.tolist() == [1.0, 3.0, 2.0] and held.i_end.tolist() == [3.0, 2.0, 2.0]
     ts[0], vals[0] = -1.0, 9.0  # the signal keeps its own copy
     assert sig.times[0] == 0.0 and sig.i_start[0] == 1.0
 
