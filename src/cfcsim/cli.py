@@ -36,7 +36,6 @@ def _add_common(p: argparse.ArgumentParser, config_help: Optional[str]) -> None:
     if config_help is not None:
         p.add_argument("--config", type=Path, default=None, help=config_help)
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help=f"random seed (default {DEFAULT_SEED})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,18 +72,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--dwell", type=float, required=True, help="dwell per step in s")
     p_swp.add_argument("--compensate", action="store_true", help="decode with dead-time compensation")
 
+    for p in (p_sim, p_pre, p_swp):
+        p.add_argument("--seed", type=int, default=None, help=f"random seed (default {DEFAULT_SEED})")
     return parser
 
 
-def _load_decode_config(path: Optional[Path], seed: int) -> tuple[CfcConfig, AckModel]:
+def _load_decode_config(path: Optional[Path]) -> tuple[CfcConfig, AckModel]:
     """Decode accepts either a full experiment spec or flat config overrides."""
     if path is None:
-        return CfcConfig(), AckModel(seed=seed)
+        return CfcConfig(), AckModel()
     raw = read_json_object(path)
     if "config" in raw or "stimulus" in raw:
-        spec = load_spec(raw, seed_override=seed)
+        spec = load_spec(raw)
         return spec.config, spec.ack
-    return CfcConfig.from_dict(raw), AckModel(seed=seed)
+    return CfcConfig.from_dict(raw), AckModel()
 
 
 def _cmd_simulate(args) -> int:
@@ -99,8 +100,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    config, ack = _load_decode_config(args.config, seed)
+    config, ack = _load_decode_config(args.config)
     compensation = dead_time(config, ack) if args.compensate else 0.0
     out_path = run_decode(args.events, config, args.out, compensation=compensation)
     print(f"decoded {args.events} -> {out_path}")
@@ -156,9 +156,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except formats.CsvFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -40,12 +40,16 @@ class ConfigError(ValueError):
 def _number(value, key: str, context: str, integer: bool = False):
     """Check one numeric value read from a description file.
 
-    Returns ``value`` when it is a real number other than NaN (and,
-    with ``integer``, has no fractional part; it is then returned as an
-    int).  Anything else, such as null, a string or a boolean, raises a
+    Returns ``value`` when it is a real number that is finite as a float
+    (and, with ``integer``, has no fractional part; it is then returned
+    as an int).  Anything else, such as null, a string, a boolean, NaN,
+    an infinity or an integer too large for a float, raises a
     :class:`ConfigError` that names ``key`` and its ``context``.
     """
-    ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and not math.isnan(value)
+    try:
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        ok = False
     if ok and integer:
         ok = isinstance(value, numbers.Integral) or float(value).is_integer()
     if not ok:
@@ -110,8 +114,8 @@ class CfcConfig:
             )
         if not self.i_sw > 0:
             raise ConfigError(f"i_sw must be positive, got {self.i_sw}")
-        if not self.t_rst >= 0:
-            raise ConfigError(f"t_rst must be non-negative, got {self.t_rst}")
+        if not (self.t_rst >= 0 and math.isfinite(self.t_rst)):
+            raise ConfigError(f"t_rst must be finite and non-negative, got {self.t_rst}")
         if not self.i_leak_floor >= 0:
             raise ConfigError(f"i_leak_floor must be non-negative, got {self.i_leak_floor}")
         if not self.i_max_valid > 0:
@@ -120,8 +124,9 @@ class CfcConfig:
             raise ConfigError(f"hysteresis must lie in [0, 1), got {self.hysteresis}")
         if not isinstance(self.polarity, Polarity):
             raise ConfigError(f"polarity must be a Polarity, got {self.polarity!r}")
-        if not (self.channel_address >= 0 and float(self.channel_address).is_integer()):
-            raise ConfigError(f"channel_address must be a small non-negative integer, got {self.channel_address}")
+        address = self.channel_address
+        if not (isinstance(address, numbers.Integral) and not isinstance(address, bool) and 0 <= address < 2**63):
+            raise ConfigError(f"channel_address must be an integer in [0, 2**63), got {address!r}")
 
     @property
     def delta_v(self) -> float:
@@ -148,7 +153,10 @@ class CfcConfig:
         unknown = set(overrides) - known
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-        values = {k: v if k == "polarity" else _number(v, k, "config") for k, v in overrides.items()}
+        values = {
+            k: v if k == "polarity" else _number(v, k, "config", integer=k == "channel_address")
+            for k, v in overrides.items()
+        }
         if "polarity" in values and not isinstance(values["polarity"], Polarity):
             try:
                 values["polarity"] = Polarity(values["polarity"])

@@ -92,7 +92,10 @@ def _build_train(desc: dict, duration: float, seed: int) -> SpikeTrain:
         train_seed = _number(desc.get("seed", seed), "seed", "spike train", integer=True)
         return poisson_train(_float(desc, "rate", "spike train"), duration, train_seed)
     if kind == "explicit":
-        return SpikeTrain(np.asarray(_require(desc, "times", "spike train"), dtype=float))
+        times = _require(desc, "times", "spike train")
+        if not isinstance(times, list):
+            raise ConfigError(f"spike train: 'times' must be a list of numbers, got {times!r}")
+        return SpikeTrain(np.asarray([_number(t, "times", "spike train") for t in times], dtype=float))
     raise ConfigError(f"unknown spike train kind {kind!r}")
 
 

@@ -35,10 +35,11 @@ leaves the event kernel and its output unchanged.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .core import CfcConfig, ConfigError, Polarity, RangeSelect, dead_time, idea
 from .stimulus import CurrentSignal
 
 DEFAULT_EVENT_CAP = 100_000_000
+_LATENCY_BLOCK = 4096  # jittered latencies drawn per generator call
 
 
 class Phase(Enum):
@@ -97,9 +99,10 @@ class AckModel:
     """Acknowledge latency of the off-chip receiver.
 
     ``latency`` is the fixed part; a positive ``jitter`` adds a uniform
-    draw in [0, jitter) per event from a generator seeded with
-    ``(seed, channel_address)``, so the sequence is reproducible and
-    independent per channel.
+    draw in [0, jitter) per event.  :meth:`latencies` is the one source
+    of these values: event k of a channel waits the k-th draw of a
+    generator seeded with ``(seed, channel_address)``, so the sequence is
+    reproducible and independent per channel.
     """
 
     latency: float = 0.0
@@ -107,17 +110,25 @@ class AckModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.latency >= 0:
-            raise ConfigError(f"ack latency must be non-negative, got {self.latency}")
-        if not self.jitter >= 0:
-            raise ConfigError(f"ack jitter must be non-negative, got {self.jitter}")
+        if not (self.latency >= 0 and math.isfinite(self.latency)):
+            raise ConfigError(f"ack latency must be finite and non-negative, got {self.latency}")
+        if not (self.jitter >= 0 and math.isfinite(self.jitter)):
+            raise ConfigError(f"ack jitter must be finite and non-negative, got {self.jitter}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigError(f"ack seed must be a non-negative integer, got {self.seed!r}")
 
-    def rng_for(self, channel_address: int) -> Optional[np.random.Generator]:
-        if self.jitter > 0.0:
-            return np.random.default_rng([self.seed, channel_address])
-        return None
+    def latencies(self, channel_address: int) -> Iterator[float]:
+        """The acknowledge latency of each successive event of a channel.
+
+        Without jitter every event waits ``latency``.  With jitter the
+        uniform draws are taken ``_LATENCY_BLOCK`` at a time, in order,
+        which yields the same values as one scalar draw per event.
+        """
+        if self.jitter == 0.0:
+            return itertools.repeat(self.latency)
+        rng = np.random.default_rng([self.seed, channel_address])
+        blocks = iter(lambda: (self.latency + rng.uniform(0.0, self.jitter, _LATENCY_BLOCK)).tolist(), None)
+        return itertools.chain.from_iterable(blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,7 +314,7 @@ def simulate(
     if max_events < 1:
         raise ConfigError("max_events must be at least 1")
     ack = AckModel() if ack is None else ack
-    rng = ack.rng_for(config.channel_address)
+    latencies = ack.latencies(config.channel_address)
 
     pieces = _effective_pieces(config, stimulus, duration)
 
@@ -315,26 +326,19 @@ def simulate(
     ev_sf: list[int] = []
 
     v = [v_ref_h, v_ref_h]  # capacitor voltages, indexed by range
-    dead_until = 0.0
-    in_dead = False
+    dead_until = 0.0  # end of the last reset; a piece integrates from here on
 
     for a, b, ia, ib, sel in zip(*(col.tolist() for col in pieces)):
         slope = (ib - ia) / (b - a)
         c_eq = caps[sel]
-        t = a
-        if in_dead:
-            if dead_until >= b:
-                continue
-            t = dead_until
-            v = [v_ref_h, v_ref_h]
-            in_dead = False
+        t = dead_until if dead_until > a else a
         while t < b:
             v_active = v[sel]
             q_need = c_eq * (v_active - v_ref_l)
             i_t = ia + slope * (t - a)
 
             # batched steady-state cycles on flat stretches
-            if slope == 0.0 and rng is None and i_t > 0.0 and v[0] == v_ref_h and v[1] == v_ref_h:
+            if slope == 0.0 and ack.jitter == 0.0 and i_t > 0.0 and v[0] == v_ref_h and v[1] == v_ref_h:
                 isi_int = q_need / i_t
                 first = t + isi_int
                 if first > b:
@@ -356,11 +360,7 @@ def simulate(
                 ev_sf.extend([sel] * n)
                 if clipped:
                     raise EventCapError(max_events, _channel_stream(config, ev_t, ev_sf))
-                dead_until = float(times[-1]) + dead
-                if dead_until >= b:
-                    in_dead = True
-                    break
-                t = dead_until
+                t = dead_until = float(times[-1]) + dead
                 v = [v_ref_h, v_ref_h]
                 continue
 
@@ -386,29 +386,17 @@ def simulate(
                 raise EventCapError(max_events, _channel_stream(config, ev_t, ev_sf))
             ev_t.append(t_ev)
             ev_sf.append(sel)
-            latency = ack.latency + (rng.uniform(0.0, ack.jitter) if rng is not None else 0.0)
-            dead_until = t_ev + latency + t_rst
-            if dead_until >= b:
-                in_dead = True
-                break
-            t = dead_until
+            t = dead_until = t_ev + next(latencies) + t_rst
             v = [v_ref_h, v_ref_h]
 
     events = _channel_stream(config, ev_t, ev_sf)
-    if not trace:
-        return SimResult(events=events)
-    # the kernel drew one latency per event from this same generator
-    rng = ack.rng_for(config.channel_address)
-    n = len(events)
-    jitter = rng.uniform(0.0, ack.jitter, size=n) if rng is not None else np.zeros(n)
-    latencies = ack.latency + jitter
-    return SimResult(events, _state_trace(config, pieces, events, latencies, duration))
+    return SimResult(events, _state_trace(config, pieces, events, ack, duration) if trace else None)
 
 
-def _state_trace(config: CfcConfig, pieces, events: EventStream, latencies: np.ndarray, duration: float) -> StateTrace:
+def _state_trace(config: CfcConfig, pieces, events: EventStream, ack: AckModel, duration: float) -> StateTrace:
     """Rebuild the state trace of a finished run from its effective pieces
-    (the columns of :func:`_effective_pieces`), its events and their
-    acknowledge latencies.
+    (the columns of :func:`_effective_pieces`), its events and the
+    acknowledge latencies the kernel took for them from ``ack``.
 
     Rows: the start, every range switch, the end of the run and, per
     event, its request, its acknowledge (kept at or before the end) and
@@ -438,14 +426,14 @@ def _state_trace(config: CfcConfig, pieces, events: EventStream, latencies: np.n
 
     t_ev = events.t_req
     n = t_ev.size
-    ack = t_ev + latencies
-    reset_end = ack + config.t_rst
+    t_ack = t_ev + np.fromiter(ack.latencies(config.channel_address), np.float64, n)
+    reset_end = t_ack + config.t_rst
 
     # each event's request, acknowledge and reset end, in that order
-    t_cycle = np.column_stack((t_ev, ack, reset_end)).ravel()
+    t_cycle = np.column_stack((t_ev, t_ack, reset_end)).ravel()
     cycle = np.array([Phase.REQUEST_PENDING, Phase.RESET_PULSE, Phase.INTEGRATING], dtype=object)
     phase_cycle = np.tile(cycle, n)
-    keep = np.column_stack((np.ones(n, dtype=bool), ack <= duration, reset_end < duration)).ravel()
+    keep = np.column_stack((np.ones(n, dtype=bool), t_ack <= duration, reset_end < duration)).ravel()
 
     # the start, each range switch and the end take the phase in force
     t_fixed = np.concatenate(([0.0], starts[np.flatnonzero(sel[1:] != sel[:-1]) + 1], [duration]))
@@ -563,7 +551,7 @@ def oracle_simulate(
             f"{fastest}; need dt <= {fastest / 1000.0}"
         )
     ack = AckModel() if ack is None else ack
-    rng = ack.rng_for(config.channel_address)
+    latencies = ack.latencies(config.channel_address)
 
     accept_positive = config.polarity is Polarity.SINK_N
     floor = config.i_leak_floor
@@ -631,8 +619,7 @@ def oracle_simulate(
         t_ev = float(ts[k]) + frac * float(steps[k])
         ev_t.append(t_ev)
         ev_sf.append(1 if sel_high[k] else 0)
-        latency = ack.latency + (rng.uniform(0.0, ack.jitter) if rng is not None else 0.0)
-        t = t_ev + latency + t_rst
+        t = t_ev + next(latencies) + t_rst
         v_low = v_high = v_ref_h
 
     return _channel_stream(config, ev_t, ev_sf)

@@ -16,6 +16,7 @@ import numpy as np
 
 from cfcsim.core import CfcConfig, ideal_isi, select_range
 from cfcsim.decoder import fit_exponential, reconstruct
+from cfcsim.experiment import load_spec, run_decode, run_simulate
 from cfcsim.presets import PRESETS, run_preset
 from cfcsim.simulator import _fastest_ideal_isi, oracle_simulate, power_estimate, simulate
 from cfcsim.stimulus import CurrentSignal, SpikeTrain, constant, dpi_synapse
@@ -277,4 +278,34 @@ def test_criterion_10_preset_determinism(tmp_path):
         not mismatches,
         "all presets rerun byte-identical, fig4 and fig6 to their recorded digests"
         + f" (slowest {slowest:.1f}s < 60s)" if not mismatches else f"differs: {mismatches}",
+    )
+
+
+# the benchmark's roundtrip description: a staircase over both ranges with
+# seeded acknowledge jitter, so every event takes the per-event path
+ROUNDTRIP_SPEC = {
+    "name": "roundtrip",
+    "config": {},
+    "ack": {"latency": 0.1e-6, "jitter": 0.2e-6},
+    "stimulus": {"kind": "staircase", "start": 12.5e-9, "stop": 3.2e-6, "steps": 20, "dwell": 0.05},
+}
+
+
+def test_criterion_10_jittered_roundtrip_determinism(tmp_path):
+    seed = 7
+    spec = load_spec(dict(ROUNDTRIP_SPEC, seed=seed))
+    run_simulate(spec, tmp_path)
+    run_decode(tmp_path / "events.csv", spec.config, tmp_path, compensation=spec.config.t_rst + spec.ack.latency)
+    record = json.loads(DIGESTS.read_text())["roundtrip"]
+    expected = {**record["common"], **record["by_seed"][str(seed)]}
+    assert sorted(expected) == sorted(p.name for p in tmp_path.iterdir())
+    mismatches = [
+        name for name, digest in expected.items()
+        if hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() != digest
+    ]
+    _verdict(
+        "criterion 10 (jittered roundtrip determinism)",
+        not mismatches,
+        f"events, decode and summary match the recorded digests of seed {seed}"
+        if not mismatches else f"differs: {mismatches}",
     )

@@ -260,12 +260,45 @@ def test_sweep_command(tmp_path):
             "kind": "dpi_synapse", "tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11,
             "train": {"kind": "poisson", "rate": 20.0, "seed": -1},
         }}, id="negative-train-seed"),
+        pytest.param("duration", {"duration": float("inf")}, id="inf-duration"),
+        pytest.param("latency", {"ack": {"latency": float("inf")}}, id="inf-latency"),
+        pytest.param("t_rst", {"config": {"t_rst": float("inf")}}, id="inf-t_rst"),
+        pytest.param("i", {"stimulus": {"kind": "constant", "i": float("-inf")}}, id="minus-inf-i"),
+        pytest.param("rate", {"duration": 0.5, "stimulus": {
+            "kind": "dpi_synapse", "tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11,
+            "train": {"kind": "regular", "rate": float("inf")},
+        }}, id="inf-train-rate"),
+        pytest.param("seed", {"seed": 10**400}, id="400-digit-seed"),
+        pytest.param("channel_address", {"config": {"channel_address": 1e300}}, id="huge-channel_address"),
+        pytest.param("channel_address", {"config": {"channel_address": 2**63}}, id="2**63-channel_address"),
+        pytest.param("times", {"duration": 0.5, "stimulus": {
+            "kind": "dpi_synapse", "tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11,
+            "train": {"kind": "explicit", "times": [0.001, float("nan")]},
+        }}, id="nan-spike-time"),
+        pytest.param("times", {"duration": 0.5, "stimulus": {
+            "kind": "dpi_synapse", "tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11,
+            "train": {"kind": "explicit", "times": ["a"]},
+        }}, id="string-spike-time"),
+        pytest.param("times", {"duration": 0.5, "stimulus": {
+            "kind": "dpi_synapse", "tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11,
+            "train": {"kind": "explicit", "times": 0.001},
+        }}, id="scalar-spike-times"),
     ],
 )
 def test_simulate_bad_value_exit_2_names_key(tmp_path, capsys, key, updates):
     spec_path = _write_spec(tmp_path / "spec.json", **updates)
     assert main(["simulate", "--config", str(spec_path), "--out", str(tmp_path / "run")]) == 2
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
+
+def test_simulate_integral_float_channel_address_with_jitter(tmp_path):
+    spec_path = _write_spec(tmp_path / "spec.json", config={"channel_address": 2.0}, ack={"jitter": 1e-7})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(spec_path), "--out", str(out)]) == 0
+    ev = read_events_csv(out / "events.csv")
+    assert len(ev) > 0
+    assert np.all(ev.channel == 2)
+    assert json.loads((out / "summary.json").read_text())["config"]["channel_address"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +336,16 @@ def test_load_spec_dpi_with_poisson_train_uses_seed():
     c = load_spec(desc, seed_override=6)
     assert np.array_equal(a.stimulus.times, b.stimulus.times)
     assert not np.array_equal(a.stimulus.times, c.stimulus.times)
+
+
+def test_load_spec_explicit_train_takes_the_listed_times():
+    from cfcsim.stimulus import SpikeTrain, dpi_synapse
+
+    synapse = {"tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11}
+    spec = load_spec({
+        "duration": 0.5,
+        "stimulus": {"kind": "dpi_synapse", **synapse, "train": {"kind": "explicit", "times": [0.1, 0.25]}},
+    })
+    direct = dpi_synapse(SpikeTrain(np.array([0.1, 0.25])), duration=0.5, **synapse)
+    assert np.array_equal(spec.stimulus.times, direct.times)
+    assert np.array_equal(spec.stimulus.i_start, direct.i_start)

@@ -56,6 +56,10 @@ def test_default_config_anchors():
         {"i_max_valid": 0.0},
         {"i_max_valid": float("nan")},
         {"channel_address": float("nan")},
+        {"channel_address": 2.0},
+        {"channel_address": 2**63},
+        {"channel_address": True},
+        {"t_rst": float("inf")},
     ],
 )
 def test_config_invariants_rejected(kwargs):

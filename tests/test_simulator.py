@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -218,6 +219,13 @@ _STAIRCASE_RUNS = dict(
 )
 
 
+# forty 30 ns steps cycling 2, 1, 3 and 2.5 uA against a dead time of at
+# least 0.2 us: each event's reset outlasts the pieces after it
+_DEAD_TIME_STEPS = dict(
+    levels=[2e-6, 1e-6, 3e-6, 2.5e-6] * 10, dwell=3e-8, latency=1e-7, linear=False, config=CfcConfig(c1=1e-17)
+)
+
+
 def _staircase_run(levels, dwell, latency, jitter, linear):
     """Stimulus, duration and acknowledge model of one drawn run."""
     duration = len(levels) * dwell
@@ -233,6 +241,9 @@ def _staircase_run(levels, dwell, latency, jitter, linear):
 @given(**_STAIRCASE_RUNS)
 # a constant on the ideal channel: the batched path, cycle after cycle
 @example(levels=[2e-9], dwell=2e-3, latency=0.0, jitter=0.0, linear=False, config=IDEAL)
+# steps shorter than the dead time: whole pieces pass while the channel is blind
+@example(**_DEAD_TIME_STEPS, jitter=0.0)
+@example(**_DEAD_TIME_STEPS, jitter=2e-7)
 def test_events_match_with_trace_on_and_off(levels, dwell, latency, jitter, linear, config):
     stim, duration, ack = _staircase_run(levels, dwell, latency, jitter, linear)
     plain = simulate(config, stim, duration, ack=ack).events
@@ -248,6 +259,8 @@ def test_events_match_with_trace_on_and_off(levels, dwell, latency, jitter, line
 # then a flat piece (batched): a request before the previous reset ended
 # would show here
 @example(levels=[1e-6, 2e-6], dwell=1e-4, latency=1e-7, jitter=0.0, linear=True, config=CfcConfig(c1=1e-17))
+@example(**_DEAD_TIME_STEPS, jitter=0.0)
+@example(**_DEAD_TIME_STEPS, jitter=2e-7)
 def test_every_event_fires_from_an_integrating_stretch(levels, dwell, latency, jitter, linear, config):
     stim, duration, ack = _staircase_run(levels, dwell, latency, jitter, linear)
     result = simulate(config, stim, duration, ack=ack, trace=True)
@@ -396,7 +409,7 @@ def test_effective_pieces_match_the_per_piece_reference(signal, config, run_to):
 
 def test_ack_model_validation():
     for kwargs in ({"latency": -1e-9}, {"latency": float("nan")}, {"jitter": float("nan")},
-                   {"seed": -1}, {"seed": 1.5}):
+                   {"latency": float("inf")}, {"jitter": float("inf")}, {"seed": -1}, {"seed": 1.5}):
         with pytest.raises(ConfigError):
             AckModel(**kwargs)
 
@@ -476,15 +489,26 @@ def test_trace_time_runs_forward_across_a_switch_during_a_pending_request():
 
 def test_trace_replays_the_kernel_latency_draws():
     # on a jittered flat piece every event after the first lands one ideal
-    # interval after the reset that precedes it ends
-    i = 1e-9
+    # interval after the reset that precedes it ends, over more than two
+    # blocks of latency draws
+    i, duration = 1e-6, 0.11
     ack = AckModel(latency=1e-6, jitter=2e-6, seed=11)
-    result = simulate(CFG, constant(i, 2e-3), 2e-3, ack=ack, trace=True)
+    result = simulate(CFG, constant(i, duration), duration, ack=ack, trace=True)
     tr = result.trace
-    reset_ends = tr.t[(tr.phase == Phase.INTEGRATING) & (tr.t > 0.0) & (tr.t < 2e-3)]
+    reset_ends = tr.t[(tr.phase == Phase.INTEGRATING) & (tr.t > 0.0) & (tr.t < duration)]
     gaps = result.events.t_req[1:] - reset_ends[: len(result.events) - 1]
-    assert len(gaps) > 10
+    assert len(gaps) > 2 * 4096
     assert gaps == pytest.approx(np.full(len(gaps), ideal_isi(CFG, i)), rel=1e-12)
+
+
+def test_ack_latencies_are_the_scalar_draws_in_order():
+    n = 2 * 4096 + 1
+    rng = np.random.default_rng([11, 3])
+    expected = [1e-6 + rng.uniform(0.0, 2e-6) for _ in range(n)]
+    drawn = list(itertools.islice(AckModel(latency=1e-6, jitter=2e-6, seed=11).latencies(3), n))
+    assert drawn == expected
+    fixed = list(itertools.islice(AckModel(latency=1e-6, seed=11).latencies(3), n))
+    assert fixed == [1e-6] * n
 
 
 # ---------------------------------------------------------------------------
