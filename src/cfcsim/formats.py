@@ -3,6 +3,8 @@
 All floats are written with ``repr``, i.e. the shortest decimal that
 round-trips exactly, and files use ``\\n`` line endings unconditionally
 so that reruns with the same seed are byte-identical on any platform.
+The table writers format each distinct value of a column block once,
+keyed by its bytes, and repeat that text for every cell holding it.
 
 Schemas:
     events  ``t_req_s,channel,sf``            sf: 0 = low, 1 = high
@@ -52,19 +54,39 @@ def _write_table(path: Union[str, Path], header: str, *columns) -> Path:
     A column is a numpy array or a sequence of Python numbers or strings;
     each cell is ``str`` of its value, which for a float is its shortest
     round-tripping ``repr``.  Rows are formatted ``_BLOCK`` at a time, so
-    memory is bounded by one block rather than by the table.
+    memory is bounded by one block rather than by the table.  Within a
+    block, each distinct value of a numpy column is formatted once, keyed
+    by its bytes (so ``0.0`` and ``-0.0`` stay apart), and its text is
+    repeated for every cell that holds it.
     """
     path = Path(path)
     n = len(columns[0])
     with path.open("w", newline="\n") as fh:
         fh.write(header + "\n")
         for lo in range(0, n, _BLOCK):
-            cells = []
-            for column in columns:
-                block = column[lo:lo + _BLOCK]
-                cells.append(map(str, block.tolist() if isinstance(block, np.ndarray) else block))
+            cells = [_block_cells(column[lo:lo + _BLOCK]) for column in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return path
+
+
+def _block_cells(block):
+    """The cell texts of one block of a column (see :func:`_write_table`).
+
+    Numpy blocks of floats, integers, booleans or strings are grouped;
+    Python sequences and other arrays, such as object arrays, are
+    formatted cell by cell.
+    """
+    if not isinstance(block, np.ndarray):
+        return map(str, block)
+    if block.dtype.kind == "f" and block.itemsize <= 8:
+        key = block.view(f"u{block.itemsize}")
+    elif block.dtype.kind in "biuU":
+        key = block
+    else:
+        return map(str, block.tolist())
+    distinct, inverse = np.unique(key, return_inverse=True)
+    text = np.array(list(map(str, distinct.view(block.dtype).tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 def write_events_csv(path: Union[str, Path], events: EventStream) -> Path:

@@ -56,9 +56,10 @@ class CurrentSignal:
             raise ConfigError("signal breakpoints must be finite")
         if np.any(np.diff(times) <= 0):
             raise ConfigError("breakpoint times must be strictly increasing")
-        if not self.end > times[-1]:
+        if not (math.isfinite(self.end) and self.end > times[-1]):
             raise ConfigError(
-                f"domain end ({self.end}) must lie beyond the last breakpoint ({times[-1]})"
+                f"domain end ({self.end}) must be finite and lie beyond the last "
+                f"breakpoint ({times[-1]})"
             )
 
     def _segment_ends(self) -> np.ndarray:
@@ -173,8 +174,8 @@ class SpikeTrain:
         object.__setattr__(self, "times", times)
         if times.ndim != 1:
             raise ConfigError("spike times must be one-dimensional")
-        if times.size and (np.any(np.diff(times) <= 0) or times[0] < 0):
-            raise ConfigError("spike times must be non-negative and strictly increasing")
+        if times.size and not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0) and times[0] >= 0):
+            raise ConfigError("spike times must be finite, non-negative and strictly increasing")
 
     def __len__(self) -> int:
         return int(self.times.size)

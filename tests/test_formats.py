@@ -206,6 +206,8 @@ def _table_cases(n):
     rec = ReconstructedSignal(_floats(n), _floats(n, 3), (k % 2).astype(np.uint8))
     times = np.arange(n) * 1e-4
     times[:1] = -0.0
+    # every cell of a column holds one value, over several blocks at the largest n
+    flat = ReconstructedSignal(times, np.full(n, 1 / 3), np.ones(n, dtype=np.uint8))
     spikes = SpikeTrain(np.concatenate(([-0.0, 5e-324], times[2:]))[:n])
     points = [SweepPoint(float(x), None if j % 3 == 0 else float(y), int(j * 1000003))
               for j, (x, y) in enumerate(zip(_floats(n), _floats(n, 4)))]
@@ -216,6 +218,7 @@ def _table_cases(n):
         (write_events_csv, (ev,), _ref_events(ev)),
         (write_trace_csv, (tr,), _ref_trace(tr)),
         (write_recon_csv, (rec,), _ref_recon(rec)),
+        (write_recon_csv, (flat,), _ref_recon(flat)),
         (write_spikes_csv, (spikes,), _ref_spikes(spikes)),
         (write_sweep_csv, (points,), _ref_sweep(points)),
         (write_comparison_csv, comparison, _ref_comparison(*comparison)),
@@ -234,10 +237,12 @@ def _table_cases(n):
     return cases
 
 
-@pytest.mark.parametrize("n", [0, 1, formats._BLOCK + 1])
+# n = 16: one block holds both 0.0 and -0.0 in the comparison model column;
+# 3 * _BLOCK: several full blocks, each with its own set of sample times
+@pytest.mark.parametrize("n", [0, 1, 16, formats._BLOCK + 1, 3 * formats._BLOCK])
 def test_table_writers_match_the_per_row_reference(tmp_path, n):
     cases = _table_cases(n)
-    assert len(cases) == (7 if n else 6)
+    assert len(cases) == (8 if n else 7)
     for writer, args, expected in cases:
         path = writer(tmp_path / f"{writer.__name__}.csv", *args)
         assert path.read_bytes() == expected, writer.__name__

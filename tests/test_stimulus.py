@@ -54,6 +54,8 @@ def test_signal_validation():
         CurrentSignal(np.array([0.1]), np.zeros(1), np.zeros(1), 1.0)
     with pytest.raises(ConfigError, match="beyond the last breakpoint"):
         CurrentSignal(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), 1.0)
+    with pytest.raises(ConfigError, match="must be finite"):
+        CurrentSignal(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), np.inf)
     with pytest.raises(ValueError, match="domain"):
         constant(1e-9, 1.0).value(2.0)
 
@@ -225,6 +227,10 @@ def test_spike_train_validation():
         SpikeTrain(np.array([0.2, 0.1]))
     with pytest.raises(ConfigError):
         SpikeTrain(np.array([-0.1, 0.1]))
+    # every comparison with NaN is false, so only positive checks catch these
+    for times in ([0.001, np.nan, 0.002], [np.nan, 0.001], [0.001, np.inf]):
+        with pytest.raises(ConfigError, match="finite"):
+            SpikeTrain(np.array(times))
 
 
 # ---------------------------------------------------------------------------
