@@ -39,7 +39,6 @@ from .stimulus import (
     AdexParams,
     CurrentSignal,
     SpikeTrain,
-    SweepSchedule,
     adex_neuron,
     constant,
     dpi_synapse,

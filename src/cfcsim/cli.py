@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from . import formats
 from .core import CfcConfig, ConfigError, dead_time
-from .experiment import DEFAULT_SEED, load_spec, read_json_object, run_decode, run_simulate, run_sweep
+from .experiment import DEFAULT_SEED, load_converter, load_spec, read_json_object, run_decode, run_simulate, run_sweep
 from .presets import PRESETS, run_preset
 from .simulator import AckModel
 
@@ -78,13 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_decode_config(path: Optional[Path]) -> tuple[CfcConfig, AckModel]:
-    """Decode accepts either a full experiment spec or flat config overrides."""
+    """Decode accepts either a full experiment spec, of which it reads only
+    the converter, or flat config overrides."""
     if path is None:
         return CfcConfig(), AckModel()
     raw = read_json_object(path)
     if "config" in raw or "stimulus" in raw:
-        spec = load_spec(raw)
-        return spec.config, spec.ack
+        return load_converter(raw, str(path))
     return CfcConfig.from_dict(raw), AckModel()
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import CfcConfig, decode
 from .simulator import EventStream
-from .stimulus import SweepSchedule
+from .stimulus import CurrentSignal
 
 #: Fraction of each staircase dwell that sweep analysis discards as settling.
 _SETTLE_FRACTION = 0.2
@@ -136,26 +136,27 @@ class SweepPoint:
 
 def sweep_analysis(
     events: EventStream,
-    schedule: SweepSchedule,
+    staircase: CurrentSignal,
     config: CfcConfig,
     compensation: float = 0.0,
 ) -> list[SweepPoint]:
     """Average the decoded current per staircase step.
 
+    Each segment of ``staircase`` is one step, held flat at its level.
     The first ``_SETTLE_FRACTION`` of each dwell is discarded as
     settling time; the remaining intervals are decoded individually and
     averaged.  Steps with fewer than two usable events (dead-zone levels, or dwells
     too short for the expected rate) report no measurement instead of a
     number.
     """
+    if np.any(staircase.i_start != staircase.i_end):
+        raise ValueError("sweep analysis needs a staircase: a ramp segment has no single level")
     t = events.t_req
-    start, end = schedule.span
+    start, end = float(staircase.times[0]), staircase.end
     if len(events) and (t[0] < start - 1e-15 or t[-1] > end + 1e-15):
-        raise ValueError(
-            f"events outside the sweep schedule span [{start}, {end}]"
-        )
+        raise ValueError(f"events outside the staircase span [{start}, {end}]")
     out: list[SweepPoint] = []
-    for t0, t1, level in zip(schedule.t_start.tolist(), schedule.t_end.tolist(), schedule.levels.tolist()):
+    for t0, t1, level in zip(staircase.times.tolist(), staircase.ends.tolist(), staircase.i_start.tolist()):
         w0 = t0 + _SETTLE_FRACTION * (t1 - t0)
         lo = int(np.searchsorted(t, w0, side="left"))
         hi = int(np.searchsorted(t, t1, side="right"))

@@ -34,7 +34,6 @@ from .simulator import AckModel, EventStream, SimResult, simulate, power_estimat
 from .stimulus import (
     CurrentSignal,
     SpikeTrain,
-    SweepSchedule,
     constant,
     dpi_synapse,
     pfet_gate_sweep,
@@ -57,7 +56,6 @@ class ExperimentSpec:
     ack: AckModel
     seed: int
     trace: bool = False
-    schedule: Optional[SweepSchedule] = None
 
 
 def _reject_unknown(d: dict, allowed: set[str], context: str) -> None:
@@ -84,18 +82,21 @@ def _optional(d: dict, key: str, context: str):
 
 
 def _build_train(desc: dict, duration: float, seed: int) -> SpikeTrain:
-    _reject_unknown(desc, {"kind", "rate", "seed", "times"}, "spike train")
     kind = _require(desc, "kind", "spike train")
+    context = f"{kind} spike train"
     if kind == "regular":
-        return regular_train(_float(desc, "rate", "spike train"), duration)
+        _reject_unknown(desc, {"kind", "rate"}, context)
+        return regular_train(_float(desc, "rate", context), duration)
     if kind == "poisson":
-        train_seed = _number(desc.get("seed", seed), "seed", "spike train", integer=True)
-        return poisson_train(_float(desc, "rate", "spike train"), duration, train_seed)
+        _reject_unknown(desc, {"kind", "rate", "seed"}, context)
+        train_seed = _number(desc.get("seed", seed), "seed", context, integer=True)
+        return poisson_train(_float(desc, "rate", context), duration, train_seed)
     if kind == "explicit":
-        times = _require(desc, "times", "spike train")
+        _reject_unknown(desc, {"kind", "times"}, context)
+        times = _require(desc, "times", context)
         if not isinstance(times, list):
-            raise ConfigError(f"spike train: 'times' must be a list of numbers, got {times!r}")
-        return SpikeTrain(np.asarray([_number(t, "times", "spike train") for t in times], dtype=float))
+            raise ConfigError(f"{context}: 'times' must be a list of numbers, got {times!r}")
+        return SpikeTrain(np.asarray([_number(t, "times", context) for t in times], dtype=float))
     raise ConfigError(f"unknown spike train kind {kind!r}")
 
 
@@ -103,11 +104,11 @@ def build_stimulus(
     desc: dict,
     duration: Optional[float],
     seed: int,
-) -> tuple[CurrentSignal, Optional[SweepSchedule], float]:
+) -> tuple[CurrentSignal, float]:
     """Build the stimulus named by a description dict.
 
-    Returns the signal, an optional sweep schedule, and the resolved run
-    duration (staircases define their own span).
+    Returns the signal and the resolved run duration (staircases define
+    their own span).
     """
     if not isinstance(desc, dict):
         raise ConfigError("stimulus must be an object with a 'kind' key")
@@ -117,22 +118,21 @@ def build_stimulus(
         _reject_unknown(desc, {"kind", "i"}, "constant stimulus")
         if duration is None:
             raise ConfigError("constant stimulus needs an explicit duration")
-        return constant(_float(desc, "i", "constant stimulus"), duration), None, duration
+        return constant(_float(desc, "i", "constant stimulus"), duration), duration
 
     if kind == "staircase":
         _reject_unknown(desc, {"kind", "start", "stop", "steps", "dwell"}, "staircase stimulus")
-        signal, schedule = staircase_sweep(
+        signal = staircase_sweep(
             _float(desc, "start", "staircase"),
             _float(desc, "stop", "staircase"),
             _number(_require(desc, "steps", "staircase"), "steps", "staircase", integer=True),
             _float(desc, "dwell", "staircase"),
         )
-        span = schedule.span[1]
-        if duration is not None and duration > span:
+        if duration is not None and duration > signal.end:
             raise ConfigError(
-                f"duration {duration} exceeds the staircase span {span}"
+                f"duration {duration} exceeds the staircase span {signal.end}"
             )
-        return signal, schedule, duration if duration is not None else span
+        return signal, duration if duration is not None else signal.end
 
     if kind == "pfet_sweep":
         _reject_unknown(
@@ -154,7 +154,7 @@ def build_stimulus(
                 desc.get("points_per_decade", 100), "points_per_decade", "pfet_sweep", integer=True
             ),
         )
-        return signal, None, duration
+        return signal, duration
 
     if kind == "dpi_synapse":
         _reject_unknown(
@@ -171,7 +171,7 @@ def build_stimulus(
             duration=duration,
             resolution=_optional(desc, "resolution", "dpi_synapse"),
         )
-        return signal, None, duration
+        return signal, duration
 
     raise ConfigError(f"unknown stimulus kind {kind!r}")
 
@@ -185,6 +185,35 @@ def read_json_object(path: Union[str, Path]) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return raw
+
+
+def load_converter(
+    raw: dict, context: str, seed_override: Optional[int] = None
+) -> tuple[CfcConfig, AckModel]:
+    """Check the top-level keys of an experiment description and build
+    its converter: the ``config`` and the ``ack`` model seeded from
+    ``seed``.  The stimulus is not read."""
+    _reject_unknown(
+        raw, {"name", "config", "stimulus", "duration", "ack", "seed", "trace"}, context
+    )
+    seed = raw.get("seed", DEFAULT_SEED) if seed_override is None else seed_override
+    seed = _number(seed, "seed", context, integer=True)
+
+    cfg_overrides = raw.get("config", {})
+    if not isinstance(cfg_overrides, dict):
+        raise ConfigError(f"{context}: 'config' must be an object")
+    config = CfcConfig.from_dict(cfg_overrides)
+
+    ack_desc = raw.get("ack", {})
+    if not isinstance(ack_desc, dict):
+        raise ConfigError(f"{context}: 'ack' must be an object")
+    _reject_unknown(ack_desc, {"latency", "jitter"}, "ack model")
+    ack = AckModel(
+        latency=float(_number(ack_desc.get("latency", 0.0), "latency", "ack model")),
+        jitter=float(_number(ack_desc.get("jitter", 0.0), "jitter", "ack model")),
+        seed=seed,
+    )
+    return config, ack
 
 
 def load_spec(
@@ -201,44 +230,24 @@ def load_spec(
         context = "experiment spec"
         if not isinstance(raw, dict):
             raise ConfigError(f"{context}: top level must be a JSON object")
-    _reject_unknown(
-        raw, {"name", "config", "stimulus", "duration", "ack", "seed", "trace"}, context
-    )
-    seed = raw.get("seed", DEFAULT_SEED) if seed_override is None else seed_override
-    seed = _number(seed, "seed", context, integer=True)
+    config, ack = load_converter(raw, context, seed_override)
     duration = duration_override if duration_override is not None else raw.get("duration")
     duration = float(_number(duration, "duration", context)) if duration is not None else None
-
-    cfg_overrides = raw.get("config", {})
-    if not isinstance(cfg_overrides, dict):
-        raise ConfigError(f"{context}: 'config' must be an object")
-    config = CfcConfig.from_dict(cfg_overrides)
-
-    ack_desc = raw.get("ack", {})
-    if not isinstance(ack_desc, dict):
-        raise ConfigError(f"{context}: 'ack' must be an object")
-    _reject_unknown(ack_desc, {"latency", "jitter"}, "ack model")
-    ack = AckModel(
-        latency=float(_number(ack_desc.get("latency", 0.0), "latency", "ack model")),
-        jitter=float(_number(ack_desc.get("jitter", 0.0), "jitter", "ack model")),
-        seed=seed,
-    )
 
     trace = raw.get("trace", False)
     if not isinstance(trace, bool):
         raise ConfigError(f"{context}: 'trace' must be true or false, got {trace!r}")
 
     stimulus_desc = _require(raw, "stimulus", context)
-    signal, schedule, duration = build_stimulus(stimulus_desc, duration, seed)
+    signal, duration = build_stimulus(stimulus_desc, duration, ack.seed)
     return ExperimentSpec(
         name=str(raw.get("name", "run")),
         config=config,
         stimulus=signal,
         duration=duration,
         ack=ack,
-        seed=seed,
+        seed=ack.seed,
         trace=trace,
-        schedule=schedule,
     )
 
 
@@ -299,9 +308,9 @@ def run_sweep(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    signal, schedule = staircase_sweep(start, stop, steps, dwell)
-    events = simulate(config, signal, schedule.span[1], ack=ack).events
-    points = sweep_analysis(events, schedule, config, compensation=compensation)
+    signal = staircase_sweep(start, stop, steps, dwell)
+    events = simulate(config, signal, signal.end, ack=ack).events
+    points = sweep_analysis(events, signal, config, compensation=compensation)
     recon = reconstruct(events, config, compensation=compensation)
     files = [
         formats.write_signal_csv(out / "truth.csv", signal),

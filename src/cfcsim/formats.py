@@ -151,8 +151,7 @@ def write_signal_csv(path: Union[str, Path], signal: CurrentSignal) -> Path:
     external plotting tools render as a vertical edge.  A segment's start
     row is left out where it repeats the previous segment's end row.
     """
-    ends = np.append(signal.times[1:], signal.end)
-    t = np.column_stack((signal.times, ends)).ravel()
+    t = np.column_stack((signal.times, signal.ends)).ravel()
     i = np.column_stack((signal.i_start, signal.i_end)).ravel()
     keep = np.ones(t.size, dtype=bool)
     keep[2::2] = signal.i_start[1:] != signal.i_end[:-1]

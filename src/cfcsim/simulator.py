@@ -231,24 +231,18 @@ def _effective_pieces(config: CfcConfig, stimulus: CurrentSignal, duration: floa
     [0, duration] and the range each selects, as the columns ``starts,
     ends, i_a, i_b, sel``.
 
-    The stimulus segments are clipped to the run and split where they
-    cross zero; the pieces of the accepted sign are rectified and split so
-    that none straddles the leak floor, the range threshold or its
-    hysteresis band edge.  Every value is computed with the expressions of
-    :meth:`CurrentSignal.iter_segments`, :func:`~cfcsim.core.rectify` and
+    The stimulus pieces (:meth:`CurrentSignal.pieces`) are split where
+    they cross zero; the pieces of the accepted sign are rectified and
+    split so that none straddles the leak floor, the range threshold or
+    its hysteresis band edge.  Every value is computed with the
+    expressions of :func:`~cfcsim.core.rectify` and
     :func:`~cfcsim.core.select_range`, elementwise.
 
     The leak floor is a hard cutoff rather than a subtracted leak: a
     subtractive leak would skew readings just above the floor by tens of
     percent, while measured behaviour there is accurate.
     """
-    n = int(np.searchsorted(stimulus.times, duration, side="left"))  # segments starting in the run
-    a = stimulus.times[:n]
-    seg_end = stimulus._segment_ends()[:n]
-    lo, hi = a, np.minimum(seg_end, duration)  # max(a, 0) is a itself: times start at 0
-    i0, i1 = stimulus.i_start[:n], stimulus.i_end[:n]
-    slope = (i1 - i0) / (seg_end - a)
-    starts, ends, ia, ib = _split_at(lo, hi, i0 + slope * (lo - a), i0 + slope * (hi - a), [0.0])
+    starts, ends, ia, ib = _split_at(*stimulus.pieces(duration), [0.0])
 
     mid = 0.5 * (ia + ib)
     accepted = mid > 0.0 if config.polarity is Polarity.SINK_N else mid < 0.0
@@ -481,7 +475,7 @@ def simulate_many(
 def _raw_crossings(stimulus: CurrentSignal, duration: float, targets) -> list[float]:
     """Times where the raw signed stimulus crosses any target level."""
     times = []
-    for a, b, ia, ib in stimulus.iter_segments(0.0, duration):
+    for a, b, ia, ib in zip(*(c.tolist() for c in stimulus.pieces(duration))):
         if ib == ia:
             continue
         inv = (b - a) / (ib - ia)
@@ -494,7 +488,7 @@ def _raw_crossings(stimulus: CurrentSignal, duration: float, targets) -> list[fl
 def _fastest_ideal_isi(config: CfcConfig, stimulus: CurrentSignal, duration: float) -> Optional[float]:
     """Shortest ideal inter-event interval the stimulus can provoke."""
     max_rate = 0.0
-    for _, _, ia, ib in stimulus.iter_segments(0.0, duration):
+    for _, _, ia, ib in zip(*(c.tolist() for c in stimulus.pieces(duration))):
         ra = rectify(ia, config.polarity)
         rb = rectify(ib, config.polarity)
         lo, hi = min(ra, rb), max(ra, rb)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +62,9 @@ class CurrentSignal:
                 f"breakpoint ({times[-1]})"
             )
 
-    def _segment_ends(self) -> np.ndarray:
+    @property
+    def ends(self) -> np.ndarray:
+        """Segment end times: the next segment's start, ``end`` for the last."""
         return np.append(self.times[1:], self.end)
 
     def value(self, t: float) -> float:
@@ -80,38 +82,20 @@ class CurrentSignal:
         if ts.size and (ts.min() < 0.0 or ts.max() > self.end * (1 + 1e-12) + 1e-300):
             raise ValueError(f"time outside signal domain [0, {self.end}]")
         idx = np.clip(np.searchsorted(self.times, ts, side=side) - 1, 0, self.times.size - 1)
-        ends = self._segment_ends()
-        span = ends[idx] - self.times[idx]
+        span = self.ends[idx] - self.times[idx]
         frac = np.clip((ts - self.times[idx]) / span, 0.0, 1.0)
         return self.i_start[idx] + (self.i_end[idx] - self.i_start[idx]) * frac
 
-    def iter_segments(self, t0: float, t1: float) -> Iterator[tuple[float, float, float, float]]:
-        """Yield linear pieces ``(a, b, i_a, i_b)`` covering [t0, t1], clipped."""
-        if t1 <= t0:
-            return
-        ends = self._segment_ends()
-        first = max(0, int(np.searchsorted(ends, t0, side="right")))
-        for j in range(first, self.times.size):
-            a, b = self.times[j], ends[j]
-            if a >= t1:
-                break
-            lo, hi = max(a, t0), min(b, t1)
-            if hi <= lo:
-                continue
-            slope = (self.i_end[j] - self.i_start[j]) / (b - a)
-            ia = self.i_start[j] + slope * (lo - a)
-            ib = self.i_start[j] + slope * (hi - a)
-            yield float(lo), float(hi), float(ia), float(ib)
-
-    @classmethod
-    def from_segments(
-        cls,
-        seg_t0: Sequence[float],
-        seg_i0: Sequence[float],
-        seg_i1: Sequence[float],
-        end: float,
-    ) -> "CurrentSignal":
-        return cls(np.asarray(seg_t0), np.asarray(seg_i0), np.asarray(seg_i1), float(end))
+    def pieces(self, duration: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The segments clipped to a run over [0, duration], as the linear
+        pieces ``(a, b, i_a, i_b)`` in columns."""
+        n = int(np.searchsorted(self.times, duration, side="left"))  # segments starting in the run
+        a = self.times[:n]
+        seg_end = self.ends[:n]
+        lo, hi = a, np.minimum(seg_end, duration)  # max(a, 0) is a itself: times start at 0
+        i0, i1 = self.i_start[:n], self.i_end[:n]
+        slope = (i1 - i0) / (seg_end - a)
+        return lo, hi, i0 + slope * (lo - a), i0 + slope * (hi - a)
 
     @classmethod
     def from_samples(cls, ts: Sequence[float], values: Sequence[float]) -> "CurrentSignal":
@@ -181,20 +165,6 @@ class SpikeTrain:
         return int(self.times.size)
 
 
-@dataclass(frozen=True, eq=False)
-class SweepSchedule:
-    """Step timing emitted next to a staircase stimulus: step ``k`` holds
-    ``levels[k]`` (A) from ``t_start[k]`` to ``t_end[k]`` (s)."""
-
-    t_start: np.ndarray
-    t_end: np.ndarray
-    levels: np.ndarray
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.t_start[0]), float(self.t_end[-1])
-
-
 def constant(i: float, duration: float) -> CurrentSignal:
     """Flat current of value ``i`` over [0, duration]."""
     if duration <= 0:
@@ -207,12 +177,11 @@ def staircase_sweep(
     stop: float,
     steps: int,
     dwell: float,
-) -> tuple[CurrentSignal, SweepSchedule]:
+) -> CurrentSignal:
     """Linear-in-current staircase from ``start`` to ``stop``.
 
-    Step ``k`` sits at ``start + k * (stop - start) / (steps - 1)`` and
-    lasts ``dwell`` seconds.  Returns the signal together with the step
-    schedule needed by the decoder's sweep analysis.
+    Step ``k`` is the flat segment at ``start + k * (stop - start) /
+    (steps - 1)`` from ``k * dwell`` to ``(k + 1) * dwell``.
     """
     if steps < 2:
         raise ConfigError(f"need at least 2 steps, got {steps}")
@@ -221,10 +190,7 @@ def staircase_sweep(
     if start >= stop:
         raise ConfigError(f"start ({start}) must be below stop ({stop})")
     levels = start + np.arange(steps) * ((stop - start) / (steps - 1))
-    t0 = np.arange(steps) * dwell
-    end = steps * dwell
-    schedule = SweepSchedule(t0, np.arange(1, steps + 1) * dwell, levels)
-    return CurrentSignal(t0, levels, levels.copy(), float(end)), schedule
+    return CurrentSignal(np.arange(steps) * dwell, levels, levels.copy(), float(steps * dwell))
 
 
 #: The five factory sweep ranges exercised by the `fig4` preset (A).
@@ -322,7 +288,7 @@ def dpi_synapse(
         seg_i0.extend(vals[:-1].tolist())
         seg_i1.extend(vals[1:].tolist())
         level = float(vals[-1])
-    return CurrentSignal.from_segments(seg_t0, seg_i0, seg_i1, duration)
+    return CurrentSignal(np.asarray(seg_t0), np.asarray(seg_i0), np.asarray(seg_i1), float(duration))
 
 
 @dataclass(frozen=True)

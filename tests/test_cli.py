@@ -168,10 +168,16 @@ def test_preset_fig5_flags_divergence_bands(tmp_path):
     assert summary["config"]["i_sw"] == 100e-9
 
 
-def test_decode_compensation_includes_ack_latency(tmp_path):
+def test_decode_compensation_includes_ack_latency(tmp_path, monkeypatch):
+    from cfcsim import experiment
     from cfcsim.formats import write_events_csv
     from cfcsim.simulator import AckModel
 
+    def no_stimulus(*args):
+        raise AssertionError("decode built the stimulus")
+
+    # decode reads only the converter part of a spec
+    monkeypatch.setattr(experiment, "build_stimulus", no_stimulus)
     cfg = CfcConfig(i_leak_floor=0.0)
     ack = AckModel(latency=4e-7)
     ev = simulate(cfg, constant(1e-6, 2e-3), 2e-3, ack=ack).events
@@ -189,6 +195,22 @@ def test_decode_compensation_includes_ack_latency(tmp_path):
     decoded = np.asarray([float(r.split(",")[1]) for r in rows])
     # compensation = t_rst + ack latency makes the decode exact again
     assert decoded == pytest.approx(np.full(decoded.size, 1e-6), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "key, updates",
+    [
+        pytest.param("seed", {"seed": -1}, id="negative-seed"),
+        pytest.param("extra", {"extra": 1}, id="unknown-top-level-key"),
+    ],
+)
+def test_decode_bad_spec_converter_exit_2_names_key(tmp_path, capsys, key, updates):
+    from cfcsim.formats import write_events_csv
+
+    p = write_events_csv(tmp_path / "events.csv", simulate(CfcConfig(), constant(1e-6, 2e-3), 2e-3).events)
+    spec_path = _write_spec(tmp_path / "spec.json", **updates)
+    assert main(["decode", str(p), "--out", str(tmp_path / "out"), "--config", str(spec_path)]) == 2
+    assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
 def test_decode_compensation_uses_mean_ack_jitter(tmp_path):
@@ -283,6 +305,22 @@ def test_sweep_command(tmp_path):
             "kind": "dpi_synapse", "tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11,
             "train": {"kind": "explicit", "times": 0.001},
         }}, id="scalar-spike-times"),
+        pytest.param("times", {"duration": 0.5, "stimulus": {
+            "kind": "dpi_synapse", "tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11,
+            "train": {"kind": "regular", "rate": 20.0, "times": [0.05, 0.1]},
+        }}, id="regular-train-times"),
+        pytest.param("seed", {"duration": 0.5, "stimulus": {
+            "kind": "dpi_synapse", "tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11,
+            "train": {"kind": "regular", "rate": 20.0, "seed": 3},
+        }}, id="regular-train-seed"),
+        pytest.param("rate", {"duration": 0.5, "stimulus": {
+            "kind": "dpi_synapse", "tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11,
+            "train": {"kind": "explicit", "times": [0.05, 0.1], "rate": 1000.0},
+        }}, id="explicit-train-rate"),
+        pytest.param("times", {"duration": 0.5, "stimulus": {
+            "kind": "dpi_synapse", "tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11,
+            "train": {"kind": "poisson", "rate": 20.0, "times": [0.05, 0.1]},
+        }}, id="poisson-train-times"),
     ],
 )
 def test_simulate_bad_value_exit_2_names_key(tmp_path, capsys, key, updates):
@@ -311,7 +349,7 @@ def test_load_spec_staircase_duration_from_schedule(tmp_path):
         "stimulus": {"kind": "staircase", "start": 1e-9, "stop": 2e-9, "steps": 4, "dwell": 0.05},
     })
     assert spec.duration == pytest.approx(0.2)
-    assert spec.schedule is not None
+    assert spec.duration == spec.stimulus.end
 
 
 def test_load_spec_rejects_unknown_stimulus_kind():

@@ -73,10 +73,10 @@ def test_reconstruct_rejects_bad_streams():
 
 
 def test_staircase_hold_roundtrip_preserves_steps():
-    sig, sched = staircase_sweep(1e-9, 5e-9, 5, 0.01)
-    ev = simulate(IDEAL, sig, sched.span[1]).events
+    sig = staircase_sweep(1e-9, 5e-9, 5, 0.01)
+    ev = simulate(IDEAL, sig, sig.end).events
     rec = reconstruct(ev, IDEAL)
-    for t0, t1, level in zip(sched.t_start, sched.t_end, sched.levels):
+    for t0, t1, level in zip(sig.times, sig.ends, sig.i_start):
         # samples well inside the dwell, away from the transition intervals
         inside = (rec.t > t0 + 0.003) & (rec.t < t1 - 0.003)
         assert inside.sum() > 10
@@ -153,9 +153,9 @@ def test_end_to_end_dpi_decay_recovery():
 
 
 def test_sweep_roundtrip_within_half_percent():
-    sig, sched = staircase_sweep(1e-9, 10e-9, 10, 0.01)
-    ev = simulate(IDEAL, sig, sched.span[1]).events
-    points = sweep_analysis(ev, sched, IDEAL)
+    sig = staircase_sweep(1e-9, 10e-9, 10, 0.01)
+    ev = simulate(IDEAL, sig, sig.end).events
+    points = sweep_analysis(ev, sig, IDEAL)
     assert len(points) == 10
     for p in points:
         assert p.decoded is not None
@@ -163,28 +163,35 @@ def test_sweep_roundtrip_within_half_percent():
 
 
 def test_sweep_dead_zone_reports_no_measurement():
-    sig, sched = staircase_sweep(3e-12, 30e-12, 4, 0.5)
-    ev = simulate(CFG, sig, sched.span[1]).events
-    points = sweep_analysis(ev, sched, CFG)
+    sig = staircase_sweep(3e-12, 30e-12, 4, 0.5)
+    ev = simulate(CFG, sig, sig.end).events
+    points = sweep_analysis(ev, sig, CFG)
     assert points[0].decoded is None  # 3 pA sits under the 5.5 pA floor
     assert points[0].n_events == 0
     assert all(p.decoded is not None for p in points[1:])
 
 
 def test_sweep_boundary_step_decodes_on_high_range():
-    sig, sched = staircase_sweep(5e-9, 10e-9, 2, 0.05)
-    ev = simulate(IDEAL, sig, sched.span[1]).events
-    last_dwell = ev.sf[ev.t_req > sched.t_start[1] + 1e-3]
+    sig = staircase_sweep(5e-9, 10e-9, 2, 0.05)
+    ev = simulate(IDEAL, sig, sig.end).events
+    last_dwell = ev.sf[ev.t_req > sig.times[1] + 1e-3]
     assert np.all(last_dwell == 1)  # the tie at i_sw lands on the high range
-    points = sweep_analysis(ev, sched, IDEAL)
+    points = sweep_analysis(ev, sig, IDEAL)
     assert points[1].decoded == pytest.approx(10e-9, rel=1e-6)
 
 
 def test_sweep_rejects_out_of_schedule_events():
-    _, sched = staircase_sweep(1e-9, 2e-9, 2, 0.1)
+    sig = staircase_sweep(1e-9, 2e-9, 2, 0.1)
     ev = _stream([0.05, 0.5], [0, 0])  # second event after the sweep ends
-    with pytest.raises(ValueError, match="outside the sweep schedule"):
-        sweep_analysis(ev, sched, CFG)
+    with pytest.raises(ValueError, match="events outside the staircase span"):
+        sweep_analysis(ev, sig, CFG)
+
+
+def test_sweep_rejects_a_ramp_segment():
+    ramp = CurrentSignal.from_breakpoints([(0.0, 1e-9), (0.1, 2e-9), (0.2, 3e-9)], ["step", "linear"], end=0.3)
+    ev = _stream([0.05, 0.15], [0, 0])
+    with pytest.raises(ValueError, match="ramp segment"):
+        sweep_analysis(ev, ramp, CFG)
 
 
 # ---------------------------------------------------------------------------

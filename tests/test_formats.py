@@ -91,7 +91,7 @@ def test_trace_and_recon_and_spikes_files(tmp_path):
 
 
 def test_signal_csv_marks_steps_with_duplicate_times(tmp_path):
-    sig, _ = staircase_sweep(1e-9, 3e-9, 3, 0.1)
+    sig = staircase_sweep(1e-9, 3e-9, 3, 0.1)
     p = write_signal_csv(tmp_path / "truth.csv", sig)
     lines = p.read_text().splitlines()
     assert lines[0] == "t_s,i_A"

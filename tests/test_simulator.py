@@ -306,6 +306,22 @@ def _ref_split_linear(a, b, ya, yb, targets):
     return pieces
 
 
+def _ref_clip(stimulus, duration):
+    """The stimulus segments clipped to [0, duration], one at a time."""
+    ends = np.append(stimulus.times[1:], stimulus.end)
+    for j in range(stimulus.times.size):
+        a, b = stimulus.times[j], ends[j]
+        if a >= duration:
+            break
+        lo, hi = max(a, 0.0), min(b, duration)
+        if hi <= lo:
+            continue
+        slope = (stimulus.i_end[j] - stimulus.i_start[j]) / (b - a)
+        ia = stimulus.i_start[j] + slope * (lo - a)
+        ib = stimulus.i_start[j] + slope * (hi - a)
+        yield float(lo), float(hi), float(ia), float(ib)
+
+
 def _ref_effective_segments(config, stimulus, duration):
     """Effective pieces built one stimulus piece at a time."""
     accept_positive = config.polarity is Polarity.SINK_N
@@ -313,7 +329,7 @@ def _ref_effective_segments(config, stimulus, duration):
     if config.hysteresis > 0:
         thresholds.append(config.i_sw * (1.0 - config.hysteresis))
     out = []
-    for a, b, ia, ib in stimulus.iter_segments(0.0, duration):
+    for a, b, ia, ib in _ref_clip(stimulus, duration):
         for pa, pb, pia, pib in _ref_split_linear(a, b, ia, ib, [0.0]):
             mid = 0.5 * (pia + pib)
             accepted = (mid > 0.0) if accept_positive else (mid < 0.0)

@@ -60,12 +60,19 @@ def test_signal_validation():
         constant(1e-9, 1.0).value(2.0)
 
 
-def test_iter_segments_clips_and_interpolates():
-    ramp = CurrentSignal.from_breakpoints([(0.0, 0.0), (1.0, 10.0)], "linear", end=1.0)
-    [(a, b, ia, ib)] = list(ramp.iter_segments(0.25, 0.75))
-    assert (a, b) == (0.25, 0.75)
-    assert ia == pytest.approx(2.5)
-    assert ib == pytest.approx(7.5)
+def test_pieces_clip_and_interpolate():
+    ramp = CurrentSignal.from_breakpoints([(0.0, 0.0), (1.0, 10.0), (2.0, -0.0)], "linear", end=3.0)
+    a, b, ia, ib = ramp.pieces(0.75)
+    assert (a.tolist(), b.tolist()) == ([0.0], [0.75])
+    assert ia.tolist() == [0.0]
+    assert ib.tolist() == [pytest.approx(7.5)]
+    # a -0.0 start value comes out as 0.0
+    a, b, ia, ib = ramp.pieces(2.5)
+    assert (a.tolist(), b.tolist()) == ([0.0, 1.0, 2.0], [1.0, 2.0, 2.5])
+    assert np.signbit(ia).tolist() == [False, False, False]
+    # a run ending on a breakpoint takes no empty piece past it
+    assert [c.size for c in ramp.pieces(1.0)] == [1, 1, 1, 1]
+    assert ramp.pieces(3.0)[1].tolist() == ramp.ends.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_values_vectorized_matches_scalar():
@@ -82,16 +89,18 @@ def test_values_vectorized_matches_scalar():
 # ---------------------------------------------------------------------------
 
 
-def test_staircase_levels_and_schedule():
-    sig, sched = staircase_sweep(1e-9, 10e-9, 10, 0.1)
-    levels = sched.levels
-    assert levels == pytest.approx(1e-9 + np.arange(10) * 1e-9)
-    assert sched.span == (0.0, pytest.approx(1.0))
-    # step k runs from k * dwell to (k + 1) * dwell, computed as such
-    assert sched.t_start.tolist() == [k * 0.1 for k in range(10)]
-    assert sched.t_end.tolist() == [(k + 1) * 0.1 for k in range(10)]
+@settings(max_examples=200)
+@given(st.integers(min_value=2, max_value=400), st.floats(min_value=1e-6, max_value=10.0))
+def test_staircase_levels_and_steps(steps, dwell):
+    sig = staircase_sweep(1e-9, 10e-9, steps, dwell)
+    assert sig.i_start == pytest.approx(1e-9 + np.arange(steps) * (9e-9 / (steps - 1)))
+    # step k is the flat segment from k * dwell to (k + 1) * dwell,
+    # computed as such
+    assert sig.times.tobytes() == (np.arange(steps) * dwell).tobytes()
+    assert sig.ends.tobytes() == (np.arange(1, steps + 1) * dwell).tobytes()
+    assert sig.i_end.tobytes() == sig.i_start.tobytes()
     # mid-dwell evaluation hits the programmed level exactly
-    assert np.array_equal(sig.values(0.5 * (sched.t_start + sched.t_end)), levels)
+    assert np.array_equal(sig.values(0.5 * (sig.times + sig.ends)), sig.i_start)
 
 
 def test_five_range_sweep_presets_are_buildable():
@@ -105,9 +114,9 @@ def test_five_range_sweep_presets_are_buildable():
         (12.5e-9, 3.2e-6),
     )
     for lo, hi in FIVE_RANGE_SWEEPS:
-        sig, sched = staircase_sweep(lo, hi, 20, 0.05)
-        assert sched.levels[0] == lo
-        assert sched.levels[-1] == hi
+        sig = staircase_sweep(lo, hi, 20, 0.05)
+        assert sig.i_start[0] == lo
+        assert sig.i_start[-1] == hi
         assert sig.end == pytest.approx(1.0)
 
 
@@ -394,11 +403,11 @@ def test_adex_parameter_validation():
     st.floats(min_value=2e-12, max_value=1e-6),
 )
 def test_generators_produce_evaluable_signals(steps, start, span, ):
-    sig, sched = staircase_sweep(start, start + span, steps, 0.01)
+    sig = staircase_sweep(start, start + span, steps, 0.01)
     ts = np.linspace(0.0, sig.end, 31)
     assert np.all(np.isfinite(sig.values(ts)))
     assert np.all(np.diff(sig.times) > 0)
-    assert sched.t_start.size == sched.t_end.size == sched.levels.size == steps
+    assert sig.times.size == sig.ends.size == sig.i_start.size == steps
 
 
 @settings(max_examples=25)
