@@ -43,18 +43,36 @@ def reconstruct(
 ) -> ReconstructedSignal:
     """Turn a single-channel event stream into current samples.
 
-    Fewer than two events decode to an empty signal (one event carries
-    no interval).  The range flags carried by the events are trusted.
+    The stream must hold one channel and strictly increasing times; the
+    error names the first event that breaks either.  Fewer than two
+    events decode to an empty signal (one event carries no interval).
+    The range flags carried by the events are trusted.
     """
-    if np.unique(events.channel).size > 1:
-        raise ValueError("event stream mixes multiple channels; reconstruct one at a time")
+    _check_stream(events)
     t = events.t_req
-    isis = np.diff(t)
-    if not np.all(isis > 0):
-        raise ValueError("event stream must be strictly increasing in time")
     sf = events.sf[1:]
-    i_est = decode(config, isis, sf, compensation)
+    i_est = decode(config, np.diff(t), sf, compensation)
     return ReconstructedSignal(0.5 * (t[:-1] + t[1:]), i_est, sf.astype(np.uint8))
+
+
+def _check_stream(events: EventStream) -> None:
+    """Require one channel and strictly increasing times; the error names
+    the first event that breaks either."""
+    t, ch = events.t_req, events.channel
+    other = np.flatnonzero(ch != ch[:1])
+    if other.size:
+        k = int(other[0])
+        raise ValueError(
+            f"event stream mixes multiple channels: event {k} at t = {float(t[k])!r} s is on channel "
+            f"{int(ch[k])}, event 0 on channel {int(ch[0])}; decode one channel at a time"
+        )
+    late = np.flatnonzero(~(np.diff(t) > 0))
+    if late.size:
+        k = int(late[0]) + 1
+        raise ValueError(
+            f"event stream must be strictly increasing in time: event {k} at t = {float(t[k])!r} s "
+            f"follows event {k - 1} at t = {float(t[k - 1])!r} s"
+        )
 
 
 @dataclass(frozen=True)
@@ -147,10 +165,11 @@ def sweep_analysis(
     settling time; the remaining intervals are decoded individually and
     averaged.  Steps with fewer than two usable events (dead-zone levels, or dwells
     too short for the expected rate) report no measurement instead of a
-    number.
+    number.  The stream is checked as in :func:`reconstruct`.
     """
     if np.any(staircase.i_start != staircase.i_end):
         raise ValueError("sweep analysis needs a staircase: a ramp segment has no single level")
+    _check_stream(events)
     t = events.t_req
     start, end = float(staircase.times[0]), staircase.end
     if len(events) and (t[0] < start - 1e-15 or t[-1] > end + 1e-15):

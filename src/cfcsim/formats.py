@@ -93,13 +93,25 @@ def write_events_csv(path: Union[str, Path], events: EventStream) -> Path:
     return _write_table(path, EVENTS_HEADER, events.t_req, events.channel, events.sf)
 
 
+#: One row of an events file as parsed by ``np.loadtxt``.
+_EVENTS_DTYPE = np.dtype([("t_req_s", np.float64), ("channel", np.int64), ("sf", np.int64)])
+
+
 def read_events_csv(path: Union[str, Path]) -> EventStream:
     """Parse an events file; malformed rows name their line number.
 
     A row is malformed if it does not have three fields, does not parse,
-    or has a non-finite time, a negative channel or a flag other than 0
-    and 1.  A zero-byte file reads as an empty stream.  No ordering is imposed
-    here; consumers that need sorted input enforce it themselves.
+    or has a non-finite time, a channel outside [0, 2**63) or a flag
+    other than 0 and 1.  A zero-byte file, or a header followed only by
+    blank lines, reads as an empty stream.  No ordering is imposed here;
+    consumers that need sorted input enforce it themselves.
+
+    The rows below the header are parsed column-wise by ``np.loadtxt``
+    and checked as whole columns.  If that parse fails or a check does
+    not hold, the rows are read again one at a time with Python's
+    ``float`` and ``int``, which either accept the file (they take a few
+    spellings ``loadtxt`` refuses, such as ``1_0``) or name the first bad
+    line.
     """
     path = Path(path)
     text = path.read_text()
@@ -110,8 +122,24 @@ def read_events_csv(path: Union[str, Path]) -> EventStream:
         raise CsvFormatError(
             f"{path}: line 1: expected header {EVENTS_HEADER!r}, got {lines[0]!r}"
         )
+    body = lines[1:]
+    if not any(map(str.strip, body)):
+        return EventStream.empty()
+    try:
+        rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=1, dtype=_EVENTS_DTYPE)
+    except ValueError:
+        return _read_events_rows(path, body)
+    t, ch, sf = (np.ascontiguousarray(rows[name]) for name in _EVENTS_DTYPE.names)
+    if not (np.isfinite(t).all() and (ch >= 0).all() and ((sf == 0) | (sf == 1)).all()):
+        return _read_events_rows(path, body)
+    return EventStream(t, ch, sf.astype(np.uint8))
+
+
+def _read_events_rows(path: Path, body: list[str]) -> EventStream:
+    """:func:`read_events_csv` one row at a time; ``body`` holds the
+    lines below the header."""
     t, ch, sf = [], [], []
-    for ln, row in enumerate(lines[1:], start=2):
+    for ln, row in enumerate(body, start=2):
         if row.strip() == "":
             continue
         parts = row.split(",")
@@ -127,6 +155,8 @@ def read_events_csv(path: Union[str, Path]) -> EventStream:
             raise CsvFormatError(f"{path}: line {ln}: t_req_s must be finite, got {parts[0]!r}")
         if channel < 0:
             raise CsvFormatError(f"{path}: line {ln}: channel must be non-negative, got {channel}")
+        if channel >= 2**63:
+            raise CsvFormatError(f"{path}: line {ln}: channel must be below 2**63, got {channel}")
         if flag not in (0, 1):
             raise CsvFormatError(f"{path}: line {ln}: sf must be 0 or 1, got {flag}")
         t.append(time_s)

@@ -28,6 +28,15 @@ is a quadratic in the crossing time.  No fixed time step exists in this
 path; :func:`oracle_simulate` is the deliberately different brute-force
 integrator used to cross-check it in the tests.
 
+Events are found one at a time, except on a flat stretch of current
+entered with both capacitors reset: there every cycle is alike, and one
+batch places all of the stretch's events in one of two ways.  Without
+acknowledge jitter each cycle lasts the same period, so the events sit
+at ``first + period * k``.  With jitter, one cumulative sum over the
+interval and the drawn latencies places them, and the per-event stopping
+tests run elementwise over the result.  Either way the events, and the
+latencies each one takes, are bit for bit those of the per-event loop.
+
 The state trace (capacitor voltages, phase and range over time) is
 rebuilt after the run from the pieces and the events, so asking for it
 leaves the event kernel and its output unchanged.
@@ -48,6 +57,7 @@ from .stimulus import CurrentSignal
 
 DEFAULT_EVENT_CAP = 100_000_000
 _LATENCY_BLOCK = 4096  # jittered latencies drawn per generator call
+_STRETCH_BLOCK = 1 << 16  # most candidate cycles one jittered batch places
 
 
 class Phase(Enum):
@@ -156,11 +166,14 @@ class SimResult:
 
 
 class EventCapError(RuntimeError):
-    """The event-count safety cap was hit; the events so far are attached."""
+    """The event-count safety cap was hit; the message names the channel
+    and the simulated time it stopped at, and the events so far are
+    attached."""
 
-    def __init__(self, cap: int, events: EventStream):
+    def __init__(self, cap: int, events: EventStream, channel: int, t: float):
         super().__init__(
-            f"event cap of {cap} exceeded; simulation truncated (partial events attached)"
+            f"event cap of {cap} exceeded on channel {channel} at t = {t!r} s;"
+            " simulation truncated (partial events attached)"
         )
         self.cap = cap
         self.events = events
@@ -283,6 +296,47 @@ def _channel_stream(config: CfcConfig, ev_t: list[float], ev_sf: list[int]) -> E
     )
 
 
+def _cap_error(config: CfcConfig, cap: int, ev_t: list[float], ev_sf: list[int], t: float) -> EventCapError:
+    """The cap error of a channel stopped at ``t`` with these events."""
+    return EventCapError(cap, _channel_stream(config, ev_t, ev_sf), config.channel_address, t)
+
+
+def _jittered_stretch(t, b, i_t, ib, q_need, isi, t_rst, lat):
+    """The events the per-event loop emits on a flat stretch [t, b) of
+    current ``i_t`` (``ib`` at b), one candidate cycle per latency in
+    ``lat``, as ``(times, t_next, q_avail)``.
+
+    Candidate k integrates from t_k for ``isi``, fires at t_ev_k and
+    integrates again from t_{k+1} = (t_ev_k + lat_k) + t_rst.  One
+    cumulative sum over [t, isi, lat_0, t_rst, isi, lat_1, t_rst, ...]
+    places them all; ``np.add.accumulate`` adds in order, so each value
+    is the per-event loop's sum bit for bit.  The loop's tests then apply
+    elementwise: the stretch stops at the first cycle that starts at or
+    after b or has less than ``q_need`` of charge left before b, and an
+    event past b fires at b.  ``t_next`` is where integration resumes
+    after the last event (the start t if there is none); ``q_avail`` is
+    the charge left when the stretch stops short of b, else None.
+    """
+    m = len(lat)
+    x = np.empty(3 * m + 1)
+    x[0] = t
+    x[1::3] = isi
+    x[2::3] = lat
+    x[3::3] = t_rst
+    c = np.cumsum(x)
+    starts = c[0:3 * m:3]
+    q_avail = 0.5 * (i_t + ib) * (b - starts)
+    stop = np.flatnonzero((starts >= b) | (q_avail < q_need))
+    n = int(stop[0]) if stop.size else m
+    times = np.minimum(c[1:3 * n:3], b)
+    if n and c[3 * n - 2] > b:  # the last event fired at b
+        t_next = b + lat[n - 1] + t_rst
+    else:
+        t_next = float(c[3 * n])
+    short = n < m and starts[n] < b
+    return times, t_next, float(q_avail[n]) if short else None
+
+
 def simulate(
     config: CfcConfig,
     stimulus: CurrentSignal,
@@ -314,7 +368,11 @@ def simulate(
 
     v_ref_h, v_ref_l, t_rst = config.v_ref_h, config.v_ref_l, config.t_rst
     caps = tuple(config.scale(r) * config.c1 for r in RangeSelect)  # indexed by range
-    dead = dead_time(config, ack)  # exact per cycle on the jitter-free batched path
+    dead = dead_time(config, ack)  # exact per cycle when the acknowledge does not jitter
+    jittered = ack.jitter != 0.0
+    shortest_dead = ack.latency + t_rst  # of a jittered cycle
+    base = latencies
+    n_spare = 0  # unused draws the last jittered batch put back in line
 
     ev_t: list[float] = []
     ev_sf: list[int] = []
@@ -331,8 +389,33 @@ def simulate(
             q_need = c_eq * (v_active - v_ref_l)
             i_t = ia + slope * (t - a)
 
-            # batched steady-state cycles on flat stretches
-            if slope == 0.0 and ack.jitter == 0.0 and i_t > 0.0 and v[0] == v_ref_h and v[1] == v_ref_h:
+            # a flat stretch from a full reset: its events in one batch
+            if slope == 0.0 and i_t > 0.0 and v[0] == v_ref_h and v[1] == v_ref_h:
+                room = max_events - len(ev_t)
+                if jittered:
+                    # the per-event loop's interval expression, not q_need / i_t
+                    isi = 2.0 * q_need / (i_t + math.sqrt(i_t * i_t + 2.0 * slope * q_need))
+                    # enough candidates to reach b, as no cycle is shorter
+                    # than isi + shortest_dead, and at most one past the cap
+                    cycle = isi + shortest_dead
+                    fit = (b - t) / cycle if cycle > 0.0 else math.inf
+                    m = int(min(fit + 2.0, room + 1, _STRETCH_BLOCK))
+                    # drawing at least the spares keeps ``latencies`` one chain deep
+                    lat = list(itertools.islice(latencies, max(m, n_spare)))
+                    times, t, q_avail = _jittered_stretch(t, b, i_t, ib, q_need, isi, t_rst, lat[:m])
+                    n = times.size
+                    ev_t.extend(times[:room].tolist())
+                    ev_sf.extend([sel] * min(n, room))
+                    if n > room:
+                        raise _cap_error(config, max_events, ev_t, ev_sf, float(times[room]))
+                    # the draws no event took go, in order, to the next events
+                    n_spare = len(lat) - n
+                    latencies = itertools.chain(lat[n:], base) if n_spare else base
+                    dead_until = t
+                    if q_avail is not None:
+                        v[sel] = v_active - q_avail / c_eq
+                        break
+                    continue
                 isi_int = q_need / i_t
                 first = t + isi_int
                 if first > b:
@@ -346,14 +429,13 @@ def simulate(
                     n -= 1
                 while first + period * n <= b:
                     n += 1
-                room = max_events - len(ev_t)
                 clipped = n > room
                 n = min(n, room)
                 times = first + period * np.arange(n, dtype=np.float64)
                 ev_t.extend(times.tolist())
                 ev_sf.extend([sel] * n)
                 if clipped:
-                    raise EventCapError(max_events, _channel_stream(config, ev_t, ev_sf))
+                    raise _cap_error(config, max_events, ev_t, ev_sf, first + period * n)
                 t = dead_until = float(times[-1]) + dead
                 v = [v_ref_h, v_ref_h]
                 continue
@@ -377,7 +459,7 @@ def simulate(
                 if t_ev > b:
                     t_ev = b
             if len(ev_t) >= max_events:
-                raise EventCapError(max_events, _channel_stream(config, ev_t, ev_sf))
+                raise _cap_error(config, max_events, ev_t, ev_sf, t_ev)
             ev_t.append(t_ev)
             ev_sf.append(sel)
             t = dead_until = t_ev + next(latencies) + t_rst
@@ -574,7 +656,7 @@ def oracle_simulate(
 
     while t < duration:
         if len(ev_t) >= max_events:
-            raise EventCapError(max_events, _channel_stream(config, ev_t, ev_sf))
+            raise _cap_error(config, max_events, ev_t, ev_sf, t)
         t_hi = min(duration, t + chunk * dt)
         n = max(1, int(math.ceil((t_hi - t) / dt - 1e-12)))
         ts = t + dt * np.arange(n + 1)

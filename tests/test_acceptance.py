@@ -290,7 +290,7 @@ def test_criterion_10_preset_determinism(tmp_path):
 
 
 # the benchmark's roundtrip description: a staircase over both ranges with
-# seeded acknowledge jitter, so every event takes the per-event path
+# seeded acknowledge jitter, so its flat steps take the jittered batch
 ROUNDTRIP_SPEC = {
     "name": "roundtrip",
     "config": {},

@@ -124,6 +124,13 @@ def test_decode_malformed_row_exit_3_names_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_decode_channel_of_2_64_exit_3_names_line(tmp_path, capsys):
+    p = tmp_path / "events.csv"
+    p.write_text("t_req_s,channel,sf\n0.1,0,0\n0.2,18446744073709551616,0\n")
+    assert main(["decode", str(p), "--out", str(tmp_path / "out")]) == 3
+    assert "line 3: channel must be below 2**63" in capsys.readouterr().err
+
+
 def test_decode_compensate_flag(tmp_path):
     cfg = CfcConfig(i_leak_floor=0.0)  # t_rst = 0.1 us
     ev = simulate(cfg, constant(1e-6, 1e-3), 1e-3).events

@@ -194,6 +194,31 @@ def test_sweep_rejects_a_ramp_segment():
         sweep_analysis(ev, ramp, CFG)
 
 
+def test_sweep_rejects_a_stream_of_two_channels():
+    sig = staircase_sweep(1e-9, 2e-9, 2, 0.02)
+    own = simulate(IDEAL, sig, sig.end).events
+    other_cfg = CfcConfig(t_rst=0.0, i_leak_floor=0.0, channel_address=1)
+    other = simulate(other_cfg, constant(1.3e-9, sig.end), sig.end).events
+    merged = EventStream.merge([own, other])
+    first, k = merged.channel[0], int(np.flatnonzero(merged.channel != merged.channel[0])[0])
+    where = rf"event {k} at t = {float(merged.t_req[k])!r} s is on channel {1 - first}, event 0 on channel {first}"
+    with pytest.raises(ValueError, match=f"multiple channels: {where}"):
+        sweep_analysis(merged, sig, IDEAL)
+
+
+def test_sweep_rejects_a_shuffled_stream():
+    sig = staircase_sweep(1e-9, 2e-9, 2, 0.02)
+    ev = simulate(IDEAL, sig, sig.end).events
+    t = ev.t_req.copy()
+    t[[40, 41]] = t[[41, 40]]
+    shuffled = EventStream(t, ev.channel, ev.sf)
+    where = rf"event 41 at t = {float(t[41])!r} s follows event 40"
+    with pytest.raises(ValueError, match=f"strictly increasing in time: {where}"):
+        sweep_analysis(shuffled, sig, IDEAL)
+    with pytest.raises(ValueError, match="event 41 at t = "):
+        reconstruct(shuffled, IDEAL)
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cfcsim import formats
 from cfcsim.core import DEFAULT_CONFIG, CfcConfig
@@ -64,6 +68,106 @@ def test_events_read_errors_name_lines(tmp_path):
     p6.write_text("t_req_s,channel,sf\n0.001,0,0\n0.002,-1,0\n")
     with pytest.raises(CsvFormatError, match="line 3: channel must be non-negative"):
         read_events_csv(p6)
+
+
+def test_events_channel_of_2_63_or_more_names_its_line(tmp_path):
+    p = tmp_path / "events.csv"
+    p.write_text(f"t_req_s,channel,sf\n0.001,{2**63 - 1},0\n")
+    assert read_events_csv(p).channel.tolist() == [2**63 - 1]
+    for channel in (2**63, 2**64):
+        p.write_text(f"t_req_s,channel,sf\n0.001,0,0\n0.002,{channel},0\n")
+        with pytest.raises(CsvFormatError, match=r"line 3: channel must be below 2\*\*63"):
+            read_events_csv(p)
+
+
+def _read_rows(text):
+    """An events file read one row at a time with Python's float and int."""
+    t, ch, sf = [], [], []
+    for row in text.splitlines()[1:]:
+        if row.strip():
+            time_s, channel, flag = row.split(",")
+            t.append(float(time_s))
+            ch.append(int(channel))
+            sf.append(int(flag))
+    return t, ch, sf
+
+
+def _assert_reads_as_rows(path):
+    want_t, want_ch, want_sf = _read_rows(path.read_text())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = read_events_csv(path)
+    assert got.t_req.tobytes() == np.asarray(want_t, dtype=np.float64).tobytes()  # -0.0 counts
+    assert got.channel.tolist() == want_ch
+    assert got.sf.tolist() == want_sf
+    assert (got.t_req.dtype, got.channel.dtype, got.sf.dtype) == (np.float64, np.int64, np.uint8)
+
+
+_TIMES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1.7976931348623157e308]),
+)
+# the spellings a writer might use for one float
+_SPELLINGS = [repr, "{:.17g}".format, "{:.17e}".format, "{:+.20f}".format, lambda x: f" {x!r}\t"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(_TIMES, st.sampled_from(range(len(_SPELLINGS))),
+                  st.integers(min_value=0, max_value=2**63 - 1), st.sampled_from([0, 1]), st.booleans()),
+        min_size=1, max_size=40,
+    ),
+)
+@example(rows=[(5e-324, 0, 2**53 + 1, 1, False), (-0.0, 0, 0, 0, True), (1e-310, 1, 2**63 - 1, 0, False)])
+def test_events_reader_matches_the_row_parser(tmp_path_factory, rows):
+    lines = ["t_req_s,channel,sf"]
+    for time_s, spelling, channel, flag, blank_after in rows:
+        lines.append(f"{_SPELLINGS[spelling](time_s)},{channel},{flag}")
+        if blank_after:
+            lines.append("")
+    path = tmp_path_factory.mktemp("rows") / "events.csv"
+    path.write_text("\n".join(lines) + "\n")
+    _assert_reads_as_rows(path)
+
+
+@pytest.mark.parametrize("body", [
+    "0.1,0,0\n   \n0.2,0,1\n",        # a whitespace-only row
+    "1_0,0,0\n0.5,1_0,1\n",           # digit-group underscores
+    "0.1,0,0\x0c0.2,0,1\n",             # form feed ends a line
+    "0.1,0,0\u20280.2,0,1\n",           # so does U+2028
+    "\u0661.\u0665,\u0663,0\n",         # Arabic-Indic digits
+    "\uff11.\uff15,\uff11\uff12,1\n",    # fullwidth digits
+    "\n\n0.1,0,0\n",
+])
+def test_events_reader_edge_rows_read_as_the_row_parser(tmp_path, body):
+    p = tmp_path / "events.csv"
+    p.write_text("t_req_s,channel,sf\n" + body)
+    _assert_reads_as_rows(p)
+
+
+def test_events_header_and_separator_on_one_line(tmp_path):
+    # a form feed after the header starts the first row
+    p = tmp_path / "events.csv"
+    p.write_text("t_req_s,channel,sf\x0c0.1,0,0")
+    assert read_events_csv(p).t_req.tolist() == [0.1]
+
+
+@pytest.mark.parametrize("row", ["nan,0,0", "inf,0,0", "infinity,0,0", "-Infinity,0,1", "1e400,0,0"])
+def test_events_non_finite_time_names_its_line(tmp_path, row):
+    p = tmp_path / "events.csv"
+    p.write_text(f"t_req_s,channel,sf\n0.001,0,0\n{row}\n0.003,0,0\n")
+    with pytest.raises(CsvFormatError, match="line 3: t_req_s must be finite"):
+        read_events_csv(p)
+
+
+def test_events_header_then_blank_lines_reads_empty_without_warning(tmp_path):
+    p = tmp_path / "events.csv"
+    for body in ("\n", "\n\n\n", "  \n\t\n"):
+        p.write_text("t_req_s,channel,sf\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(read_events_csv(p)) == 0
 
 
 def test_empty_events_file_reads_empty(tmp_path):

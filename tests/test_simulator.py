@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from cfcsim.core import CfcConfig, ConfigError, Polarity, RangeSelect, ideal_isi, ideal_rate, select_range
 from cfcsim.simulator import (
+    DEFAULT_EVENT_CAP,
     AckModel,
     EventCapError,
     EventStream,
     Phase,
     _effective_pieces,
+    _jittered_stretch,
     power_estimate,
     simulate,
     simulate_many,
@@ -280,6 +282,117 @@ def test_every_event_fires_from_an_integrating_stretch(levels, dwell, latency, j
 
 
 # ---------------------------------------------------------------------------
+# jittered batches against the per-event loop
+# ---------------------------------------------------------------------------
+
+
+def _per_event_reference(config, stimulus, duration, ack, max_events):
+    """The kernel's per-event loop with no batch: every event found one
+    at a time, each taking the next acknowledge latency.  Returns the
+    event times and ranges, and whether the cap stopped the run."""
+    latencies = ack.latencies(config.channel_address)
+    v_ref_h, v_ref_l, t_rst = config.v_ref_h, config.v_ref_l, config.t_rst
+    caps = tuple(config.scale(r) * config.c1 for r in RangeSelect)
+    ev_t, ev_sf = [], []
+    v = [v_ref_h, v_ref_h]
+    dead_until = 0.0
+    for a, b, ia, ib, sel in zip(*(col.tolist() for col in _effective_pieces(config, stimulus, duration))):
+        slope = (ib - ia) / (b - a)
+        c_eq = caps[sel]
+        t = dead_until if dead_until > a else a
+        while t < b:
+            v_active = v[sel]
+            q_need = c_eq * (v_active - v_ref_l)
+            i_t = ia + slope * (t - a)
+            q_avail = 0.5 * (i_t + ib) * (b - t)
+            if q_need > 0.0 and q_avail < q_need:
+                v[sel] = v_active - q_avail / c_eq
+                break
+            if q_need <= 0.0:
+                if i_t <= 0.0 and slope == 0.0:
+                    break
+                t_ev = t
+            else:
+                disc = i_t * i_t + 2.0 * slope * q_need
+                t_ev = t + 2.0 * q_need / (i_t + math.sqrt(disc))
+                if t_ev > b:
+                    t_ev = b
+            if len(ev_t) >= max_events:
+                return ev_t, ev_sf, True
+            ev_t.append(t_ev)
+            ev_sf.append(sel)
+            t = dead_until = t_ev + next(latencies) + t_rst
+            v = [v_ref_h, v_ref_h]
+    return ev_t, ev_sf, False
+
+
+def _assert_matches_per_event_reference(config, stim, duration, ack, cap):
+    want_t, want_sf, capped = _per_event_reference(config, stim, duration, ack, cap)
+    if capped:
+        with pytest.raises(EventCapError) as exc:
+            simulate(config, stim, duration, ack=ack, max_events=cap)
+        got = exc.value.events
+    else:
+        got = simulate(config, stim, duration, ack=ack, max_events=cap).events
+    assert got.t_req.tobytes() == np.asarray(want_t, dtype=np.float64).tobytes()
+    assert got.sf.tolist() == want_sf
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    **dict(_STAIRCASE_RUNS, jitter=st.sampled_from([1e-12, 2e-7, 3e-6])),
+    cap=st.one_of(st.just(DEFAULT_EVENT_CAP), st.integers(min_value=1, max_value=400)),
+)
+@example(**_DEAD_TIME_STEPS, jitter=2e-7, cap=DEFAULT_EVENT_CAP)
+# flat steps, then a ramp whose per-event cycles take the draws the last
+# batch left unused
+@example(levels=[2e-6, 2e-6, 5e-7], dwell=1e-3, latency=1e-7, jitter=2e-7, linear=True, config=CFG,
+         cap=DEFAULT_EVENT_CAP)
+# a long step leaves many unused draws for a short one, which must take
+# them all before any new draw
+@example(levels=[3e-6, 1e-9], dwell=1e-3, latency=0.0, jitter=3e-6, linear=False, config=CFG,
+         cap=DEFAULT_EVENT_CAP)
+# a range switch leaves a capacitor part-charged: one cycle per event,
+# then batches
+@example(levels=[5e-9, 2e-8, 5e-9], dwell=3e-4, latency=0.0, jitter=2e-7, linear=False, config=IDEAL, cap=90)
+def test_jittered_runs_match_the_per_event_loop(levels, dwell, latency, jitter, linear, config, cap):
+    stim, duration, ack = _staircase_run(levels, dwell, latency, jitter, linear)
+    _assert_matches_per_event_reference(config, stim, duration, ack, cap)
+
+
+def test_jittered_event_fired_at_the_end_of_its_piece():
+    # the first interval ends 1 ulp past the step at b, yet the charge
+    # left before b rounds up to a full cycle's: the event fires at b, and
+    # its reset runs from there into the next step
+    i, b = 3.445580712804024e-09, 2.9022683934929417e-05
+    stim = CurrentSignal(np.array([0.0, b]), np.array([i, 2e-9]), np.array([i, 2e-9]), 1e-3)
+    ack = AckModel(latency=1e-7, jitter=2e-7, seed=1)
+    assert simulate(CFG, stim, 1e-3, ack=ack).events.t_req[0] == b
+    _assert_matches_per_event_reference(CFG, stim, 1e-3, ack, DEFAULT_EVENT_CAP)
+    # the reset runs from b, not from the unclamped crossing 1 ulp later
+    q_need = CFG.c1 * CFG.delta_v
+    lat = list(itertools.islice(ack.latencies(0), 3))
+    isi = 2.0 * q_need / (i + math.sqrt(i * i))
+    times, t_next, q_avail = _jittered_stretch(0.0, b, i, i, q_need, isi, CFG.t_rst, lat)
+    assert times.tolist() == [b] and q_avail is None
+    assert t_next == b + lat[0] + CFG.t_rst
+
+
+def test_jittered_interval_of_a_current_whose_square_is_subnormal():
+    # (1e-160 A)**2 underflows, so the loop's interval 2q/(i + sqrt(i*i))
+    # is not q/i; the batch takes the loop's expression
+    ack = AckModel(latency=1e-7, jitter=2e-7, seed=1)
+    _assert_matches_per_event_reference(IDEAL, constant(1e-160, 1e148), 1e148, ack, DEFAULT_EVENT_CAP)
+
+
+def test_jittered_flat_piece_longer_than_one_batch():
+    # about 83,000 cycles at 3 uA: more than one batch block and many
+    # blocks of latency draws
+    ack = AckModel(latency=1e-7, jitter=2e-7, seed=9)
+    _assert_matches_per_event_reference(CFG, constant(3e-6, 0.3), 0.3, ack, DEFAULT_EVENT_CAP)
+
+
+# ---------------------------------------------------------------------------
 # effective pieces against the per-piece reference
 # ---------------------------------------------------------------------------
 
@@ -438,15 +551,36 @@ def test_simulate_validation():
 
 
 def test_event_cap_truncates_with_partial_results():
+    cfg = CfcConfig(t_rst=0.0, i_leak_floor=0.0, channel_address=5)
+    full = simulate(cfg, constant(1e-9, 0.1), 0.1).events
     with pytest.raises(EventCapError) as exc:
-        simulate(IDEAL, constant(1e-9, 0.1), 0.1, max_events=25)
+        simulate(cfg, constant(1e-9, 0.1), 0.1, max_events=25)
     assert len(exc.value.events) == 25
     assert exc.value.events.t_req[-1] < 0.1
+    # the message names the channel and the request the cap refused
+    assert str(exc.value).startswith(f"event cap of 25 exceeded on channel 5 at t = {float(full.t_req[25])!r} s")
     # ramp path hits the same guard
     ramp = CurrentSignal.from_breakpoints([(0.0, 0.0), (0.1, 2e-9)], "linear", end=0.1)
+    full_ramp = simulate(cfg, ramp, 0.1).events
     with pytest.raises(EventCapError) as exc2:
-        simulate(IDEAL, ramp, 0.1, max_events=10)
+        simulate(cfg, ramp, 0.1, max_events=10)
     assert len(exc2.value.events) == 10
+    assert f"on channel 5 at t = {float(full_ramp.t_req[10])!r} s" in str(exc2.value)
+
+
+def test_event_cap_inside_a_jittered_batch():
+    # one flat piece of about 130 cycles, placed in one batch; the cap
+    # falls in its middle
+    cfg = CfcConfig(channel_address=2)
+    ack = AckModel(latency=1e-7, jitter=2e-7, seed=4)
+    full = simulate(cfg, constant(1e-9, 0.014), 0.014, ack=ack).events
+    assert len(full) > 100
+    with pytest.raises(EventCapError) as exc:
+        simulate(cfg, constant(1e-9, 0.014), 0.014, ack=ack, max_events=60)
+    capped = exc.value.events
+    assert capped.t_req.tobytes() == full.t_req[:60].tobytes()
+    assert np.array_equal(capped.channel, np.full(60, 2))
+    assert f"cap of 60 exceeded on channel 2 at t = {float(full.t_req[60])!r} s" in str(exc.value)
 
 
 _NEXT_PHASE = {
