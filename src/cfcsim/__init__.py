@@ -12,7 +12,7 @@ from .core import (
     ideal_isi,
     ideal_rate,
     rectify,
-    select_range,
+    select_ranges,
 )
 from .decoder import (
     ExponentialFit,

@@ -10,12 +10,14 @@ event rate on the high range is compressed by ``alpha * beta``.
 
 Everything in this module is a pure function of its arguments and safe to
 call concurrently.  The event-driven machinery (handshake, reset pulse,
-non-idealities) lives in :mod:`cfcsim.simulator`; this module owns the
-algebra shared by the simulator and the decoder:
+non-idealities) lives in :mod:`cfcsim.simulator`.  This module is the one
+home of the transfer rules, :func:`rectify`, :func:`above_floor`,
+:func:`above_valid`, :func:`thresholds`, :func:`select_ranges` and the
+per-range capacitance :attr:`CfcConfig.caps`, and of the algebra shared
+by the simulator and the decoder:
 
-    rate(i)  = i / (c1 * delta_v)                  low range
-    rate(i)  = i / (alpha * beta * c1 * delta_v)   high range
-    decode(dt) = scale * c1 * delta_v / (dt - dead_time)
+    rate(i)    = i / (caps[range] * delta_v)
+    decode(dt) = caps[range] * delta_v / (dt - dead_time)
     dead_time  = t_rst + ack latency + ack jitter / 2
 """
 
@@ -133,9 +135,10 @@ class CfcConfig:
         """Integration voltage swing v_ref_h - v_ref_l (strictly positive)."""
         return self.v_ref_h - self.v_ref_l
 
-    def scale(self, selected: RangeSelect) -> float:
-        """Effective rate-compression factor of a range: 1 or alpha * beta."""
-        return 1.0 if selected is RangeSelect.LOW else self.alpha * self.beta
+    @property
+    def caps(self) -> tuple[float, float]:
+        """Capacitance of each range, indexed by range: c1 and alpha * beta * c1."""
+        return (self.c1, self.alpha * self.beta * self.c1)
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -171,43 +174,54 @@ class CfcConfig:
 DEFAULT_CONFIG = CfcConfig()
 
 
-def rectify(i_signed: float, polarity: Polarity) -> float:
+def rectify(i_signed, polarity: Polarity):
     """Pass the magnitude of a matching-sign current, block the other sign.
 
     The input selector steers the monitored current into the converter
     only when its sign matches the configured polarity; the wrong-sign
     path is simply cut off, so this is a total function that never
-    raises.
+    raises.  Works elementwise; a scalar gives a float.
     """
+    i = np.asarray(i_signed, dtype=np.float64)
     if polarity is Polarity.SINK_N:
-        return i_signed if i_signed > 0.0 else 0.0
-    return -i_signed if i_signed < 0.0 else 0.0
+        return np.where(i > 0.0, i, 0.0)[()]
+    return np.where(i < 0.0, -i, 0.0)[()]
 
 
-def select_range(
-    config: CfcConfig,
-    i_rect: float,
-    previous: Optional[RangeSelect] = None,
-) -> RangeSelect:
-    """Pick the integration range for a rectified current.
+def above_floor(config: CfcConfig, i_rect):
+    """Whether a rectified current passes the leak floor: a hard cutoff, as a
+    subtracted leak would skew readings just above it by tens of percent."""
+    return i_rect > config.i_leak_floor
 
-    The comparator selects HIGH at or above ``i_sw`` (the tie goes to
-    HIGH: a real comparator is metastable at threshold and HIGH keeps the
-    output rate bounded).  With a non-zero hysteresis band and a known
-    ``previous`` state, a channel that is already HIGH falls back to LOW
-    only below ``i_sw * (1 - hysteresis)``.
-    """
-    if i_rect < 0:
-        raise ValueError(f"rectified current must be non-negative, got {i_rect}")
-    if i_rect >= config.i_sw:
-        return RangeSelect.HIGH
-    if (
-        previous is RangeSelect.HIGH
-        and config.hysteresis > 0.0
-        and i_rect >= config.i_sw * (1.0 - config.hysteresis)
-    ):
-        return RangeSelect.HIGH
-    return RangeSelect.LOW
+
+def above_valid(config: CfcConfig, i_rect):
+    """Whether a rectified current lies past the validity bound ``i_max_valid``."""
+    return i_rect > config.i_max_valid
+
+
+def thresholds(config: CfcConfig) -> tuple[float, ...]:
+    """The rectified levels where the transfer rules change value: the leak
+    floor, ``i_sw`` and, with hysteresis, the band edge ``i_sw * (1 - h)``."""
+    edge = (config.i_sw * (1.0 - config.hysteresis),) if config.hysteresis > 0.0 else ()
+    return (config.i_leak_floor, config.i_sw) + edge
+
+
+def select_ranges(config: CfcConfig, i_eff) -> np.ndarray:
+    """The comparator's range (uint8, 0 = LOW) for each of a sequence of
+    rectified currents: HIGH at or above ``i_sw`` (a real comparator is
+    metastable at the tie, and HIGH keeps the rate bounded), LOW below the
+    band edge ``i_sw * (1 - hysteresis)``.  Inside the band the range in
+    force carries over; the sequence starts LOW."""
+    i = np.asarray(i_eff, dtype=np.float64)
+    if np.any(i < 0.0):
+        raise ValueError(f"rectified current must be non-negative, got {i[i < 0.0][0]}")
+    _, i_sw, *edge = thresholds(config)
+    high = i >= i_sw
+    if edge:
+        decisive = high | ~(i >= edge[0])
+        last = np.maximum.accumulate(np.where(decisive, np.arange(i.size), -1))
+        high = (last >= 0) & high[last]
+    return high.astype(np.uint8)
 
 
 def ideal_rate(
@@ -226,8 +240,8 @@ def ideal_rate(
     if i_rect == 0.0:
         return 0.0
     if selected is None:
-        selected = select_range(config, i_rect)
-    return i_rect / (config.scale(selected) * config.c1 * config.delta_v)
+        selected = select_ranges(config, [i_rect])[0]
+    return i_rect / (config.caps[selected] * config.delta_v)
 
 
 def ideal_isi(
@@ -274,5 +288,5 @@ def decode(config: CfcConfig, isis, sf, compensation: float = 0.0):
             f"interval shorter than dead time ({compensation} s): "
             "corrupt event stream or mis-set compensation"
         )
-    scale = np.where(np.asarray(sf) == int(RangeSelect.HIGH), config.alpha * config.beta, 1.0)
-    return scale * config.c1 * config.delta_v / (isis - compensation)
+    cap = np.where(np.asarray(sf) == int(RangeSelect.HIGH), config.caps[RangeSelect.HIGH], config.caps[RangeSelect.LOW])
+    return cap * config.delta_v / (isis - compensation)

@@ -43,21 +43,22 @@ def reconstruct(
 ) -> ReconstructedSignal:
     """Turn a single-channel event stream into current samples.
 
-    The stream must hold one channel and strictly increasing times; the
-    error names the first event that breaks either.  Fewer than two
-    events decode to an empty signal (one event carries no interval).
-    The range flags carried by the events are trusted.
+    The stream must hold one channel and times that increase by more
+    than ``compensation``; the error names the first event that breaks
+    this.  Fewer than two events decode to an empty signal (one event
+    carries no interval).  The events' range flags are trusted.
     """
-    _check_stream(events)
+    _check_stream(events, compensation)
     t = events.t_req
     sf = events.sf[1:]
     i_est = decode(config, np.diff(t), sf, compensation)
     return ReconstructedSignal(0.5 * (t[:-1] + t[1:]), i_est, sf.astype(np.uint8))
 
 
-def _check_stream(events: EventStream) -> None:
-    """Require one channel and strictly increasing times; the error names
-    the first event that breaks either."""
+def _check_stream(events: EventStream, compensation: float) -> None:
+    """Require one channel and times that increase by more than the
+    dead-time compensation; the error names the first event that breaks
+    either."""
     t, ch = events.t_req, events.channel
     other = np.flatnonzero(ch != ch[:1])
     if other.size:
@@ -66,12 +67,17 @@ def _check_stream(events: EventStream) -> None:
             f"event stream mixes multiple channels: event {k} at t = {float(t[k])!r} s is on channel "
             f"{int(ch[k])}, event 0 on channel {int(ch[0])}; decode one channel at a time"
         )
-    late = np.flatnonzero(~(np.diff(t) > 0))
-    if late.size:
-        k = int(late[0]) + 1
+    # a time that does not increase is the worst case of a short interval
+    dt = np.diff(t)
+    bad = np.flatnonzero(~(dt > max(compensation, 0.0)))
+    if bad.size:
+        k = int(bad[0]) + 1
+        if dt[k - 1] > 0:
+            problem = f"interval shorter than dead time (compensation {compensation!r} s)"
+        else:
+            problem = "event stream must be strictly increasing in time"
         raise ValueError(
-            f"event stream must be strictly increasing in time: event {k} at t = {float(t[k])!r} s "
-            f"follows event {k - 1} at t = {float(t[k - 1])!r} s"
+            f"{problem}: event {k} at t = {float(t[k])!r} s follows event {k - 1} at t = {float(t[k - 1])!r} s"
         )
 
 
@@ -169,7 +175,7 @@ def sweep_analysis(
     """
     if np.any(staircase.i_start != staircase.i_end):
         raise ValueError("sweep analysis needs a staircase: a ramp segment has no single level")
-    _check_stream(events)
+    _check_stream(events, compensation)
     t = events.t_req
     start, end = float(staircase.times[0]), staircase.end
     if len(events) and (t[0] < start - 1e-15 or t[-1] > end + 1e-15):

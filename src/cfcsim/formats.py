@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import CfcConfig
+from .core import CfcConfig, above_floor, above_valid, rectify
 from .decoder import ExponentialFit, ReconstructedSignal, SweepPoint
 from .simulator import EventStream, StateTrace
 from .stimulus import CurrentSignal, SpikeTrain
@@ -202,16 +202,14 @@ def write_comparison_csv(path: Union[str, Path], t, model, decoded, config: CfcC
     """Decoded against modelled current on a time grid.
 
     ``rel_err`` is ``nan`` where the model is 0; ``flag`` marks the
-    points below the leak floor and above the validity bound.
+    points whose rectified model current is at or below the leak floor
+    (which includes the blocked sign) or above the validity bound.
     """
     t, model, decoded = (np.asarray(a, dtype=np.float64) for a in (t, model, decoded))
     with np.errstate(all="ignore"):
         rel = np.where(model != 0, (decoded - model) / model, np.nan)
-    flag = np.where(
-        model <= config.i_leak_floor,
-        "below_floor",
-        np.where(model > config.i_max_valid, "above_valid", "ok"),
-    )
+    i_rect = rectify(model, config.polarity)
+    flag = np.select([~above_floor(config, i_rect), above_valid(config, i_rect)], ["below_floor", "above_valid"], "ok")
     return _write_table(path, COMPARISON_HEADER, t, model, decoded, rel, flag)
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import formats
-from .core import CfcConfig, ConfigError, DEFAULT_CONFIG, dead_time
+from .core import CfcConfig, ConfigError, DEFAULT_CONFIG, above_floor, above_valid, dead_time, rectify
 from .decoder import fit_exponential, reconstruct
 from .experiment import run_sweep
 from .simulator import AckModel, simulate
@@ -56,7 +56,7 @@ def _preset_fig4(out: Path, config: CfcConfig, ack: AckModel, compensation: floa
         in_band = [
             abs(p.decoded - p.level) / p.level
             for p in measured
-            if 10e-12 <= p.level <= config.i_max_valid
+            if 10e-12 <= p.level and not above_valid(config, p.level)
         ]
         sweeps.append({
             "range_A": [lo, hi],
@@ -93,7 +93,8 @@ def _preset_fig5(out: Path, config: CfcConfig, ack: AckModel, compensation: floa
     # above the floor but no interval measured yet) stays in the CSV,
     # flagged, without skewing the statistic
     measured = (grid >= recon.t[0]) & (grid <= recon.t[-1])
-    in_band = measured & (model > config.i_leak_floor) & (model <= config.i_max_valid)
+    i_rect = rectify(model, config.polarity)
+    kept, invalid = above_floor(config, i_rect), above_valid(config, i_rect)
     files = [
         formats.write_signal_csv(out / "truth.csv", signal),
         formats.write_events_csv(out / "events.csv", result.events),
@@ -103,9 +104,9 @@ def _preset_fig5(out: Path, config: CfcConfig, ack: AckModel, compensation: floa
     return files, {
         "duration_s": duration,
         "events": len(result.events),
-        "max_rel_err_in_band": float(rel[in_band].max()),
-        "grid_points_below_floor": int((~(model > config.i_leak_floor)).sum()),
-        "grid_points_above_valid": int((model > config.i_max_valid).sum()),
+        "max_rel_err_in_band": float(rel[measured & kept & ~invalid].max()),
+        "grid_points_below_floor": int((~kept).sum()),
+        "grid_points_above_valid": int(invalid.sum()),
     }
 
 

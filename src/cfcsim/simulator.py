@@ -52,7 +52,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import CfcConfig, ConfigError, Polarity, RangeSelect, dead_time, ideal_rate, rectify
+from .core import (CfcConfig, ConfigError, Polarity, RangeSelect, above_floor, dead_time, ideal_rate, rectify,
+                   select_ranges, thresholds)
 from .stimulus import CurrentSignal
 
 DEFAULT_EVENT_CAP = 100_000_000
@@ -246,40 +247,19 @@ def _effective_pieces(config: CfcConfig, stimulus: CurrentSignal, duration: floa
 
     The stimulus pieces (:meth:`CurrentSignal.pieces`) are split where
     they cross zero; the pieces of the accepted sign are rectified and
-    split so that none straddles the leak floor, the range threshold or
-    its hysteresis band edge.  Every value is computed with the
-    expressions of :func:`~cfcsim.core.rectify` and
-    :func:`~cfcsim.core.select_range`, elementwise.
-
-    The leak floor is a hard cutoff rather than a subtracted leak: a
-    subtractive leak would skew readings just above the floor by tens of
-    percent, while measured behaviour there is accurate.
+    split at the :func:`~cfcsim.core.thresholds`.  Each piece is judged
+    at its midpoint by the rules of :mod:`cfcsim.core`.
     """
     starts, ends, ia, ib = _split_at(*stimulus.pieces(duration), [0.0])
 
-    mid = 0.5 * (ia + ib)
-    accepted = mid > 0.0 if config.polarity is Polarity.SINK_N else mid < 0.0
-    # a blocked piece becomes 0 A, which crosses no threshold below and
-    # sits at or below the (non-negative) leak floor
-    ra = np.where(accepted, np.abs(ia), 0.0)
-    rb = np.where(accepted, np.abs(ib), 0.0)
-    thresholds = [config.i_leak_floor, config.i_sw]
-    if config.hysteresis > 0:
-        thresholds.append(config.i_sw * (1.0 - config.hysteresis))
-    starts, ends, ra, rb = _split_at(starts, ends, ra, rb, thresholds)
-    blocked = 0.5 * (ra + rb) <= config.i_leak_floor
-    i_a = np.where(blocked, 0.0, ra)
-    i_b = np.where(blocked, 0.0, rb)
-
-    # HIGH at or above i_sw, LOW below the band edge; inside the band the
-    # range in force carries over, and the run starts LOW
-    mid = 0.5 * (i_a + i_b)
-    high = mid >= config.i_sw
-    if config.hysteresis > 0.0:
-        decisive = high | ~(mid >= config.i_sw * (1.0 - config.hysteresis))
-        last = np.maximum.accumulate(np.where(decisive, np.arange(mid.size), -1))
-        high = (last >= 0) & high[last]
-    return starts, ends, i_a, i_b, high.astype(np.uint8)
+    # accepted by its midpoint's sign, then the magnitude of its ends: a
+    # zero cut that rounds onto a piece's start is dropped, so a piece can
+    # still change sign.  A blocked piece becomes 0 A, at or below every level
+    accepted = rectify(0.5 * (ia + ib), config.polarity) > 0.0
+    ra, rb = np.where(accepted, np.abs((ia, ib)), 0.0)
+    starts, ends, ra, rb = _split_at(starts, ends, ra, rb, thresholds(config))
+    i_a, i_b = np.where(above_floor(config, 0.5 * (ra + rb)), (ra, rb), 0.0)
+    return starts, ends, i_a, i_b, select_ranges(config, 0.5 * (i_a + i_b))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +347,7 @@ def simulate(
     pieces = _effective_pieces(config, stimulus, duration)
 
     v_ref_h, v_ref_l, t_rst = config.v_ref_h, config.v_ref_l, config.t_rst
-    caps = tuple(config.scale(r) * config.c1 for r in RangeSelect)  # indexed by range
+    caps = config.caps
     dead = dead_time(config, ack)  # exact per cycle when the acknowledge does not jitter
     jittered = ack.jitter != 0.0
     shortest_dead = ack.latency + t_rst  # of a jittered cycle
@@ -484,7 +464,7 @@ def _state_trace(config: CfcConfig, pieces, events: EventStream, ack: AckModel, 
     """
     starts, ends, i_a, i_b, sel = pieces
     slope = (i_b - i_a) / (ends - starts)
-    caps = np.asarray([config.scale(r) * config.c1 for r in RangeSelect])
+    caps = np.asarray(config.caps)
 
     # charge each range took in from t = 0 to the start of every piece
     q_piece = 0.5 * (i_a + i_b) * (ends - starts)

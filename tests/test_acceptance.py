@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from cfcsim.core import CfcConfig, ideal_isi, select_range
+from cfcsim.cli import main
+from cfcsim.core import CfcConfig, ideal_isi, select_ranges
 from cfcsim.decoder import fit_exponential, reconstruct
 from cfcsim.experiment import load_spec, run_decode, run_simulate
 from cfcsim.presets import PRESETS, run_preset
@@ -37,8 +38,7 @@ def _isi_rate(events) -> float:
 
 
 def _decoded_mean(config, i, compensation=0.0, cycles=14):
-    sel = select_range(config, i)
-    isi = config.scale(sel) * config.c1 * config.delta_v / i
+    isi = config.caps[select_ranges(config, [i])[0]] * config.delta_v / i
     duration = cycles * (isi + config.t_rst)
     ev = simulate(config, constant(i, duration), duration).events
     rec = reconstruct(ev, config, compensation=compensation)
@@ -247,7 +247,8 @@ DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 RECORDED_PRESETS = {"fig4": "staircase", "fig6": "neuron"}
 #: The same for the fig5 and fig7 presets at seed 7, which no benchmark
 #: workload runs (fig7's ``fit.txt`` comes from scipy's ``curve_fit``;
-#: the file notes the versions it was recorded with).
+#: the file notes the versions it was recorded with), and for the
+#: ``simulate --trace`` run of ``SOURCE_P_HYSTERESIS_SPEC``.
 PRESET_DIGESTS = Path(__file__).resolve().parent / "preset_digests.json"
 
 
@@ -315,5 +316,37 @@ def test_criterion_10_jittered_roundtrip_determinism(tmp_path):
         "criterion 10 (jittered roundtrip determinism)",
         not mismatches,
         f"events, decode and summary match the recorded digests of seed {seed}"
+        if not mismatches else f"differs: {mismatches}",
+    )
+
+
+# no preset or benchmark workload runs the source polarity or hysteresis:
+# a signed staircase from -20 nA up to +5 nA, whose rectified current
+# falls through i_sw, the band edge (7 nA), the leak floor and zero into
+# the blocked sign, with seeded acknowledge jitter
+SOURCE_P_HYSTERESIS_SPEC = {
+    "name": "source-p-hysteresis",
+    "seed": 7,
+    "config": {"polarity": "source_p", "hysteresis": 0.3},
+    "ack": {"latency": 1e-7, "jitter": 2e-7},
+    "stimulus": {"kind": "staircase", "start": -2e-8, "stop": 5e-9, "steps": 26, "dwell": 0.005},
+}
+
+
+def test_criterion_10_source_p_hysteresis_determinism(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SOURCE_P_HYSTERESIS_SPEC))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(spec), "--out", str(out), "--trace"]) == 0
+    expected = json.loads(PRESET_DIGESTS.read_text())["simulate_source_p_hysteresis"]
+    assert sorted(expected) == sorted(p.name for p in out.iterdir())
+    mismatches = [
+        name for name, digest in expected.items()
+        if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest
+    ]
+    _verdict(
+        "criterion 10 (source polarity and hysteresis determinism)",
+        not mismatches,
+        "events, trace, truth and summary match the recorded digests"
         if not mismatches else f"differs: {mismatches}",
     )

@@ -144,6 +144,18 @@ def test_decode_compensate_flag(tmp_path):
     assert decoded == pytest.approx(np.full(decoded.size, 1e-6), rel=1e-9)
 
 
+def test_decode_compensate_names_a_too_short_interval_exit_3(tmp_path, capsys):
+    from cfcsim.formats import write_events_csv
+    from cfcsim.simulator import EventStream
+
+    # the default reset pulse is 0.1 us; event 2 follows event 1 by 50 ns
+    ev = EventStream(np.array([0.0, 0.1, 0.10000005, 0.2]), np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.uint8))
+    p = write_events_csv(tmp_path / "events.csv", ev)
+    assert main(["decode", str(p), "--out", str(tmp_path / "out"), "--compensate"]) == 3
+    assert "event 2 at t = 0.10000005 s" in capsys.readouterr().err
+    assert main(["decode", str(p), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_decode_missing_file_exit_2(tmp_path):
     assert main(["decode", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
 

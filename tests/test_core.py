@@ -15,7 +15,8 @@ from cfcsim.core import (
     ideal_isi,
     ideal_rate,
     rectify,
-    select_range,
+    select_ranges,
+    thresholds,
 )
 from cfcsim.simulator import AckModel
 
@@ -32,8 +33,16 @@ currents = st.floats(min_value=1e-13, max_value=1e-5, allow_nan=False)
 
 def test_default_config_anchors():
     assert CFG.delta_v == pytest.approx(1.0)
-    assert CFG.scale(RangeSelect.LOW) == 1.0
-    assert CFG.scale(RangeSelect.HIGH) == 100.0
+    assert CFG.caps[RangeSelect.LOW] == 100e-15
+    assert CFG.caps[RangeSelect.HIGH] == pytest.approx(100.0 * 100e-15, rel=1e-15)
+
+
+def test_caps_are_c1_and_the_divided_paths_capacitance():
+    cfg = CfcConfig(c1=123e-15, alpha=3.7, beta=2.9)
+    assert cfg.caps == (123e-15, 3.7 * 2.9 * 123e-15)
+    # the rate of each range is its current over its capacitor's charge swing
+    for r in RangeSelect:
+        assert ideal_rate(cfg, 1e-9, r) == 1e-9 / (cfg.caps[r] * cfg.delta_v)
 
 
 @pytest.mark.parametrize(
@@ -97,6 +106,21 @@ def test_rectify_mirror_property(x):
     assert rectify(x, Polarity.SOURCE_P) == rectify(-x, Polarity.SINK_N)
     for p in Polarity:
         assert rectify(x, p) >= 0.0
+        assert isinstance(rectify(x, p), float)
+
+
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), st.floats(-1e-3, 1e-3)), max_size=20))
+def test_rectify_is_elementwise(xs):
+    x = np.asarray(xs, dtype=np.float64)
+    for p in Polarity:
+        got = rectify(x, p)
+        assert got.shape == x.shape
+        want = np.asarray([rectify(v, p) for v in xs], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 differ here
+        assert np.array_equal(got, rectify(-x, Polarity.SOURCE_P if p is Polarity.SINK_N else Polarity.SINK_N))
+    # a blocked or zero input, signed zero included, gives +0.0
+    assert rectify(np.array([-0.0, 0.0, 1e-9]), Polarity.SINK_N).tobytes() == np.array([0.0, 0.0, 1e-9]).tobytes()
+    assert rectify(np.array([-0.0, 0.0, 1e-9]), Polarity.SOURCE_P).tobytes() == np.zeros(3).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -104,26 +128,59 @@ def test_rectify_mirror_property(x):
 # ---------------------------------------------------------------------------
 
 
+def _fold_ranges(config, currents):
+    """The comparator one current at a time: HIGH at or above i_sw, LOW
+    below i_sw * (1 - hysteresis), else the range before (LOW at first)."""
+    high, out = False, []
+    for i in currents:
+        if i >= config.i_sw:
+            high = True
+        elif i < config.i_sw * (1.0 - config.hysteresis):
+            high = False
+        out.append(int(high))
+    return out
+
+
 def test_select_range_examples():
-    assert select_range(CFG, 1e-12) is RangeSelect.LOW
-    assert select_range(CfcConfig(i_sw=100e-9), 1e-6) is RangeSelect.HIGH
+    assert select_ranges(CFG, [1e-12]).tolist() == [RangeSelect.LOW]
+    assert select_ranges(CfcConfig(i_sw=100e-9), [1e-6]).tolist() == [RangeSelect.HIGH]
     # boundary convention: the tie goes to HIGH
-    assert select_range(CFG, 10e-9) is RangeSelect.HIGH
+    assert select_ranges(CFG, [10e-9]).tolist() == [RangeSelect.HIGH]
+    assert select_ranges(CFG, [1e-9, 10e-9, 9.99e-9, 0.0]).tolist() == [0, 1, 0, 0]
+    assert select_ranges(CFG, []).dtype == np.uint8
 
 
 def test_select_range_hysteresis_band():
     cfg = CfcConfig(hysteresis=0.2)  # fall back to LOW only below 8 nA
-    assert select_range(cfg, 9e-9, previous=RangeSelect.HIGH) is RangeSelect.HIGH
-    assert select_range(cfg, 9e-9, previous=RangeSelect.LOW) is RangeSelect.LOW
-    assert select_range(cfg, 9e-9, previous=None) is RangeSelect.LOW
-    assert select_range(cfg, 7.9e-9, previous=RangeSelect.HIGH) is RangeSelect.LOW
+    assert thresholds(cfg) == (cfg.i_leak_floor, 10e-9, 10e-9 * (1.0 - 0.2))
+    # inside the band the range in force carries over, from HIGH ...
+    assert select_ranges(cfg, [12e-9, 9e-9, 8e-9]).tolist() == [1, 1, 1]
+    # ... and from LOW; a sequence that starts inside the band starts LOW
+    assert select_ranges(cfg, [5e-9, 9e-9]).tolist() == [0, 0]
+    assert select_ranges(cfg, [9e-9, 9.9e-9, 10e-9, 9e-9]).tolist() == [0, 0, 1, 1]
+    # a fall below the edge goes LOW, and the band then holds LOW
+    assert select_ranges(cfg, [12e-9, 7.9e-9, 9e-9]).tolist() == [1, 0, 0]
     # zero hysteresis ignores history entirely
-    assert select_range(CFG, 9e-9, previous=RangeSelect.HIGH) is RangeSelect.LOW
+    assert thresholds(CFG) == (CFG.i_leak_floor, CFG.i_sw)
+    assert select_ranges(CFG, [12e-9, 9e-9]).tolist() == [1, 0]
+
+
+@given(
+    st.lists(st.one_of(st.sampled_from([0.0, 8e-9, 10e-9, 20e-9]), st.floats(0.0, 2e-8)), max_size=30),
+    st.sampled_from([0.0, 0.2]),
+)
+def test_select_ranges_is_the_scalar_fold(currents, h):
+    cfg = CfcConfig(hysteresis=h)
+    got = select_ranges(cfg, currents)
+    assert got.dtype == np.uint8
+    assert got.tolist() == _fold_ranges(cfg, currents)
 
 
 def test_select_range_rejects_negative():
     with pytest.raises(ValueError):
-        select_range(CFG, -1e-9)
+        select_ranges(CFG, [-1e-9])
+    with pytest.raises(ValueError):
+        select_ranges(CfcConfig(hysteresis=0.2), [1e-9, -1e-9])
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +229,7 @@ def test_rate_drop_at_switch_point_is_alpha_beta():
 @given(currents, st.floats(min_value=0.25, max_value=4.0))
 def test_rate_scale_invariance(i, k):
     scaled = CfcConfig(c1=CFG.c1 * k)
-    sel = select_range(CFG, i)
+    sel = select_ranges(CFG, [i])[0]
     assert ideal_rate(scaled, i * k, sel) == pytest.approx(ideal_rate(CFG, i, sel), rel=1e-12)
 
 
@@ -222,6 +279,6 @@ def test_roundtrip_identity_both_ranges(i):
 
 @given(currents, st.floats(min_value=0.0, max_value=1e-6))
 def test_roundtrip_with_compensation(i, comp):
-    sel = select_range(CFG, i)
+    sel = select_ranges(CFG, [i])[0]
     isi = ideal_isi(CFG, i, sel) + comp
     assert decode(CFG, isi, sel, compensation=comp) == pytest.approx(i, rel=1e-12)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfcsim.core import CfcConfig, RangeSelect, dead_time, select_range
+from cfcsim.core import CfcConfig, dead_time, select_ranges
 from cfcsim.decoder import ReconstructedSignal, fit_exponential, reconstruct, sweep_analysis
 from cfcsim.simulator import AckModel, EventStream, simulate
 from cfcsim.stimulus import (
@@ -63,8 +63,28 @@ def test_reconstruct_rejects_bad_streams():
         reconstruct(_stream([0.1, np.nan], [0, 0]), CFG)
     with pytest.raises(ValueError, match="shorter than dead time"):
         reconstruct(_stream([0.0, 5e-8], [0, 0]), CFG, compensation=1e-7)
+    with pytest.raises(ValueError, match=r"event 1 at t = 5e-08 s follows event 0 at t = 0\.0 s"):
+        reconstruct(_stream([0.0, 5e-8], [0, 0]), CFG, compensation=1e-7)
     with pytest.raises(ValueError):
         reconstruct(_stream([0.0, 0.1], [0, 0]), CFG, compensation=-1.0)
+
+
+def test_interval_not_longer_than_the_compensation_is_named():
+    # the interval that closes event 3 is 50 ns, under a 100 ns compensation
+    times = [0.0, 0.1, 0.2, 0.20000005, 0.3]
+    with pytest.raises(ValueError, match=r"event 3 at t = 0\.20000005 s follows event 2 at t = 0\.2 s"):
+        reconstruct(_stream(times, [0] * 5), CFG, compensation=1e-7)
+    # an interval equal to the compensation is not longer than it
+    with pytest.raises(ValueError, match=r"event 1 at t = 1e-07 s"):
+        reconstruct(_stream([0.0, 1e-7], [0, 0]), CFG, compensation=1e-7)
+    # sweep analysis names the event by its index in the whole stream
+    sig = staircase_sweep(1e-12, 2e-12, 2, 0.5)
+    times = [0.05, 0.2, 0.3, 0.6, 0.7, 0.70000005, 0.9]
+    with pytest.raises(ValueError, match=r"event 5 at t = 0\.70000005 s follows event 4 at t = 0\.7 s"):
+        sweep_analysis(_stream(times, [0] * 7), sig, CFG, compensation=1e-7)
+    # without compensation the same streams decode
+    assert len(reconstruct(_stream(times, [0] * 7), CFG)) == 6
+    assert [p.n_events for p in sweep_analysis(_stream(times, [0] * 7), sig, CFG)] == [2, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +247,7 @@ def test_sweep_rejects_a_shuffled_stream():
 @settings(max_examples=20)
 @given(st.floats(min_value=10e-12, max_value=1e-6))
 def test_roundtrip_constant_currents(i):
-    sel = select_range(CFG, i)
-    isi = CFG.scale(sel) * CFG.c1 * CFG.delta_v / i
+    isi = CFG.caps[select_ranges(CFG, [i])[0]] * CFG.delta_v / i
     duration = 15 * (isi + CFG.t_rst)
     ev = simulate(CFG, constant(i, duration), duration).events
     # compensated decode is exact up to rounding
@@ -246,11 +265,11 @@ def test_range_flag_matches_decoded_current(i):
     # stay clear of the switch boundary where the flag legitimately differs
     if 0.98 <= i / CFG.i_sw <= 1.02:
         return
-    duration = 15 * (CFG.scale(select_range(CFG, i)) * CFG.c1 * CFG.delta_v / i + CFG.t_rst)
+    duration = 15 * (CFG.caps[select_ranges(CFG, [i])[0]] * CFG.delta_v / i + CFG.t_rst)
     ev = simulate(CFG, constant(i, duration), duration).events
     rec = reconstruct(ev, CFG, compensation=CFG.t_rst)
-    for k in range(len(rec)):
-        assert RangeSelect(int(rec.ranges[k])) is select_range(CFG, float(rec.i_est[k]))
+    # without hysteresis the comparator judges each decoded current alone
+    assert rec.ranges.tolist() == select_ranges(CFG, rec.i_est).tolist()
 
 
 def test_mean_dead_time_compensates_ack_jitter():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfcsim import formats
-from cfcsim.core import DEFAULT_CONFIG, CfcConfig
+from cfcsim.core import DEFAULT_CONFIG, CfcConfig, Polarity
 from cfcsim.decoder import ExponentialFit, ReconstructedSignal, SweepPoint, reconstruct
 from cfcsim.formats import (
     CsvFormatError,
@@ -218,6 +218,16 @@ def test_summary_json_deterministic_bytes(tmp_path):
     p1 = write_summary_json(tmp_path / "s1.json", payload)
     p2 = write_summary_json(tmp_path / "s2.json", dict(reversed(list(payload.items()))))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_comparison_flag_is_judged_on_the_rectified_current(tmp_path):
+    # a source_p monitor takes negative currents: -1 uA sits at the
+    # validity bound, +1 uA is blocked, -2 uA lies past the bound
+    model = np.array([-1e-6, 1e-6, -2e-6, -1e-12, -1e-9, 0.0, -0.0])
+    flags = ["ok", "below_floor", "above_valid", "below_floor", "ok", "below_floor", "below_floor"]
+    for config, sign in ((CfcConfig(polarity=Polarity.SOURCE_P), 1.0), (CfcConfig(), -1.0)):
+        path = write_comparison_csv(tmp_path / "comparison.csv", np.arange(7.0), sign * model, sign * model, config)
+        assert [row.rsplit(",", 1)[1] for row in path.read_text().splitlines()[1:]] == flags
 
 
 def test_write_events_empty_stream(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfcsim.core import CfcConfig, ConfigError, Polarity, RangeSelect, ideal_isi, ideal_rate, select_range
+from cfcsim.core import CfcConfig, ConfigError, Polarity, RangeSelect, ideal_isi, ideal_rate
 from cfcsim.simulator import (
     DEFAULT_EVENT_CAP,
     AckModel,
@@ -292,7 +292,7 @@ def _per_event_reference(config, stimulus, duration, ack, max_events):
     event times and ranges, and whether the cap stopped the run."""
     latencies = ack.latencies(config.channel_address)
     v_ref_h, v_ref_l, t_rst = config.v_ref_h, config.v_ref_l, config.t_rst
-    caps = tuple(config.scale(r) * config.c1 for r in RangeSelect)
+    caps = config.caps
     ev_t, ev_sf = [], []
     v = [v_ref_h, v_ref_h]
     dead_until = 0.0
@@ -459,12 +459,18 @@ def _ref_effective_segments(config, stimulus, duration):
 
 
 def _ref_segment_selection(config, segments):
-    """Range per piece, folded over the midpoints through select_range."""
+    """Range per piece, folded over the midpoints one piece at a time: HIGH
+    at or above i_sw, LOW below the band edge, else the range before (LOW
+    for the first piece)."""
     sels = []
-    prev = None
+    high = False
     for _, _, ia, ib in segments:
-        prev = select_range(config, 0.5 * (ia + ib), previous=prev)
-        sels.append(prev)
+        mid = 0.5 * (ia + ib)
+        if mid >= config.i_sw:
+            high = True
+        elif mid < config.i_sw * (1.0 - config.hysteresis):
+            high = False
+        sels.append(int(high))
     return sels
 
 
