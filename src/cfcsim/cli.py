@@ -8,7 +8,8 @@
 ``--compensate`` subtracts the mean dead time (reset pulse, ack latency
 and half the ack jitter) from every interval before decoding.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 runtime error.
+Exit codes: 0 success, 2 configuration/usage error or a path that cannot
+be read or written, 3 runtime error.
 Omitting ``--seed`` uses the fixed default 0; nothing ever draws from
 wall-clock entropy, so identical invocations produce identical files.
 """
@@ -153,7 +154,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError) as exc:

@@ -23,6 +23,7 @@ by the simulator and the decoder:
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -37,6 +38,19 @@ if TYPE_CHECKING:
 
 class ConfigError(ValueError):
     """A configuration, stimulus or experiment description is invalid."""
+
+
+#: Rows of run-length numpy columns turned into Python objects at a time,
+#: so that a loop over them holds one block, not the run, as objects.
+_BLOCK = 8192
+
+
+def _block_rows(*columns):
+    """The rows of equal-length numpy columns as tuples of Python
+    scalars, converted ``_BLOCK`` rows at a time."""
+    return itertools.chain.from_iterable(
+        zip(*(c[lo:lo + _BLOCK].tolist() for c in columns)) for lo in range(0, len(columns[0]), _BLOCK)
+    )
 
 
 def _number(value, key: str, context: str, integer: bool = False):

@@ -20,6 +20,7 @@ Schemas:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -27,7 +28,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import CfcConfig, above_floor, above_valid, rectify
+from .core import _BLOCK, CfcConfig, above_floor, above_valid, rectify
 from .decoder import ExponentialFit, ReconstructedSignal, SweepPoint
 from .simulator import EventStream, StateTrace
 from .stimulus import CurrentSignal, SpikeTrain
@@ -39,10 +40,6 @@ SIGNAL_HEADER = "t_s,i_A"
 SPIKES_HEADER = "t_s"
 SWEEP_HEADER = "level_A,i_decoded_A,n_events"
 COMPARISON_HEADER = "t_s,i_model_A,i_decoded_A,rel_err,flag"
-
-#: Rows formatted and held in memory at a time by :func:`_write_table`.
-_BLOCK = 8192
-
 
 class CsvFormatError(ValueError):
     """A CSV file does not match its documented schema."""
@@ -102,67 +99,85 @@ def read_events_csv(path: Union[str, Path]) -> EventStream:
 
     A row is malformed if it does not have three fields, does not parse,
     or has a non-finite time, a channel outside [0, 2**63) or a flag
-    other than 0 and 1.  A zero-byte file, or a header followed only by
-    blank lines, reads as an empty stream.  No ordering is imposed here;
+    other than 0 and 1.  A file holding only whitespace, or a header
+    followed only by blank lines, reads as an empty stream.  Lines end
+    where ``str.splitlines`` ends them.  No ordering is imposed here;
     consumers that need sorted input enforce it themselves.
 
-    The rows below the header are parsed column-wise by ``np.loadtxt``
-    and checked as whole columns.  If that parse fails or a check does
-    not hold, the rows are read again one at a time with Python's
-    ``float`` and ``int``, which either accept the file (they take a few
-    spellings ``loadtxt`` refuses, such as ``1_0``) or name the first bad
-    line.
+    The lines below the header stream from the open file into
+    ``np.loadtxt``, which parses them column-wise with no copy of the
+    whole text, and the columns are checked whole.  If that parse fails
+    or a check does not hold, the file is read again one row at a time
+    with Python's ``float`` and ``int``, which either accept it (they
+    take a few spellings ``loadtxt`` refuses, such as ``1_0``) or name
+    the first bad line.
     """
     path = Path(path)
-    text = path.read_text()
-    if text.strip() == "":
-        return EventStream.empty()
-    lines = text.splitlines()
-    if lines[0].strip() != EVENTS_HEADER:
-        raise CsvFormatError(
-            f"{path}: line 1: expected header {EVENTS_HEADER!r}, got {lines[0]!r}"
-        )
-    body = lines[1:]
-    if not any(map(str.strip, body)):
-        return EventStream.empty()
-    try:
-        rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=1, dtype=_EVENTS_DTYPE)
-    except ValueError:
-        return _read_events_rows(path, body)
+    with path.open() as fh:
+        lines = _lines(fh)
+        header = next(lines, "")
+        if header.strip() != EVENTS_HEADER:
+            if header.strip() == "" and not any(map(str.strip, lines)):
+                return EventStream.empty()
+            raise CsvFormatError(f"{path}: line 1: expected header {EVENTS_HEADER!r}, got {header!r}")
+        # no row at all is an empty stream, which ``loadtxt`` would warn about
+        first = next((row for row in lines if row.strip()), None)
+        if first is None:
+            return EventStream.empty()
+        try:
+            rows = np.loadtxt(itertools.chain((first,), lines), delimiter=",", comments=None, ndmin=1,
+                              dtype=_EVENTS_DTYPE)
+        except ValueError:
+            return _read_events_rows(path)
     t, ch, sf = (np.ascontiguousarray(rows[name]) for name in _EVENTS_DTYPE.names)
     if not (np.isfinite(t).all() and (ch >= 0).all() and ((sf == 0) | (sf == 1)).all()):
-        return _read_events_rows(path, body)
+        return _read_events_rows(path)
     return EventStream(t, ch, sf.astype(np.uint8))
 
 
-def _read_events_rows(path: Path, body: list[str]) -> EventStream:
-    """:func:`read_events_csv` one row at a time; ``body`` holds the
-    lines below the header."""
+def _read_events_rows(path: Path) -> EventStream:
+    """:func:`read_events_csv` one row at a time, below the header."""
     t, ch, sf = [], [], []
-    for ln, row in enumerate(body, start=2):
-        if row.strip() == "":
-            continue
-        parts = row.split(",")
-        if len(parts) != 3:
-            raise CsvFormatError(f"{path}: line {ln}: expected 3 fields, got {len(parts)}")
-        try:
-            time_s = float(parts[0])
-            channel = int(parts[1])
-            flag = int(parts[2])
-        except ValueError as exc:
-            raise CsvFormatError(f"{path}: line {ln}: {exc}") from None
-        if not math.isfinite(time_s):
-            raise CsvFormatError(f"{path}: line {ln}: t_req_s must be finite, got {parts[0]!r}")
-        if channel < 0:
-            raise CsvFormatError(f"{path}: line {ln}: channel must be non-negative, got {channel}")
-        if channel >= 2**63:
-            raise CsvFormatError(f"{path}: line {ln}: channel must be below 2**63, got {channel}")
-        if flag not in (0, 1):
-            raise CsvFormatError(f"{path}: line {ln}: sf must be 0 or 1, got {flag}")
-        t.append(time_s)
-        ch.append(channel)
-        sf.append(flag)
+    with path.open() as fh:
+        lines = _lines(fh)
+        next(lines)
+        for ln, row in enumerate(lines, start=2):
+            if row.strip() == "":
+                continue
+            parts = row.split(",")
+            if len(parts) != 3:
+                raise CsvFormatError(f"{path}: line {ln}: expected 3 fields, got {len(parts)}")
+            try:
+                time_s = float(parts[0])
+                channel = int(parts[1])
+                flag = int(parts[2])
+            except ValueError as exc:
+                raise CsvFormatError(f"{path}: line {ln}: {exc}") from None
+            if not math.isfinite(time_s):
+                raise CsvFormatError(f"{path}: line {ln}: t_req_s must be finite, got {parts[0]!r}")
+            if channel < 0:
+                raise CsvFormatError(f"{path}: line {ln}: channel must be non-negative, got {channel}")
+            if channel >= 2**63:
+                raise CsvFormatError(f"{path}: line {ln}: channel must be below 2**63, got {channel}")
+            if flag not in (0, 1):
+                raise CsvFormatError(f"{path}: line {ln}: sf must be 0 or 1, got {flag}")
+            t.append(time_s)
+            ch.append(channel)
+            sf.append(flag)
     return EventStream(np.asarray(t), np.asarray(ch, dtype=np.int64), np.asarray(sf, dtype=np.uint8))
+
+
+def _lines(fh):
+    """The lines of an open text file, split as ``str.splitlines`` splits
+    its whole text, read ``_BLOCK`` characters at a time."""
+    tail = ""
+    while chunk := fh.read(_BLOCK):
+        # a sentinel character ends the last line only if the chunk did not
+        lines = (tail + chunk + "x").splitlines()
+        tail = lines.pop()[:-1]
+        yield from lines
+    if tail:
+        yield tail
 
 
 def write_trace_csv(path: Union[str, Path], trace: StateTrace) -> Path:

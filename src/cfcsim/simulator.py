@@ -37,6 +37,11 @@ interval and the drawn latencies places them, and the per-event stopping
 tests run elementwise over the result.  Either way the events, and the
 latencies each one takes, are bit for bit those of the per-event loop.
 
+The kernel reads the pieces as Python floats one block of rows at a
+time and keeps the events in typed buffers, 9 bytes an event, which the
+finished stream wraps without a copy; its memory grows with the events,
+not with Python objects per piece.
+
 The state trace (capacitor voltages, phase and range over time) is
 rebuilt after the run from the pieces and the events, so asking for it
 leaves the event kernel and its output unchanged.
@@ -46,18 +51,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import (CfcConfig, ConfigError, Polarity, RangeSelect, above_floor, dead_time, ideal_rate, rectify,
-                   select_ranges, thresholds)
+from .core import (_BLOCK, CfcConfig, ConfigError, Polarity, RangeSelect, _block_rows, above_floor, dead_time,
+                   ideal_rate, rectify, select_ranges, thresholds)
 from .stimulus import CurrentSignal
 
 DEFAULT_EVENT_CAP = 100_000_000
-_LATENCY_BLOCK = 4096  # jittered latencies drawn per generator call
 _STRETCH_BLOCK = 1 << 16  # most candidate cycles one jittered batch places
 
 
@@ -132,13 +137,13 @@ class AckModel:
         """The acknowledge latency of each successive event of a channel.
 
         Without jitter every event waits ``latency``.  With jitter the
-        uniform draws are taken ``_LATENCY_BLOCK`` at a time, in order,
+        uniform draws are taken ``_BLOCK`` at a time, in order,
         which yields the same values as one scalar draw per event.
         """
         if self.jitter == 0.0:
             return itertools.repeat(self.latency)
         rng = np.random.default_rng([self.seed, channel_address])
-        blocks = iter(lambda: (self.latency + rng.uniform(0.0, self.jitter, _LATENCY_BLOCK)).tolist(), None)
+        blocks = iter(lambda: (self.latency + rng.uniform(0.0, self.jitter, _BLOCK)).tolist(), None)
         return itertools.chain.from_iterable(blocks)
 
 
@@ -267,16 +272,18 @@ def _effective_pieces(config: CfcConfig, stimulus: CurrentSignal, duration: floa
 # ---------------------------------------------------------------------------
 
 
-def _channel_stream(config: CfcConfig, ev_t: list[float], ev_sf: list[int]) -> EventStream:
-    """One channel's event times and ranges as a stream."""
+def _channel_stream(config: CfcConfig, ev_t: array, ev_sf: array) -> EventStream:
+    """One channel's event times and ranges as a stream over the typed
+    buffers ``ev_t`` (``array("d")``) and ``ev_sf`` (``array("B")``),
+    which it wraps without a copy: they take no events after this."""
     return EventStream(
-        np.asarray(ev_t),
+        np.frombuffer(ev_t, dtype=np.float64),
         np.full(len(ev_t), config.channel_address, dtype=np.int64),
-        np.asarray(ev_sf, dtype=np.uint8),
+        np.frombuffer(ev_sf, dtype=np.uint8),
     )
 
 
-def _cap_error(config: CfcConfig, cap: int, ev_t: list[float], ev_sf: list[int], t: float) -> EventCapError:
+def _cap_error(config: CfcConfig, cap: int, ev_t: array, ev_sf: array, t: float) -> EventCapError:
     """The cap error of a channel stopped at ``t`` with these events."""
     return EventCapError(cap, _channel_stream(config, ev_t, ev_sf), config.channel_address, t)
 
@@ -354,13 +361,15 @@ def simulate(
     base = latencies
     n_spare = 0  # unused draws the last jittered batch put back in line
 
-    ev_t: list[float] = []
-    ev_sf: list[int] = []
+    # 9 bytes an event: the time as a C double, the range as one byte;
+    # a batch is appended as the raw bytes of its numpy times
+    ev_t = array("d")
+    ev_sf = array("B")
 
     v = [v_ref_h, v_ref_h]  # capacitor voltages, indexed by range
     dead_until = 0.0  # end of the last reset; a piece integrates from here on
 
-    for a, b, ia, ib, sel in zip(*(col.tolist() for col in pieces)):
+    for a, b, ia, ib, sel in _block_rows(*pieces):
         slope = (ib - ia) / (b - a)
         c_eq = caps[sel]
         t = dead_until if dead_until > a else a
@@ -384,8 +393,8 @@ def simulate(
                     lat = list(itertools.islice(latencies, max(m, n_spare)))
                     times, t, q_avail = _jittered_stretch(t, b, i_t, ib, q_need, isi, t_rst, lat[:m])
                     n = times.size
-                    ev_t.extend(times[:room].tolist())
-                    ev_sf.extend([sel] * min(n, room))
+                    ev_t.frombytes(times[:room].view(np.uint8))
+                    ev_sf.frombytes(bytes((sel,)) * min(n, room))
                     if n > room:
                         raise _cap_error(config, max_events, ev_t, ev_sf, float(times[room]))
                     # the draws no event took go, in order, to the next events
@@ -412,8 +421,8 @@ def simulate(
                 clipped = n > room
                 n = min(n, room)
                 times = first + period * np.arange(n, dtype=np.float64)
-                ev_t.extend(times.tolist())
-                ev_sf.extend([sel] * n)
+                ev_t.frombytes(times.view(np.uint8))
+                ev_sf.frombytes(bytes((sel,)) * n)
                 if clipped:
                     raise _cap_error(config, max_events, ev_t, ev_sf, first + period * n)
                 t = dead_until = float(times[-1]) + dead
@@ -537,7 +546,7 @@ def simulate_many(
 def _raw_crossings(stimulus: CurrentSignal, duration: float, targets) -> list[float]:
     """Times where the raw signed stimulus crosses any target level."""
     times = []
-    for a, b, ia, ib in zip(*(c.tolist() for c in stimulus.pieces(duration))):
+    for a, b, ia, ib in _block_rows(*stimulus.pieces(duration)):
         if ib == ia:
             continue
         inv = (b - a) / (ib - ia)
@@ -550,7 +559,7 @@ def _raw_crossings(stimulus: CurrentSignal, duration: float, targets) -> list[fl
 def _fastest_ideal_isi(config: CfcConfig, stimulus: CurrentSignal, duration: float) -> Optional[float]:
     """Shortest ideal inter-event interval the stimulus can provoke."""
     max_rate = 0.0
-    for _, _, ia, ib in zip(*(c.tolist() for c in stimulus.pieces(duration))):
+    for _, _, ia, ib in _block_rows(*stimulus.pieces(duration)):
         ra = rectify(ia, config.polarity)
         rb = rectify(ib, config.polarity)
         lo, hi = min(ra, rb), max(ra, rb)
@@ -628,8 +637,8 @@ def oracle_simulate(
         r = np.maximum(raw, 0.0) if accept_positive else np.maximum(-raw, 0.0)
         return np.where(r > floor, r, 0.0)
 
-    ev_t: list[float] = []
-    ev_sf: list[int] = []
+    ev_t = array("d")
+    ev_sf = array("B")
     t = 0.0
     v_low = v_high = v_ref_h
     chunk = 1 << 16

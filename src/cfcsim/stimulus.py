@@ -14,12 +14,13 @@ wall-clock entropy.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ConfigError
+from .core import _BLOCK, ConfigError, _block_rows
 
 
 @dataclass(frozen=True)
@@ -265,9 +266,7 @@ def dpi_synapse(
     spike_times = [float(t) for t in spikes.times if 0.0 <= t < duration]
     anchors = [0.0] + spike_times + [duration]
 
-    seg_t0: list[float] = []
-    seg_i0: list[float] = []
-    seg_i1: list[float] = []
+    arcs = []  # per arc, its pieces' start times, start values and end values
     level = float(i_base)
     for idx in range(len(anchors) - 1):
         t_a, t_b = anchors[idx], anchors[idx + 1]
@@ -277,18 +276,15 @@ def dpi_synapse(
             continue
         amp = level - i_base
         if amp == 0.0:
-            seg_t0.append(t_a)
-            seg_i0.append(level)
-            seg_i1.append(level)
+            arcs.append([[t_a], [level], [level]])
             continue
         n = max(1, int(math.ceil((t_b - t_a) / res)))
         pts = np.linspace(t_a, t_b, n + 1)
         vals = i_base + amp * np.exp(-(pts - t_a) / tau)
-        seg_t0.extend(pts[:-1].tolist())
-        seg_i0.extend(vals[:-1].tolist())
-        seg_i1.extend(vals[1:].tolist())
+        arcs.append((pts[:-1], vals[:-1], vals[1:]))
         level = float(vals[-1])
-    return CurrentSignal(np.asarray(seg_t0), np.asarray(seg_i0), np.asarray(seg_i1), float(duration))
+    t0, i0, i1 = np.concatenate(arcs, axis=1)
+    return CurrentSignal(t0, i0, i1, float(duration))
 
 
 @dataclass(frozen=True)
@@ -365,9 +361,6 @@ def adex_neuron(
     dt = p.dt
     n_steps = int(math.ceil(duration / dt))
     grid = np.minimum(np.arange(n_steps + 1) * dt, duration)
-    # drive evaluated once on the half-step grid used by the RK stages
-    half_grid = np.minimum(np.arange(2 * n_steps + 1) * (dt / 2.0), duration)
-    drive = i_in.values(half_grid)
 
     v_peak = p.peak
     exp_cap = 40.0  # clamp the exponent so runaway RK stages stay finite
@@ -381,56 +374,62 @@ def adex_neuron(
     neg_g_l, gd, e_l, v_t, delta_t, c_m = -p.g_l, p.g_l * p.delta_t, p.e_l, p.v_t, p.delta_t, p.c_m
     a, tau_w = p.a, p.tau_w
     exp = math.exp
-    t_grid = grid.tolist()
-    i_in_grid = drive.tolist()
 
     v = e_l
     w = 0.0
-    v_hist = [v]
+    v_out = np.empty(n_steps + 1)
+    v_out[0] = v
     spike_times: list[float] = []
-    for k in range(n_steps):
-        h = t_grid[k + 1] - t_grid[k]
-        if h <= 0:
+    # a block of steps lo..hi-1 reads grid[lo..hi] and the drive on the
+    # half-step grid the RK stages use, points 2*lo..2*hi
+    for lo in range(0, n_steps, _BLOCK):
+        hi = min(lo + _BLOCK, n_steps)
+        t = grid[lo:hi + 1]
+        drive = i_in.values(np.minimum(np.arange(2 * lo, 2 * hi + 1) * (dt / 2.0), duration))
+        v_hist = array("d")
+        for t_k, t_next, i0, i1, i2 in _block_rows(t[:-1], t[1:], drive[:-1:2], drive[1::2], drive[2::2]):
+            h = t_next - t_k
+            if h <= 0:
+                v_hist.append(v)
+                continue
+            arg = (v - v_t) / delta_t
+            if arg > exp_cap:
+                arg = exp_cap
+            k1v = (neg_g_l * (v - e_l) + gd * exp(arg) - w + i0) / c_m
+            k1w = (a * (v - e_l) - w) / tau_w
+            v2, w2 = v + 0.5 * h * k1v, w + 0.5 * h * k1w
+            arg = (v2 - v_t) / delta_t
+            if arg > exp_cap:
+                arg = exp_cap
+            k2v = (neg_g_l * (v2 - e_l) + gd * exp(arg) - w2 + i1) / c_m
+            k2w = (a * (v2 - e_l) - w2) / tau_w
+            v3, w3 = v + 0.5 * h * k2v, w + 0.5 * h * k2w
+            arg = (v3 - v_t) / delta_t
+            if arg > exp_cap:
+                arg = exp_cap
+            k3v = (neg_g_l * (v3 - e_l) + gd * exp(arg) - w3 + i1) / c_m
+            k3w = (a * (v3 - e_l) - w3) / tau_w
+            v4, w4 = v + h * k3v, w + h * k3w
+            arg = (v4 - v_t) / delta_t
+            if arg > exp_cap:
+                arg = exp_cap
+            k4v = (neg_g_l * (v4 - e_l) + gd * exp(arg) - w4 + i2) / c_m
+            k4w = (a * (v4 - e_l) - w4) / tau_w
+            v += (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+            w += (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
+            if v >= v_peak:
+                spike_times.append(t_next)
+                v = p.v_reset
+                w += p.b
+            if not v >= v_floor:  # NaN included
+                raise ConfigError(
+                    f"adex_neuron diverged at t = {t_next!r} s (v = {v!r} V): "
+                    f"the step dt = {dt!r} s is too coarse for this drive"
+                )
             v_hist.append(v)
-            continue
-        i0, i1, i2 = i_in_grid[2 * k], i_in_grid[2 * k + 1], i_in_grid[2 * k + 2]
-        arg = (v - v_t) / delta_t
-        if arg > exp_cap:
-            arg = exp_cap
-        k1v = (neg_g_l * (v - e_l) + gd * exp(arg) - w + i0) / c_m
-        k1w = (a * (v - e_l) - w) / tau_w
-        v2, w2 = v + 0.5 * h * k1v, w + 0.5 * h * k1w
-        arg = (v2 - v_t) / delta_t
-        if arg > exp_cap:
-            arg = exp_cap
-        k2v = (neg_g_l * (v2 - e_l) + gd * exp(arg) - w2 + i1) / c_m
-        k2w = (a * (v2 - e_l) - w2) / tau_w
-        v3, w3 = v + 0.5 * h * k2v, w + 0.5 * h * k2w
-        arg = (v3 - v_t) / delta_t
-        if arg > exp_cap:
-            arg = exp_cap
-        k3v = (neg_g_l * (v3 - e_l) + gd * exp(arg) - w3 + i1) / c_m
-        k3w = (a * (v3 - e_l) - w3) / tau_w
-        v4, w4 = v + h * k3v, w + h * k3w
-        arg = (v4 - v_t) / delta_t
-        if arg > exp_cap:
-            arg = exp_cap
-        k4v = (neg_g_l * (v4 - e_l) + gd * exp(arg) - w4 + i2) / c_m
-        k4w = (a * (v4 - e_l) - w4) / tau_w
-        v += (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        w += (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
-        if v >= v_peak:
-            spike_times.append(t_grid[k + 1])
-            v = p.v_reset
-            w += p.b
-        if not v >= v_floor:  # NaN included
-            raise ConfigError(
-                f"adex_neuron diverged at t = {t_grid[k + 1]!r} s (v = {v!r} V): "
-                f"the step dt = {dt!r} s is too coarse for this drive"
-            )
-        v_hist.append(v)
+        v_out[lo + 1:hi + 1] = v_hist
 
-    proxy = p.i_rest_proxy + p.proxy_gain * p.g_l * (np.asarray(v_hist) - p.e_l)
+    proxy = p.i_rest_proxy + p.proxy_gain * p.g_l * (v_out - p.e_l)
     signal = CurrentSignal.from_samples(grid, proxy)
     return signal, SpikeTrain(np.asarray(spike_times))
 

@@ -160,6 +160,30 @@ def test_decode_missing_file_exit_2(tmp_path):
     assert main(["decode", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
 
 
+def _events_in_a_directory(tmp_path):
+    return tmp_path, tmp_path / "out", tmp_path
+
+
+def _out_names_a_file(tmp_path):
+    p = tmp_path / "events.csv"
+    p.write_text("t_req_s,channel,sf\n0.1,0,0\n")
+    return p, p, p
+
+
+def _unreadable_events(tmp_path):
+    p = tmp_path / "events.csv"
+    p.symlink_to(p)  # a link to itself cannot be opened, not even by root
+    return p, tmp_path / "out", p
+
+
+@pytest.mark.parametrize("paths", [_events_in_a_directory, _out_names_a_file, _unreadable_events])
+def test_decode_unusable_path_exit_2_names_it(tmp_path, capsys, paths):
+    events, out, bad = paths(tmp_path)
+    assert main(["decode", str(events), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+
+
 # ---------------------------------------------------------------------------
 # presets and sweep
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import warnings
 
 import numpy as np
@@ -168,6 +169,44 @@ def test_events_header_then_blank_lines_reads_empty_without_warning(tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert len(read_events_csv(p)) == 0
+
+
+@pytest.mark.parametrize("text", [
+    b"t_req_s,channel,sf\r\n0.1,0,0\r\n0.2,3,1\r\n",
+    b"t_req_s,channel,sf\r\n0.1,0,0\r\n0.2,3,2\r\n",
+    b"t_req_s,channel,sf\n0.1,0,0\n0.2,3,1",
+    b"t_req_s,channel,sf\n0.1,0,0\n0.2,x,1",
+    b"t_req_s,channel,sf\n\n0.1,0,0\n\n \t\n0.2,3,1\n\n",
+    b"t_req_s,channel,sf\n\n \n\t\n",
+    # a bad row far into the file, many chunks of text in
+    b"t_req_s,channel,sf\n" + b"0.1,0,0\n" * 60_001 + b"0.2,0,2\n",
+], ids=["crlf", "crlf-bad-row", "no-final-newline", "no-final-newline-bad-row", "blank-lines-between-rows",
+        "header-then-blank-lines", "bad-row-at-line-60003"])
+def test_events_reader_streams_as_the_row_reader_reads(tmp_path, text):
+    # the same stream, or the same error on the same line, as the per-row
+    # reader; pytest turns a numpy warning into an error
+    p = tmp_path / "events.csv"
+    p.write_bytes(text)
+    try:
+        want = formats._read_events_rows(p)
+    except CsvFormatError as exc:
+        with pytest.raises(CsvFormatError) as got:
+            read_events_csv(p)
+        assert str(got.value) == str(exc)
+        return
+    got = read_events_csv(p)
+    assert got.t_req.tobytes() == want.t_req.tobytes()
+    assert got.channel.tolist() == want.channel.tolist()
+    assert got.sf.tolist() == want.sf.tolist()
+
+
+@pytest.mark.parametrize("end", ["", "no line break at the end"])
+def test_lines_split_across_chunks_as_splitlines_splits(end):
+    # rows of varying length put every kind of line break on and around
+    # the chunk boundaries
+    breaks = ["\n", "\x0c", "\x1c", "\u2028", "\x85", "\v", "\n\n"]
+    text = "".join(f"{k}{breaks[k % len(breaks)]}" for k in range(3 * formats._BLOCK)) + end
+    assert list(formats._lines(io.StringIO(text))) == text.splitlines()
 
 
 def test_empty_events_file_reads_empty(tmp_path):

@@ -589,6 +589,17 @@ def test_event_cap_inside_a_jittered_batch():
     assert f"cap of 60 exceeded on channel 2 at t = {float(full.t_req[60])!r} s" in str(exc.value)
 
 
+
+def test_simulate_memory_per_piece_is_bounded(traced_peak):
+    # 100k ramp pieces and about 5k events.  The kernel holds the pieces
+    # as numpy columns and reads them as Python floats one block at a
+    # time.  Measured traced peaks: 171 B a piece when the five columns
+    # became whole Python lists, 93 B with the blocks.
+    n = 100_000
+    ramp = CurrentSignal.from_samples(np.linspace(0.0, 1.0, n + 1), np.linspace(1e-11, 1e-9, n + 1))
+    assert traced_peak(simulate, CFG, ramp, 1.0) < 130 * n
+
+
 _NEXT_PHASE = {
     Phase.INTEGRATING: Phase.REQUEST_PENDING,
     Phase.REQUEST_PENDING: Phase.RESET_PULSE,
