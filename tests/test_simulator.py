@@ -589,7 +589,6 @@ def test_event_cap_inside_a_jittered_batch():
     assert f"cap of 60 exceeded on channel 2 at t = {float(full.t_req[60])!r} s" in str(exc.value)
 
 
-
 def test_simulate_memory_per_piece_is_bounded(traced_peak):
     # 100k ramp pieces and about 5k events.  The kernel holds the pieces
     # as numpy columns and reads them as Python floats one block at a

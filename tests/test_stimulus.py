@@ -375,10 +375,10 @@ def test_adex_matches_the_per_stage_reference(drive, params, duration, outcome):
     assert proxy.end == grid[-1]
 
 
-
 def test_adex_memory_per_step_is_bounded(traced_peak):
-    # 100k steps.  The grid, the drive and the voltage are numpy columns,
-    # and the RK4 loop reads them as Python floats one block at a time.
+    # 100k steps.  The grid and the voltage are numpy columns, the drive
+    # is evaluated a block at a time, and the RK4 loop reads them as
+    # Python floats one block at a time.
     # Measured traced peaks: 201 B a step with whole-run Python lists,
     # 50 B with the blocks.
     duration = 1.0  # 100k steps of the default 10 us
