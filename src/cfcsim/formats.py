@@ -71,7 +71,9 @@ def _block_cells(block):
 
     Numpy blocks of floats, integers, booleans or strings are grouped;
     Python sequences and other arrays, such as object arrays, are
-    formatted cell by cell.
+    formatted cell by cell.  A block whose cells are all distinct is
+    formatted in order, with no grouping to undo.  Numeric blocks use
+    ``repr``, which for Python floats, ints and bools is ``str``.
     """
     if not isinstance(block, np.ndarray):
         return map(str, block)
@@ -81,8 +83,11 @@ def _block_cells(block):
         key = block
     else:
         return map(str, block.tolist())
+    text_of = str if block.dtype.kind == "U" else repr
     distinct, inverse = np.unique(key, return_inverse=True)
-    text = np.array(list(map(str, distinct.view(block.dtype).tolist())), dtype=object)
+    if distinct.size == block.size:
+        return map(text_of, block.tolist())
+    text = np.array(list(map(text_of, distinct.view(block.dtype).tolist())), dtype=object)
     return text[inverse].tolist()
 
 
@@ -110,10 +115,20 @@ def read_events_csv(path: Union[str, Path]) -> EventStream:
     or a check does not hold, the file is read again one row at a time
     with Python's ``float`` and ``int``, which either accept it (they
     take a few spellings ``loadtxt`` refuses, such as ``1_0``) or name
-    the first bad line.
+    the first bad line.  The file is read as UTF-8; a byte that does not
+    decode names the line that holds it.
     """
     path = Path(path)
-    with path.open() as fh:
+    try:
+        return _read_events(path)
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: line {_undecodable_line(path)}: byte {exc.object[exc.start]:#04x} "
+                             f"is not UTF-8 ({exc.reason})") from None
+
+
+def _read_events(path: Path) -> EventStream:
+    """:func:`read_events_csv` on a path, letting a decoding error through."""
+    with path.open(encoding="utf-8") as fh:
         lines = _lines(fh)
         header = next(lines, "")
         if header.strip() != EVENTS_HEADER:
@@ -138,7 +153,7 @@ def read_events_csv(path: Union[str, Path]) -> EventStream:
 def _read_events_rows(path: Path) -> EventStream:
     """:func:`read_events_csv` one row at a time, below the header."""
     t, ch, sf = [], [], []
-    with path.open() as fh:
+    with path.open(encoding="utf-8") as fh:
         lines = _lines(fh)
         next(lines)
         for ln, row in enumerate(lines, start=2):
@@ -165,6 +180,17 @@ def _read_events_rows(path: Path) -> EventStream:
             ch.append(channel)
             sf.append(flag)
     return EventStream(np.asarray(t), np.asarray(ch, dtype=np.int64), np.asarray(sf, dtype=np.uint8))
+
+
+def _undecodable_line(path: Path) -> int:
+    """The number of the first line of a file that holds a byte UTF-8
+    does not decode, counted as :func:`_lines` counts them."""
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+        for ln, row in enumerate(_lines(fh), start=1):
+            try:
+                row.encode("utf-8")  # an undecodable byte was escaped to a lone surrogate
+            except UnicodeEncodeError:
+                return ln
 
 
 def _lines(fh):

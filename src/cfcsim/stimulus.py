@@ -381,42 +381,51 @@ def adex_neuron(
     v_out[0] = v
     spike_times: list[float] = []
     # a block of steps lo..hi-1 reads grid[lo..hi] and the drive on the
-    # half-step grid the RK stages use, points 2*lo..2*hi
+    # half-step grid the RK stages use, points 2*lo..2*hi; each step's
+    # length and its half and sixth are taken as columns, the same
+    # products the loop would form
     for lo in range(0, n_steps, _BLOCK):
         hi = min(lo + _BLOCK, n_steps)
-        t = grid[lo:hi + 1]
+        t_ends = grid[lo + 1:hi + 1]
+        step = t_ends - grid[lo:hi]
         drive = i_in.values(np.minimum(np.arange(2 * lo, 2 * hi + 1) * (dt / 2.0), duration))
         v_hist = array("d")
-        for t_k, t_next, i0, i1, i2 in _block_rows(t[:-1], t[1:], drive[:-1:2], drive[1::2], drive[2::2]):
-            h = t_next - t_k
+        append = v_hist.append
+        for h, half, sixth, t_next, i0, i1, i2 in _block_rows(
+            step, 0.5 * step, step / 6.0, t_ends, drive[:-1:2], drive[1::2], drive[2::2]
+        ):
             if h <= 0:
-                v_hist.append(v)
+                append(v)
                 continue
+            d = v - e_l
             arg = (v - v_t) / delta_t
             if arg > exp_cap:
                 arg = exp_cap
-            k1v = (neg_g_l * (v - e_l) + gd * exp(arg) - w + i0) / c_m
-            k1w = (a * (v - e_l) - w) / tau_w
-            v2, w2 = v + 0.5 * h * k1v, w + 0.5 * h * k1w
+            k1v = (neg_g_l * d + gd * exp(arg) - w + i0) / c_m
+            k1w = (a * d - w) / tau_w
+            v2, w2 = v + half * k1v, w + half * k1w
+            d = v2 - e_l
             arg = (v2 - v_t) / delta_t
             if arg > exp_cap:
                 arg = exp_cap
-            k2v = (neg_g_l * (v2 - e_l) + gd * exp(arg) - w2 + i1) / c_m
-            k2w = (a * (v2 - e_l) - w2) / tau_w
-            v3, w3 = v + 0.5 * h * k2v, w + 0.5 * h * k2w
+            k2v = (neg_g_l * d + gd * exp(arg) - w2 + i1) / c_m
+            k2w = (a * d - w2) / tau_w
+            v3, w3 = v + half * k2v, w + half * k2w
+            d = v3 - e_l
             arg = (v3 - v_t) / delta_t
             if arg > exp_cap:
                 arg = exp_cap
-            k3v = (neg_g_l * (v3 - e_l) + gd * exp(arg) - w3 + i1) / c_m
-            k3w = (a * (v3 - e_l) - w3) / tau_w
+            k3v = (neg_g_l * d + gd * exp(arg) - w3 + i1) / c_m
+            k3w = (a * d - w3) / tau_w
             v4, w4 = v + h * k3v, w + h * k3w
+            d = v4 - e_l
             arg = (v4 - v_t) / delta_t
             if arg > exp_cap:
                 arg = exp_cap
-            k4v = (neg_g_l * (v4 - e_l) + gd * exp(arg) - w4 + i2) / c_m
-            k4w = (a * (v4 - e_l) - w4) / tau_w
-            v += (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            w += (h / 6.0) * (k1w + 2 * k2w + 2 * k3w + k4w)
+            k4v = (neg_g_l * d + gd * exp(arg) - w4 + i2) / c_m
+            k4w = (a * d - w4) / tau_w
+            v += sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            w += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
             if v >= v_peak:
                 spike_times.append(t_next)
                 v = p.v_reset
@@ -426,7 +435,7 @@ def adex_neuron(
                     f"adex_neuron diverged at t = {t_next!r} s (v = {v!r} V): "
                     f"the step dt = {dt!r} s is too coarse for this drive"
                 )
-            v_hist.append(v)
+            append(v)
         v_out[lo + 1:hi + 1] = v_hist
 
     proxy = p.i_rest_proxy + p.proxy_gain * p.g_l * (v_out - p.e_l)

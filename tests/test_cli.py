@@ -124,6 +124,13 @@ def test_decode_malformed_row_exit_3_names_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_decode_undecodable_byte_exit_3_names_file_and_line(tmp_path, capsys):
+    p = tmp_path / "events.csv"
+    p.write_bytes(b"t_req_s,channel,sf\n0.1,0,0\n\xff\xfe,0,0\n")
+    assert main(["decode", str(p), "--out", str(tmp_path / "out")]) == 3
+    assert f"error: {p}: line 3: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+
 def test_decode_channel_of_2_64_exit_3_names_line(tmp_path, capsys):
     p = tmp_path / "events.csv"
     p.write_text("t_req_s,channel,sf\n0.1,0,0\n0.2,18446744073709551616,0\n")

@@ -1,4 +1,6 @@
 import io
+import math
+import re
 import warnings
 
 import numpy as np
@@ -200,6 +202,23 @@ def test_events_reader_streams_as_the_row_reader_reads(tmp_path, text):
     assert got.sf.tolist() == want.sf.tolist()
 
 
+@pytest.mark.parametrize("text, line, byte", [
+    (b"t_req_s,channel,sf\n0.1,0,0\n\xff\xfe,0,0\n", 3, "0xff"),
+    (b"t_req_s,ch\xe9nnel,sf\n0.1,0,0\n", 1, "0xe9"),
+    # the bad byte far into the file; a CR LF and a form feed each end one line
+    (b"t_req_s,channel,sf\r\n" + b"0.1,0,0\n" * 20_000 + b"0.2,0,0\x0c0.3,\x80,1\n", 20_003, "0x80"),
+    # a multi-byte sequence cut off at the end of the file
+    (b"t_req_s,channel,sf\n0.1,0,0\n0.2,0,\xc3", 3, "0xc3"),
+    # after a malformed row the bad byte is still the one named
+    (b"t_req_s,channel,sf\nx,0,0\n0.2,0,0\xa0\n", 3, "0xa0"),
+], ids=["row", "header", "line-20003", "truncated-at-end", "after-a-bad-row"])
+def test_events_undecodable_byte_names_its_line(tmp_path, text, line, byte):
+    p = tmp_path / "events.csv"
+    p.write_bytes(text)
+    with pytest.raises(CsvFormatError, match=rf"^{re.escape(str(p))}: line {line}: byte {byte} is not UTF-8 \("):
+        read_events_csv(p)
+
+
 @pytest.mark.parametrize("end", ["", "no line break at the end"])
 def test_lines_split_across_chunks_as_splitlines_splits(end):
     # rows of varying length put every kind of line break on and around
@@ -399,3 +418,60 @@ def test_table_writers_match_the_per_row_reference(tmp_path, n):
     for writer, args, expected in cases:
         path = writer(tmp_path / f"{writer.__name__}.csv", *args)
         assert path.read_bytes() == expected, writer.__name__
+
+
+_CELL_FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1 / 3])
+_CELL_INT_RANGES = {np.int64: (-2**63, 2**63 - 1), np.uint8: (0, 255), np.bool_: (0, 1)}
+# no separator, line feed or NUL (which numpy strips from the end of a
+# ``<U`` cell), and no lone surrogate, which does not encode
+_CELL_TEXT = st.text(st.characters(blacklist_characters=",\n\x00", blacklist_categories=("Cs",)), max_size=5)
+
+
+@st.composite
+def _table_columns(draw):
+    """One to three equal-length columns: numpy float64, int64, uint8,
+    bool or ``<U`` blocks, or Python lists mixing numbers and ``""``.
+    Each column either repeats a few drawn values or holds them once among
+    random, almost surely distinct ones; some tables span several blocks."""
+    n = draw(st.integers(1, 40) | st.sampled_from([formats._BLOCK, formats._BLOCK + 1, 2 * formats._BLOCK + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float64", "int64", "uint8", "bool", "str", "list"]),
+                              min_size=1, max_size=3)):
+        if kind == "float64":
+            pool = np.array(draw(st.lists(_CELL_FLOATS, min_size=1, max_size=8)))
+            spread = rng.random(n) * draw(st.sampled_from([2.0**-1060, 2.0**-30, 1.0, 2.0**1000]))
+        elif kind == "str":
+            pool = np.array(draw(st.lists(_CELL_TEXT, min_size=1, max_size=8)))
+            spread = np.char.add("s", np.arange(n).astype(str))
+        elif kind == "list":
+            pool = draw(st.lists(_CELL_FLOATS | st.integers() | st.just(""), min_size=1, max_size=8))
+            columns.append([pool[k] for k in rng.integers(0, len(pool), n)])
+            continue
+        else:
+            dtype = {"int64": np.int64, "uint8": np.uint8, "bool": np.bool_}[kind]
+            lo, hi = _CELL_INT_RANGES[dtype]
+            pool = np.array(draw(st.lists(st.integers(lo, hi), min_size=1, max_size=8))).astype(dtype)
+            spread = rng.integers(lo, hi, n, dtype=np.int64, endpoint=True).astype(dtype)
+        if draw(st.booleans()):  # the drawn values, then the spread
+            column = np.concatenate((pool, spread))[:n]
+        else:
+            column = pool[rng.integers(0, pool.size, n)]
+        columns.append(column)
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=_table_columns())
+@example(columns=[np.array([0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310])])
+@example(columns=[np.array([-0.0, 0.0, -0.0, 5e-324, 5e-324, math.nan]), [0.5, "", 3, "", -0.0, 7]])
+def test_table_cells_are_str_of_each_value(tmp_path_factory, columns):
+    path = formats._write_table(tmp_path_factory.mktemp("table") / "t.csv", "h", *columns)
+    header, *rows, end = path.read_bytes().decode().split("\n")
+    assert (header, end) == ("h", "")
+    cells = list(zip(*(row.split(",") for row in rows)))
+    assert len(cells) == len(columns)
+    for column, text in zip(columns, cells):
+        values = column.tolist() if isinstance(column, np.ndarray) else column
+        assert list(text) == [str(x) for x in values]
