@@ -78,6 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(line: str) -> None:
+    """Print a status line; a character the console's encoding cannot
+    show (a UTF-8 run name under an ASCII locale) is printed escaped."""
+    try:
+        print(line)
+    except UnicodeEncodeError:
+        print(line.encode("ascii", "backslashreplace").decode("ascii"))
+
+
 def _load_decode_config(path: Optional[Path]) -> tuple[CfcConfig, AckModel]:
     """Decode accepts either a full experiment spec, of which it reads only
     the converter, or flat config overrides."""
@@ -96,7 +105,7 @@ def _cmd_simulate(args) -> int:
     if args.trace and not spec.trace:
         spec = dataclasses.replace(spec, trace=True)
     summary = run_simulate(spec, args.out)
-    print(f"{spec.name}: {summary['event_count']} events -> {args.out}")
+    _report(f"{spec.name}: {summary['event_count']} events -> {args.out}")
     return EXIT_OK
 
 
@@ -104,14 +113,14 @@ def _cmd_decode(args) -> int:
     config, ack = _load_decode_config(args.config)
     compensation = dead_time(config, ack) if args.compensate else 0.0
     out_path = run_decode(args.events, config, args.out, compensation=compensation)
-    print(f"decoded {args.events} -> {out_path}")
+    _report(f"decoded {args.events} -> {out_path}")
     return EXIT_OK
 
 
 def _cmd_preset(args) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     result = run_preset(args.name, args.out, seed=seed, compensate=args.compensate)
-    print(f"preset {result.name}: {len(result.files)} files -> {result.out_dir}")
+    _report(f"preset {result.name}: {len(result.files)} files -> {result.out_dir}")
     return EXIT_OK
 
 
@@ -137,7 +146,7 @@ def _cmd_sweep(args) -> int:
         "steps_no_measurement": len(points) - measured,
         "config": config.to_dict(),
     })
-    print(f"sweep: {len(events)} events, {measured}/{len(points)} steps measured -> {args.out}")
+    _report(f"sweep: {len(events)} events, {measured}/{len(points)} steps measured -> {args.out}")
     return EXIT_OK
 
 

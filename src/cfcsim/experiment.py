@@ -177,9 +177,11 @@ def build_stimulus(
 
 
 def read_json_object(path: Union[str, Path]) -> dict:
-    """Parse a JSON file whose top level must be an object."""
+    """Parse a UTF-8 JSON file whose top level must be an object."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start} ({exc.object[exc.start]:#04x}) is not UTF-8: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):

@@ -1,10 +1,20 @@
 """On-disk formats: CSV schemas and the run summary record.
 
-All floats are written with ``repr``, i.e. the shortest decimal that
-round-trips exactly, and files use ``\\n`` line endings unconditionally
-so that reruns with the same seed are byte-identical on any platform.
-The table writers format each distinct value of a column block once,
-keyed by its bytes, and repeat that text for every cell holding it.
+Every float is written as its ``repr``, the shortest decimal that
+round-trips exactly, and files are UTF-8 with ``\\n`` line endings
+whatever the locale, so that reruns with the same seed are
+byte-identical on any platform.
+
+The table writers never call ``repr`` on a float.  A numpy kernel
+(:func:`_float_cells`) finds the same digits with the Schubfach
+algorithm, on 32-bit limbs in uint64 arrays, and lays them out as
+``repr`` does; it is checked against ``repr`` on every power of two and
+of ten, the subnormals and random bit patterns.  Tables are written
+``core._BLOCK`` rows at a time: each column's block becomes a NUL-padded
+byte matrix, each distinct value of a block formatted once, and the
+matrices are joined with ``,`` and ``\\n`` and written without the NULs.
+The working memory is one block, about 1.1 MB for an events table
+(traced peak), whatever the table's length.
 
 Schemas:
     events  ``t_req_s,channel,sf``            sf: 0 = low, 1 = high
@@ -20,6 +30,7 @@ Schemas:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -49,46 +60,287 @@ def _write_table(path: Union[str, Path], header: str, *columns) -> Path:
     """Write equal-length columns as CSV rows under ``header``.
 
     A column is a numpy array or a sequence of Python numbers or strings;
-    each cell is ``str`` of its value, which for a float is its shortest
-    round-tripping ``repr``.  Rows are formatted ``_BLOCK`` at a time, so
-    memory is bounded by one block rather than by the table.  Within a
-    block, each distinct value of a numpy column is formatted once, keyed
-    by its bytes (so ``0.0`` and ``-0.0`` stay apart), and its text is
-    repeated for every cell that holds it.
+    each cell is the UTF-8 text of ``str`` of its value, which for a float
+    is its shortest round-tripping ``repr``.  Rows are formatted
+    ``_BLOCK`` at a time, so memory is bounded by one block rather than
+    by the table: each column's block becomes a NUL-padded byte matrix
+    (:func:`_block_cells`), the matrices are laid side by side with ``,``
+    and ``\\n`` after them, and the NULs are dropped.  A text cell must
+    therefore hold no NUL.
     """
     path = Path(path)
     n = len(columns[0])
-    with path.open("w", newline="\n") as fh:
-        fh.write(header + "\n")
+    with path.open("wb") as fh:
+        fh.write(header.encode() + b"\n")
         for lo in range(0, n, _BLOCK):
-            cells = [_block_cells(column[lo:lo + _BLOCK]) for column in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            fh.write(_join_rows([_block_cells(column[lo:lo + _BLOCK]) for column in columns]))
     return path
 
 
-def _block_cells(block):
-    """The cell texts of one block of a column (see :func:`_write_table`).
+def _join_rows(cells: list[np.ndarray]) -> np.ndarray:
+    """CSV rows from the cell matrices of one block: ``,`` after each
+    cell but the last of a row, ``\\n`` after that one, as the bytes
+    of a uint8 array."""
+    rows = np.zeros((len(cells[0]), sum(c.shape[1] + 1 for c in cells)), dtype=np.uint8)
+    at = 0
+    for c in cells:
+        rows[:, at:at + c.shape[1]] = c
+        at += c.shape[1] + 1
+        rows[:, at - 1] = ord(",")
+    rows[:, -1] = ord("\n")
+    del c, cells[:]  # free the matrices before the copy below
+    return rows[rows != 0]
 
-    Numpy blocks of floats, integers, booleans or strings are grouped;
-    Python sequences and other arrays, such as object arrays, are
-    formatted cell by cell.  A block whose cells are all distinct is
-    formatted in order, with no grouping to undo.  Numeric blocks use
-    ``repr``, which for Python floats, ints and bools is ``str``.
+
+def _block_cells(block) -> np.ndarray:
+    """The cell texts of one block of a column (see :func:`_write_table`)
+    as a ``(rows, width)`` uint8 matrix of UTF-8 bytes, NUL-padded.
+
+    Floats of up to 64 bits go through :func:`_float_cells`; integers,
+    booleans and strings through ``str``.  Within a numpy block each
+    distinct value is formatted once, keyed by its bytes (so ``0.0`` and
+    ``-0.0`` stay apart), and its row is repeated for every cell that
+    holds it; a block whose cells are all distinct is formatted in order.
+    Python sequences are split into their floats and their other values;
+    other arrays, such as object arrays, are formatted cell by cell.
     """
     if not isinstance(block, np.ndarray):
-        return map(str, block)
+        return _sequence_cells(block)
     if block.dtype.kind == "f" and block.itemsize <= 8:
-        key = block.view(f"u{block.itemsize}")
+        block = block.astype(np.float64, copy=False)
+        key, render = block.view(np.uint64), _float_cells
     elif block.dtype.kind in "biuU":
-        key = block
+        key, render = block, _str_cells
     else:
-        return map(str, block.tolist())
-    text_of = str if block.dtype.kind == "U" else repr
+        return _str_cells(block)
     distinct, inverse = np.unique(key, return_inverse=True)
     if distinct.size == block.size:
-        return map(text_of, block.tolist())
-    text = np.array(list(map(text_of, distinct.view(block.dtype).tolist())), dtype=object)
-    return text[inverse].tolist()
+        return render(block)
+    return render(distinct.view(block.dtype))[inverse]
+
+
+def _str_cells(values) -> np.ndarray:
+    """The UTF-8 text of ``str`` of each value, as a NUL-padded matrix."""
+    texts = np.array([str(x).encode() for x in values.tolist()], dtype=bytes)
+    return texts.view(np.uint8).reshape(texts.size, texts.itemsize)
+
+
+def _sequence_cells(values) -> np.ndarray:
+    """:func:`_block_cells` of a Python sequence: its floats through
+    :func:`_float_cells`, any other value through ``str``."""
+    values = list(values)
+    is_float = np.array([isinstance(x, float) for x in values], dtype=bool)
+    floats = _block_cells(np.array([x for x in values if isinstance(x, float)], dtype=np.float64))
+    others = _block_cells(np.array([str(x) for x in values if not isinstance(x, float)], dtype=str))
+    cells = np.zeros((len(values), max(floats.shape[1], others.shape[1])), dtype=np.uint8)
+    cells[is_float, :floats.shape[1]] = floats
+    cells[~is_float, :others.shape[1]] = others
+    return cells
+
+
+# Shortest round-trip text of float64 values, as ``repr`` writes it.
+#
+# The digits come from the Schubfach algorithm (R. Giulietti, "The
+# Schubfach way to render doubles", 2020), as in Java's ``DoubleToDecimal``
+# but with no two-digit minimum: a finite, nonzero double v = c * 2**q
+# lies in a rounding interval R; among the decimals s * 10**k and
+# (s + 1) * 10**k that bracket v, and the one-digit-shorter multiples of
+# 10**(k + 1), the shortest in R is taken, the closer to v of two, the
+# even one on a tie.  The scaled values 4 * v / 10**k and the interval's
+# ends come from 64 x 126-bit products rounded to odd, run on 32-bit limbs
+# in uint64 arrays.
+
+_M32 = np.uint64(0xFFFFFFFF)
+_M63 = np.uint64(2**63 - 1)
+_POS_INF = np.uint64(0x7FF << 52)
+_ONE = np.uint64(0x3FF << 52)  # 1.0, which stands in for the values the digits do not cover
+_K_MIN, _K_MAX = -324, 292  # the decimal exponents k of the multipliers
+_POW10 = 10 ** np.arange(18, dtype=np.uint64)
+_FLOAT_WIDTH = 24  # the longest text: "-2.2250738585072014e-308"
+#: the texts of the values that have no digits: 0.0, -0.0, inf, -inf and every NaN
+_SPECIAL = np.array([b"0.0", b"-0.0", b"inf", b"-inf", b"nan"], dtype=f"S{_FLOAT_WIDTH}")
+_SPECIAL_SIZE = np.array([3, 4, 3, 4, 3])
+_DIGIT_RANK = np.arange(1, 18, dtype=np.uint8)[:, None]  # digit m of 17 is the (m + 1)-th
+_FLOAT_LEAD = np.array([ord("0")] * 6 + [0] * (_FLOAT_WIDTH - 6), dtype=np.uint8)
+
+
+@functools.cache
+def _multipliers() -> tuple[np.ndarray, ...]:
+    """For each k in [_K_MIN, _K_MAX], g = floor(10**-k * 2**(125 - r)) + 1
+    with r = floor(log2(10**-k)), a 126-bit integer in (2**125, 2**126),
+    as the 32-bit limbs (high, low) of its 63-bit halves g1 = g >> 63
+    and g0 = g mod 2**63, and r + 2.  Built once, with Python integers."""
+    g1h, g1l, g0h, g0l, r2 = [], [], [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        if k <= 0:
+            p = 10**-k
+            r = p.bit_length() - 1
+            g = (p << 125 - r if r <= 125 else p >> r - 125) + 1
+        else:
+            p = 10**k  # never a power of two, so r = -bit_length
+            r = -p.bit_length()
+            g = (1 << 125 - r) // p + 1
+        g1, g0 = g >> 63, g & (2**63 - 1)
+        g1h.append(g1 >> 32)
+        g1l.append(g1 & 0xFFFFFFFF)
+        g0h.append(g0 >> 32)
+        g0l.append(g0 & 0xFFFFFFFF)
+        r2.append(r + 2)
+    tables = tuple(np.array(t, dtype=np.uint32) for t in (g1h, g1l, g0h, g0l)) + (np.array(r2, dtype=np.int64),)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _mul_high(x0, x1, gh, gl):
+    """floor(x * g / 2**64) for x < 2**60 given as its 32-bit limbs
+    (x0 low, x1 high) and g < 2**63 as (gh, gl); no sum overflows."""
+    return ((gl * x0 >> np.uint64(32)) + gl * x1 + gh * x0 >> np.uint64(32)) + gh * x1
+
+
+def _round_to_odd(x, g):
+    """x * g / 2**127 rounded down, with its lowest bit set if that
+    dropped a nonzero fraction, as ``rop`` of Java's ``DoubleToDecimal``
+    computes it; g is ``_multipliers`` gathered per value."""
+    g1h, g1l, g0h, g0l = g
+    x0, x1 = x & _M32, x >> np.uint64(32)
+    z = ((g1h.astype(np.uint64) << np.uint64(32)) + g1l) * x >> np.uint64(1)
+    z += _mul_high(x0, x1, g0h, g0l)
+    return _mul_high(x0, x1, g1h, g1l) + (z >> np.uint64(63)) | (z << np.uint64(1) != 0)
+
+
+def _shortest(bits):
+    """The shortest decimal f * 10**k that reads back as each finite,
+    nonzero double (given as its bits): f < 10**17 as uint64 and k as
+    int16.  Arrays are updated in place and dropped once used, so that
+    few columns of the block are alive at a time.
+    """
+    q = (bits >> np.uint64(52)).astype(np.int64)
+    q &= 0x7FF  # the biased exponent
+    c = bits & np.uint64(2**52 - 1)
+    del bits
+    irregular = (c == 0) & (q > 1)  # a power of two: the double below is half as far as the one above
+    c |= (q != 0) * np.uint64(2**52)
+    np.maximum(q, 1, out=q)
+    q -= 1075  # v = c * 2**q
+    # floor(log10(2**q)), or floor(log10(3/4 * 2**q)) when irregular (Java's MathUtils)
+    k = q * 661_971_961_083
+    k -= irregular * 274_743_187_321
+    k >>= 41
+    k -= _K_MIN
+    *g, h = (t[k] for t in _multipliers())
+    k = (k + _K_MIN).astype(np.int16)
+    h += q
+    del q
+    h = h.astype(np.uint8)
+    x = c << h + np.uint8(2)  # 4 * c, scaled so that x * g / 2**127 is near 4 * v / 10**k
+    odd = (c & np.uint64(1)) != 0  # R excludes its ends when c is odd
+    del c
+    vb = _round_to_odd(x, g)
+    step = np.uint64(2) << h  # R's half-width, or its upper half-width when irregular
+    del h
+    vbr = _round_to_odd(x + step, g)
+    step >>= irregular.view(np.uint8)
+    x -= step
+    del step
+    vbl = _round_to_odd(x, g)
+    del x, g
+    vbl += odd
+    vbr -= odd
+    s = vb >> np.uint64(2)
+    # the one-digit-shorter candidates: at most one lies in R
+    sp10 = s // np.uint64(10)
+    sp10 *= np.uint64(10)
+    upin = vbl <= sp10 << np.uint64(2)
+    wpin = sp10 + np.uint64(10) << np.uint64(2) <= vbr
+    shorter = (upin != wpin) & (s >= np.uint64(10))
+    del upin
+    # s or s + 1: the one in R, else the closer to v, else the even one
+    uin = vbl <= s << np.uint64(2)
+    win = s + np.uint64(1) << np.uint64(2) <= vbr
+    del vbl, vbr
+    vb += s & np.uint64(1)
+    up = np.where(uin == win, vb > (s << np.uint64(2)) + np.uint64(2), win)
+    del vb
+    s += up
+    sp10 += wpin * np.uint64(10)
+    return np.where(shorter, sp10, s), k
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64 as a NUL-padded ASCII matrix.
+
+    ``repr`` writes the shortest digits d1 d2 ... dn with the decimal point
+    after ``decpt`` of them: in fixed notation when -4 < decpt <= 16,
+    padded with zeros and given ``.0`` when the value is integral, else
+    as d1.d2...dn followed by ``e``, the sign and at least two exponent
+    digits.  Per-row counts are int16 and dropped once used, to keep the
+    memory near a few columns of the block.
+    """
+    n = x.size
+    bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+    plain = (bits & _M63) - np.uint64(1) < _POS_INF - np.uint64(1)  # finite and nonzero
+    f, decpt = _shortest(np.where(plain, bits, _ONE))
+    size = np.searchsorted(_POW10, f, side="right")
+    f *= _POW10[17 - size]  # 17 digits, the shortest ones first
+    decpt += size.astype(np.int16)
+    del size
+    hi = (f // np.uint64(10**8)).astype(np.uint32)
+    f -= hi * np.uint64(10**8)
+    lo = f.astype(np.uint32)
+    del f
+    digits = np.empty((17, n), dtype=np.uint8)
+    for m in range(16, -1, -1):
+        half = lo if m > 8 else hi
+        q = half // np.uint32(10)
+        digits[m] = half - q * np.uint32(10)
+        half[...] = q
+    del q, half, lo, hi
+    nd = np.max((digits != 0) * _DIGIT_RANK, axis=0).astype(np.int16)  # significant digits
+
+    neg = (bits >> np.uint64(63)).astype(np.int16)
+    sci = (decpt < -3) | (decpt > 16)
+    point = np.where(sci, 1, np.maximum(decpt, 0))  # the digits before the point
+    skip = np.where(sci, 0, np.maximum(1 - decpt, 0))  # "0." and the zeros after it, less the point
+    # digits past the last significant one are NUL, but for the zeros of an integral fixed value
+    keep = np.where(sci | (decpt <= 0), nd, np.maximum(nd, decpt + 1))
+    digits += ord("0")
+    digits *= _DIGIT_RANK <= keep
+    end = neg + np.where(sci, nd + (nd > 1), np.maximum(nd + skip + 1, decpt + 2))
+    del nd, keep
+    # '0' under the sign, "0." and up to three zeros; the digits, NUL or
+    # not, cover every column from the first digit's on
+    cells = np.tile(_FLOAT_LEAD, (n, 1))
+    flat = cells.reshape(-1)
+    row = np.arange(0, n * _FLOAT_WIDTH, _FLOAT_WIDTH)
+    at = row + neg + skip
+    del skip
+    for m in range(17):  # digit m, one column further right once past the point
+        at += point == m
+        flat[m:][at] = digits[m]
+    del at, digits
+    flat[row + neg + np.maximum(point, 1)] = ord(".")
+    cells[neg.astype(bool), 0] = ord("-")
+    (e,) = np.nonzero(sci & plain)
+    if e.size:
+        exp = decpt[e] - 1
+        mag = np.abs(exp)
+        wide = (mag >= 100).astype(np.intp)
+        at = row[e] + end[e]
+        flat[at] = ord("e")
+        flat[at + 1] = np.where(exp < 0, ord("-"), ord("+"))
+        flat[at + 3 + wide] = ord("0") + mag % 10
+        flat[at + 2 + wide] = ord("0") + mag // 10 % 10
+        flat[at[wide == 1] + 2] = ord("0") + mag[wide == 1] // 100
+        end[e] += 4 + wide
+    (o,) = np.nonzero(~plain)
+    if o.size:
+        mag = bits[o] & _M63
+        which = np.where(mag == 0, neg[o], np.where(mag == _POS_INF, 2 + neg[o], 4))
+        cells[o] = _SPECIAL[which].view(np.uint8).reshape(o.size, _FLOAT_WIDTH)
+        end[o] = _SPECIAL_SIZE[which]
+    width = int(end.max(initial=0))
+    return cells[:, :width]
 
 
 def write_events_csv(path: Union[str, Path], events: EventStream) -> Path:
@@ -207,7 +459,7 @@ def _lines(fh):
 
 
 def write_trace_csv(path: Union[str, Path], trace: StateTrace) -> Path:
-    phase = [p.value for p in trace.phase]
+    phase = np.array([p.value for p in trace.phase], dtype=str)
     return _write_table(path, TRACE_HEADER, trace.t, trace.v_low, trace.v_high, phase, trace.selected)
 
 
@@ -266,13 +518,13 @@ def write_fit_record(path: Union[str, Path], fit: ExponentialFit, extra: dict | 
     if extra:
         record.update(extra)
     lines = [f"{key}={float(value)!r}" for key, value in record.items()]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 
 
 def read_fit_record(path: Union[str, Path]) -> dict[str, float]:
     out: dict[str, float] = {}
-    for row in Path(path).read_text().splitlines():
+    for row in Path(path).read_text(encoding="utf-8").splitlines():
         if not row.strip():
             continue
         key, _, value = row.partition("=")
@@ -282,5 +534,5 @@ def read_fit_record(path: Union[str, Path]) -> dict[str, float]:
 
 def write_summary_json(path: Union[str, Path], summary: dict) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", newline="\n")
+    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
     return path

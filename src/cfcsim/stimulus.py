@@ -83,9 +83,10 @@ class CurrentSignal:
         if ts.size and (ts.min() < 0.0 or ts.max() > self.end * (1 + 1e-12) + 1e-300):
             raise ValueError(f"time outside signal domain [0, {self.end}]")
         idx = np.clip(np.searchsorted(self.times, ts, side=side) - 1, 0, self.times.size - 1)
-        span = self.ends[idx] - self.times[idx]
-        frac = np.clip((ts - self.times[idx]) / span, 0.0, 1.0)
-        return self.i_start[idx] + (self.i_end[idx] - self.i_start[idx]) * frac
+        width = self.ends - self.times
+        rise = self.i_end - self.i_start
+        frac = np.clip((ts - self.times[idx]) / width[idx], 0.0, 1.0)
+        return self.i_start[idx] + rise[idx] * frac
 
     def pieces(self, duration: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The segments clipped to a run over [0, duration], as the linear

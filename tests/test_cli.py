@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,3 +441,33 @@ def test_load_spec_explicit_train_takes_the_listed_times():
     direct = dpi_synapse(SpikeTrain(np.array([0.1, 0.25])), duration=0.5, **synapse)
     assert np.array_equal(spec.stimulus.times, direct.times)
     assert np.array_equal(spec.stimulus.i_start, direct.i_start)
+
+
+# Under an ASCII locale Python's default text encoding is ASCII; every file
+# must still be read and written as UTF-8.
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "PYTHONIOENCODING": ""}
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _cli_in_ascii_locale(*args, cwd):
+    env = {**os.environ, **_ASCII_LOCALE, "PYTHONPATH": _SRC}
+    return subprocess.run([sys.executable, "-m", "cfcsim", *args], cwd=cwd, env=env, capture_output=True,
+                          timeout=120)
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "µA-run", "duration": 1e-3, "stimulus": {"kind": "constant", "i": 3e-9},
+                                "config": {"t_rst": 0.0, "i_leak_floor": 0.0}}, ensure_ascii=False),
+                    encoding="utf-8")
+    done = _cli_in_ascii_locale("simulate", "--config", "spec.json", "--out", "run", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "run" / "summary.json").read_text(encoding="utf-8"))["name"] == "µA-run"
+    assert main(["simulate", "--config", str(spec), "--out", str(tmp_path / "here")]) == 0
+    for name in ("events.csv", "truth.csv", "summary.json"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+    spec.write_bytes(b'{"name": "\xff"}')
+    done = _cli_in_ascii_locale("simulate", "--config", "spec.json", "--out", "run", cwd=tmp_path)
+    assert done.returncode == 2
+    assert re.search(rb"spec\.json: byte 10 \(0xff\) is not UTF-8", done.stderr), done.stderr

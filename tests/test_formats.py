@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -475,3 +476,68 @@ def test_table_cells_are_str_of_each_value(tmp_path_factory, columns):
     for column, text in zip(columns, cells):
         values = column.tolist() if isinstance(column, np.ndarray) else column
         assert list(text) == [str(x) for x in values]
+
+
+# The float kernel: ``formats._float_cells`` must give ``repr``'s bytes
+# for every float64, with no fallback to ``repr`` itself.
+
+def _kernel_texts(x):
+    cells = formats._float_cells(np.asarray(x, dtype=np.float64))
+    return [row.tobytes().rstrip(b"\0").decode() for row in cells]
+
+
+def _assert_kernel_is_repr(x):
+    want = [repr(v) for v in x.tolist()]
+    got = _kernel_texts(x)
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not bad, bad[:5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_float_kernel_is_repr_of_any_bit_pattern(patterns):
+    _assert_kernel_is_repr(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+def _with_neighbours(x):
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):  # the step above DBL_MAX is inf
+        return np.concatenate((x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)))
+
+
+def test_float_kernel_is_repr_at_the_edges():
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    powers_of_ten = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    # where repr switches between fixed and exponent notation
+    switches = np.array([1e-5, 1e-4, 1e15, 1e16, 1e17, 9.999999999999999e-5, 9.999999999999999e15])
+    integers = np.array([2.0**53 - 1, 2.0**53, 2.0**53 + 2, 123456789012345678.0])
+    specials = np.array([0.0, math.inf, sys.float_info.max, sys.float_info.min, 5e-324, 1 / 3, 0.1])
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
+                    dtype=np.uint64).view(np.float64)
+    x = _with_neighbours(np.concatenate((powers_of_two, powers_of_ten, switches, integers, specials)))
+    subnormals = np.arange(2**16, dtype=np.uint64).view(np.float64)  # 0.0 and the 2**16 - 1 smallest
+    _assert_kernel_is_repr(np.concatenate((x, -x, subnormals, -subnormals, nans)))
+
+
+def test_float_kernel_needs_no_two_digit_minimum():
+    # the two rules of Java's DoubleToDecimal that only serve its "d.d" minimum
+    # would write these as 4.9e-324 and 7.9e-323
+    assert _kernel_texts([5e-324, 8e-323, 1e23, 9007199254740993.0]) == ["5e-324", "8e-323", "1e+23",
+                                                                          "9007199254740992.0"]
+
+
+def _table_peak(traced_peak, path, n):
+    """Traced peak of writing a float64/int64/uint8 table of ``n`` rows."""
+    rng = np.random.default_rng(n)
+    t = np.cumsum(rng.random(n) * 1e-5) - 1e-3  # long, all-distinct texts of both signs
+    channel = rng.integers(0, 2**40, n)
+    sf = rng.integers(0, 2, n).astype(np.uint8)
+    return traced_peak(formats._write_table, path, "t,channel,sf", t, channel, sf)
+
+
+def test_table_writer_memory_is_one_block(tmp_path, traced_peak):
+    _table_peak(traced_peak, tmp_path / "warm.csv", 10)  # the multiplier table, built once
+    one = _table_peak(traced_peak, tmp_path / "one.csv", formats._BLOCK + 1)
+    three = _table_peak(traced_peak, tmp_path / "three.csv", 3 * formats._BLOCK + 1)
+    assert three <= 1.1 * one
+    assert three < 1.5e6
