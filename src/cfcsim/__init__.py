@@ -29,10 +29,8 @@ from .simulator import (
     Phase,
     SimResult,
     StateTrace,
-    oracle_simulate,
     power_estimate,
     simulate,
-    simulate_many,
 )
 from .stimulus import (
     FIVE_RANGE_SWEEPS,

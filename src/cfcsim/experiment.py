@@ -54,7 +54,6 @@ class ExperimentSpec:
     stimulus: CurrentSignal
     duration: float
     ack: AckModel
-    seed: int
     trace: bool = False
 
 
@@ -248,7 +247,6 @@ def load_spec(
         stimulus=signal,
         duration=duration,
         ack=ack,
-        seed=ack.seed,
         trace=trace,
     )
 
@@ -263,7 +261,7 @@ def summarize(spec: ExperimentSpec, result: SimResult) -> dict:
             isi_rate = (n - 1) / span
     return {
         "name": spec.name,
-        "seed": spec.seed,
+        "seed": spec.ack.seed,
         "duration_s": spec.duration,
         "event_count": n,
         "mean_rate_hz": n / spec.duration,

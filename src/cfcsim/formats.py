@@ -59,14 +59,13 @@ class CsvFormatError(ValueError):
 def _write_table(path: Union[str, Path], header: str, *columns) -> Path:
     """Write equal-length columns as CSV rows under ``header``.
 
-    A column is a numpy array or a sequence of Python numbers or strings;
-    each cell is the UTF-8 text of ``str`` of its value, which for a float
-    is its shortest round-tripping ``repr``.  Rows are formatted
-    ``_BLOCK`` at a time, so memory is bounded by one block rather than
-    by the table: each column's block becomes a NUL-padded byte matrix
-    (:func:`_block_cells`), the matrices are laid side by side with ``,``
-    and ``\\n`` after them, and the NULs are dropped.  A text cell must
-    therefore hold no NUL.
+    A column is a numpy array; each cell is the UTF-8 text of ``str`` of
+    its value, which for a float is its shortest round-tripping ``repr``.
+    Rows are formatted ``_BLOCK`` at a time, so memory is bounded by one
+    block rather than by the table: each column's block becomes a
+    NUL-padded byte matrix (:func:`_block_cells`), the matrices are laid
+    side by side with ``,`` and ``\\n`` after them, and the NULs are
+    dropped.  A text cell must therefore hold no NUL.
     """
     path = Path(path)
     n = len(columns[0])
@@ -101,11 +100,8 @@ def _block_cells(block) -> np.ndarray:
     distinct value is formatted once, keyed by its bytes (so ``0.0`` and
     ``-0.0`` stay apart), and its row is repeated for every cell that
     holds it; a block whose cells are all distinct is formatted in order.
-    Python sequences are split into their floats and their other values;
-    other arrays, such as object arrays, are formatted cell by cell.
+    Other arrays, such as object arrays, are formatted cell by cell.
     """
-    if not isinstance(block, np.ndarray):
-        return _sequence_cells(block)
     if block.dtype.kind == "f" and block.itemsize <= 8:
         block = block.astype(np.float64, copy=False)
         key, render = block.view(np.uint64), _float_cells
@@ -123,19 +119,6 @@ def _str_cells(values) -> np.ndarray:
     """The UTF-8 text of ``str`` of each value, as a NUL-padded matrix."""
     texts = np.array([str(x).encode() for x in values.tolist()], dtype=bytes)
     return texts.view(np.uint8).reshape(texts.size, texts.itemsize)
-
-
-def _sequence_cells(values) -> np.ndarray:
-    """:func:`_block_cells` of a Python sequence: its floats through
-    :func:`_float_cells`, any other value through ``str``."""
-    values = list(values)
-    is_float = np.array([isinstance(x, float) for x in values], dtype=bool)
-    floats = _block_cells(np.array([x for x in values if isinstance(x, float)], dtype=np.float64))
-    others = _block_cells(np.array([str(x) for x in values if not isinstance(x, float)], dtype=str))
-    cells = np.zeros((len(values), max(floats.shape[1], others.shape[1])), dtype=np.uint8)
-    cells[is_float, :floats.shape[1]] = floats
-    cells[~is_float, :others.shape[1]] = others
-    return cells
 
 
 # Shortest round-trip text of float64 values, as ``repr`` writes it.
@@ -486,9 +469,10 @@ def write_spikes_csv(path: Union[str, Path], train: SpikeTrain) -> Path:
 
 
 def write_sweep_csv(path: Union[str, Path], points: list[SweepPoint]) -> Path:
-    levels = [float(p.level) for p in points]
-    decoded = ["" if p.decoded is None else float(p.decoded) for p in points]
-    return _write_table(path, SWEEP_HEADER, levels, decoded, [int(p.n_events) for p in points])
+    levels = np.array([p.level for p in points], dtype=np.float64)
+    decoded = np.array(["" if p.decoded is None else float(p.decoded) for p in points], dtype=object)
+    n_events = np.array([p.n_events for p in points], dtype=np.int64)
+    return _write_table(path, SWEEP_HEADER, levels, decoded, n_events)
 
 
 def write_comparison_csv(path: Union[str, Path], t, model, decoded, config: CfcConfig) -> Path:
@@ -520,16 +504,6 @@ def write_fit_record(path: Union[str, Path], fit: ExponentialFit, extra: dict | 
     lines = [f"{key}={float(value)!r}" for key, value in record.items()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
-
-
-def read_fit_record(path: Union[str, Path]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for row in Path(path).read_text(encoding="utf-8").splitlines():
-        if not row.strip():
-            continue
-        key, _, value = row.partition("=")
-        out[key] = float(value)
-    return out
 
 
 def write_summary_json(path: Union[str, Path], summary: dict) -> Path:

@@ -25,8 +25,8 @@ stimulus, and within one piece the charge balance
     integral i_eff dt  =  C_equiv * (v_active - v_ref_l)
 
 is a quadratic in the crossing time.  No fixed time step exists in this
-path; :func:`oracle_simulate` is the deliberately different brute-force
-integrator used to cross-check it in the tests.
+path; the test suite cross-checks it against a deliberately different
+brute-force integrator, the fixed-step oracle in ``tests/oracle.py``.
 
 Events are found one at a time, except on a flat stretch of current
 entered with both capacitors reset: there every cycle is alike, and one
@@ -54,12 +54,12 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import (_BLOCK, CfcConfig, ConfigError, Polarity, RangeSelect, _block_rows, above_floor, dead_time,
-                   ideal_rate, rectify, select_ranges, thresholds)
+from .core import (_BLOCK, CfcConfig, ConfigError, RangeSelect, _block_rows, above_floor, dead_time, rectify,
+                   select_ranges, thresholds)
 from .stimulus import CurrentSignal
 
 DEFAULT_EVENT_CAP = 100_000_000
@@ -92,22 +92,8 @@ class EventStream:
     def empty(cls) -> "EventStream":
         return cls(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8))
 
-    @classmethod
-    def merge(cls, streams: Sequence["EventStream"]) -> "EventStream":
-        """Merge per-channel streams into one, ordered by (time, channel)."""
-        if not streams:
-            return cls.empty()
-        t = np.concatenate([s.t_req for s in streams])
-        ch = np.concatenate([s.channel for s in streams])
-        sf = np.concatenate([s.sf for s in streams])
-        order = np.lexsort((ch, t))
-        return cls(t[order], ch[order], sf[order])
-
     def __len__(self) -> int:
         return int(self.t_req.size)
-
-    def isis(self) -> np.ndarray:
-        return np.diff(self.t_req)
 
 
 @dataclass(frozen=True)
@@ -130,7 +116,7 @@ class AckModel:
             raise ConfigError(f"ack latency must be finite and non-negative, got {self.latency}")
         if not (self.jitter >= 0 and math.isfinite(self.jitter)):
             raise ConfigError(f"ack jitter must be finite and non-negative, got {self.jitter}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool) or self.seed < 0:
             raise ConfigError(f"ack seed must be a non-negative integer, got {self.seed!r}")
 
     def latencies(self, channel_address: int) -> Iterator[float]:
@@ -524,167 +510,3 @@ def _state_trace(config: CfcConfig, pieces, events: EventStream, ack: AckModel, 
     v[events.sf[owner[dead]], dead] = config.v_ref_l
     selected = sel[np.searchsorted(starts, t, side="right") - 1]
     return StateTrace(t, v[RangeSelect.LOW], v[RangeSelect.HIGH], phase, selected)
-
-
-def simulate_many(
-    channels: Sequence[tuple[CfcConfig, CurrentSignal]],
-    duration: float,
-    ack: Optional[AckModel] = None,
-) -> EventStream:
-    """Simulate independent channels and merge their events by timestamp."""
-    addresses = [cfg.channel_address for cfg, _ in channels]
-    if len(set(addresses)) != len(addresses):
-        raise ConfigError("channel addresses must be unique")
-    return EventStream.merge([simulate(cfg, stim, duration, ack=ack).events for cfg, stim in channels])
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle: fixed-step accumulation, used only for verification
-# ---------------------------------------------------------------------------
-
-
-def _raw_crossings(stimulus: CurrentSignal, duration: float, targets) -> list[float]:
-    """Times where the raw signed stimulus crosses any target level."""
-    times = []
-    for a, b, ia, ib in _block_rows(*stimulus.pieces(duration)):
-        if ib == ia:
-            continue
-        inv = (b - a) / (ib - ia)
-        for tg in targets:
-            if (ia - tg) * (ib - tg) < 0.0:
-                times.append(a + (tg - ia) * inv)
-    return times
-
-
-def _fastest_ideal_isi(config: CfcConfig, stimulus: CurrentSignal, duration: float) -> Optional[float]:
-    """Shortest ideal inter-event interval the stimulus can provoke."""
-    max_rate = 0.0
-    for _, _, ia, ib in _block_rows(*stimulus.pieces(duration)):
-        ra = rectify(ia, config.polarity)
-        rb = rectify(ib, config.polarity)
-        lo, hi = min(ra, rb), max(ra, rb)
-        # the rectified range of this piece also covers zero when the
-        # signed piece changes sign
-        if (ia < 0 < ib) or (ib < 0 < ia):
-            lo = 0.0
-        if hi <= config.i_leak_floor:
-            continue
-        # rate is increasing on each branch; its supremum over [lo, hi]
-        # sits at the top of whichever branches the interval touches
-        if lo < config.i_sw:
-            max_rate = max(max_rate, ideal_rate(config, min(hi, config.i_sw), RangeSelect.LOW))
-        if hi >= config.i_sw:
-            max_rate = max(max_rate, ideal_rate(config, hi, RangeSelect.HIGH))
-    if max_rate == 0.0:
-        return None
-    return 1.0 / max_rate
-
-
-def oracle_simulate(
-    config: CfcConfig,
-    stimulus: CurrentSignal,
-    duration: float,
-    dt: float,
-    ack: Optional[AckModel] = None,
-    max_events: int = DEFAULT_EVENT_CAP,
-) -> EventStream:
-    """Fixed-step reference integrator for verifying :func:`simulate`.
-
-    Accumulates trapezoidal charge on a time grid of pitch ``dt`` (the
-    grid additionally lands on stimulus breakpoints and threshold
-    crossings so every step sees a single linear piece and one range),
-    then places each event by linear interpolation inside the step that
-    crossed.  Event times agree with the closed-form path within 2 * dt.
-
-    Refuses to run when ``dt`` is coarser than 1/1000 of the fastest
-    ideal inter-event interval the stimulus can provoke.  Supports zero
-    comparator hysteresis only.  Test machinery: not meant for
-    production use.
-    """
-    if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
-    if duration <= 0:
-        raise ConfigError(f"duration must be positive, got {duration}")
-    if stimulus.end < duration:
-        raise ConfigError("stimulus ends before the requested duration")
-    if config.hysteresis != 0.0:
-        raise ConfigError("the oracle supports zero comparator hysteresis only")
-    fastest = _fastest_ideal_isi(config, stimulus, duration)
-    if fastest is not None and dt > fastest / 1000.0:
-        raise ConfigError(
-            f"dt = {dt} too coarse for the fastest expected interval "
-            f"{fastest}; need dt <= {fastest / 1000.0}"
-        )
-    ack = AckModel() if ack is None else ack
-    latencies = ack.latencies(config.channel_address)
-
-    accept_positive = config.polarity is Polarity.SINK_N
-    floor = config.i_leak_floor
-    i_sw = config.i_sw
-    v_ref_h, v_ref_l, t_rst = config.v_ref_h, config.v_ref_l, config.t_rst
-    c_low = config.c1
-    c_high = config.alpha * config.beta * config.c1
-
-    sign_targets = [0.0]
-    sign_targets += [floor, i_sw] if accept_positive else [-floor, -i_sw]
-    specials = np.asarray(sorted(set(
-        list(stimulus.times[(stimulus.times > 0) & (stimulus.times < duration)])
-        + [x for x in _raw_crossings(stimulus, duration, sign_targets) if 0.0 < x < duration]
-    )))
-
-    def eff_values(ts: np.ndarray, side: str = "right") -> np.ndarray:
-        raw = stimulus.values(ts, side=side)
-        r = np.maximum(raw, 0.0) if accept_positive else np.maximum(-raw, 0.0)
-        return np.where(r > floor, r, 0.0)
-
-    ev_t = array("d")
-    ev_sf = array("B")
-    t = 0.0
-    v_low = v_high = v_ref_h
-    chunk = 1 << 16
-
-    while t < duration:
-        if len(ev_t) >= max_events:
-            raise _cap_error(config, max_events, ev_t, ev_sf, t)
-        t_hi = min(duration, t + chunk * dt)
-        n = max(1, int(math.ceil((t_hi - t) / dt - 1e-12)))
-        ts = t + dt * np.arange(n + 1)
-        ts[-1] = t_hi
-        lo_idx, hi_idx = np.searchsorted(specials, [t, t_hi], side="right")
-        inside = specials[lo_idx:hi_idx]
-        if inside.size:
-            ts = np.unique(np.concatenate([ts, inside]))
-        # step starts take right limits, step ends take left limits, so a
-        # stimulus jump sitting exactly on a grid point charges each side
-        # of the discontinuity with its own segment's current
-        ie = eff_values(ts)
-        ie_end = eff_values(ts, side="left")
-        steps = np.diff(ts)
-        mids = 0.5 * (ie[:-1] + ie_end[1:])
-        sel_high = mids >= i_sw
-        dq = mids * steps
-        dv_low = np.where(sel_high, 0.0, dq / c_low)
-        dv_high = np.where(sel_high, dq / c_high, 0.0)
-        cum_low = v_low - np.cumsum(dv_low)
-        cum_high = v_high - np.cumsum(dv_high)
-        active_end = np.where(sel_high, cum_high, cum_low)
-        hit = active_end <= v_ref_l
-        if not hit.any():
-            v_low = float(cum_low[-1])
-            v_high = float(cum_high[-1])
-            t = float(ts[-1])
-            continue
-        k = int(np.argmax(hit))
-        vl_k = float(cum_low[k - 1]) if k else v_low
-        vh_k = float(cum_high[k - 1]) if k else v_high
-        start_active = vh_k if sel_high[k] else vl_k
-        step_drop = float(dv_high[k] if sel_high[k] else dv_low[k])
-        need = start_active - v_ref_l
-        frac = 0.0 if step_drop <= 0.0 else min(max(need / step_drop, 0.0), 1.0)
-        t_ev = float(ts[k]) + frac * float(steps[k])
-        ev_t.append(t_ev)
-        ev_sf.append(1 if sel_high[k] else 0)
-        t = t_ev + next(latencies) + t_rst
-        v_low = v_high = v_ref_h
-
-    return _channel_stream(config, ev_t, ev_sf)

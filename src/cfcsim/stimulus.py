@@ -68,16 +68,12 @@ class CurrentSignal:
         """Segment end times: the next segment's start, ``end`` for the last."""
         return np.append(self.times[1:], self.end)
 
-    def value(self, t: float) -> float:
-        """Current at time ``t`` (right-continuous at segment boundaries)."""
-        return float(self.values(np.asarray([t]))[0])
-
     def values(self, ts: np.ndarray, side: str = "right") -> np.ndarray:
         """Vectorised evaluation at sorted-or-not times within [0, end].
 
         ``side`` picks which limit to take exactly at a breakpoint with a
-        step discontinuity: ``"right"`` (the default, matching
-        :meth:`value`) or ``"left"``.
+        step discontinuity: ``"right"`` (the default, right-continuous
+        like the signal itself) or ``"left"``.
         """
         ts = np.asarray(ts, dtype=np.float64)
         if ts.size and (ts.min() < 0.0 or ts.max() > self.end * (1 + 1e-12) + 1e-300):
@@ -107,46 +103,6 @@ class CurrentSignal:
         if ts.size < 2:
             raise ConfigError("need at least two samples")
         return cls(ts[:-1], values[:-1], values[1:], float(ts[-1]))
-
-    @classmethod
-    def from_breakpoints(
-        cls,
-        points: Sequence[tuple[float, float]],
-        kinds: str | Sequence[str] = "step",
-        end: Optional[float] = None,
-    ) -> "CurrentSignal":
-        """Build from ``(t, i)`` breakpoints with per-gap segment kinds.
-
-        ``kinds`` is either a single kind for every gap or one entry per
-        gap: ``"step"`` holds the earlier value until the next breakpoint,
-        ``"linear"`` ramps between the two.  The final value is held from
-        the last breakpoint to ``end`` (default: the last breakpoint).
-        """
-        if not points:
-            raise ConfigError("need at least one breakpoint")
-        ts = [float(t) for t, _ in points]
-        vs = [float(i) for _, i in points]
-        n_gaps = len(points) - 1
-        if isinstance(kinds, str):
-            kind_list = [kinds] * n_gaps
-        else:
-            kind_list = list(kinds)
-            if len(kind_list) != n_gaps:
-                raise ConfigError(f"expected {n_gaps} segment kinds, got {len(kind_list)}")
-        for k in kind_list:
-            if k not in ("step", "linear"):
-                raise ConfigError(f"segment kind must be 'step' or 'linear', got {k!r}")
-        sig_end = float(end) if end is not None else ts[-1]
-        t0, i0, i1 = [], [], []
-        for j in range(n_gaps):
-            t0.append(ts[j])
-            i0.append(vs[j])
-            i1.append(vs[j] if kind_list[j] == "step" else vs[j + 1])
-        if sig_end > ts[-1] or n_gaps == 0:
-            t0.append(ts[-1])
-            i0.append(vs[-1])
-            i1.append(vs[-1])
-        return cls(np.asarray(t0), np.asarray(i0), np.asarray(i1), sig_end)
 
 
 @dataclass(frozen=True)
@@ -460,7 +416,7 @@ def poisson_train(rate: float, duration: float, seed: int) -> SpikeTrain:
         raise ConfigError(f"rate must be positive, got {rate}")
     if duration < 0:
         raise ConfigError(f"duration must be non-negative, got {duration}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"poisson seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     times: list[float] = []

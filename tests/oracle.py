@@ -1,0 +1,212 @@
+"""Test machinery: the brute-force oracle and a breakpoint stimulus builder.
+
+:func:`oracle_simulate` is the fixed-step reference integrator that the
+closed-form event solver of :func:`cfcsim.simulator.simulate` is checked
+against (``test_oracle.py`` and criterion 08 of ``test_acceptance.py``):
+same channel semantics, entirely different numerics.
+:func:`from_breakpoints` builds the piecewise stimuli those tests drive
+it with.
+"""
+
+from __future__ import annotations
+
+import math
+from array import array
+from typing import Optional, Sequence
+
+import numpy as np
+
+from cfcsim.core import CfcConfig, ConfigError, Polarity, RangeSelect, _block_rows, ideal_rate, rectify
+from cfcsim.simulator import DEFAULT_EVENT_CAP, AckModel, EventStream, _cap_error, _channel_stream
+from cfcsim.stimulus import CurrentSignal
+
+
+def from_breakpoints(
+    points: Sequence[tuple[float, float]],
+    kinds: str | Sequence[str] = "step",
+    end: Optional[float] = None,
+) -> CurrentSignal:
+    """Build from ``(t, i)`` breakpoints with per-gap segment kinds.
+
+    ``kinds`` is either a single kind for every gap or one entry per
+    gap: ``"step"`` holds the earlier value until the next breakpoint,
+    ``"linear"`` ramps between the two.  The final value is held from
+    the last breakpoint to ``end`` (default: the last breakpoint).
+    """
+    if not points:
+        raise ConfigError("need at least one breakpoint")
+    ts = [float(t) for t, _ in points]
+    vs = [float(i) for _, i in points]
+    n_gaps = len(points) - 1
+    if isinstance(kinds, str):
+        kind_list = [kinds] * n_gaps
+    else:
+        kind_list = list(kinds)
+        if len(kind_list) != n_gaps:
+            raise ConfigError(f"expected {n_gaps} segment kinds, got {len(kind_list)}")
+    for k in kind_list:
+        if k not in ("step", "linear"):
+            raise ConfigError(f"segment kind must be 'step' or 'linear', got {k!r}")
+    sig_end = float(end) if end is not None else ts[-1]
+    t0, i0, i1 = [], [], []
+    for j in range(n_gaps):
+        t0.append(ts[j])
+        i0.append(vs[j])
+        i1.append(vs[j] if kind_list[j] == "step" else vs[j + 1])
+    if sig_end > ts[-1] or n_gaps == 0:
+        t0.append(ts[-1])
+        i0.append(vs[-1])
+        i1.append(vs[-1])
+    return CurrentSignal(np.asarray(t0), np.asarray(i0), np.asarray(i1), sig_end)
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle: fixed-step accumulation, used only for verification
+# ---------------------------------------------------------------------------
+
+
+def _raw_crossings(stimulus: CurrentSignal, duration: float, targets) -> list[float]:
+    """Times where the raw signed stimulus crosses any target level."""
+    times = []
+    for a, b, ia, ib in _block_rows(*stimulus.pieces(duration)):
+        if ib == ia:
+            continue
+        inv = (b - a) / (ib - ia)
+        for tg in targets:
+            if (ia - tg) * (ib - tg) < 0.0:
+                times.append(a + (tg - ia) * inv)
+    return times
+
+
+def _fastest_ideal_isi(config: CfcConfig, stimulus: CurrentSignal, duration: float) -> Optional[float]:
+    """Shortest ideal inter-event interval the stimulus can provoke."""
+    max_rate = 0.0
+    for _, _, ia, ib in _block_rows(*stimulus.pieces(duration)):
+        ra = rectify(ia, config.polarity)
+        rb = rectify(ib, config.polarity)
+        lo, hi = min(ra, rb), max(ra, rb)
+        # the rectified range of this piece also covers zero when the
+        # signed piece changes sign
+        if (ia < 0 < ib) or (ib < 0 < ia):
+            lo = 0.0
+        if hi <= config.i_leak_floor:
+            continue
+        # rate is increasing on each branch; its supremum over [lo, hi]
+        # sits at the top of whichever branches the interval touches
+        if lo < config.i_sw:
+            max_rate = max(max_rate, ideal_rate(config, min(hi, config.i_sw), RangeSelect.LOW))
+        if hi >= config.i_sw:
+            max_rate = max(max_rate, ideal_rate(config, hi, RangeSelect.HIGH))
+    if max_rate == 0.0:
+        return None
+    return 1.0 / max_rate
+
+
+def oracle_simulate(
+    config: CfcConfig,
+    stimulus: CurrentSignal,
+    duration: float,
+    dt: float,
+    ack: Optional[AckModel] = None,
+    max_events: int = DEFAULT_EVENT_CAP,
+) -> EventStream:
+    """Fixed-step reference integrator for verifying :func:`simulate`.
+
+    Accumulates trapezoidal charge on a time grid of pitch ``dt`` (the
+    grid additionally lands on stimulus breakpoints and threshold
+    crossings so every step sees a single linear piece and one range),
+    then places each event by linear interpolation inside the step that
+    crossed.  Event times agree with the closed-form path within 2 * dt.
+
+    Refuses to run when ``dt`` is coarser than 1/1000 of the fastest
+    ideal inter-event interval the stimulus can provoke.  Supports zero
+    comparator hysteresis only.  Test machinery: not meant for
+    production use.
+    """
+    if dt <= 0:
+        raise ConfigError(f"dt must be positive, got {dt}")
+    if duration <= 0:
+        raise ConfigError(f"duration must be positive, got {duration}")
+    if stimulus.end < duration:
+        raise ConfigError("stimulus ends before the requested duration")
+    if config.hysteresis != 0.0:
+        raise ConfigError("the oracle supports zero comparator hysteresis only")
+    fastest = _fastest_ideal_isi(config, stimulus, duration)
+    if fastest is not None and dt > fastest / 1000.0:
+        raise ConfigError(
+            f"dt = {dt} too coarse for the fastest expected interval "
+            f"{fastest}; need dt <= {fastest / 1000.0}"
+        )
+    ack = AckModel() if ack is None else ack
+    latencies = ack.latencies(config.channel_address)
+
+    accept_positive = config.polarity is Polarity.SINK_N
+    floor = config.i_leak_floor
+    i_sw = config.i_sw
+    v_ref_h, v_ref_l, t_rst = config.v_ref_h, config.v_ref_l, config.t_rst
+    c_low = config.c1
+    c_high = config.alpha * config.beta * config.c1
+
+    sign_targets = [0.0]
+    sign_targets += [floor, i_sw] if accept_positive else [-floor, -i_sw]
+    specials = np.asarray(sorted(set(
+        list(stimulus.times[(stimulus.times > 0) & (stimulus.times < duration)])
+        + [x for x in _raw_crossings(stimulus, duration, sign_targets) if 0.0 < x < duration]
+    )))
+
+    def eff_values(ts: np.ndarray, side: str = "right") -> np.ndarray:
+        raw = stimulus.values(ts, side=side)
+        r = np.maximum(raw, 0.0) if accept_positive else np.maximum(-raw, 0.0)
+        return np.where(r > floor, r, 0.0)
+
+    ev_t = array("d")
+    ev_sf = array("B")
+    t = 0.0
+    v_low = v_high = v_ref_h
+    chunk = 1 << 16
+
+    while t < duration:
+        if len(ev_t) >= max_events:
+            raise _cap_error(config, max_events, ev_t, ev_sf, t)
+        t_hi = min(duration, t + chunk * dt)
+        n = max(1, int(math.ceil((t_hi - t) / dt - 1e-12)))
+        ts = t + dt * np.arange(n + 1)
+        ts[-1] = t_hi
+        lo_idx, hi_idx = np.searchsorted(specials, [t, t_hi], side="right")
+        inside = specials[lo_idx:hi_idx]
+        if inside.size:
+            ts = np.unique(np.concatenate([ts, inside]))
+        # step starts take right limits, step ends take left limits, so a
+        # stimulus jump sitting exactly on a grid point charges each side
+        # of the discontinuity with its own segment's current
+        ie = eff_values(ts)
+        ie_end = eff_values(ts, side="left")
+        steps = np.diff(ts)
+        mids = 0.5 * (ie[:-1] + ie_end[1:])
+        sel_high = mids >= i_sw
+        dq = mids * steps
+        dv_low = np.where(sel_high, 0.0, dq / c_low)
+        dv_high = np.where(sel_high, dq / c_high, 0.0)
+        cum_low = v_low - np.cumsum(dv_low)
+        cum_high = v_high - np.cumsum(dv_high)
+        active_end = np.where(sel_high, cum_high, cum_low)
+        hit = active_end <= v_ref_l
+        if not hit.any():
+            v_low = float(cum_low[-1])
+            v_high = float(cum_high[-1])
+            t = float(ts[-1])
+            continue
+        k = int(np.argmax(hit))
+        vl_k = float(cum_low[k - 1]) if k else v_low
+        vh_k = float(cum_high[k - 1]) if k else v_high
+        start_active = vh_k if sel_high[k] else vl_k
+        step_drop = float(dv_high[k] if sel_high[k] else dv_low[k])
+        need = start_active - v_ref_l
+        frac = 0.0 if step_drop <= 0.0 else min(max(need / step_drop, 0.0), 1.0)
+        t_ev = float(ts[k]) + frac * float(steps[k])
+        ev_t.append(t_ev)
+        ev_sf.append(1 if sel_high[k] else 0)
+        t = t_ev + next(latencies) + t_rst
+        v_low = v_high = v_ref_h
+
+    return _channel_stream(config, ev_t, ev_sf)

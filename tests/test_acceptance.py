@@ -19,8 +19,9 @@ from cfcsim.core import CfcConfig, ideal_isi, select_ranges
 from cfcsim.decoder import fit_exponential, reconstruct
 from cfcsim.experiment import load_spec, run_decode, run_simulate
 from cfcsim.presets import PRESETS, run_preset
-from cfcsim.simulator import _fastest_ideal_isi, oracle_simulate, power_estimate, simulate
-from cfcsim.stimulus import CurrentSignal, SpikeTrain, constant, dpi_synapse
+from cfcsim.simulator import power_estimate, simulate
+from cfcsim.stimulus import SpikeTrain, constant, dpi_synapse
+from oracle import _fastest_ideal_isi, from_breakpoints, oracle_simulate
 
 DEFAULTS = CfcConfig()
 IDEAL = CfcConfig(t_rst=0.0, i_leak_floor=0.0)
@@ -191,7 +192,7 @@ def _oracle_suite():
         [(0.0, 1.1 * level), (12 * dwell_unit, 97.0 * level)],
     ]
     for pts in ramps:
-        suite.append(CurrentSignal.from_breakpoints(pts, "linear", end=pts[-1][0]))
+        suite.append(from_breakpoints(pts, "linear", end=pts[-1][0]))
     stairs = [
         ([3.1, 8.2, 2.3], 4 * dwell_unit),
         ([19.5, 5.1], 6 * dwell_unit),
@@ -202,7 +203,7 @@ def _oracle_suite():
     ]
     for levels, dwell in stairs:
         pts = [(k * dwell, lv * level) for k, lv in enumerate(levels)]
-        suite.append(CurrentSignal.from_breakpoints(pts, "step", end=len(levels) * dwell))
+        suite.append(from_breakpoints(pts, "step", end=len(levels) * dwell))
     return suite
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from cfcsim.cli import main
 from cfcsim.core import CfcConfig
 from cfcsim.experiment import load_spec
-from cfcsim.formats import read_events_csv, read_fit_record
+from cfcsim.formats import read_events_csv
 from cfcsim.simulator import simulate
 from cfcsim.stimulus import constant
 
@@ -200,10 +201,16 @@ def test_decode_unusable_path_exit_2_names_it(tmp_path, capsys, paths):
 # ---------------------------------------------------------------------------
 
 
+def _read_fit(path):
+    """A fit record's ``key=value`` lines as a dict of floats."""
+    pairs = (line.split("=") for line in path.read_text(encoding="utf-8").splitlines())
+    return {key: float(value) for key, value in pairs}
+
+
 def test_preset_fig7_emits_fit(tmp_path):
     out = tmp_path / "fig7"
     assert main(["preset", "fig7", "--out", str(out)]) == 0
-    fit = read_fit_record(out / "fit.txt")
+    fit = _read_fit(out / "fit.txt")
     assert fit["tau_s"] == pytest.approx(20e-3, rel=0.05)
     for name in ("events.csv", "recon.csv", "truth.csv", "summary.json", "input_spikes.csv"):
         assert (out / name).exists()
@@ -471,3 +478,16 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     done = _cli_in_ascii_locale("simulate", "--config", "spec.json", "--out", "run", cwd=tmp_path)
     assert done.returncode == 2
     assert re.search(rb"spec\.json: byte 10 \(0xff\) is not UTF-8", done.stderr), done.stderr
+
+
+# ---------------------------------------------------------------------------
+# scripts
+# ---------------------------------------------------------------------------
+
+_SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", _SCRIPTS, ids=[p.name for p in _SCRIPTS])
+def test_script_imports_cleanly(script):
+    # runs the module body only: each script calls main() under __main__
+    assert callable(runpy.run_path(str(script), run_name="not_main")["main"])

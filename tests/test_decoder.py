@@ -7,12 +7,12 @@ from cfcsim.core import CfcConfig, dead_time, select_ranges
 from cfcsim.decoder import ReconstructedSignal, fit_exponential, reconstruct, sweep_analysis
 from cfcsim.simulator import AckModel, EventStream, simulate
 from cfcsim.stimulus import (
-    CurrentSignal,
     SpikeTrain,
     constant,
     dpi_synapse,
     staircase_sweep,
 )
+from oracle import from_breakpoints
 
 CFG = CfcConfig()
 IDEAL = CfcConfig(t_rst=0.0, i_leak_floor=0.0)
@@ -208,7 +208,7 @@ def test_sweep_rejects_out_of_schedule_events():
 
 
 def test_sweep_rejects_a_ramp_segment():
-    ramp = CurrentSignal.from_breakpoints([(0.0, 1e-9), (0.1, 2e-9), (0.2, 3e-9)], ["step", "linear"], end=0.3)
+    ramp = from_breakpoints([(0.0, 1e-9), (0.1, 2e-9), (0.2, 3e-9)], ["step", "linear"], end=0.3)
     ev = _stream([0.05, 0.15], [0, 0])
     with pytest.raises(ValueError, match="ramp segment"):
         sweep_analysis(ev, ramp, CFG)
@@ -219,7 +219,11 @@ def test_sweep_rejects_a_stream_of_two_channels():
     own = simulate(IDEAL, sig, sig.end).events
     other_cfg = CfcConfig(t_rst=0.0, i_leak_floor=0.0, channel_address=1)
     other = simulate(other_cfg, constant(1.3e-9, sig.end), sig.end).events
-    merged = EventStream.merge([own, other])
+    # both channels' events in one stream, ordered by (time, channel)
+    t, ch, sf = (np.concatenate(pair) for pair in
+                 ((own.t_req, other.t_req), (own.channel, other.channel), (own.sf, other.sf)))
+    order = np.lexsort((ch, t))
+    merged = EventStream(t[order], ch[order], sf[order])
     first, k = merged.channel[0], int(np.flatnonzero(merged.channel != merged.channel[0])[0])
     where = rf"event {k} at t = {float(merged.t_req[k])!r} s is on channel {1 - first}, event 0 on channel {first}"
     with pytest.raises(ValueError, match=f"multiple channels: {where}"):
@@ -284,7 +288,7 @@ def test_mean_dead_time_compensates_ack_jitter():
 
 
 def test_midpoint_beats_at_second_on_ramps():
-    stim = CurrentSignal.from_breakpoints([(0.0, 1e-9), (0.01, 9e-9)], "linear", end=0.01)
+    stim = from_breakpoints([(0.0, 1e-9), (0.01, 9e-9)], "linear", end=0.01)
     ev = simulate(IDEAL, stim, 0.01).events
     rec = reconstruct(ev, IDEAL)
     err_mid = np.linalg.norm(rec.i_est - stim.values(rec.t))

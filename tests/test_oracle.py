@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfcsim.core import CfcConfig, ConfigError
-from cfcsim.simulator import AckModel, _fastest_ideal_isi, oracle_simulate, simulate
-from cfcsim.stimulus import CurrentSignal, constant
+from cfcsim.simulator import AckModel, simulate
+from cfcsim.stimulus import constant
+from oracle import _fastest_ideal_isi, from_breakpoints, oracle_simulate
 
 CFG = CfcConfig(i_leak_floor=0.0)
 
@@ -36,12 +37,12 @@ def test_zero_stimulus_is_empty():
 
 
 def test_ramp_agreement():
-    stim = CurrentSignal.from_breakpoints([(0.0, 0.0), (1e-3, 20e-9)], "linear", end=1e-3)
+    stim = from_breakpoints([(0.0, 0.0), (1e-3, 20e-9)], "linear", end=1e-3)
     _agree(CFG, stim, 1e-3, dt=1e-9)
 
 
 def test_triangle_with_range_crossings():
-    stim = CurrentSignal.from_breakpoints(
+    stim = from_breakpoints(
         [(0.0, 2e-9), (0.5e-3, 15e-9), (1e-3, 1e-9)], "linear", end=1e-3
     )
     _agree(CFG, stim, 1e-3, dt=1e-10)
@@ -49,14 +50,14 @@ def test_triangle_with_range_crossings():
 
 def test_agreement_with_ack_latency_and_reset():
     cfg = CfcConfig(i_leak_floor=0.0, t_rst=2e-7)
-    stim = CurrentSignal.from_breakpoints([(0.0, 5e-9), (4e-4, 2e-9)], "step", end=1e-3)
+    stim = from_breakpoints([(0.0, 5e-9), (4e-4, 2e-9)], "step", end=1e-3)
     _agree(cfg, stim, 1e-3, dt=5e-10, ack=AckModel(latency=3e-7))
 
 
 def test_agreement_with_jittered_ack():
     # a jittered acknowledge sends fresh flat pieces through the per-event
     # path, and both integrators must draw the same latencies
-    stim = CurrentSignal.from_breakpoints(
+    stim = from_breakpoints(
         [(0.0, 2e-9), (2e-4, 30e-9), (4e-4, 5e-9)], "step", end=6e-4
     )
     sim, _ = _agree(CFG, stim, 6e-4, dt=5e-10, ack=AckModel(latency=1e-7, jitter=2e-7, seed=5))
@@ -69,12 +70,12 @@ def test_high_current_reset_pulse_agreement():
     cfg = CfcConfig(i_leak_floor=0.0)
     sim, orc = _agree(cfg, constant(1.0137e-6, 1.3e-4), 1.3e-4, dt=1e-9)
     expected = 100 * cfg.c1 * cfg.delta_v / 1.0137e-6 + cfg.t_rst
-    assert sim.isis() == pytest.approx(np.full(len(sim) - 1, expected), rel=1e-12)
+    assert np.diff(sim.t_req) == pytest.approx(np.full(len(sim) - 1, expected), rel=1e-12)
 
 
 def test_leak_floor_agreement():
     cfg = CfcConfig()  # default 5.5 pA floor
-    stim = CurrentSignal.from_breakpoints([(0.0, 2e-12), (0.05, 40e-12)], "linear", end=0.1)
+    stim = from_breakpoints([(0.0, 2e-12), (0.05, 40e-12)], "linear", end=0.1)
     sim = simulate(cfg, stim, 0.1).events
     orc = oracle_simulate(cfg, stim, 0.1, dt=1e-6)
     assert len(sim) == len(orc)
@@ -99,7 +100,7 @@ def test_fastest_isi_helper():
     # constant 10 pA -> 10 ms interval
     assert _fastest_ideal_isi(CFG, constant(10e-12, 1.0), 1.0) == pytest.approx(1e-2)
     # a ramp through the threshold is dominated by the low range just below it
-    ramp = CurrentSignal.from_breakpoints([(0.0, 1e-9), (1e-3, 50e-9)], "linear", end=1e-3)
+    ramp = from_breakpoints([(0.0, 1e-9), (1e-3, 50e-9)], "linear", end=1e-3)
     assert _fastest_ideal_isi(CFG, ramp, 1e-3) == pytest.approx(1e-5)
     assert _fastest_ideal_isi(CFG, constant(0.0, 1.0), 1.0) is None
 
@@ -118,7 +119,7 @@ def test_random_stimuli_match_oracle(levels, linear):
     dwell = 1.51373e-4
     points = [(k * dwell, lv) for k, lv in enumerate(levels)]
     duration = len(levels) * dwell
-    stim = CurrentSignal.from_breakpoints(points, "linear" if linear else "step", end=duration)
+    stim = from_breakpoints(points, "linear" if linear else "step", end=duration)
     fastest = _fastest_ideal_isi(CFG, stim, duration)
     dt = fastest / 2e4
     _agree(CFG, stim, duration, dt=dt)

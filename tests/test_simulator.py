@@ -17,9 +17,9 @@ from cfcsim.simulator import (
     _jittered_stretch,
     power_estimate,
     simulate,
-    simulate_many,
 )
 from cfcsim.stimulus import CurrentSignal, constant
+from oracle import from_breakpoints
 
 CFG = CfcConfig()
 IDEAL = CfcConfig(t_rst=0.0, i_leak_floor=0.0)
@@ -68,7 +68,7 @@ def test_constant_10pA_ideal_100_events_at_10ms():
     ev = result.events
     assert len(ev) == 100
     assert ev.t_req[0] == pytest.approx(0.01, rel=1e-12)
-    assert ev.isis() == pytest.approx(np.full(99, 0.01), rel=1e-12)
+    assert np.diff(ev.t_req) == pytest.approx(np.full(99, 0.01), rel=1e-12)
     assert np.all(ev.sf == 0)
     assert np.all(ev.channel == 0)
 
@@ -80,7 +80,7 @@ def test_below_floor_produces_nothing():
 
 def test_high_current_isi_includes_reset_pulse():
     result = simulate(CfcConfig(i_leak_floor=0.0), constant(1e-6, 0.01), 0.01)
-    isis = result.events.isis()
+    isis = np.diff(result.events.t_req)
     assert isis == pytest.approx(np.full(isis.size, 10.1e-6), rel=1e-12)
     assert np.all(result.events.sf == 1)
 
@@ -90,7 +90,7 @@ def test_measured_isi_equals_ideal_plus_dead_time(i):
     ack = AckModel(latency=2e-7)
     duration = 40 * (ideal_isi(CFG, i) + 3e-7)
     result = simulate(CFG, constant(i, duration), duration, ack=ack)
-    isis = result.events.isis()
+    isis = np.diff(result.events.t_req)
     expected = ideal_isi(CFG, i) + ack.latency + CFG.t_rst
     assert isis == pytest.approx(np.full(isis.size, expected), rel=1e-12)
 
@@ -111,7 +111,7 @@ def test_empirical_rate_matches_ideal_within_quantization():
 def test_step_change_mid_cycle_carries_charge_over():
     # 10 pA for 5 ms leaves 0.5 V of swing on the small cap;
     # 20 pA covers the rest in 2.5 ms -> event at 7.5 ms
-    stim = CurrentSignal.from_breakpoints([(0.0, 10e-12), (5e-3, 20e-12)], "step", end=0.02)
+    stim = from_breakpoints([(0.0, 10e-12), (5e-3, 20e-12)], "step", end=0.02)
     ev = simulate(IDEAL, stim, 0.02).events
     assert ev.t_req[0] == pytest.approx(7.5e-3, rel=1e-12)
 
@@ -120,7 +120,7 @@ def test_range_switch_resumes_held_voltage():
     # 8 nA for 5 us discharges the small cap by 0.4 V (no event), a 2 us
     # burst at 20 nA barely moves the big cap, then back at 8 nA the small
     # cap resumes from 1.4 V: 0.6 V left at 8 nA -> 7.5 us more.
-    stim = CurrentSignal.from_breakpoints(
+    stim = from_breakpoints(
         [(0.0, 8e-9), (5e-6, 20e-9), (7e-6, 8e-9)], "step", end=40e-6
     )
     ev = simulate(IDEAL, stim, 40e-6).events
@@ -131,7 +131,7 @@ def test_range_switch_resumes_held_voltage():
 def test_range_switch_mid_cycle_to_high_uses_full_big_cap():
     # partial progress on the small cap is parked, then the big cap
     # integrates its full 1 V swing: 10 nC / 20 nA = 0.5 ms after the step
-    stim = CurrentSignal.from_breakpoints([(0.0, 10e-12), (5e-3, 20e-9)], "step", end=0.02)
+    stim = from_breakpoints([(0.0, 10e-12), (5e-3, 20e-9)], "step", end=0.02)
     ev = simulate(IDEAL, stim, 0.02).events
     assert ev.t_req[0] == pytest.approx(5e-3 + 0.5e-3, rel=1e-12)
     assert ev.sf[0] == 1
@@ -157,7 +157,7 @@ def test_polarity_blocks_wrong_sign():
 
 def test_hysteresis_holds_high_range_inside_band():
     cfg = CfcConfig(t_rst=0.0, i_leak_floor=0.0, hysteresis=0.2)
-    stim = CurrentSignal.from_breakpoints(
+    stim = from_breakpoints(
         [(0.0, 20e-9), (1e-3, 9e-9), (2e-3, 5e-9)], "step", end=3e-3
     )
     ev = simulate(cfg, stim, 3e-3).events
@@ -179,17 +179,17 @@ def test_hysteresis_holds_high_range_inside_band():
 
 def test_event_stream_monotone_and_dead_time_floor():
     ack = AckModel(latency=1e-6, jitter=2e-6, seed=7)
-    stim = CurrentSignal.from_breakpoints([(0.0, 1e-9), (5e-3, 8e-9)], "linear", end=1e-2)
+    stim = from_breakpoints([(0.0, 1e-9), (5e-3, 8e-9)], "linear", end=1e-2)
     ev = simulate(CFG, stim, 1e-2, ack=ack).events
     assert len(ev) > 10
-    isis = ev.isis()
+    isis = np.diff(ev.t_req)
     assert np.all(isis > 0)
     assert np.all(isis >= CFG.t_rst + ack.latency - 1e-18)
 
 
 def test_deterministic_with_jittered_ack():
     ack = AckModel(latency=5e-7, jitter=1e-6, seed=123)
-    stim = CurrentSignal.from_breakpoints([(0.0, 2e-9), (5e-3, 30e-9)], "linear", end=1e-2)
+    stim = from_breakpoints([(0.0, 2e-9), (5e-3, 30e-9)], "linear", end=1e-2)
     a = simulate(CFG, stim, 1e-2, ack=ack).events
     b = simulate(CFG, stim, 1e-2, ack=ack).events
     assert np.array_equal(a.t_req, b.t_req)
@@ -231,7 +231,7 @@ _DEAD_TIME_STEPS = dict(
 def _staircase_run(levels, dwell, latency, jitter, linear):
     """Stimulus, duration and acknowledge model of one drawn run."""
     duration = len(levels) * dwell
-    stim = CurrentSignal.from_breakpoints(
+    stim = from_breakpoints(
         [(k * dwell, lv) for k, lv in enumerate(levels)],
         "linear" if linear else "step",
         end=duration,
@@ -544,7 +544,8 @@ def test_effective_pieces_match_the_per_piece_reference(signal, config, run_to):
 
 def test_ack_model_validation():
     for kwargs in ({"latency": -1e-9}, {"latency": float("nan")}, {"jitter": float("nan")},
-                   {"latency": float("inf")}, {"jitter": float("inf")}, {"seed": -1}, {"seed": 1.5}):
+                   {"latency": float("inf")}, {"jitter": float("inf")}, {"seed": -1}, {"seed": 1.5},
+                   {"seed": True}):
         with pytest.raises(ConfigError):
             AckModel(**kwargs)
 
@@ -566,7 +567,7 @@ def test_event_cap_truncates_with_partial_results():
     # the message names the channel and the request the cap refused
     assert str(exc.value).startswith(f"event cap of 25 exceeded on channel 5 at t = {float(full.t_req[25])!r} s")
     # ramp path hits the same guard
-    ramp = CurrentSignal.from_breakpoints([(0.0, 0.0), (0.1, 2e-9)], "linear", end=0.1)
+    ramp = from_breakpoints([(0.0, 0.0), (0.1, 2e-9)], "linear", end=0.1)
     full_ramp = simulate(cfg, ramp, 0.1).events
     with pytest.raises(EventCapError) as exc2:
         simulate(cfg, ramp, 0.1, max_events=10)
@@ -639,7 +640,7 @@ def test_trace_phases_and_voltage_bounds():
 def test_trace_time_runs_forward_across_a_switch_during_a_pending_request():
     # the low cap fires at 100 us, the range switches at 101 us while the
     # request waits 3 us for its acknowledge
-    stim = CurrentSignal.from_breakpoints([(0.0, 1e-9), (101e-6, 20e-9)], "step", end=300e-6)
+    stim = from_breakpoints([(0.0, 1e-9), (101e-6, 20e-9)], "step", end=300e-6)
     cfg = CfcConfig(i_leak_floor=0.0)
     tr = simulate(cfg, stim, 300e-6, ack=AckModel(latency=3e-6), trace=True).trace
     _assert_trace_in_order(tr)
@@ -678,22 +679,8 @@ def test_ack_latencies_are_the_scalar_draws_in_order():
 
 
 # ---------------------------------------------------------------------------
-# multi-channel
+# event stream container
 # ---------------------------------------------------------------------------
-
-
-def test_simulate_many_merges_by_timestamp():
-    cfg_a = CfcConfig(t_rst=0.0, i_leak_floor=0.0, channel_address=0)
-    cfg_b = CfcConfig(t_rst=0.0, i_leak_floor=0.0, channel_address=3)
-    channels = [(cfg_a, constant(1e-9, 1e-2)), (cfg_b, constant(3e-9, 1e-2))]
-    merged = simulate_many(channels, 1e-2)
-    assert np.all(np.diff(merged.t_req) >= 0)
-    assert set(np.unique(merged.channel)) == {0, 3}
-    for cfg, stim in channels:
-        alone = simulate(cfg, stim, 1e-2).events
-        assert np.array_equal(merged.t_req[merged.channel == cfg.channel_address], alone.t_req)
-    with pytest.raises(ConfigError, match="unique"):
-        simulate_many([(cfg_a, constant(1e-9, 1e-2)), (cfg_a, constant(1e-9, 1e-2))], 1e-2)
 
 
 def test_event_stream_container():
@@ -701,7 +688,7 @@ def test_event_stream_container():
     assert len(ev) == 2
     assert (ev.t_req.dtype, ev.channel.dtype, ev.sf.dtype) == (np.float64, np.int64, np.uint8)
     assert ev.sf.tolist() == [0, 1]
-    assert ev.isis() == pytest.approx([1e-3])
+    assert np.diff(ev.t_req) == pytest.approx([1e-3])
     assert len(EventStream.empty()) == 0
     with pytest.raises(ValueError, match="matching shapes"):
         EventStream([0.0], [0, 0], [0])
@@ -720,14 +707,14 @@ def test_event_stream_container():
 def test_random_piecewise_stimuli_respect_invariants(levels, linear):
     dwell = 2e-4
     points = [(k * dwell, lv) for k, lv in enumerate(levels)]
-    stim = CurrentSignal.from_breakpoints(
+    stim = from_breakpoints(
         points, "linear" if linear else "step", end=len(levels) * dwell
     )
     duration = len(levels) * dwell
     ev = simulate(CFG, stim, duration, ack=AckModel(latency=1e-7)).events
     if len(ev) < 2:
         return
-    isis = ev.isis()
+    isis = np.diff(ev.t_req)
     assert np.all(isis > 0)
     assert np.all(isis >= CFG.t_rst + 1e-7 - 1e-18)
     assert ev.t_req[-1] <= duration * (1 + 1e-12)

@@ -19,6 +19,12 @@ from cfcsim.stimulus import (
     regular_train,
     staircase_sweep,
 )
+from oracle import from_breakpoints
+
+
+def _value(sig, t):
+    """The signal's current at the one time ``t``, right-continuous."""
+    return float(sig.values(np.asarray([t]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -28,23 +34,23 @@ from cfcsim.stimulus import (
 
 def test_constant_signal():
     sig = constant(1e-12, 1.0)
-    assert sig.value(0.0) == 1e-12
-    assert sig.value(0.5) == 1e-12
-    assert sig.value(1.0) == 1e-12
-    assert constant(0.0, 1.0).value(0.3) == 0.0
-    assert constant(1e-6, 1e-3).value(1e-3) == 1e-6
+    assert _value(sig, 0.0) == 1e-12
+    assert _value(sig, 0.5) == 1e-12
+    assert _value(sig, 1.0) == 1e-12
+    assert _value(constant(0.0, 1.0), 0.3) == 0.0
+    assert _value(constant(1e-6, 1e-3), 1e-3) == 1e-6
     with pytest.raises(ConfigError):
         constant(1e-9, 0.0)
 
 
 def test_breakpoints_step_vs_linear():
-    step = CurrentSignal.from_breakpoints([(0.0, 1.0), (1.0, 3.0)], "step", end=2.0)
-    assert step.value(0.5) == 1.0
-    assert step.value(1.0) == 3.0  # right-continuous at the jump
-    assert step.value(1.7) == 3.0
-    ramp = CurrentSignal.from_breakpoints([(0.0, 1.0), (1.0, 3.0)], "linear", end=1.0)
-    assert ramp.value(0.5) == pytest.approx(2.0)
-    assert ramp.value(1.0) == pytest.approx(3.0)
+    step = from_breakpoints([(0.0, 1.0), (1.0, 3.0)], "step", end=2.0)
+    assert _value(step, 0.5) == 1.0
+    assert _value(step, 1.0) == 3.0  # right-continuous at the jump
+    assert _value(step, 1.7) == 3.0
+    ramp = from_breakpoints([(0.0, 1.0), (1.0, 3.0)], "linear", end=1.0)
+    assert _value(ramp, 0.5) == pytest.approx(2.0)
+    assert _value(ramp, 1.0) == pytest.approx(3.0)
 
 
 def test_signal_validation():
@@ -57,11 +63,11 @@ def test_signal_validation():
     with pytest.raises(ConfigError, match="must be finite"):
         CurrentSignal(np.array([0.0, 1.0]), np.zeros(2), np.zeros(2), np.inf)
     with pytest.raises(ValueError, match="domain"):
-        constant(1e-9, 1.0).value(2.0)
+        _value(constant(1e-9, 1.0), 2.0)
 
 
 def test_pieces_clip_and_interpolate():
-    ramp = CurrentSignal.from_breakpoints([(0.0, 0.0), (1.0, 10.0), (2.0, -0.0)], "linear", end=3.0)
+    ramp = from_breakpoints([(0.0, 0.0), (1.0, 10.0), (2.0, -0.0)], "linear", end=3.0)
     a, b, ia, ib = ramp.pieces(0.75)
     assert (a.tolist(), b.tolist()) == ([0.0], [0.75])
     assert ia.tolist() == [0.0]
@@ -76,12 +82,12 @@ def test_pieces_clip_and_interpolate():
 
 
 def test_values_vectorized_matches_scalar():
-    sig = CurrentSignal.from_breakpoints(
+    sig = from_breakpoints(
         [(0.0, 1e-9), (0.3, 4e-9), (0.7, 2e-9)], ["linear", "step"], end=1.0
     )
     ts = np.linspace(0.0, 1.0, 37)
     vec = sig.values(ts)
-    assert vec == pytest.approx([sig.value(float(t)) for t in ts])
+    assert vec == pytest.approx([_value(sig, float(t)) for t in ts])
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +145,8 @@ def test_staircase_validation():
 def test_pfet_sweep_spans_six_decades():
     # 0.54 V of gate swing at 90 mV/decade covers exactly 6 decades
     sig = pfet_gate_sweep(1.8, 1.26, 1.0, i0=1e-12, slope_per_decade=0.090, i_sat=1.0)
-    assert sig.value(0.0) == pytest.approx(1e-12, rel=1e-9)
-    assert sig.value(1.0) == pytest.approx(1e-6, rel=1e-9)
+    assert _value(sig, 0.0) == pytest.approx(1e-12, rel=1e-9)
+    assert _value(sig, 1.0) == pytest.approx(1e-6, rel=1e-9)
 
 
 def test_pfet_sweep_log_linear_until_saturation():
@@ -157,7 +163,7 @@ def test_pfet_sweep_log_linear_until_saturation():
 
 def test_pfet_constant_gate_gives_constant_current():
     sig = pfet_gate_sweep(1.5, 1.5, 1.0, i0=3e-10, slope_per_decade=0.090, i_sat=1e-6)
-    assert sig.value(0.0) == sig.value(0.5) == sig.value(1.0) == pytest.approx(3e-10)
+    assert _value(sig, 0.0) == _value(sig, 0.5) == _value(sig, 1.0) == pytest.approx(3e-10)
 
 
 def test_pfet_monotone():
@@ -176,12 +182,12 @@ def test_dpi_single_spike_exact_exponential():
     tau, w = 20e-3, 1e-9
     spike_t = 5e-3
     sig = dpi_synapse(SpikeTrain(np.array([spike_t])), tau, w, 0.0, 0.2)
-    assert sig.value(spike_t) == pytest.approx(w, rel=1e-12)  # peak equals the jump
+    assert _value(sig, spike_t) == pytest.approx(w, rel=1e-12)  # peak equals the jump
     # exact exponential at every emitted breakpoint
     after = sig.times[sig.times >= spike_t]
     expected = w * np.exp(-(after - spike_t) / tau)
     assert sig.values(after) == pytest.approx(expected, rel=1e-9)
-    assert sig.value(2e-3) == 0.0  # nothing before the spike
+    assert _value(sig, 2e-3) == 0.0  # nothing before the spike
 
 
 def test_dpi_regular_train_steady_state_peak():
@@ -192,7 +198,7 @@ def test_dpi_regular_train_steady_state_peak():
     expected = w / (1.0 - math.exp(-1.0 / (rate * tau)))
     # the final train spike sits exactly at the domain end and is dropped,
     # so probe the one before it (19 jumps in: converged to ~1e-20)
-    peak_late = sig.value(float(train.times[-2]))
+    peak_late = _value(sig, float(train.times[-2]))
     assert peak_late == pytest.approx(expected, rel=1e-6)
 
 
@@ -205,7 +211,7 @@ def test_dpi_zero_weight_is_flat():
 def test_dpi_base_current_decay():
     sig = dpi_synapse(SpikeTrain(np.array([0.0])), 10e-3, 1e-9, 1e-10, 0.5)
     # decays toward the base current, not zero
-    assert sig.value(0.4) == pytest.approx(1e-10, rel=1e-6)
+    assert _value(sig, 0.4) == pytest.approx(1e-10, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +235,9 @@ def test_poisson_train_deterministic_and_valid():
     assert not np.array_equal(a.times, c.times)
     assert np.all(np.diff(a.times) > 0)
     assert len(poisson_train(100.0, 0.0, seed=1)) == 0
+    for seed in (-1, True):
+        with pytest.raises(ConfigError, match="poisson seed"):
+            poisson_train(100.0, 1.0, seed=seed)
 
 
 def test_spike_train_validation():
@@ -254,7 +263,7 @@ def test_adex_rest_is_stable():
     # the zero-input equilibrium sits a few 1e-16 A above the rest offset
     # (leak balancing the spike-initiation exponential ten slope-factors
     # below threshold), so the proxy never leaves the rest value's vicinity
-    assert proxy.value(0.29) == pytest.approx(p.i_rest_proxy, abs=2e-15)
+    assert _value(proxy, 0.29) == pytest.approx(p.i_rest_proxy, abs=2e-15)
 
 
 def test_adex_decays_monotonically_to_rest_with_zero_input():
@@ -262,7 +271,7 @@ def test_adex_decays_monotonically_to_rest_with_zero_input():
     # then release and watch it relax
     p = AdexParams(a=0.0, b=0.0)
     kick_i = 0.8 * p.rheobase()
-    kick = CurrentSignal.from_breakpoints([(0.0, kick_i), (0.05, 0.0)], "step", end=0.4)
+    kick = from_breakpoints([(0.0, kick_i), (0.05, 0.0)], "step", end=0.4)
     proxy, spikes = adex_neuron(kick, p, 0.4)
     assert len(spikes) == 0
     ts = np.linspace(0.06, 0.4, 200)
@@ -288,8 +297,8 @@ def test_adex_epsp_pipeline_rises_after_each_input_spike():
     p = AdexParams()
     proxy, _ = adex_neuron(syn, p, 0.5)
     for t_spk in train.times[:5]:
-        before = proxy.value(float(t_spk))
-        after = proxy.value(float(t_spk) + 5e-3)
+        before = _value(proxy, float(t_spk))
+        after = _value(proxy, float(t_spk) + 5e-3)
         assert after > before  # excitatory rise on every input spike
 
 
