@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import formats
-from .core import CfcConfig, ConfigError, dead_time
+from .core import CfcConfig, ConfigError, _number, dead_time
 from .experiment import DEFAULT_SEED, load_converter, load_spec, read_json_object, run_decode, run_simulate, run_sweep
 from .presets import PRESETS, run_preset
 from .simulator import AckModel
@@ -125,6 +125,8 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    for flag in ("start", "stop", "dwell"):
+        _number(getattr(args, flag), f"--{flag}", "sweep")
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     config = CfcConfig.from_dict(read_json_object(args.config) if args.config is not None else {})
     ack = AckModel(seed=seed)

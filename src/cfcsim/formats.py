@@ -5,16 +5,18 @@ round-trips exactly, and files are UTF-8 with ``\\n`` line endings
 whatever the locale, so that reruns with the same seed are
 byte-identical on any platform.
 
-The table writers never call ``repr`` on a float.  A numpy kernel
-(:func:`_float_cells`) finds the same digits with the Schubfach
-algorithm, on 32-bit limbs in uint64 arrays, and lays them out as
-``repr`` does; it is checked against ``repr`` on every power of two and
-of ten, the subnormals and random bit patterns.  Tables are written
-``core._BLOCK`` rows at a time: each column's block becomes a NUL-padded
-byte matrix, each distinct value of a block formatted once, and the
-matrices are joined with ``,`` and ``\\n`` and written without the NULs.
-The working memory is one block, about 1.1 MB for an events table
-(traced peak), whatever the table's length.
+The table writers call ``repr`` (through ``str``) on the distinct
+values of a block only when there are at most ``_REPR_MAX`` of them;
+more floats go through a numpy kernel (:func:`_float_cells`) that finds
+the same digits with the Schubfach algorithm and writes each character
+of ``repr``'s layout into a fixed band, checked against ``repr`` on
+every power of two and of ten, the subnormals and random bit patterns.
+Tables are written ``core._BLOCK`` rows at a time: each column's block
+becomes a band matrix, one value a column and NUL where a value has no
+character; the bands of all columns and the ``,`` and ``\\n`` bands are
+stacked, transposed once into rows and written without the NULs.  The
+working memory is one block, about 1.1 MB for an events table (traced
+peak), whatever the table's length.
 
 Schemas:
     events  ``t_req_s,channel,sf``            sf: 0 = low, 1 = high
@@ -62,63 +64,71 @@ def _write_table(path: Union[str, Path], header: str, *columns) -> Path:
     A column is a numpy array; each cell is the UTF-8 text of ``str`` of
     its value, which for a float is its shortest round-tripping ``repr``.
     Rows are formatted ``_BLOCK`` at a time, so memory is bounded by one
-    block rather than by the table: each column's block becomes a
-    NUL-padded byte matrix (:func:`_block_cells`), the matrices are laid
-    side by side with ``,`` and ``\\n`` after them, and the NULs are
-    dropped.  A text cell must therefore hold no NUL.
+    block rather than by the table: the band matrices of the columns
+    (:func:`_block_cells`), each followed by a ``,`` band (``\\n`` for the
+    last), are stacked, transposed once and written without the NULs.
+    A text cell must therefore hold no NUL.
     """
     path = Path(path)
     n = len(columns[0])
     with path.open("wb") as fh:
         fh.write(header.encode() + b"\n")
         for lo in range(0, n, _BLOCK):
-            fh.write(_join_rows([_block_cells(column[lo:lo + _BLOCK]) for column in columns]))
+            cells = [_block_cells(column[lo:lo + _BLOCK]) for column in columns]
+            comma = np.full((1, cells[0].shape[1]), ord(","), dtype=np.uint8)
+            bands = np.concatenate([part for c in cells for part in (c, comma)])
+            bands[-1] = ord("\n")
+            del cells  # free the column bands before the copy below
+            rows = np.ascontiguousarray(bands.T)
+            del bands
+            fh.write(rows[rows != 0])
+            del rows
     return path
 
 
-def _join_rows(cells: list[np.ndarray]) -> np.ndarray:
-    """CSV rows from the cell matrices of one block: ``,`` after each
-    cell but the last of a row, ``\\n`` after that one, as the bytes
-    of a uint8 array."""
-    rows = np.zeros((len(cells[0]), sum(c.shape[1] + 1 for c in cells)), dtype=np.uint8)
-    at = 0
-    for c in cells:
-        rows[:, at:at + c.shape[1]] = c
-        at += c.shape[1] + 1
-        rows[:, at - 1] = ord(",")
-    rows[:, -1] = ord("\n")
-    del c, cells[:]  # free the matrices before the copy below
-    return rows[rows != 0]
+#: At most this many distinct values are written with ``str``, more floats
+#: with :func:`_float_cells`, whose few hundred numpy calls cost as much as
+#: ``repr`` on 300 to 400 values (timeit on a 2-vCPU x86_64 VM).
+_REPR_MAX = 300
 
 
 def _block_cells(block) -> np.ndarray:
     """The cell texts of one block of a column (see :func:`_write_table`)
-    as a ``(rows, width)`` uint8 matrix of UTF-8 bytes, NUL-padded.
+    as a ``(width, rows)`` uint8 matrix of UTF-8 bytes: each cell is a
+    column, and its characters lie in the bands in order, with NULs
+    between or after them.
 
-    Floats of up to 64 bits go through :func:`_float_cells`; integers,
-    booleans and strings through ``str``.  Within a numpy block each
-    distinct value is formatted once, keyed by its bytes (so ``0.0`` and
-    ``-0.0`` stay apart), and its row is repeated for every cell that
-    holds it; a block whose cells are all distinct is formatted in order.
+    Within a numpy block each distinct value is formatted once, keyed by
+    its bytes (so ``0.0`` and ``-0.0`` stay apart), and its column is
+    repeated for every cell that holds it; a block whose cells are all
+    distinct, such as a strictly increasing one, is formatted in order.
     Other arrays, such as object arrays, are formatted cell by cell.
     """
     if block.dtype.kind == "f" and block.itemsize <= 8:
         block = block.astype(np.float64, copy=False)
-        key, render = block.view(np.uint64), _float_cells
+        key = block.view(np.uint64)
     elif block.dtype.kind in "biuU":
-        key, render = block, _str_cells
+        key = block
     else:
         return _str_cells(block)
+    if (block[1:] > block[:-1]).all():
+        return _cells(block)
     distinct, inverse = np.unique(key, return_inverse=True)
     if distinct.size == block.size:
-        return render(block)
-    return render(distinct.view(block.dtype))[inverse]
+        return _cells(block)
+    return _cells(distinct.view(block.dtype))[:, inverse]
+
+
+def _cells(values) -> np.ndarray:
+    """:func:`_float_cells` of more than ``_REPR_MAX`` floats, else
+    ``str`` of each value, which is ``repr`` for a float."""
+    return _float_cells(values) if values.dtype == np.float64 and values.size > _REPR_MAX else _str_cells(values)
 
 
 def _str_cells(values) -> np.ndarray:
-    """The UTF-8 text of ``str`` of each value, as a NUL-padded matrix."""
+    """The UTF-8 text of ``str`` of each value, one band per character."""
     texts = np.array([str(x).encode() for x in values.tolist()], dtype=bytes)
-    return texts.view(np.uint8).reshape(texts.size, texts.itemsize)
+    return texts.view(np.uint8).reshape(texts.size, texts.itemsize).T
 
 
 # Shortest round-trip text of float64 values, as ``repr`` writes it.
@@ -134,26 +144,26 @@ def _str_cells(values) -> np.ndarray:
 # in uint64 arrays.
 
 _M32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
 _M63 = np.uint64(2**63 - 1)
 _POS_INF = np.uint64(0x7FF << 52)
 _ONE = np.uint64(0x3FF << 52)  # 1.0, which stands in for the values the digits do not cover
 _K_MIN, _K_MAX = -324, 292  # the decimal exponents k of the multipliers
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
-_FLOAT_WIDTH = 24  # the longest text: "-2.2250738585072014e-308"
-#: the texts of the values that have no digits: 0.0, -0.0, inf, -inf and every NaN
-_SPECIAL = np.array([b"0.0", b"-0.0", b"inf", b"-inf", b"nan"], dtype=f"S{_FLOAT_WIDTH}")
-_SPECIAL_SIZE = np.array([3, 4, 3, 4, 3])
+#: the characters of the values that have no digits, 0.0, inf and nan, in the places of "1.0"
+_SPECIAL = np.array([list(b"0.0"), list(b"inf"), list(b"nan")], dtype=np.uint8)
 _DIGIT_RANK = np.arange(1, 18, dtype=np.uint8)[:, None]  # digit m of 17 is the (m + 1)-th
-_FLOAT_LEAD = np.array([ord("0")] * 6 + [0] * (_FLOAT_WIDTH - 6), dtype=np.uint8)
+_RANK = np.arange(17, dtype=np.int16)[:, None]  # the index m of each digit
+_C = {c: np.uint8(ord(c)) for c in "-+0.e"}
 
 
 @functools.cache
 def _multipliers() -> tuple[np.ndarray, ...]:
     """For each k in [_K_MIN, _K_MAX], g = floor(10**-k * 2**(125 - r)) + 1
     with r = floor(log2(10**-k)), a 126-bit integer in (2**125, 2**126),
-    as the 32-bit limbs (high, low) of its 63-bit halves g1 = g >> 63
-    and g0 = g mod 2**63, and r + 2.  Built once, with Python integers."""
-    g1h, g1l, g0h, g0l, r2 = [], [], [], [], []
+    as its 63-bit halves g1 = g >> 63 and g0 = g mod 2**63, and r + 2.
+    Built once, with Python integers."""
+    g1, g0, r2 = [], [], []
     for k in range(_K_MIN, _K_MAX + 1):
         if k <= 0:
             p = 10**-k
@@ -163,13 +173,10 @@ def _multipliers() -> tuple[np.ndarray, ...]:
             p = 10**k  # never a power of two, so r = -bit_length
             r = -p.bit_length()
             g = (1 << 125 - r) // p + 1
-        g1, g0 = g >> 63, g & (2**63 - 1)
-        g1h.append(g1 >> 32)
-        g1l.append(g1 & 0xFFFFFFFF)
-        g0h.append(g0 >> 32)
-        g0l.append(g0 & 0xFFFFFFFF)
+        g1.append(g >> 63)
+        g0.append(g & (2**63 - 1))
         r2.append(r + 2)
-    tables = tuple(np.array(t, dtype=np.uint32) for t in (g1h, g1l, g0h, g0l)) + (np.array(r2, dtype=np.int64),)
+    tables = np.array(g1, dtype=np.uint64), np.array(g0, dtype=np.uint64), np.array(r2, dtype=np.int64)
     for t in tables:
         t.flags.writeable = False
     return tables
@@ -178,16 +185,17 @@ def _multipliers() -> tuple[np.ndarray, ...]:
 def _mul_high(x0, x1, gh, gl):
     """floor(x * g / 2**64) for x < 2**60 given as its 32-bit limbs
     (x0 low, x1 high) and g < 2**63 as (gh, gl); no sum overflows."""
-    return ((gl * x0 >> np.uint64(32)) + gl * x1 + gh * x0 >> np.uint64(32)) + gh * x1
+    return ((gl * x0 >> _32) + gl * x1 + gh * x0 >> _32) + gh * x1
 
 
 def _round_to_odd(x, g):
     """x * g / 2**127 rounded down, with its lowest bit set if that
     dropped a nonzero fraction, as ``rop`` of Java's ``DoubleToDecimal``
-    computes it; g is ``_multipliers`` gathered per value."""
-    g1h, g1l, g0h, g0l = g
-    x0, x1 = x & _M32, x >> np.uint64(32)
-    z = ((g1h.astype(np.uint64) << np.uint64(32)) + g1l) * x >> np.uint64(1)
+    computes it; g is ``(g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32)``
+    of ``_multipliers`` gathered per value, all uint64."""
+    g1, g1h, g1l, g0h, g0l = g
+    x0, x1 = x & _M32, x >> _32
+    z = g1 * x >> np.uint64(1)
     z += _mul_high(x0, x1, g0h, g0l)
     return _mul_high(x0, x1, g1h, g1l) + (z >> np.uint64(63)) | (z << np.uint64(1) != 0)
 
@@ -211,7 +219,9 @@ def _shortest(bits):
     k -= irregular * 274_743_187_321
     k >>= 41
     k -= _K_MIN
-    *g, h = (t[k] for t in _multipliers())
+    g1, g0, h = (t[k] for t in _multipliers())
+    g = g1, g1 >> _32, g1 & _M32, g0 >> _32, g0 & _M32
+    del g1, g0
     k = (k + _K_MIN).astype(np.int16)
     h += q
     del q
@@ -251,18 +261,26 @@ def _shortest(bits):
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
-    """``repr`` of each float64 as a NUL-padded ASCII matrix.
+    """``repr`` of each float64 as a ``(width, n)`` uint8 band matrix.
 
     ``repr`` writes the shortest digits d1 d2 ... dn with the decimal point
     after ``decpt`` of them: in fixed notation when -4 < decpt <= 16,
     padded with zeros and given ``.0`` when the value is integral, else
     as d1.d2...dn followed by ``e``, the sign and at least two exponent
-    digits.  Per-row counts are int16 and dropped once used, to keep the
-    memory near a few columns of the block.
+    digits.  Each value is a column, and each band holds one place of that
+    layout, NUL in the values that do not use it:
+
+        sign | ``0`` | the 17 digits, kept before the point | ``.`` |
+        three zeros | the same 17 digits, kept from the point on |
+        ``e``, the exponent's sign and its (two or) three digits
+
+    Bands that no value of the block uses are left out.  The values with
+    no digits (zeros, infinities and NaNs) are laid out as ``1.0`` with
+    their own three characters in its places.
     """
-    n = x.size
     bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
     plain = (bits & _M63) - np.uint64(1) < _POS_INF - np.uint64(1)  # finite and nonzero
+    neg = (bits >> np.uint64(63)).astype(bool) & (bits & _M63 <= _POS_INF)  # a NaN has no sign
     f, decpt = _shortest(np.where(plain, bits, _ONE))
     size = np.searchsorted(_POW10, f, side="right")
     f *= _POW10[17 - size]  # 17 digits, the shortest ones first
@@ -272,7 +290,7 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     f -= hi * np.uint64(10**8)
     lo = f.astype(np.uint32)
     del f
-    digits = np.empty((17, n), dtype=np.uint8)
+    digits = np.empty((17, x.size), dtype=np.uint8)
     for m in range(16, -1, -1):
         half = lo if m > 8 else hi
         q = half // np.uint32(10)
@@ -280,50 +298,32 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
         half[...] = q
     del q, half, lo, hi
     nd = np.max((digits != 0) * _DIGIT_RANK, axis=0).astype(np.int16)  # significant digits
-
-    neg = (bits >> np.uint64(63)).astype(np.int16)
-    sci = (decpt < -3) | (decpt > 16)
-    point = np.where(sci, 1, np.maximum(decpt, 0))  # the digits before the point
-    skip = np.where(sci, 0, np.maximum(1 - decpt, 0))  # "0." and the zeros after it, less the point
-    # digits past the last significant one are NUL, but for the zeros of an integral fixed value
-    keep = np.where(sci | (decpt <= 0), nd, np.maximum(nd, decpt + 1))
     digits += ord("0")
-    digits *= _DIGIT_RANK <= keep
-    end = neg + np.where(sci, nd + (nd > 1), np.maximum(nd + skip + 1, decpt + 2))
-    del nd, keep
-    # '0' under the sign, "0." and up to three zeros; the digits, NUL or
-    # not, cover every column from the first digit's on
-    cells = np.tile(_FLOAT_LEAD, (n, 1))
-    flat = cells.reshape(-1)
-    row = np.arange(0, n * _FLOAT_WIDTH, _FLOAT_WIDTH)
-    at = row + neg + skip
-    del skip
-    for m in range(17):  # digit m, one column further right once past the point
-        at += point == m
-        flat[m:][at] = digits[m]
-    del at, digits
-    flat[row + neg + np.maximum(point, 1)] = ord(".")
-    cells[neg.astype(bool), 0] = ord("-")
-    (e,) = np.nonzero(sci & plain)
-    if e.size:
-        exp = decpt[e] - 1
-        mag = np.abs(exp)
-        wide = (mag >= 100).astype(np.intp)
-        at = row[e] + end[e]
-        flat[at] = ord("e")
-        flat[at + 1] = np.where(exp < 0, ord("-"), ord("+"))
-        flat[at + 3 + wide] = ord("0") + mag % 10
-        flat[at + 2 + wide] = ord("0") + mag // 10 % 10
-        flat[at[wide == 1] + 2] = ord("0") + mag[wide == 1] // 100
-        end[e] += 4 + wide
+    sci = (decpt < -3) | (decpt > 16)
+    dot = (~sci | (nd > 1)) * _C["."]
     (o,) = np.nonzero(~plain)
-    if o.size:
+    if o.size:  # the places of "1.0": the digit before the point, the point and the digit after it
         mag = bits[o] & _M63
-        which = np.where(mag == 0, neg[o], np.where(mag == _POS_INF, 2 + neg[o], 4))
-        cells[o] = _SPECIAL[which].view(np.uint8).reshape(o.size, _FLOAT_WIDTH)
-        end[o] = _SPECIAL_SIZE[which]
-    width = int(end.max(initial=0))
-    return cells[:, :width]
+        digits[0, o], dot[o], digits[1, o] = _SPECIAL[np.where(mag > _POS_INF, 2, mag != 0)].T
+    point = np.where(sci, 1, np.maximum(decpt, 0))  # the digits before the point
+    zeros = np.where(sci, 0, np.maximum(-decpt, 0))  # the zeros after "0."
+    # the digits written: all significant ones, and the zeros of an integral fixed value
+    keep = np.where(sci | (decpt <= 0), nd, np.maximum(nd, decpt + 1))
+    before, after, last, nz = int(point.max()), int(point.min()), int(keep.max()), int(zeros.max())
+    bands = [neg * _C["-"]] if neg.any() else []
+    if after == 0:
+        bands.append((point == 0) * _C["0"])
+    rank = _RANK[after:last]
+    bands += [digits[:before] * (_RANK[:before] < point), dot, (_RANK[:nz] < zeros) * _C["0"],
+              digits[after:last] * ((rank >= point) & (rank < keep))]
+    del digits, rank, point, zeros, keep
+    if sci.any():
+        mag = np.abs(decpt - 1)  # at most 15 in fixed notation
+        bands += [sci * _C["e"], sci * np.where(decpt > 0, _C["+"], _C["-"])]
+        if mag.max() >= 100:
+            bands.append((mag >= 100) * (mag // 100 + ord("0")))
+        bands += [sci * (mag // 10 % 10 + ord("0")), sci * (mag % 10 + ord("0"))]
+    return np.vstack(bands, dtype=np.uint8, casting="unsafe")
 
 
 def write_events_csv(path: Union[str, Path], events: EventStream) -> Path:

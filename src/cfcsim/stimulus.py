@@ -125,7 +125,7 @@ class SpikeTrain:
 
 def constant(i: float, duration: float) -> CurrentSignal:
     """Flat current of value ``i`` over [0, duration]."""
-    if duration <= 0:
+    if not duration > 0:
         raise ConfigError(f"duration must be positive, got {duration}")
     return CurrentSignal(np.asarray([0.0]), np.asarray([i]), np.asarray([i]), float(duration))
 
@@ -143,9 +143,9 @@ def staircase_sweep(
     """
     if steps < 2:
         raise ConfigError(f"need at least 2 steps, got {steps}")
-    if dwell <= 0:
+    if not dwell > 0:
         raise ConfigError(f"dwell must be positive, got {dwell}")
-    if start >= stop:
+    if not start < stop:
         raise ConfigError(f"start ({start}) must be below stop ({stop})")
     levels = start + np.arange(steps) * ((stop - start) / (steps - 1))
     return CurrentSignal(np.arange(steps) * dwell, levels, levels.copy(), float(steps * dwell))
@@ -179,11 +179,11 @@ def pfet_gate_sweep(
     exponentially until it saturates at ``i_sat``.  The exponential is
     emitted as linear pieces: values are exact at every breakpoint.
     """
-    if slope_per_decade <= 0:
+    if not slope_per_decade > 0:
         raise ConfigError(f"slope_per_decade must be positive, got {slope_per_decade}")
-    if duration <= 0:
+    if not duration > 0:
         raise ConfigError(f"duration must be positive, got {duration}")
-    if i0 <= 0 or i_sat <= 0:
+    if not (i0 > 0 and i_sat > 0):
         raise ConfigError("i0 and i_sat must be positive")
     if points_per_decade < 1:
         raise ConfigError("points_per_decade must be at least 1")
@@ -212,12 +212,12 @@ def dpi_synapse(
     spacing (default tau / 100) whose breakpoint values are the exact
     exponential.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ConfigError(f"tau must be positive, got {tau}")
-    if duration <= 0:
+    if not duration > 0:
         raise ConfigError(f"duration must be positive, got {duration}")
     res = tau / 100.0 if resolution is None else float(resolution)
-    if res <= 0:
+    if not res > 0:
         raise ConfigError(f"resolution must be positive, got {res}")
 
     spike_times = [float(t) for t in spikes.times if 0.0 <= t < duration]
@@ -268,7 +268,7 @@ class AdexParams:
 
     def __post_init__(self) -> None:
         for name in ("c_m", "g_l", "tau_w", "delta_t", "dt"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.peak <= self.v_t:
             raise ConfigError(f"v_peak ({self.peak}) must exceed v_t ({self.v_t})")
@@ -310,7 +310,7 @@ def adex_neuron(
     current monitor can digest (it goes negative below rest, where the
     monitor's input selector blocks it).
     """
-    if duration <= 0:
+    if not duration > 0:
         raise ConfigError(f"duration must be positive, got {duration}")
     if i_in.end < duration:
         raise ConfigError("input current must be defined over the full duration")
@@ -319,20 +319,14 @@ def adex_neuron(
     n_steps = int(math.ceil(duration / dt))
     grid = np.minimum(np.arange(n_steps + 1) * dt, duration)
 
-    v_peak = p.peak
-    exp_cap = 40.0  # clamp the exponent so runaway RK stages stay finite
-    # a step that ends this far below rest has overshot, not integrated
-    v_floor = min(p.e_l, p.v_reset) - 1.0
-
     # The four RK stages evaluate
     #   dv = (-g_l (v - e_l) + g_l delta_t exp(min((v - v_t) / delta_t, exp_cap)) - w + i) / c_m
     #   dw = (a (v - e_l) - w) / tau_w
-    # written out inline on local floats, every operation in this order.
-    neg_g_l, gd, e_l, v_t, delta_t, c_m = -p.g_l, p.g_l * p.delta_t, p.e_l, p.v_t, p.delta_t, p.c_m
-    a, tau_w = p.a, p.tau_w
-    exp = math.exp
-
-    v = e_l
+    # with exp_cap = 40, which keeps runaway stages finite; a step that
+    # ends 1 V below rest has overshot, not integrated
+    consts = (-p.g_l, p.g_l * p.delta_t, p.e_l, p.v_t, p.delta_t, p.c_m, p.a, p.tau_w, 40.0, p.peak,
+              p.v_reset, p.b, min(p.e_l, p.v_reset) - 1.0)
+    v = p.e_l
     w = 0.0
     v_out = np.empty(n_steps + 1)
     v_out[0] = v
@@ -346,65 +340,79 @@ def adex_neuron(
         t_ends = grid[lo + 1:hi + 1]
         step = t_ends - grid[lo:hi]
         drive = i_in.values(np.minimum(np.arange(2 * lo, 2 * hi + 1) * (dt / 2.0), duration))
-        v_hist = array("d")
-        append = v_hist.append
-        for h, half, sixth, t_next, i0, i1, i2 in _block_rows(
-            step, 0.5 * step, step / 6.0, t_ends, drive[:-1:2], drive[1::2], drive[2::2]
-        ):
-            if h <= 0:
-                append(v)
-                continue
-            d = v - e_l
-            arg = (v - v_t) / delta_t
-            if arg > exp_cap:
-                arg = exp_cap
-            k1v = (neg_g_l * d + gd * exp(arg) - w + i0) / c_m
-            k1w = (a * d - w) / tau_w
-            v2, w2 = v + half * k1v, w + half * k1w
-            d = v2 - e_l
-            arg = (v2 - v_t) / delta_t
-            if arg > exp_cap:
-                arg = exp_cap
-            k2v = (neg_g_l * d + gd * exp(arg) - w2 + i1) / c_m
-            k2w = (a * d - w2) / tau_w
-            v3, w3 = v + half * k2v, w + half * k2w
-            d = v3 - e_l
-            arg = (v3 - v_t) / delta_t
-            if arg > exp_cap:
-                arg = exp_cap
-            k3v = (neg_g_l * d + gd * exp(arg) - w3 + i1) / c_m
-            k3w = (a * d - w3) / tau_w
-            v4, w4 = v + h * k3v, w + h * k3w
-            d = v4 - e_l
-            arg = (v4 - v_t) / delta_t
-            if arg > exp_cap:
-                arg = exp_cap
-            k4v = (neg_g_l * d + gd * exp(arg) - w4 + i2) / c_m
-            k4w = (a * d - w4) / tau_w
-            v += sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            w += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-            if v >= v_peak:
-                spike_times.append(t_next)
-                v = p.v_reset
-                w += p.b
-            if not v >= v_floor:  # NaN included
-                raise ConfigError(
-                    f"adex_neuron diverged at t = {t_next!r} s (v = {v!r} V): "
-                    f"the step dt = {dt!r} s is too coarse for this drive"
-                )
-            append(v)
-        v_out[lo + 1:hi + 1] = v_hist
+        rows = _block_rows(step, 0.5 * step, step / 6.0, t_ends, drive[:-1:2], drive[1::2], drive[2::2])
+        v, w, v_out[lo + 1:hi + 1] = _rk4_block(rows, v, w, consts, spike_times, dt)
 
     proxy = p.i_rest_proxy + p.proxy_gain * p.g_l * (v_out - p.e_l)
     signal = CurrentSignal.from_samples(grid, proxy)
     return signal, SpikeTrain(np.asarray(spike_times))
 
 
+def _rk4_block(rows, v, w, consts, spike_times: list, dt: float):
+    """One block of :func:`adex_neuron`'s RK4 steps from the state (v, w).
+
+    ``rows`` holds each step's length, half and sixth, its end time and
+    the drive at its start, middle and end; ``consts`` the neuron's
+    constants in the order ``adex_neuron`` packs them.  The RK stages
+    are written out inline on local floats, every operation in the
+    order of the formula.  Spike times are appended to ``spike_times``;
+    returns v, w and the voltage after each step.
+    """
+    neg_g_l, gd, e_l, v_t, delta_t, c_m, a, tau_w, exp_cap, v_peak, v_reset, b, v_floor = consts
+    exp = math.exp
+    v_hist = array("d")
+    append = v_hist.append
+    for h, half, sixth, t_next, i0, i1, i2 in rows:
+        if h <= 0:
+            append(v)
+            continue
+        d = v - e_l
+        arg = (v - v_t) / delta_t
+        if arg > exp_cap:
+            arg = exp_cap
+        k1v = (neg_g_l * d + gd * exp(arg) - w + i0) / c_m
+        k1w = (a * d - w) / tau_w
+        v2, w2 = v + half * k1v, w + half * k1w
+        d = v2 - e_l
+        arg = (v2 - v_t) / delta_t
+        if arg > exp_cap:
+            arg = exp_cap
+        k2v = (neg_g_l * d + gd * exp(arg) - w2 + i1) / c_m
+        k2w = (a * d - w2) / tau_w
+        v3, w3 = v + half * k2v, w + half * k2w
+        d = v3 - e_l
+        arg = (v3 - v_t) / delta_t
+        if arg > exp_cap:
+            arg = exp_cap
+        k3v = (neg_g_l * d + gd * exp(arg) - w3 + i1) / c_m
+        k3w = (a * d - w3) / tau_w
+        v4, w4 = v + h * k3v, w + h * k3w
+        d = v4 - e_l
+        arg = (v4 - v_t) / delta_t
+        if arg > exp_cap:
+            arg = exp_cap
+        k4v = (neg_g_l * d + gd * exp(arg) - w4 + i2) / c_m
+        k4w = (a * d - w4) / tau_w
+        v += sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        w += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        if v >= v_peak:
+            spike_times.append(t_next)
+            v = v_reset
+            w += b
+        if not v >= v_floor:  # NaN included
+            raise ConfigError(
+                f"adex_neuron diverged at t = {t_next!r} s (v = {v!r} V): "
+                f"the step dt = {dt!r} s is too coarse for this drive"
+            )
+        append(v)
+    return v, w, v_hist
+
+
 def regular_train(rate: float, duration: float) -> SpikeTrain:
     """Evenly spaced spikes at ``k / rate`` for k = 1..floor(rate * duration)."""
-    if rate <= 0:
+    if not rate > 0:
         raise ConfigError(f"rate must be positive, got {rate}")
-    if duration < 0:
+    if not duration >= 0:
         raise ConfigError(f"duration must be non-negative, got {duration}")
     n = int(math.floor(rate * duration * (1.0 + 1e-12)))
     return SpikeTrain(np.arange(1, n + 1) / rate)
@@ -412,9 +420,9 @@ def regular_train(rate: float, duration: float) -> SpikeTrain:
 
 def poisson_train(rate: float, duration: float, seed: int) -> SpikeTrain:
     """Homogeneous Poisson spikes: seeded exponential gaps, reproducible."""
-    if rate <= 0:
+    if not rate > 0:
         raise ConfigError(f"rate must be positive, got {rate}")
-    if duration < 0:
+    if not duration >= 0:
         raise ConfigError(f"duration must be non-negative, got {duration}")
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"poisson seed must be a non-negative integer, got {seed!r}")

@@ -317,6 +317,15 @@ def test_sweep_command(tmp_path):
     assert summary["steps_no_measurement"] >= 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--start", "--stop", "--dwell"])
+def test_sweep_non_finite_flag_exit_2_names_it(tmp_path, capsys, flag, value):
+    args = {"--start": "1e-12", "--stop": "20e-12", "--dwell": "0.2", flag: value}
+    argv = ["sweep", "--steps", "5", "--out", str(tmp_path / "swp")]
+    assert main(argv + [word for pair in args.items() for word in pair]) == 2
+    assert f"'{flag}' must be a number, got {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "key, updates",
     [

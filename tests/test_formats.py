@@ -439,8 +439,11 @@ def _table_columns(draw):
     """One to three equal-length columns: numpy float64, int64, uint8,
     bool or ``<U`` blocks, or object arrays mixing numbers and ``""``.
     Each column either repeats a few drawn values or holds them once among
-    random, almost surely distinct ones; some tables span several blocks."""
-    n = draw(st.integers(1, 40) | st.sampled_from([formats._BLOCK, formats._BLOCK + 1, 2 * formats._BLOCK + 3]))
+    random, almost surely distinct ones; some tables span several blocks,
+    and some hold ``_REPR_MAX`` values or one more, on either side of the
+    switch from ``str`` to the float kernel."""
+    n = draw(st.integers(1, 40) | st.sampled_from([formats._REPR_MAX, formats._REPR_MAX + 1, formats._BLOCK,
+                                                   formats._BLOCK + 1, 2 * formats._BLOCK + 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
     for kind in draw(st.lists(st.sampled_from(["float64", "int64", "uint8", "bool", "str", "object"]),
@@ -487,8 +490,8 @@ def test_table_cells_are_str_of_each_value(tmp_path_factory, columns):
 # for every float64, with no fallback to ``repr`` itself.
 
 def _kernel_texts(x):
-    cells = formats._float_cells(np.asarray(x, dtype=np.float64))
-    return [row.tobytes().rstrip(b"\0").decode() for row in cells]
+    bands = formats._float_cells(np.asarray(x, dtype=np.float64))
+    return [cell.tobytes().replace(b"\0", b"").decode() for cell in bands.T]
 
 
 def _assert_kernel_is_repr(x):
@@ -541,7 +544,7 @@ def _table_peak(traced_peak, path, n):
 
 
 def test_table_writer_memory_is_one_block(tmp_path, traced_peak):
-    _table_peak(traced_peak, tmp_path / "warm.csv", 10)  # the multiplier table, built once
+    _table_peak(traced_peak, tmp_path / "warm.csv", formats._REPR_MAX + 1)  # the multiplier table, built once
     one = _table_peak(traced_peak, tmp_path / "one.csv", formats._BLOCK + 1)
     three = _table_peak(traced_peak, tmp_path / "three.csv", 3 * formats._BLOCK + 1)
     assert three <= 1.1 * one

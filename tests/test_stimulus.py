@@ -410,6 +410,37 @@ def test_adex_parameter_validation():
         AdexParams(v_peak=-0.060)  # below v_t
 
 
+_NAN = math.nan
+_TRAIN = SpikeTrain(np.array([0.1]))
+
+
+_NAN_CASES = [
+    ("duration", constant, (1e-9, _NAN)),
+    ("dwell", staircase_sweep, (1e-12, 1e-9, 3, _NAN)),
+    ("start", staircase_sweep, (_NAN, 1e-9, 3, 0.1)),
+    ("stop", staircase_sweep, (1e-12, _NAN, 3, 0.1)),
+    ("slope_per_decade", pfet_gate_sweep, (0.0, -0.5, 1.0, 1e-12, _NAN, 1e-6)),
+    ("duration", pfet_gate_sweep, (0.0, -0.5, _NAN, 1e-12, 0.1, 1e-6)),
+    ("i0 and i_sat", pfet_gate_sweep, (0.0, -0.5, 1.0, _NAN, 0.1, 1e-6)),
+    ("tau", dpi_synapse, (_TRAIN, _NAN, 1e-9, 1e-12, 1.0)),
+    ("duration", dpi_synapse, (_TRAIN, 0.01, 1e-9, 1e-12, _NAN)),
+    ("resolution", dpi_synapse, (_TRAIN, 0.01, 1e-9, 1e-12, 1.0, _NAN)),
+    ("duration", adex_neuron, (constant(1e-10, 1.0), AdexParams(), _NAN)),
+    ("dt", AdexParams, (200e-12, 10e-9, -0.07, -0.05, 0.002, 2e-9, 0.12, 50e-12, -0.07, None, _NAN)),
+    ("rate", regular_train, (_NAN, 1.0)),
+    ("duration", regular_train, (10.0, _NAN)),
+    ("rate", poisson_train, (_NAN, 1.0, 0)),
+    ("duration", poisson_train, (10.0, _NAN, 0)),
+]
+
+
+@pytest.mark.parametrize("name, make, args", [pytest.param(*case, id=f"{case[1].__name__}-{case[0]}")
+                                              for case in _NAN_CASES])
+def test_generators_refuse_nan_by_name(name, make, args):
+    with pytest.raises(ConfigError, match=name):
+        make(*args)
+
+
 # ---------------------------------------------------------------------------
 # generator invariants
 # ---------------------------------------------------------------------------
