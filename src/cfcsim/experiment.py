@@ -69,34 +69,49 @@ def _require(d: dict, key: str, context: str):
     return d[key]
 
 
-def _float(d: dict, key: str, context: str) -> float:
-    """The required numeric value under ``key``, as a float."""
-    return float(_number(_require(d, key, context), key, context))
+#: Description keys whose values are integers; every other numeric key is a float.
+_INTEGER_KEYS = {"steps", "points_per_decade", "seed"}
 
 
-def _optional(d: dict, key: str, context: str):
-    """The numeric value under ``key``, or None when it is absent or null."""
-    value = d.get(key)
-    return None if value is None else _number(value, key, context)
+def _numbers(desc: dict, required: tuple, optional: dict, context: str, also: tuple = ()) -> dict:
+    """The numeric values of a stimulus, spike-train or ack description, by key.
+
+    Every key of ``required`` must be present; an absent key of
+    ``optional`` takes its default.  Each value is checked with
+    :func:`~cfcsim.core._number` and returned as an int under
+    ``_INTEGER_KEYS``, else as a float; a null is kept, as None, only
+    where the default is None.  Keys other than these and ``also`` are
+    refused.
+    """
+    _reject_unknown(desc, {*required, *optional, *also}, context)
+    values = {key: _require(desc, key, context) for key in required}
+    values.update((key, desc.get(key, default)) for key, default in optional.items())
+    for key, value in values.items():
+        if value is not None or key in required or optional[key] is not None:
+            integer = key in _INTEGER_KEYS
+            value = _number(value, key, context, integer=integer)
+            values[key] = value if integer else float(value)
+    return values
 
 
 def _build_train(desc: dict, duration: float, seed: int) -> SpikeTrain:
+    if not isinstance(desc, dict):
+        raise ConfigError(f"spike train must be an object with a 'kind' key, got {desc!r}")
     kind = _require(desc, "kind", "spike train")
     context = f"{kind} spike train"
-    if kind == "regular":
-        _reject_unknown(desc, {"kind", "rate"}, context)
-        return regular_train(_float(desc, "rate", context), duration)
-    if kind == "poisson":
-        _reject_unknown(desc, {"kind", "rate", "seed"}, context)
-        train_seed = _number(desc.get("seed", seed), "seed", context, integer=True)
-        return poisson_train(_float(desc, "rate", context), duration, train_seed)
     if kind == "explicit":
         _reject_unknown(desc, {"kind", "times"}, context)
         times = _require(desc, "times", context)
         if not isinstance(times, list):
             raise ConfigError(f"{context}: 'times' must be a list of numbers, got {times!r}")
         return SpikeTrain(np.asarray([_number(t, "times", context) for t in times], dtype=float))
-    raise ConfigError(f"unknown spike train kind {kind!r}")
+    # each generated kind's function, required keys and optional keys with
+    # their defaults; a poisson train's seed defaults to the run's
+    kinds = {"regular": (regular_train, ("rate",), {}), "poisson": (poisson_train, ("rate",), {"seed": seed})}
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown spike train kind {kind!r}")
+    make, required, optional = kinds[kind]
+    return make(duration=duration, **_numbers(desc, required, optional, context, ("kind",)))
 
 
 def build_stimulus(
@@ -112,67 +127,32 @@ def build_stimulus(
     if not isinstance(desc, dict):
         raise ConfigError("stimulus must be an object with a 'kind' key")
     kind = _require(desc, "kind", "stimulus")
-
-    if kind == "constant":
-        _reject_unknown(desc, {"kind", "i"}, "constant stimulus")
-        if duration is None:
-            raise ConfigError("constant stimulus needs an explicit duration")
-        return constant(_float(desc, "i", "constant stimulus"), duration), duration
+    context = f"{kind} stimulus"
+    # each kind's generator, required keys and optional keys with their
+    # defaults; built per call, so a generator name rebound since import
+    # (a tracer's wrapper) is the one called
+    kinds = {
+        "constant": (constant, ("i",), {}),
+        "staircase": (staircase_sweep, ("start", "stop", "steps", "dwell"), {}),
+        "pfet_sweep": (pfet_gate_sweep, ("vg_start", "vg_stop", "i0", "slope_per_decade", "i_sat"),
+                       {"vg_ref": None, "points_per_decade": 100}),
+        "dpi_synapse": (dpi_synapse, ("tau", "weight_jump", "i_base"), {"resolution": None}),
+    }
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown stimulus kind {kind!r}")
+    make, required, optional = kinds[kind]
+    values = _numbers(desc, required, optional, context, ("kind", "train") if kind == "dpi_synapse" else ("kind",))
 
     if kind == "staircase":
-        _reject_unknown(desc, {"kind", "start", "stop", "steps", "dwell"}, "staircase stimulus")
-        signal = staircase_sweep(
-            _float(desc, "start", "staircase"),
-            _float(desc, "stop", "staircase"),
-            _number(_require(desc, "steps", "staircase"), "steps", "staircase", integer=True),
-            _float(desc, "dwell", "staircase"),
-        )
+        signal = make(**values)
         if duration is not None and duration > signal.end:
-            raise ConfigError(
-                f"duration {duration} exceeds the staircase span {signal.end}"
-            )
+            raise ConfigError(f"duration {duration} exceeds the staircase span {signal.end}")
         return signal, duration if duration is not None else signal.end
-
-    if kind == "pfet_sweep":
-        _reject_unknown(
-            desc,
-            {"kind", "vg_start", "vg_stop", "i0", "slope_per_decade", "i_sat", "vg_ref", "points_per_decade"},
-            "pfet_sweep stimulus",
-        )
-        if duration is None:
-            raise ConfigError("pfet_sweep stimulus needs an explicit duration")
-        signal = pfet_gate_sweep(
-            _float(desc, "vg_start", "pfet_sweep"),
-            _float(desc, "vg_stop", "pfet_sweep"),
-            duration,
-            i0=_float(desc, "i0", "pfet_sweep"),
-            slope_per_decade=_float(desc, "slope_per_decade", "pfet_sweep"),
-            i_sat=_float(desc, "i_sat", "pfet_sweep"),
-            vg_ref=_optional(desc, "vg_ref", "pfet_sweep"),
-            points_per_decade=_number(
-                desc.get("points_per_decade", 100), "points_per_decade", "pfet_sweep", integer=True
-            ),
-        )
-        return signal, duration
-
+    if duration is None:
+        raise ConfigError(f"{context} needs an explicit duration")
     if kind == "dpi_synapse":
-        _reject_unknown(
-            desc, {"kind", "tau", "weight_jump", "i_base", "resolution", "train"}, "dpi_synapse stimulus"
-        )
-        if duration is None:
-            raise ConfigError("dpi_synapse stimulus needs an explicit duration")
-        train = _build_train(_require(desc, "train", "dpi_synapse"), duration, seed)
-        signal = dpi_synapse(
-            train,
-            tau=_float(desc, "tau", "dpi_synapse"),
-            weight_jump=_float(desc, "weight_jump", "dpi_synapse"),
-            i_base=_float(desc, "i_base", "dpi_synapse"),
-            duration=duration,
-            resolution=_optional(desc, "resolution", "dpi_synapse"),
-        )
-        return signal, duration
-
-    raise ConfigError(f"unknown stimulus kind {kind!r}")
+        values["spikes"] = _build_train(_require(desc, "train", context), duration, seed)
+    return make(duration=duration, **values), duration
 
 
 def read_json_object(path: Union[str, Path]) -> dict:
@@ -208,12 +188,7 @@ def load_converter(
     ack_desc = raw.get("ack", {})
     if not isinstance(ack_desc, dict):
         raise ConfigError(f"{context}: 'ack' must be an object")
-    _reject_unknown(ack_desc, {"latency", "jitter"}, "ack model")
-    ack = AckModel(
-        latency=float(_number(ack_desc.get("latency", 0.0), "latency", "ack model")),
-        jitter=float(_number(ack_desc.get("jitter", 0.0), "jitter", "ack model")),
-        seed=seed,
-    )
+    ack = AckModel(**_numbers(ack_desc, (), {"latency": 0.0, "jitter": 0.0}, "ack model"), seed=seed)
     return config, ack
 
 

@@ -30,12 +30,12 @@ brute-force integrator, the fixed-step oracle in ``tests/oracle.py``.
 
 Events are found one at a time, except on a flat stretch of current
 entered with both capacitors reset: there every cycle is alike, and one
-batch places all of the stretch's events in one of two ways.  Without
-acknowledge jitter each cycle lasts the same period, so the events sit
-at ``first + period * k``.  With jitter, one cumulative sum over the
-interval and the drawn latencies places them, and the per-event stopping
-tests run elementwise over the result.  Either way the events, and the
-latencies each one takes, are bit for bit those of the per-event loop.
+batch places all of the stretch's events.  Without acknowledge jitter
+each cycle lasts the same period, so the events sit at ``first + period
+* k``, which can differ from the per-event loop's running sum in the
+last bits.  With jitter, one cumulative sum over the interval and the
+drawn latencies places them, bit for bit as the per-event loop does, and
+its stopping tests run elementwise over the result.
 
 The kernel reads the pieces as Python floats one block of rows at a
 time and keeps the events in typed buffers, 9 bytes an event, which the
@@ -377,42 +377,31 @@ def simulate(
                     m = int(min(fit + 2.0, room + 1, _STRETCH_BLOCK))
                     # drawing at least the spares keeps ``latencies`` one chain deep
                     lat = list(itertools.islice(latencies, max(m, n_spare)))
-                    times, t, q_avail = _jittered_stretch(t, b, i_t, ib, q_need, isi, t_rst, lat[:m])
-                    n = times.size
-                    ev_t.frombytes(times[:room].view(np.uint8))
-                    ev_sf.frombytes(bytes((sel,)) * min(n, room))
-                    if n > room:
-                        raise _cap_error(config, max_events, ev_t, ev_sf, float(times[room]))
+                    times, t_next, q_avail = _jittered_stretch(t, b, i_t, ib, q_need, isi, t_rst, lat[:m])
                     # the draws no event took go, in order, to the next events
-                    n_spare = len(lat) - n
-                    latencies = itertools.chain(lat[n:], base) if n_spare else base
-                    dead_until = t
-                    if q_avail is not None:
-                        v[sel] = v_active - q_avail / c_eq
-                        break
-                    continue
-                isi_int = q_need / i_t
-                first = t + isi_int
-                if first > b:
-                    v[sel] = v_active - (b - t) * i_t / c_eq
+                    n_spare = len(lat) - times.size
+                    latencies = itertools.chain(lat[times.size:], base) if n_spare else base
+                else:
+                    # first + period * k never decreases in k: one search
+                    # counts the events at or before b
+                    isi_int = q_need / i_t
+                    first = t + isi_int
+                    period = isi_int + dead
+                    fit = (b - first) / period if period > 0.0 else math.inf
+                    m = int(min(fit + 2.0, room + 1)) if first <= b else 0
+                    times = first + period * np.arange(m, dtype=np.float64)
+                    times = times[:np.searchsorted(times, b, side="right")]
+                    t_next = float(times[-1]) + dead if times.size else t
+                    q_avail = None if times.size else (b - t) * i_t
+                n = times.size
+                ev_t.frombytes(times[:room].view(np.uint8))
+                ev_sf.frombytes(bytes((sel,)) * min(n, room))
+                if n > room:
+                    raise _cap_error(config, max_events, ev_t, ev_sf, float(times[room]))
+                t = dead_until = t_next
+                if q_avail is not None:
+                    v[sel] = v_active - q_avail / c_eq
                     break
-                period = isi_int + dead
-                # largest n with first + period * (n - 1) <= b, counted on
-                # the expression that places the events below
-                n = int((b - first) / period) + 1
-                while n > 1 and first + period * (n - 1) > b:
-                    n -= 1
-                while first + period * n <= b:
-                    n += 1
-                clipped = n > room
-                n = min(n, room)
-                times = first + period * np.arange(n, dtype=np.float64)
-                ev_t.frombytes(times.view(np.uint8))
-                ev_sf.frombytes(bytes((sel,)) * n)
-                if clipped:
-                    raise _cap_error(config, max_events, ev_t, ev_sf, first + period * n)
-                t = dead_until = float(times[-1]) + dead
-                v = [v_ref_h, v_ref_h]
                 continue
 
             q_avail = 0.5 * (i_t + ib) * (b - t)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -267,10 +267,14 @@ class AdexParams:
     proxy_gain: float = 1.0   # scales the leak-current proxy
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (value is None and f.name == "v_peak" or math.isfinite(value)):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         for name in ("c_m", "g_l", "tau_w", "delta_t", "dt"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.peak <= self.v_t:
+        if not self.peak > self.v_t:
             raise ConfigError(f"v_peak ({self.peak}) must exceed v_t ({self.v_t})")
 
     @property

@@ -326,6 +326,12 @@ def test_sweep_non_finite_flag_exit_2_names_it(tmp_path, capsys, flag, value):
     assert f"'{flag}' must be a number, got {value}" in capsys.readouterr().err
 
 
+_PFET = {"kind": "pfet_sweep", "vg_start": 0.5, "vg_stop": 1.5, "i0": 1e-12, "slope_per_decade": 0.1, "i_sat": 1e-6}
+_DPI = {"kind": "dpi_synapse", "tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11,
+        "train": {"kind": "regular", "rate": 20.0}}
+_STAIRCASE = {"kind": "staircase", "start": 1e-9, "stop": 2e-9, "steps": 3, "dwell": 0.01}
+
+
 @pytest.mark.parametrize(
     "key, updates",
     [
@@ -391,12 +397,37 @@ def test_sweep_non_finite_flag_exit_2_names_it(tmp_path, capsys, flag, value):
             "kind": "dpi_synapse", "tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11,
             "train": {"kind": "poisson", "rate": 20.0, "times": [0.05, 0.1]},
         }}, id="poisson-train-times"),
+        pytest.param("points_per_decade", {"stimulus": dict(_PFET, points_per_decade=None)},
+                     id="null-points_per_decade"),
+        pytest.param("points_per_decade", {"stimulus": dict(_PFET, points_per_decade=2.5)},
+                     id="fraction-points_per_decade"),
+        pytest.param("seed", {"duration": 0.5, "stimulus": dict(
+            _DPI, train={"kind": "poisson", "rate": 20.0, "seed": None},
+        )}, id="null-train-seed"),
+        pytest.param("steps", {"duration": None, "stimulus": dict(_STAIRCASE, steps=2.5)}, id="fraction-steps"),
+        pytest.param("train", {"duration": 0.5, "stimulus": dict(_DPI, train=5)}, id="scalar-train"),
     ],
 )
 def test_simulate_bad_value_exit_2_names_key(tmp_path, capsys, key, updates):
     spec_path = _write_spec(tmp_path / "spec.json", **updates)
     assert main(["simulate", "--config", str(spec_path), "--out", str(tmp_path / "run")]) == 2
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
+
+
+# an integral float is accepted for an integer key, and null for an
+# optional key whose default is null
+@pytest.mark.parametrize(
+    "updates",
+    [
+        pytest.param({"stimulus": dict(_PFET, points_per_decade=3.0)}, id="float-points_per_decade"),
+        pytest.param({"duration": None, "stimulus": dict(_STAIRCASE, steps=3.0)}, id="float-steps"),
+        pytest.param({"stimulus": dict(_PFET, vg_ref=None)}, id="null-vg_ref"),
+        pytest.param({"stimulus": dict(_DPI, resolution=None)}, id="null-resolution"),
+    ],
+)
+def test_simulate_accepts_integral_floats_and_null_defaults(tmp_path, updates):
+    spec_path = _write_spec(tmp_path / "spec.json", **updates)
+    assert main(["simulate", "--config", str(spec_path), "--out", str(tmp_path / "run")]) == 0
 
 
 def test_simulate_integral_float_channel_address_with_jitter(tmp_path):

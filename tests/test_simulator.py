@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfcsim.core import CfcConfig, ConfigError, Polarity, RangeSelect, ideal_isi, ideal_rate
+from cfcsim.core import (CfcConfig, ConfigError, Polarity, RangeSelect, dead_time, ideal_isi, ideal_rate,
+                         select_ranges)
 from cfcsim.simulator import (
     DEFAULT_EVENT_CAP,
     AckModel,
@@ -279,6 +280,59 @@ def test_every_event_fires_from_an_integrating_stretch(levels, dwell, latency, j
     integrating = np.flatnonzero(tr.phase == Phase.INTEGRATING)
     reset_end = tr.t[integrating[np.searchsorted(integrating, first[:-1], side="right")]]
     assert np.all(t_req[1:] >= reset_end)
+
+
+# ---------------------------------------------------------------------------
+# jitter-free batches against the period rule
+# ---------------------------------------------------------------------------
+
+
+def _period_rule_reference(config, i, duration, ack, max_events):
+    """The jitter-free batch rule on ``constant(i, duration)`` as a scalar
+    loop: from a reset at t the events sit at first + period * k, with
+    first = t + isi, up to the end of the run, and integration resumes at
+    the last event plus the dead time.  Returns the event times and the
+    time of the event the cap refused (None when the cap was not hit)."""
+    sel = int(select_ranges(config, [i])[0])
+    isi = config.caps[sel] * (config.v_ref_h - config.v_ref_l) / i
+    dead = dead_time(config, ack)
+    period = isi + dead
+    times, t = [], 0.0
+    while t < duration and t + isi <= duration:
+        first, k = t + isi, 0
+        while first + period * k <= duration:
+            if len(times) == max_events:
+                return times, first + period * k
+            times.append(first + period * k)
+            k += 1
+        t = times[-1] + dead
+    return times, None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config=st.sampled_from([CfcConfig(t_rst=0.0), CFG]),
+    i=st.one_of(st.floats(min_value=6e-12, max_value=9.9e-9), st.floats(min_value=1e-8, max_value=3e-6)),
+    latency=st.sampled_from([0.0, 1e-7]),
+    duration=st.floats(min_value=1e-5, max_value=1e-2),
+    cap=st.one_of(st.just(DEFAULT_EVENT_CAP), st.integers(min_value=1, max_value=400)),
+)
+# the run ends at the tenth event of the batch
+@example(config=CFG, i=1e-9, latency=0.0, duration=0.0010008999999999999, cap=DEFAULT_EVENT_CAP)
+# a cycle that rounds to zero length: the batch fills to the cap
+@example(config=CfcConfig(c1=1e-320, t_rst=0.0, i_leak_floor=0.0), i=1e10, latency=0.0, duration=1.0, cap=1000)
+def test_jitter_free_batches_follow_the_period_rule(config, i, latency, duration, cap):
+    ack = AckModel(latency=latency)
+    want, refused = _period_rule_reference(config, i, duration, ack, cap)
+    if refused is None:
+        got = simulate(config, constant(i, duration), duration, ack=ack, max_events=cap).events
+    else:
+        with pytest.raises(EventCapError) as exc:
+            simulate(config, constant(i, duration), duration, ack=ack, max_events=cap)
+        got = exc.value.events
+        assert f"at t = {refused!r} s" in str(exc.value)
+    assert got.t_req.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
+    assert np.all(got.sf == select_ranges(config, [i])[0])
 
 
 # ---------------------------------------------------------------------------

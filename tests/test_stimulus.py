@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -434,10 +435,17 @@ _NAN_CASES = [
 ]
 
 
+def _adex_args(name, value):
+    """AdexParams' default field values, in order, with ``name`` set to ``value``."""
+    return tuple(value if f.name == name else f.default for f in fields(AdexParams))
+
+
 @pytest.mark.parametrize("name, make, args", [pytest.param(*case, id=f"{case[1].__name__}-{case[0]}")
-                                              for case in _NAN_CASES])
+                                              for case in _NAN_CASES]
+                         + [pytest.param(f.name, AdexParams, _adex_args(f.name, bad), id=f"AdexParams-{f.name}-{bad}")
+                            for f in fields(AdexParams) for bad in (_NAN, math.inf)])
 def test_generators_refuse_nan_by_name(name, make, args):
-    with pytest.raises(ConfigError, match=name):
+    with pytest.raises(ConfigError, match=rf"\b{name}\b"):
         make(*args)
 
 
