@@ -61,8 +61,9 @@ class CsvFormatError(ValueError):
 def _write_table(path: Union[str, Path], header: str, *columns) -> Path:
     """Write equal-length columns as CSV rows under ``header``.
 
-    A column is a numpy array; each cell is the UTF-8 text of ``str`` of
-    its value, which for a float is its shortest round-tripping ``repr``.
+    A column is a numpy array of floats, integers, booleans or ``<U``
+    text; each cell is the UTF-8 text of ``str`` of its value, which for
+    a float is its shortest round-tripping ``repr``.
     Rows are formatted ``_BLOCK`` at a time, so memory is bounded by one
     block rather than by the table: the band matrices of the columns
     (:func:`_block_cells`), each followed by a ``,`` band (``\\n`` for the
@@ -98,19 +99,16 @@ def _block_cells(block) -> np.ndarray:
     column, and its characters lie in the bands in order, with NULs
     between or after them.
 
-    Within a numpy block each distinct value is formatted once, keyed by
-    its bytes (so ``0.0`` and ``-0.0`` stay apart), and its column is
+    The block holds floats of at most 64 bits, integers, booleans or
+    ``<U`` text.  Each distinct value is formatted once, keyed by its
+    bytes (so ``0.0`` and ``-0.0`` stay apart), and its column is
     repeated for every cell that holds it; a block whose cells are all
     distinct, such as a strictly increasing one, is formatted in order.
-    Other arrays, such as object arrays, are formatted cell by cell.
     """
-    if block.dtype.kind == "f" and block.itemsize <= 8:
+    key = block
+    if block.dtype.kind == "f":
         block = block.astype(np.float64, copy=False)
         key = block.view(np.uint64)
-    elif block.dtype.kind in "biuU":
-        key = block
-    else:
-        return _str_cells(block)
     if (block[1:] > block[:-1]).all():
         return _cells(block)
     distinct, inverse = np.unique(key, return_inverse=True)
@@ -470,7 +468,7 @@ def write_spikes_csv(path: Union[str, Path], train: SpikeTrain) -> Path:
 
 def write_sweep_csv(path: Union[str, Path], points: list[SweepPoint]) -> Path:
     levels = np.array([p.level for p in points], dtype=np.float64)
-    decoded = np.array(["" if p.decoded is None else float(p.decoded) for p in points], dtype=object)
+    decoded = np.array(["" if p.decoded is None else repr(float(p.decoded)) for p in points], dtype=str)
     n_events = np.array([p.n_events for p in points], dtype=np.int64)
     return _write_table(path, SWEEP_HEADER, levels, decoded, n_events)
 

@@ -179,7 +179,7 @@ _ENERGY_PER_EVENT = 0.36e-12
 def power_estimate(events: EventStream, duration: float) -> float:
     """Average power of a run: a fixed energy per emitted event (the
     channel draws no static power)."""
-    if duration <= 0:
+    if not duration > 0:
         raise ValueError(f"duration must be positive, got {duration}")
     return _ENERGY_PER_EVENT * len(events) / duration
 
@@ -326,7 +326,7 @@ def simulate(
     run.  Raises :class:`EventCapError` (with the events so far
     attached) if more than ``max_events`` crossings occur.
     """
-    if duration <= 0:
+    if not duration > 0:
         raise ConfigError(f"duration must be positive, got {duration}")
     if stimulus.end < duration:
         raise ConfigError(

@@ -68,17 +68,15 @@ class CurrentSignal:
         """Segment end times: the next segment's start, ``end`` for the last."""
         return np.append(self.times[1:], self.end)
 
-    def values(self, ts: np.ndarray, side: str = "right") -> np.ndarray:
-        """Vectorised evaluation at sorted-or-not times within [0, end].
-
-        ``side`` picks which limit to take exactly at a breakpoint with a
-        step discontinuity: ``"right"`` (the default, right-continuous
-        like the signal itself) or ``"left"``.
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        """Vectorised evaluation at sorted-or-not times within [0, end];
+        at a breakpoint it takes the later segment's value, right-continuous
+        like the signal itself.  A NaN time lies outside the domain.
         """
         ts = np.asarray(ts, dtype=np.float64)
-        if ts.size and (ts.min() < 0.0 or ts.max() > self.end * (1 + 1e-12) + 1e-300):
+        if ts.size and not (ts.min() >= 0.0 and ts.max() <= self.end * (1 + 1e-12) + 1e-300):
             raise ValueError(f"time outside signal domain [0, {self.end}]")
-        idx = np.clip(np.searchsorted(self.times, ts, side=side) - 1, 0, self.times.size - 1)
+        idx = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, self.times.size - 1)
         width = self.ends - self.times
         rise = self.i_end - self.i_start
         frac = np.clip((ts - self.times[idx]) / width[idx], 0.0, 1.0)
@@ -188,6 +186,9 @@ def pfet_gate_sweep(
     if points_per_decade < 1:
         raise ConfigError("points_per_decade must be at least 1")
     ref = vg_start if vg_ref is None else vg_ref
+    for name, value in (("vg_start", vg_start), ("vg_stop", vg_stop), ("vg_ref", ref)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     decades_span = abs(vg_stop - vg_start) / slope_per_decade
     n = max(2, int(math.ceil(decades_span * points_per_decade)) + 1)
     ts = np.linspace(0.0, duration, n)

@@ -154,10 +154,17 @@ def oracle_simulate(
         + [x for x in _raw_crossings(stimulus, duration, sign_targets) if 0.0 < x < duration]
     )))
 
-    def eff_values(ts: np.ndarray, side: str = "right") -> np.ndarray:
-        raw = stimulus.values(ts, side=side)
+    def eff_values(raw: np.ndarray) -> np.ndarray:
         r = np.maximum(raw, 0.0) if accept_positive else np.maximum(-raw, 0.0)
         return np.where(r > floor, r, 0.0)
+
+    # the left limit differs from the signal's value only at a breakpoint
+    # times[j], j >= 1: there it is segment j - 1 at its end, i_start +
+    # rise * 1.0 (the fraction width / width is exactly 1.0).  An inf
+    # sentinel keeps every grid point's search inside the array
+    breaks = np.append(stimulus.times[1:], np.inf)
+    rise = stimulus.i_end[:-1] - stimulus.i_start[:-1]
+    left_at_break = eff_values(np.append(stimulus.i_start[:-1] + rise, 0.0))
 
     ev_t = array("d")
     ev_sf = array("B")
@@ -178,9 +185,14 @@ def oracle_simulate(
             ts = np.unique(np.concatenate([ts, inside]))
         # step starts take right limits, step ends take left limits, so a
         # stimulus jump sitting exactly on a grid point charges each side
-        # of the discontinuity with its own segment's current
-        ie = eff_values(ts)
-        ie_end = eff_values(ts, side="left")
+        # of the discontinuity with its own segment's current; the left
+        # limits are patched in only where the chunk holds a breakpoint
+        ie = ie_end = eff_values(stimulus.values(ts))
+        if np.searchsorted(breaks, ts.max(), side="right") > np.searchsorted(breaks, ts.min()):
+            k = np.searchsorted(breaks, ts)
+            at = breaks[k] == ts
+            ie_end = ie.copy()
+            ie_end[at] = left_at_break[k[at]]
         steps = np.diff(ts)
         mids = 0.5 * (ie[:-1] + ie_end[1:])
         sel_high = mids >= i_sw

@@ -212,11 +212,14 @@ def test_criterion_08_oracle_equivalence():
     assert len(suite) >= 20
     worst_ratio = 0.0
     total_events = 0
+    oracle_digest = hashlib.sha256()
     for stim in suite:
         duration = stim.end
         dt = _fastest_ideal_isi(IDEAL, stim, duration) / 1e5
         sim = simulate(IDEAL, stim, duration).events
         orc = oracle_simulate(IDEAL, stim, duration, dt)
+        oracle_digest.update(orc.t_req.tobytes())
+        oracle_digest.update(orc.sf.tobytes())
         assert len(sim) == len(orc), f"count mismatch: {len(sim)} vs {len(orc)}"
         total_events += len(sim)
         if len(sim):
@@ -224,6 +227,8 @@ def test_criterion_08_oracle_equivalence():
             worst_ratio = max(worst_ratio, gap / (2 * dt))
             assert gap <= 2 * dt, f"event time gap {gap} > 2*dt={2 * dt}"
             assert np.array_equal(sim.sf, orc.sf)
+    # the reference itself must not drift: its events are pinned bit for bit
+    assert oracle_digest.hexdigest() == json.loads(PRESET_DIGESTS.read_text())["oracle_events"]
     _verdict(
         "criterion 8 (oracle equivalence)",
         worst_ratio <= 1.0,
@@ -249,7 +254,9 @@ RECORDED_PRESETS = {"fig4": "staircase", "fig6": "neuron"}
 #: The same for the fig5 and fig7 presets at seed 7, which no benchmark
 #: workload runs (fig7's ``fit.txt`` comes from scipy's ``curve_fit``;
 #: the file notes the versions it was recorded with), and for the
-#: ``simulate --trace`` run of ``SOURCE_P_HYSTERESIS_SPEC``.
+#: ``simulate --trace`` run of ``SOURCE_P_HYSTERESIS_SPEC``; its
+#: ``oracle_events`` is the SHA-256 of the oracle's ``t_req`` and ``sf``
+#: bytes over ``_oracle_suite()`` (criterion 08).
 PRESET_DIGESTS = Path(__file__).resolve().parent / "preset_digests.json"
 
 

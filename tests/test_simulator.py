@@ -16,6 +16,7 @@ from cfcsim.simulator import (
     Phase,
     _effective_pieces,
     _jittered_stretch,
+    _split_at,
     power_estimate,
     simulate,
 )
@@ -591,6 +592,53 @@ def test_effective_pieces_match_the_per_piece_reference(signal, config, run_to):
         assert have.tobytes() == want.tobytes()  # -0.0 and 0.0 differ here
 
 
+# levels a line may cross: zero, the default floor, band edge and i_sw,
+# and two ties of i_sw a rounding apart
+_SPLIT_LEVELS = [0.0, 5.5e-12, -7e-9, 7e-9, 1e-8, 1e-8 * (1 - 1e-16), math.nextafter(1e-8, 1.0)]
+
+
+@st.composite
+def _split_cases(draw):
+    """Lines of positive length, some a few ulp long, whose ends lie on,
+    next to or away from the target levels, and the targets, which may
+    repeat or nearly tie."""
+    targets = draw(st.lists(st.sampled_from(_SPLIT_LEVELS) | st.floats(-3e-8, 3e-8), min_size=1, max_size=4))
+    near = st.tuples(st.sampled_from(targets), st.integers(-2, 2)).map(lambda p: p[0] + p[1] * math.ulp(p[0]))
+    value = near | st.floats(-3e-8, 3e-8)
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = draw(st.floats(0.0, 1.0))
+        length = draw(st.floats(1e-12, 1.0) | st.integers(1, 4).map(lambda k: k * math.ulp(a)))
+        lines.append((a, a + length, draw(value), draw(value)))
+    return [np.array(col) for col in zip(*lines)], targets
+
+
+def _bits(*values):
+    """The float64 bytes of ``values``: -0.0 and 0.0 differ."""
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_split_cases())
+def test_split_at_cuts_each_line_at_its_crossings(case):
+    lines, targets = case
+    got = _split_at(*lines, targets)
+    alone = [_split_at(*(col[j:j + 1] for col in lines), targets) for j in range(lines[0].size)]
+    for k, column in enumerate(got):
+        assert column.tobytes() == np.concatenate([pieces[k] for pieces in alone]).tobytes()
+    for (a, b, ya, yb), (pa, pb, pya, pyb) in zip(zip(*lines), alone):
+        crossed = {_bits(tg) for tg in targets if (ya - tg) * (yb - tg) < 0.0}
+        if not crossed:
+            assert _bits(*pa, *pb, *pya, *pyb) == _bits(a, b, ya, yb)
+            continue
+        assert pa.size <= 1 + len(crossed)
+        assert _bits(pa[0], pya[0]) == _bits(a, ya)
+        assert pb[:-1].tobytes() == pa[1:].tobytes() and pyb[:-1].tobytes() == pya[1:].tobytes()
+        assert (np.diff(pa) > 0).all()
+        assert all(_bits(y) in crossed for y in pya[1:])
+        assert _bits(pb[-1], pyb[-1]) == _bits(b, yb) or (pb[-1] >= b and _bits(pyb[-1]) in crossed)
+
+
 # ---------------------------------------------------------------------------
 # validation, cap, trace
 # ---------------------------------------------------------------------------
@@ -609,6 +657,17 @@ def test_simulate_validation():
         simulate(CFG, constant(1e-9, 1.0), 0.0)
     with pytest.raises(ConfigError, match="defined up to"):
         simulate(CFG, constant(1e-9, 0.5), 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: simulate(CFG, constant(1e-9, 1.0), math.nan), "duration", id="simulate"),
+    pytest.param(lambda: simulate(CFG, constant(1e-9, 1.0), math.nan, trace=True), "duration", id="simulate-trace"),
+    pytest.param(lambda: power_estimate(EventStream.empty(), math.nan), "duration", id="power_estimate"),
+    pytest.param(lambda: constant(1e-9, 1.0).values([0.5, math.nan]), "outside signal domain", id="values"),
+])
+def test_nan_time_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_event_cap_truncates_with_partial_results():

@@ -440,10 +440,19 @@ def _adex_args(name, value):
     return tuple(value if f.name == name else f.default for f in fields(AdexParams))
 
 
+def _gate_args(name, value):
+    """A valid gate sweep's arguments, in order, with ``name`` set to ``value``."""
+    gate = {"vg_start": 0.0, "vg_stop": -0.5, "duration": 1.0, "i0": 1e-12, "slope_per_decade": 0.1,
+            "i_sat": 1e-6, "vg_ref": 0.0}
+    return tuple(value if key == name else v for key, v in gate.items())
+
+
 @pytest.mark.parametrize("name, make, args", [pytest.param(*case, id=f"{case[1].__name__}-{case[0]}")
                                               for case in _NAN_CASES]
                          + [pytest.param(f.name, AdexParams, _adex_args(f.name, bad), id=f"AdexParams-{f.name}-{bad}")
-                            for f in fields(AdexParams) for bad in (_NAN, math.inf)])
+                            for f in fields(AdexParams) for bad in (_NAN, math.inf)]
+                         + [pytest.param(name, pfet_gate_sweep, _gate_args(name, bad), id=f"pfet_gate_sweep-{name}-{bad}")
+                            for name in ("vg_start", "vg_stop", "vg_ref") for bad in (_NAN, math.inf)])
 def test_generators_refuse_nan_by_name(name, make, args):
     with pytest.raises(ConfigError, match=rf"\b{name}\b"):
         make(*args)
