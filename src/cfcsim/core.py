@@ -74,6 +74,11 @@ def _number(value, key: str, context: str, integer: bool = False):
     return int(value) if integer else value
 
 
+def _is_address(value) -> bool:
+    """Whether ``value`` is a channel address: an integer, not a bool, in [0, 2**63)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and 0 <= value < 2**63
+
+
 class Polarity(Enum):
     """Which sign of monitored current the input selector accepts.
 
@@ -140,9 +145,8 @@ class CfcConfig:
             raise ConfigError(f"hysteresis must lie in [0, 1), got {self.hysteresis}")
         if not isinstance(self.polarity, Polarity):
             raise ConfigError(f"polarity must be a Polarity, got {self.polarity!r}")
-        address = self.channel_address
-        if not (isinstance(address, numbers.Integral) and not isinstance(address, bool) and 0 <= address < 2**63):
-            raise ConfigError(f"channel_address must be an integer in [0, 2**63), got {address!r}")
+        if not _is_address(self.channel_address):
+            raise ConfigError(f"channel_address must be an integer in [0, 2**63), got {self.channel_address!r}")
 
     @property
     def delta_v(self) -> float:
@@ -286,6 +290,11 @@ def dead_time(config: CfcConfig, ack: "AckModel") -> float:
     return config.t_rst + ack.latency + 0.5 * ack.jitter
 
 
+def _check_compensation(compensation: float) -> None:
+    if not 0 <= compensation < math.inf:
+        raise ValueError(f"dead-time compensation must be finite and non-negative, got {compensation}")
+
+
 def decode(config: CfcConfig, isis, sf, compensation: float = 0.0):
     """Reconstruct input currents from inter-event intervals.
 
@@ -294,8 +303,7 @@ def decode(config: CfcConfig, isis, sf, compensation: float = 0.0):
     setting it to :func:`dead_time` removes the systematic read-low
     error at high rates.  Works elementwise on scalars or arrays.
     """
-    if compensation < 0:
-        raise ValueError(f"dead-time compensation must be non-negative, got {compensation}")
+    _check_compensation(compensation)
     isis = np.asarray(isis, dtype=np.float64)
     if np.any(isis <= compensation):
         raise ValueError(

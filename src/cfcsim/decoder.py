@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CfcConfig, decode
+from .core import CfcConfig, _check_compensation, decode
 from .simulator import EventStream
 from .stimulus import CurrentSignal
 
@@ -41,12 +41,12 @@ def reconstruct(
     config: CfcConfig,
     compensation: float = 0.0,
 ) -> ReconstructedSignal:
-    """Turn a single-channel event stream into current samples.
+    """Turn a channel's event stream into current samples.
 
-    The stream must hold one channel and times that increase by more
-    than ``compensation``; the error names the first event that breaks
-    this.  Fewer than two events decode to an empty signal (one event
-    carries no interval).  The events' range flags are trusted.
+    The times must increase by more than ``compensation``; the error
+    names the first event that breaks this.  Fewer than two events
+    decode to an empty signal (one event carries no interval).  The
+    events' range flags are trusted.
     """
     _check_stream(events, compensation)
     t = events.t_req
@@ -56,20 +56,13 @@ def reconstruct(
 
 
 def _check_stream(events: EventStream, compensation: float) -> None:
-    """Require one channel and times that increase by more than the
-    dead-time compensation; the error names the first event that breaks
-    either."""
-    t, ch = events.t_req, events.channel
-    other = np.flatnonzero(ch != ch[:1])
-    if other.size:
-        k = int(other[0])
-        raise ValueError(
-            f"event stream mixes multiple channels: event {k} at t = {float(t[k])!r} s is on channel "
-            f"{int(ch[k])}, event 0 on channel {int(ch[0])}; decode one channel at a time"
-        )
+    """Require a finite, non-negative compensation and times that increase
+    by more than it; the error names the first event that breaks this."""
+    _check_compensation(compensation)
     # a time that does not increase is the worst case of a short interval
+    t = events.t_req
     dt = np.diff(t)
-    bad = np.flatnonzero(~(dt > max(compensation, 0.0)))
+    bad = np.flatnonzero(~(dt > compensation))
     if bad.size:
         k = int(bad[0]) + 1
         if dt[k - 1] > 0:

@@ -325,7 +325,8 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
 
 
 def write_events_csv(path: Union[str, Path], events: EventStream) -> Path:
-    return _write_table(path, EVENTS_HEADER, events.t_req, events.channel, events.sf)
+    channel = np.broadcast_to(np.int64(events.channel), len(events))
+    return _write_table(path, EVENTS_HEADER, events.t_req, channel, events.sf)
 
 
 #: One row of an events file as parsed by ``np.loadtxt``.
@@ -337,7 +338,8 @@ def read_events_csv(path: Union[str, Path]) -> EventStream:
 
     A row is malformed if it does not have three fields, does not parse,
     or has a non-finite time, a channel outside [0, 2**63) or a flag
-    other than 0 and 1.  A file holding only whitespace, or a header
+    other than 0 and 1, or if its channel is not the first row's: a file
+    holds one channel.  A file holding only whitespace, or a header
     followed only by blank lines, reads as an empty stream.  Lines end
     where ``str.splitlines`` ends them.  No ordering is imposed here;
     consumers that need sorted input enforce it themselves.
@@ -378,14 +380,15 @@ def _read_events(path: Path) -> EventStream:
         except ValueError:
             return _read_events_rows(path)
     t, ch, sf = (np.ascontiguousarray(rows[name]) for name in _EVENTS_DTYPE.names)
-    if not (np.isfinite(t).all() and (ch >= 0).all() and ((sf == 0) | (sf == 1)).all()):
+    if not (np.isfinite(t).all() and (ch >= 0).all() and (ch == ch[0]).all() and ((sf == 0) | (sf == 1)).all()):
         return _read_events_rows(path)
-    return EventStream(t, ch, sf.astype(np.uint8))
+    return EventStream(t, ch[0], sf.astype(np.uint8))
 
 
 def _read_events_rows(path: Path) -> EventStream:
     """:func:`read_events_csv` one row at a time, below the header."""
-    t, ch, sf = [], [], []
+    t, sf = [], []
+    channel_0 = 0  # the first row's channel; a file without rows reads as channel 0
     with path.open(encoding="utf-8") as fh:
         lines = _lines(fh)
         next(lines)
@@ -409,10 +412,13 @@ def _read_events_rows(path: Path) -> EventStream:
                 raise CsvFormatError(f"{path}: line {ln}: channel must be below 2**63, got {channel}")
             if flag not in (0, 1):
                 raise CsvFormatError(f"{path}: line {ln}: sf must be 0 or 1, got {flag}")
+            if t and channel != channel_0:
+                raise CsvFormatError(f"{path}: line {ln}: channel {channel} differs from the first row's channel "
+                                     f"{channel_0}; an events file holds one channel")
+            channel_0 = channel
             t.append(time_s)
-            ch.append(channel)
             sf.append(flag)
-    return EventStream(np.asarray(t), np.asarray(ch, dtype=np.int64), np.asarray(sf, dtype=np.uint8))
+    return EventStream(np.asarray(t), channel_0, np.asarray(sf, dtype=np.uint8))
 
 
 def _undecodable_line(path: Path) -> int:

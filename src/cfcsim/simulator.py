@@ -30,17 +30,17 @@ brute-force integrator, the fixed-step oracle in ``tests/oracle.py``.
 
 Events are found one at a time, except on a flat stretch of current
 entered with both capacitors reset: there every cycle is alike, and one
-batch places all of the stretch's events.  Without acknowledge jitter
-each cycle lasts the same period, so the events sit at ``first + period
-* k``, which can differ from the per-event loop's running sum in the
-last bits.  With jitter, one cumulative sum over the interval and the
-drawn latencies places them, bit for bit as the per-event loop does, and
-its stopping tests run elementwise over the result.
+batch places the events of at most ``_STRETCH_BLOCK`` cycles from that
+reset.  Without jitter each cycle lasts the same period, so the events
+sit at ``first + period * k``, which can differ from the per-event
+loop's running sum in the last bits.  With jitter, one cumulative sum
+over the interval and the drawn latencies places them, bit for bit as
+the per-event loop does, and its stopping tests run elementwise.
 
 The kernel reads the pieces as Python floats one block of rows at a
 time and keeps the events in typed buffers, 9 bytes an event, which the
 finished stream wraps without a copy; its memory grows with the events,
-not with Python objects per piece.
+not with Python objects per piece or candidate cycles per stretch.
 
 The state trace (capacitor voltages, phase and range over time) is
 rebuilt after the run from the pieces and the events, so asking for it
@@ -58,12 +58,12 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import (_BLOCK, CfcConfig, ConfigError, RangeSelect, _block_rows, above_floor, dead_time, rectify,
+from .core import (_BLOCK, CfcConfig, ConfigError, RangeSelect, _block_rows, _is_address, above_floor, rectify,
                    select_ranges, thresholds)
 from .stimulus import CurrentSignal
 
 DEFAULT_EVENT_CAP = 100_000_000
-_STRETCH_BLOCK = 1 << 16  # most candidate cycles one jittered batch places
+_STRETCH_BLOCK = 1 << 16  # most candidate cycles one flat-stretch batch places
 
 
 class Phase(Enum):
@@ -73,24 +73,27 @@ class Phase(Enum):
 
 
 class EventStream:
-    """Columnar, immutable-by-convention batch of events.
+    """Columnar, immutable-by-convention batch of one channel's events.
 
-    Request times, channel addresses and range flags (0 = low, 1 = high)
-    in three flat arrays rather than one object per event.
+    Request times and range flags (0 = low, 1 = high) in two flat arrays
+    rather than one object per event, 9 bytes an event, and the channel
+    address they were all sent under, one int in [0, 2**63).
     """
 
     __slots__ = ("t_req", "channel", "sf")
 
-    def __init__(self, t_req: np.ndarray, channel: np.ndarray, sf: np.ndarray):
+    def __init__(self, t_req: np.ndarray, channel: int, sf: np.ndarray):
+        if not _is_address(channel):
+            raise ValueError(f"an event stream holds one channel, an integer in [0, 2**63), got {channel!r}")
         self.t_req = np.asarray(t_req, dtype=np.float64)
-        self.channel = np.asarray(channel, dtype=np.int64)
+        self.channel = int(channel)
         self.sf = np.asarray(sf, dtype=np.uint8)
-        if not (self.t_req.shape == self.channel.shape == self.sf.shape):
+        if self.t_req.shape != self.sf.shape:
             raise ValueError("event columns must have matching shapes")
 
     @classmethod
     def empty(cls) -> "EventStream":
-        return cls(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8))
+        return cls(np.empty(0), 0, np.empty(0, dtype=np.uint8))
 
     def __len__(self) -> int:
         return int(self.t_req.size)
@@ -162,9 +165,9 @@ class EventCapError(RuntimeError):
     and the simulated time it stopped at, and the events so far are
     attached."""
 
-    def __init__(self, cap: int, events: EventStream, channel: int, t: float):
+    def __init__(self, cap: int, events: EventStream, t: float):
         super().__init__(
-            f"event cap of {cap} exceeded on channel {channel} at t = {t!r} s;"
+            f"event cap of {cap} exceeded on channel {events.channel} at t = {t!r} s;"
             " simulation truncated (partial events attached)"
         )
         self.cap = cap
@@ -179,8 +182,8 @@ _ENERGY_PER_EVENT = 0.36e-12
 def power_estimate(events: EventStream, duration: float) -> float:
     """Average power of a run: a fixed energy per emitted event (the
     channel draws no static power)."""
-    if not duration > 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
     return _ENERGY_PER_EVENT * len(events) / duration
 
 
@@ -262,16 +265,7 @@ def _channel_stream(config: CfcConfig, ev_t: array, ev_sf: array) -> EventStream
     """One channel's event times and ranges as a stream over the typed
     buffers ``ev_t`` (``array("d")``) and ``ev_sf`` (``array("B")``),
     which it wraps without a copy: they take no events after this."""
-    return EventStream(
-        np.frombuffer(ev_t, dtype=np.float64),
-        np.full(len(ev_t), config.channel_address, dtype=np.int64),
-        np.frombuffer(ev_sf, dtype=np.uint8),
-    )
-
-
-def _cap_error(config: CfcConfig, cap: int, ev_t: array, ev_sf: array, t: float) -> EventCapError:
-    """The cap error of a channel stopped at ``t`` with these events."""
-    return EventCapError(cap, _channel_stream(config, ev_t, ev_sf), config.channel_address, t)
+    return EventStream(np.frombuffer(ev_t), config.channel_address, np.frombuffer(ev_sf, dtype=np.uint8))
 
 
 def _jittered_stretch(t, b, i_t, ib, q_need, isi, t_rst, lat):
@@ -341,9 +335,8 @@ def simulate(
 
     v_ref_h, v_ref_l, t_rst = config.v_ref_h, config.v_ref_l, config.t_rst
     caps = config.caps
-    dead = dead_time(config, ack)  # exact per cycle when the acknowledge does not jitter
     jittered = ack.jitter != 0.0
-    shortest_dead = ack.latency + t_rst  # of a jittered cycle
+    shortest_dead = ack.latency + t_rst  # of the shortest cycle, and of every cycle without jitter
     base = latencies
     n_spare = 0  # unused draws the last jittered batch put back in line
 
@@ -364,17 +357,17 @@ def simulate(
             q_need = c_eq * (v_active - v_ref_l)
             i_t = ia + slope * (t - a)
 
-            # a flat stretch from a full reset: its events in one batch
+            # a flat stretch from a full reset: its events in batches
             if slope == 0.0 and i_t > 0.0 and v[0] == v_ref_h and v[1] == v_ref_h:
                 room = max_events - len(ev_t)
+                # the per-event loop's interval expression, not q_need / i_t
+                isi = 2.0 * q_need / (i_t + math.sqrt(i_t * i_t + 2.0 * slope * q_need))
+                # enough candidates to reach b, as no cycle is shorter than
+                # ``cycle``, but at most one past the cap and one block
+                cycle = isi + shortest_dead
+                fit = (b - t) / cycle if cycle > 0.0 else math.inf
+                m = int(min(fit + 2.0, room + 1, _STRETCH_BLOCK))
                 if jittered:
-                    # the per-event loop's interval expression, not q_need / i_t
-                    isi = 2.0 * q_need / (i_t + math.sqrt(i_t * i_t + 2.0 * slope * q_need))
-                    # enough candidates to reach b, as no cycle is shorter
-                    # than isi + shortest_dead, and at most one past the cap
-                    cycle = isi + shortest_dead
-                    fit = (b - t) / cycle if cycle > 0.0 else math.inf
-                    m = int(min(fit + 2.0, room + 1, _STRETCH_BLOCK))
                     # drawing at least the spares keeps ``latencies`` one chain deep
                     lat = list(itertools.islice(latencies, max(m, n_spare)))
                     times, t_next, q_avail = _jittered_stretch(t, b, i_t, ib, q_need, isi, t_rst, lat[:m])
@@ -382,22 +375,21 @@ def simulate(
                     n_spare = len(lat) - times.size
                     latencies = itertools.chain(lat[times.size:], base) if n_spare else base
                 else:
-                    # first + period * k never decreases in k: one search
-                    # counts the events at or before b
-                    isi_int = q_need / i_t
-                    first = t + isi_int
-                    period = isi_int + dead
-                    fit = (b - first) / period if period > 0.0 else math.inf
-                    m = int(min(fit + 2.0, room + 1)) if first <= b else 0
-                    times = first + period * np.arange(m, dtype=np.float64)
+                    # (t + isi) + cycle * k, built in place, never decreases
+                    # in k: one search counts the events at or before b.
+                    # A first interval past b (or overflowed to inf, where
+                    # 0 * inf would be nan) leaves no candidate
+                    times = np.arange(m if t + isi <= b else 0, dtype=np.float64)
+                    times *= cycle
+                    times += t + isi
                     times = times[:np.searchsorted(times, b, side="right")]
-                    t_next = float(times[-1]) + dead if times.size else t
+                    t_next = float(times[-1]) + shortest_dead if times.size else t
                     q_avail = None if times.size else (b - t) * i_t
                 n = times.size
                 ev_t.frombytes(times[:room].view(np.uint8))
                 ev_sf.frombytes(bytes((sel,)) * min(n, room))
                 if n > room:
-                    raise _cap_error(config, max_events, ev_t, ev_sf, float(times[room]))
+                    raise EventCapError(max_events, _channel_stream(config, ev_t, ev_sf), float(times[room]))
                 t = dead_until = t_next
                 if q_avail is not None:
                     v[sel] = v_active - q_avail / c_eq
@@ -423,7 +415,7 @@ def simulate(
                 if t_ev > b:
                     t_ev = b
             if len(ev_t) >= max_events:
-                raise _cap_error(config, max_events, ev_t, ev_sf, t_ev)
+                raise EventCapError(max_events, _channel_stream(config, ev_t, ev_sf), t_ev)
             ev_t.append(t_ev)
             ev_sf.append(sel)
             t = dead_until = t_ev + next(latencies) + t_rst

@@ -415,20 +415,20 @@ def _rk4_block(rows, v, w, consts, spike_times: list, dt: float):
 
 def regular_train(rate: float, duration: float) -> SpikeTrain:
     """Evenly spaced spikes at ``k / rate`` for k = 1..floor(rate * duration)."""
-    if not rate > 0:
-        raise ConfigError(f"rate must be positive, got {rate}")
-    if not duration >= 0:
-        raise ConfigError(f"duration must be non-negative, got {duration}")
+    if not 0 < rate < math.inf:
+        raise ConfigError(f"rate must be positive and finite, got {rate}")
+    if not 0 <= duration < math.inf:
+        raise ConfigError(f"duration must be finite and non-negative, got {duration}")
     n = int(math.floor(rate * duration * (1.0 + 1e-12)))
     return SpikeTrain(np.arange(1, n + 1) / rate)
 
 
 def poisson_train(rate: float, duration: float, seed: int) -> SpikeTrain:
     """Homogeneous Poisson spikes: seeded exponential gaps, reproducible."""
-    if not rate > 0:
-        raise ConfigError(f"rate must be positive, got {rate}")
-    if not duration >= 0:
-        raise ConfigError(f"duration must be non-negative, got {duration}")
+    if not 0 < rate < math.inf:
+        raise ConfigError(f"rate must be positive and finite, got {rate}")
+    if not 0 <= duration < math.inf:
+        raise ConfigError(f"duration must be finite and non-negative, got {duration}")
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"poisson seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from cfcsim.core import CfcConfig, ConfigError, Polarity, RangeSelect, _block_rows, ideal_rate, rectify
-from cfcsim.simulator import DEFAULT_EVENT_CAP, AckModel, EventStream, _cap_error, _channel_stream
+from cfcsim.simulator import DEFAULT_EVENT_CAP, AckModel, EventCapError, EventStream, _channel_stream
 from cfcsim.stimulus import CurrentSignal
 
 
@@ -123,9 +123,9 @@ def oracle_simulate(
     comparator hysteresis only.  Test machinery: not meant for
     production use.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    if duration <= 0:
+    if not duration > 0:
         raise ConfigError(f"duration must be positive, got {duration}")
     if stimulus.end < duration:
         raise ConfigError("stimulus ends before the requested duration")
@@ -174,7 +174,7 @@ def oracle_simulate(
 
     while t < duration:
         if len(ev_t) >= max_events:
-            raise _cap_error(config, max_events, ev_t, ev_sf, t)
+            raise EventCapError(max_events, _channel_stream(config, ev_t, ev_sf), t)
         t_hi = min(duration, t + chunk * dt)
         n = max(1, int(math.ceil((t_hi - t) / dt - 1e-12)))
         ts = t + dt * np.arange(n + 1)

@@ -161,11 +161,19 @@ def test_decode_compensate_names_a_too_short_interval_exit_3(tmp_path, capsys):
     from cfcsim.simulator import EventStream
 
     # the default reset pulse is 0.1 us; event 2 follows event 1 by 50 ns
-    ev = EventStream(np.array([0.0, 0.1, 0.10000005, 0.2]), np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.uint8))
+    ev = EventStream(np.array([0.0, 0.1, 0.10000005, 0.2]), 0, np.zeros(4, dtype=np.uint8))
     p = write_events_csv(tmp_path / "events.csv", ev)
     assert main(["decode", str(p), "--out", str(tmp_path / "out"), "--compensate"]) == 3
     assert "event 2 at t = 0.10000005 s" in capsys.readouterr().err
     assert main(["decode", str(p), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_decode_second_channel_names_its_line_exit_3(tmp_path, capsys):
+    p = tmp_path / "events.csv"
+    p.write_text("t_req_s,channel,sf\n0.1,2,0\n0.2,2,0\n0.3,5,1\n")
+    assert main(["decode", str(p), "--out", str(tmp_path / "out")]) == 3
+    assert "line 4: channel 5 differs from the first row's channel 2" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "recon.csv").exists()
 
 
 def test_decode_missing_file_exit_2(tmp_path):
@@ -436,7 +444,7 @@ def test_simulate_integral_float_channel_address_with_jitter(tmp_path):
     assert main(["simulate", "--config", str(spec_path), "--out", str(out)]) == 0
     ev = read_events_csv(out / "events.csv")
     assert len(ev) > 0
-    assert np.all(ev.channel == 2)
+    assert ev.channel == 2
     assert json.loads((out / "summary.json").read_text())["config"]["channel_address"] == 2
 
 

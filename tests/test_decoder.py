@@ -19,10 +19,7 @@ IDEAL = CfcConfig(t_rst=0.0, i_leak_floor=0.0)
 
 
 def _stream(times, sf, channel=0):
-    n = len(times)
-    return EventStream(
-        np.asarray(times), np.full(n, channel), np.asarray(sf, dtype=np.uint8)
-    )
+    return EventStream(np.asarray(times), channel, np.asarray(sf, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -52,11 +49,6 @@ def test_dead_time_compensated_high_range():
 
 
 def test_reconstruct_rejects_bad_streams():
-    with pytest.raises(ValueError, match="multiple channels"):
-        reconstruct(
-            EventStream(np.array([0.0, 1.0]), np.array([0, 1]), np.array([0, 0], dtype=np.uint8)),
-            CFG,
-        )
     with pytest.raises(ValueError, match="strictly increasing"):
         reconstruct(_stream([0.1, 0.1], [0, 0]), CFG)
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -212,22 +204,6 @@ def test_sweep_rejects_a_ramp_segment():
     ev = _stream([0.05, 0.15], [0, 0])
     with pytest.raises(ValueError, match="ramp segment"):
         sweep_analysis(ev, ramp, CFG)
-
-
-def test_sweep_rejects_a_stream_of_two_channels():
-    sig = staircase_sweep(1e-9, 2e-9, 2, 0.02)
-    own = simulate(IDEAL, sig, sig.end).events
-    other_cfg = CfcConfig(t_rst=0.0, i_leak_floor=0.0, channel_address=1)
-    other = simulate(other_cfg, constant(1.3e-9, sig.end), sig.end).events
-    # both channels' events in one stream, ordered by (time, channel)
-    t, ch, sf = (np.concatenate(pair) for pair in
-                 ((own.t_req, other.t_req), (own.channel, other.channel), (own.sf, other.sf)))
-    order = np.lexsort((ch, t))
-    merged = EventStream(t[order], ch[order], sf[order])
-    first, k = merged.channel[0], int(np.flatnonzero(merged.channel != merged.channel[0])[0])
-    where = rf"event {k} at t = {float(merged.t_req[k])!r} s is on channel {1 - first}, event 0 on channel {first}"
-    with pytest.raises(ValueError, match=f"multiple channels: {where}"):
-        sweep_analysis(merged, sig, IDEAL)
 
 
 def test_sweep_rejects_a_shuffled_stream():

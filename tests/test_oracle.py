@@ -91,6 +91,16 @@ def test_dt_guard_refuses_coarse_steps():
         oracle_simulate(CFG, constant(1e-9, 1e-3), 1e-3, dt=0.0)
 
 
+@pytest.mark.parametrize("key, dt, duration", [
+    pytest.param("dt", np.nan, 1e-3, id="dt-nan"),
+    pytest.param("duration", 1e-9, np.nan, id="duration-nan"),
+    pytest.param("duration", 1e-9, 0.0, id="duration-zero"),
+])
+def test_nan_step_and_duration_are_refused_by_name(key, dt, duration):
+    with pytest.raises(ConfigError, match=f"{key} must be positive"):
+        oracle_simulate(CFG, constant(1e-9, 1e-3), duration, dt=dt)
+
+
 def test_oracle_rejects_hysteresis():
     with pytest.raises(ConfigError, match="hysteresis"):
         oracle_simulate(CfcConfig(hysteresis=0.1), constant(1e-9, 1e-3), 1e-3, dt=1e-9)

@@ -6,21 +6,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfcsim.core import (CfcConfig, ConfigError, Polarity, RangeSelect, dead_time, ideal_isi, ideal_rate,
+from cfcsim.core import (CfcConfig, ConfigError, Polarity, RangeSelect, dead_time, decode, ideal_isi, ideal_rate,
                          select_ranges)
+from cfcsim.decoder import reconstruct, sweep_analysis
 from cfcsim.simulator import (
     DEFAULT_EVENT_CAP,
     AckModel,
     EventCapError,
     EventStream,
     Phase,
+    _STRETCH_BLOCK,
     _effective_pieces,
     _jittered_stretch,
     _split_at,
     power_estimate,
     simulate,
 )
-from cfcsim.stimulus import CurrentSignal, constant
+from cfcsim.stimulus import CurrentSignal, constant, staircase_sweep
 from oracle import from_breakpoints
 
 CFG = CfcConfig()
@@ -51,12 +53,10 @@ def test_leak_floor_hard_cutoff():
 
 
 def test_power_estimate():
-    hundred_khz = EventStream(
-        np.arange(1, 100_001) * 1e-5, np.zeros(100_000), np.zeros(100_000)
-    )
+    hundred_khz = EventStream(np.arange(1, 100_001) * 1e-5, 0, np.zeros(100_000))
     assert power_estimate(hundred_khz, 1.0) == pytest.approx(36e-9, rel=1e-12)
     assert power_estimate(EventStream.empty(), 1.0) == 0.0
-    ten_khz = EventStream(np.arange(1, 10_001) * 1e-4, np.zeros(10_000), np.zeros(10_000))
+    ten_khz = EventStream(np.arange(1, 10_001) * 1e-4, 0, np.zeros(10_000))
     assert power_estimate(ten_khz, 1.0) == pytest.approx(3.6e-9, rel=1e-12)
 
 
@@ -72,7 +72,7 @@ def test_constant_10pA_ideal_100_events_at_10ms():
     assert ev.t_req[0] == pytest.approx(0.01, rel=1e-12)
     assert np.diff(ev.t_req) == pytest.approx(np.full(99, 0.01), rel=1e-12)
     assert np.all(ev.sf == 0)
-    assert np.all(ev.channel == 0)
+    assert ev.channel == 0
 
 
 def test_below_floor_produces_nothing():
@@ -248,6 +248,9 @@ def _staircase_run(levels, dwell, latency, jitter, linear):
 # steps shorter than the dead time: whole pieces pass while the channel is blind
 @example(**_DEAD_TIME_STEPS, jitter=0.0)
 @example(**_DEAD_TIME_STEPS, jitter=2e-7)
+# a subnormal current: the interval overflows to inf, no event fits
+@example(levels=[5e-324], dwell=1e-3, latency=0.0, jitter=0.0, linear=False, config=IDEAL)
+@example(levels=[5e-324], dwell=1e-3, latency=0.0, jitter=2e-7, linear=False, config=IDEAL)
 def test_events_match_with_trace_on_and_off(levels, dwell, latency, jitter, linear, config):
     stim, duration, ack = _staircase_run(levels, dwell, latency, jitter, linear)
     plain = simulate(config, stim, duration, ack=ack).events
@@ -291,9 +294,10 @@ def test_every_event_fires_from_an_integrating_stretch(levels, dwell, latency, j
 def _period_rule_reference(config, i, duration, ack, max_events):
     """The jitter-free batch rule on ``constant(i, duration)`` as a scalar
     loop: from a reset at t the events sit at first + period * k, with
-    first = t + isi, up to the end of the run, and integration resumes at
-    the last event plus the dead time.  Returns the event times and the
-    time of the event the cap refused (None when the cap was not hit)."""
+    first = t + isi, for k below ``_STRETCH_BLOCK`` and up to the end of
+    the run, and integration resumes at the last event plus the dead
+    time.  Returns the event times and the time of the event the cap
+    refused (None when the cap was not hit)."""
     sel = int(select_ranges(config, [i])[0])
     isi = config.caps[sel] * (config.v_ref_h - config.v_ref_l) / i
     dead = dead_time(config, ack)
@@ -301,7 +305,7 @@ def _period_rule_reference(config, i, duration, ack, max_events):
     times, t = [], 0.0
     while t < duration and t + isi <= duration:
         first, k = t + isi, 0
-        while first + period * k <= duration:
+        while k < _STRETCH_BLOCK and first + period * k <= duration:
             if len(times) == max_events:
                 return times, first + period * k
             times.append(first + period * k)
@@ -322,6 +326,9 @@ def _period_rule_reference(config, i, duration, ack, max_events):
 @example(config=CFG, i=1e-9, latency=0.0, duration=0.0010008999999999999, cap=DEFAULT_EVENT_CAP)
 # a cycle that rounds to zero length: the batch fills to the cap
 @example(config=CfcConfig(c1=1e-320, t_rst=0.0, i_leak_floor=0.0), i=1e10, latency=0.0, duration=1.0, cap=1000)
+# about 70,800 cycles: the rule restarts from the reset after the last
+# event of the first block
+@example(config=CFG, i=3e-6, latency=1e-7, duration=0.25, cap=DEFAULT_EVENT_CAP)
 def test_jitter_free_batches_follow_the_period_rule(config, i, latency, duration, cap):
     ack = AckModel(latency=latency)
     want, refused = _period_rule_reference(config, i, duration, ack, cap)
@@ -663,6 +670,15 @@ def test_simulate_validation():
     pytest.param(lambda: simulate(CFG, constant(1e-9, 1.0), math.nan), "duration", id="simulate"),
     pytest.param(lambda: simulate(CFG, constant(1e-9, 1.0), math.nan, trace=True), "duration", id="simulate-trace"),
     pytest.param(lambda: power_estimate(EventStream.empty(), math.nan), "duration", id="power_estimate"),
+    pytest.param(lambda: power_estimate(EventStream.empty(), math.inf), "duration", id="power_estimate-inf"),
+    *(pytest.param(call, "compensation must be finite and non-negative", id=f"{name}-compensation-{bad}")
+      for bad in (math.nan, math.inf, -1.0)
+      for name, call in [
+          ("decode", lambda c=bad: decode(CFG, [1e-3, 2e-3], [0, 0], compensation=c)),
+          ("reconstruct", lambda c=bad: reconstruct(EventStream([1e-3, 2e-3], 0, [0, 0]), CFG, compensation=c)),
+          ("sweep_analysis",
+           lambda c=bad: sweep_analysis(EventStream.empty(), staircase_sweep(1e-9, 2e-9, 2, 0.1), CFG, c)),
+      ]),
     pytest.param(lambda: constant(1e-9, 1.0).values([0.5, math.nan]), "outside signal domain", id="values"),
 ])
 def test_nan_time_is_refused(call, message):
@@ -699,7 +715,7 @@ def test_event_cap_inside_a_jittered_batch():
         simulate(cfg, constant(1e-9, 0.014), 0.014, ack=ack, max_events=60)
     capped = exc.value.events
     assert capped.t_req.tobytes() == full.t_req[:60].tobytes()
-    assert np.array_equal(capped.channel, np.full(60, 2))
+    assert capped.channel == 2
     assert f"cap of 60 exceeded on channel 2 at t = {float(full.t_req[60])!r} s" in str(exc.value)
 
 
@@ -711,6 +727,29 @@ def test_simulate_memory_per_piece_is_bounded(traced_peak):
     n = 100_000
     ramp = CurrentSignal.from_samples(np.linspace(0.0, 1.0, n + 1), np.linspace(1e-11, 1e-9, n + 1))
     assert traced_peak(simulate, CFG, ramp, 1.0) < 130 * n
+
+
+def _simulate_to_the_cap(config, stimulus, duration, max_events):
+    """The events of a run, or those a cap error attached."""
+    try:
+        return simulate(config, stimulus, duration, max_events=max_events).events
+    except EventCapError as exc:
+        return exc.events
+
+
+@pytest.mark.parametrize("config, i, cap, n", [
+    # a cycle that rounds to zero length: one flat stretch up to the cap
+    pytest.param(CfcConfig(c1=1e-320, t_rst=0.0, i_leak_floor=0.0), 1e10, 1_000_000, 1_000_000, id="zero-cycle"),
+    pytest.param(CFG, 3e-6, DEFAULT_EVENT_CAP, 291_262, id="3uA"),
+])
+def test_flat_stretch_memory_per_event_is_bounded(traced_peak, config, i, cap, n):
+    # the events take 9 bytes each in their buffers, and a batch places at
+    # most _STRETCH_BLOCK cycles at once.  Measured traced peaks: 25.6 and
+    # 18.6 B an event when a jitter-free batch placed a whole stretch, 10.1
+    # and 11.2 B with the block
+    stim = constant(i, 1.0)
+    assert len(_simulate_to_the_cap(config, stim, 1.0, cap)) == n
+    assert traced_peak(_simulate_to_the_cap, config, stim, 1.0, cap) <= 12 * n
 
 
 _NEXT_PHASE = {
@@ -797,14 +836,32 @@ def test_ack_latencies_are_the_scalar_draws_in_order():
 
 
 def test_event_stream_container():
-    ev = EventStream([1e-3, 2e-3], [0, 0], [RangeSelect.LOW, RangeSelect.HIGH])
+    ev = EventStream([1e-3, 2e-3], np.int64(7), [RangeSelect.LOW, RangeSelect.HIGH])
     assert len(ev) == 2
-    assert (ev.t_req.dtype, ev.channel.dtype, ev.sf.dtype) == (np.float64, np.int64, np.uint8)
+    assert (ev.t_req.dtype, ev.sf.dtype) == (np.float64, np.uint8)
+    assert type(ev.channel) is int and ev.channel == 7
     assert ev.sf.tolist() == [0, 1]
     assert np.diff(ev.t_req) == pytest.approx([1e-3])
-    assert len(EventStream.empty()) == 0
+    assert len(EventStream.empty()) == 0 and EventStream.empty().channel == 0
+    assert EventStream([0.0], 2**63 - 1, [0]).channel == 2**63 - 1
     with pytest.raises(ValueError, match="matching shapes"):
-        EventStream([0.0], [0, 0], [0])
+        EventStream([0.0], 0, [0, 0])
+
+
+@pytest.mark.parametrize("channel", [
+    pytest.param(np.zeros(2, dtype=np.int64), id="array"),
+    pytest.param([0, 0], id="list"),
+    pytest.param(True, id="bool"),
+    pytest.param(-1, id="negative"),
+    pytest.param(2**63, id="2**63"),
+    pytest.param(1.0, id="float"),
+])
+def test_event_stream_holds_one_channel_address(channel):
+    # the addresses CfcConfig refuses, refused by the stream too
+    with pytest.raises(ConfigError, match="channel_address"):
+        CfcConfig(channel_address=channel)
+    with pytest.raises(ValueError, match=r"one channel, an integer in \[0, 2\*\*63\)"):
+        EventStream([0.0, 1.0], channel, [0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -452,7 +452,11 @@ def _gate_args(name, value):
                          + [pytest.param(f.name, AdexParams, _adex_args(f.name, bad), id=f"AdexParams-{f.name}-{bad}")
                             for f in fields(AdexParams) for bad in (_NAN, math.inf)]
                          + [pytest.param(name, pfet_gate_sweep, _gate_args(name, bad), id=f"pfet_gate_sweep-{name}-{bad}")
-                            for name in ("vg_start", "vg_stop", "vg_ref") for bad in (_NAN, math.inf)])
+                            for name in ("vg_start", "vg_stop", "vg_ref") for bad in (_NAN, math.inf)]
+                         # an infinite rate has no gaps: the Poisson draw would never stop
+                         + [pytest.param(name, make, args + seed, id=f"{make.__name__}-{name}-inf")
+                            for make, seed in ((regular_train, ()), (poisson_train, (0,)))
+                            for name, args in (("rate", (math.inf, 1.0)), ("duration", (10.0, math.inf)))])
 def test_generators_refuse_nan_by_name(name, make, args):
     with pytest.raises(ConfigError, match=rf"\b{name}\b"):
         make(*args)
