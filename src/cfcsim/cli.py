@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--compensate", action="store_true", help="decode with dead-time compensation")
 
     for p in (p_sim, p_pre, p_swp):
-        p.add_argument("--seed", type=int, default=None, help=f"random seed (default {DEFAULT_SEED})")
+        what = "random seed" if p is p_sim else "recorded in summary.json only; presets and sweeps draw nothing"
+        p.add_argument("--seed", type=int, default=None, help=f"{what} (default {DEFAULT_SEED})")
     return parser
 
 

@@ -23,6 +23,12 @@ from .stimulus import CurrentSignal
 #: Fraction of each staircase dwell that sweep analysis discards as settling.
 _SETTLE_FRACTION = 0.2
 
+#: The exponential fit solves amplitude and baseline by least squares for
+#: each tau, brackets tau on this log grid (in units of the sample span),
+#: and narrows the bracket below 1e-13 by 64 golden-section steps on log tau.
+_LOG_TAU_GRID = np.linspace(-3.0, 3.0, 49) * math.log(10.0)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
 
 @dataclass(frozen=True)
 class ReconstructedSignal:
@@ -86,61 +92,54 @@ def fit_exponential(
     signal: ReconstructedSignal,
     window: tuple[float, float],
 ) -> ExponentialFit:
-    """Least-squares fit of ``baseline + amplitude * exp(-(t - t0)/tau)``
-    over the samples inside ``window = (t0, t1)``.
+    """Least-squares fit of ``baseline + amplitude * exp(-(t - t0)/tau)``,
+    amplitude and baseline >= 0, over the samples inside ``window = (t0, t1)``.
 
-    Needs at least five samples and a decaying trend; non-decaying data
-    raises rather than returning a meaningless time constant.
+    Needs finite window ends and samples, at least five samples and a decaying
+    trend; non-decaying data raises rather than returning a meaningless tau.
     """
     t0, t1 = window
-    if not t1 > t0:
-        raise ValueError(f"window must satisfy t0 < t1, got {window}")
+    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+        raise ValueError(f"window must satisfy t0 < t1 with finite ends, got {window}")
     mask = (signal.t >= t0) & (signal.t <= t1)
     t = signal.t[mask]
     y = signal.i_est[mask]
     if t.size < 5:
         raise ValueError(f"need at least 5 samples in the window, found {t.size}")
+    if not np.isfinite(y).all():
+        k = int(np.argmin(np.isfinite(y)))
+        raise ValueError(f"sample at t = {float(t[k])!r} s must be finite, got {float(y[k])!r}")
     if y[0] <= y[-1] * (1.0 + 1e-9):
         raise ValueError("no exponential trend: samples do not decay over the window")
 
-    # normalise so the optimiser works on O(1) quantities
-    y_scale = float(y[0])
+    # time in sample spans from the first sample, so the grid fits any window
     span = float(t[-1] - t[0])
-    tn = (t - t0) / span
-    yn = y / y_scale
+    x = (t - t[0]) / span
 
-    amp0 = float(yn[0] - yn[-1])
-    base0 = float(yn[-1])
-    target = base0 + amp0 / math.e
-    below = np.nonzero(yn <= target)[0]
-    tau0 = float(tn[below[0]]) if below.size and tn[below[0]] > 0 else 1.0 / 3.0
+    def solve(log_tau: float) -> tuple[float, float, float]:
+        """(squared residual, amplitude at the first sample, baseline)."""
+        e = np.exp(-x / math.exp(log_tau))
+        (amp, base), *_ = np.linalg.lstsq(np.column_stack([e, np.ones_like(e)]), y, rcond=None)
+        if base < 0:
+            amp, base = e @ y / (e @ e), 0.0
+        amp = max(amp, 0.0)
+        r = base + amp * e - y
+        return float(r @ r), float(amp), float(base)
 
-    def model(x, amp, tau, base):
-        return base + amp * np.exp(-x / tau)
-
-    # imported here: scipy is most of the package's import time, and
-    # nothing else needs it
-    from scipy.optimize import curve_fit
-
-    try:
-        popt, _ = curve_fit(
-            model, tn, yn,
-            p0=[max(amp0, 1e-9), tau0, max(base0, 0.0)],
-            bounds=([0.0, 1e-12, 0.0], [np.inf, np.inf, np.inf]),
-            xtol=1e-14, ftol=1e-14, gtol=1e-14,
-            maxfev=20000,
-        )
-    except RuntimeError as exc:
-        raise ValueError(f"exponential fit did not converge: {exc}") from exc
-    amp, tau, base = popt
-    if amp <= 0 or tau <= 0:
+    k = 1 + int(np.argmin([solve(g)[0] for g in _LOG_TAU_GRID[1:-1]]))
+    lo, hi = _LOG_TAU_GRID[k - 1], _LOG_TAU_GRID[k + 1]
+    for _ in range(64):
+        a, b = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        lo, hi = (lo, b) if solve(a)[0] < solve(b)[0] else (a, hi)
+    sq, amp, base = solve(0.5 * (lo + hi))
+    if amp <= 0:
         raise ValueError("no exponential trend: fitted decay is degenerate")
-    residual = (model(tn, *popt) - yn) * y_scale
+    tau = math.exp(0.5 * (lo + hi)) * span
     return ExponentialFit(
-        amplitude=float(amp * y_scale),
-        tau=float(tau * span),
-        baseline=float(base * y_scale),
-        residual_norm=float(np.linalg.norm(residual)),
+        amplitude=amp * math.exp((float(t[0]) - t0) / tau),
+        tau=tau,
+        baseline=base,
+        residual_norm=math.sqrt(sq),
     )
 
 

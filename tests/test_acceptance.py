@@ -252,9 +252,9 @@ def test_criterion_09_power_figure():
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 RECORDED_PRESETS = {"fig4": "staircase", "fig6": "neuron"}
 #: The same for the fig5 and fig7 presets at seed 7, which no benchmark
-#: workload runs (fig7's ``fit.txt`` comes from scipy's ``curve_fit``;
-#: the file notes the versions it was recorded with), and for the
-#: ``simulate --trace`` run of ``SOURCE_P_HYSTERESIS_SPEC``; its
+#: workload runs (fig7's ``fit.txt`` comes from ``fit_exponential``'s
+#: search in numpy; the file notes the versions it was recorded with),
+#: and for the ``simulate --trace`` run of ``SOURCE_P_HYSTERESIS_SPEC``; its
 #: ``oracle_events`` is the SHA-256 of the oracle's ``t_req`` and ``sf``
 #: bytes over ``_oracle_suite()`` (criterion 08).
 PRESET_DIGESTS = Path(__file__).resolve().parent / "preset_digests.json"

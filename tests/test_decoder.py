@@ -126,6 +126,30 @@ def test_fit_recovers_decay_with_baseline():
     assert fit.baseline == pytest.approx(5e-11, rel=1e-4)
 
 
+def test_fit_holds_the_baseline_at_zero():
+    # the unconstrained best baseline of this decay is negative
+    t = np.linspace(0.0, 0.1, 300)
+    fit = fit_exponential(_recon_from(t, 1e-9 * np.exp(-t / 20e-3) - 2e-12), (0.0, 0.1))
+    assert fit.baseline == pytest.approx(0.0, abs=1e-20)
+    assert fit.amplitude > 0
+    assert fit.tau == pytest.approx(0.019852962, rel=1e-6)
+
+
+@settings(max_examples=60)
+@given(
+    st.floats(min_value=0.02, max_value=5.0),
+    st.floats(min_value=1e-12, max_value=1e-6),
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+    st.integers(min_value=10, max_value=500),
+)
+def test_fit_recovers_tau_of_any_noise_free_decay(tau_per_span, amp, base_per_amp, n):
+    span = 0.1
+    t = np.linspace(0.0, span, n)
+    tau = tau_per_span * span
+    fit = fit_exponential(_recon_from(t, base_per_amp * amp + amp * np.exp(-t / tau)), (0.0, span))
+    assert fit.tau == pytest.approx(tau, rel=1e-6)
+
+
 def test_fit_rejects_flat_and_rising_data():
     t = np.linspace(0.0, 0.1, 50)
     with pytest.raises(ValueError, match="no exponential trend"):
@@ -145,6 +169,24 @@ def test_fit_window_bounds():
     rec = _recon_from(t, 1e-9 * np.exp(-t / 20e-3))
     with pytest.raises(ValueError, match="window"):
         fit_exponential(rec, (0.1, 0.1))
+    with pytest.raises(ValueError, match=r"window must satisfy t0 < t1 with finite ends, got \(-inf, inf\)"):
+        fit_exponential(rec, (-np.inf, np.inf))
+    with pytest.raises(ValueError, match=r"finite ends, got \(0\.0, nan\)"):
+        fit_exponential(rec, (0.0, np.nan))
+
+
+def test_fit_names_a_non_finite_sample():
+    t = np.linspace(0.0, 0.2, 100)
+    y = 1e-9 * np.exp(-t / 20e-3)
+    y[30] = np.nan
+    with pytest.raises(ValueError, match=rf"sample at t = {float(t[30])!r} s must be finite, got nan"):
+        fit_exponential(_recon_from(t, y), (0.0, 0.2))
+    y[30] = np.inf
+    with pytest.raises(ValueError, match=r"must be finite, got inf"):
+        fit_exponential(_recon_from(t, y), (0.0, 0.2))
+    # a non-finite sample outside the window is not fitted
+    fit = fit_exponential(_recon_from(t, y), (0.1, 0.2))
+    assert fit.tau == pytest.approx(20e-3, rel=1e-6)
 
 
 def test_end_to_end_dpi_decay_recovery():

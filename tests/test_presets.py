@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +72,19 @@ def test_fig7_summary_reports_tau(tmp_path):
     result = run_preset("fig7", tmp_path, seed=0)
     assert result.summary["tau_rel_err"] < 0.05
     assert result.summary["stimulus_tau_s"] == pytest.approx(20e-3)
+
+
+def test_fig7_imports_numpy_alone(tmp_path):
+    # numpy is the one runtime dependency, and fig7's decay fit is the
+    # preset most likely to pull in another package
+    code = ("import sys; before = {m.split('.')[0] for m in sys.modules}; "
+            "from cfcsim.presets import run_preset; run_preset('fig7', sys.argv[1], seed=7); "
+            "print(sorted({m.split('.')[0] for m in sys.modules} - before - set(sys.stdlib_module_names)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['cfcsim', 'numpy']"
 
 
 def test_unknown_preset_raises_config_error(tmp_path):
