@@ -5,18 +5,21 @@ round-trips exactly, and files are UTF-8 with ``\\n`` line endings
 whatever the locale, so that reruns with the same seed are
 byte-identical on any platform.
 
-The table writers call ``repr`` (through ``str``) on the distinct
-values of a block only when there are at most ``_REPR_MAX`` of them;
-more floats go through a numpy kernel (:func:`_float_cells`) that finds
-the same digits with the Schubfach algorithm and writes each character
-of ``repr``'s layout into a fixed band, checked against ``repr`` on
-every power of two and of ten, the subnormals and random bit patterns.
-Tables are written ``core._BLOCK`` rows at a time: each column's block
-becomes a band matrix, one value a column and NUL where a value has no
-character; the bands of all columns and the ``,`` and ``\\n`` bands are
-stacked, transposed once into rows and written without the NULs.  The
-working memory is one block, about 1.1 MB for an events table (traced
-peak), whatever the table's length.
+The table writers send each block of a column by its kind.  Integers
+go to a numpy kernel (:func:`_int_cells`) that writes one band per
+decimal place.  Floats are deduplicated; at most ``_REPR_MAX`` distinct
+ones are written with ``repr`` (through ``str``), more go to a numpy
+kernel (:func:`_float_cells`) that finds the same digits with the
+Schubfach algorithm and writes each character of ``repr``'s layout into
+a fixed band, checked against ``repr`` on every power of two and of ten,
+the subnormals and random bit patterns.  Text and booleans are
+deduplicated and written with ``str``.  Tables are written
+``core._BLOCK`` rows at a time: each column's block becomes a band
+matrix, one value a column and NUL where a value has no character; the
+bands of all columns and the ``,`` and ``\\n`` bands are stacked,
+transposed once into rows and written without the NULs.  The working
+memory is one block, about 1.1 MB for an events table (traced peak),
+whatever the table's length.
 
 Schemas:
     events  ``t_req_s,channel,sf``            sf: 0 = low, 1 = high
@@ -66,9 +69,11 @@ def _write_table(path: Union[str, Path], header: str, *columns) -> Path:
     a float is its shortest round-tripping ``repr``.
     Rows are formatted ``_BLOCK`` at a time, so memory is bounded by one
     block rather than by the table: the band matrices of the columns
-    (:func:`_block_cells`), each followed by a ``,`` band (``\\n`` for the
-    last), are stacked, transposed once and written without the NULs.
-    A text cell must therefore hold no NUL.
+    (:func:`_block_cells`: integers by :func:`_int_cells`, floats by
+    :func:`_float_cells` or by ``str`` after dedupe, text and booleans
+    by ``str`` after dedupe), each followed by a ``,`` band (``\\n`` for
+    the last), are stacked, transposed once and written without the
+    NULs, half a block at a time.  A text cell must therefore hold no NUL.
     """
     path = Path(path)
     n = len(columns[0])
@@ -82,14 +87,16 @@ def _write_table(path: Union[str, Path], header: str, *columns) -> Path:
             del cells  # free the column bands before the copy below
             rows = np.ascontiguousarray(bands.T)
             del bands
-            fh.write(rows[rows != 0])
-            del rows
+            for half in np.array_split(rows, 2):  # the mask and text of half a block at a time
+                fh.write(half[half != 0])
+            del rows, half
     return path
 
 
-#: At most this many distinct values are written with ``str``, more floats
-#: with :func:`_float_cells`, whose few hundred numpy calls cost as much as
-#: ``repr`` on 300 to 400 values (timeit on a 2-vCPU x86_64 VM).
+#: At most this many distinct floats are written with ``repr``, more with
+#: :func:`_float_cells`, whose few hundred numpy calls cost as much as
+#: ``repr`` on 300 to 400 values (timeit on a 2-vCPU x86_64 VM).  Text and
+#: booleans always go to ``str``, integers never.
 _REPR_MAX = 300
 
 
@@ -100,11 +107,15 @@ def _block_cells(block) -> np.ndarray:
     between or after them.
 
     The block holds floats of at most 64 bits, integers, booleans or
-    ``<U`` text.  Each distinct value is formatted once, keyed by its
+    ``<U`` text.  Integers go straight to :func:`_int_cells`, whose cost
+    does not depend on how many values repeat.  Of the other kinds each
+    distinct value is formatted once by :func:`_cells`, keyed by its
     bytes (so ``0.0`` and ``-0.0`` stay apart), and its column is
     repeated for every cell that holds it; a block whose cells are all
     distinct, such as a strictly increasing one, is formatted in order.
     """
+    if block.dtype.kind in "iu":
+        return _int_cells(block)
     key = block
     if block.dtype.kind == "f":
         block = block.astype(np.float64, copy=False)
@@ -119,7 +130,8 @@ def _block_cells(block) -> np.ndarray:
 
 def _cells(values) -> np.ndarray:
     """:func:`_float_cells` of more than ``_REPR_MAX`` floats, else
-    ``str`` of each value, which is ``repr`` for a float."""
+    ``str`` of each float, text or boolean, which is ``repr`` for a
+    float; integers never come here."""
     return _float_cells(values) if values.dtype == np.float64 and values.size > _REPR_MAX else _str_cells(values)
 
 
@@ -322,6 +334,27 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
             bands.append((mag >= 100) * (mag // 100 + ord("0")))
         bands += [sci * (mag // 10 % 10 + ord("0")), sci * (mag % 10 + ord("0"))]
     return np.vstack(bands, dtype=np.uint8, casting="unsafe")
+
+
+def _int_cells(x: np.ndarray) -> np.ndarray:
+    """``str`` of each integer of at most 64 bits as a ``(width, n)`` uint8
+    band matrix: a ``-`` band if any value is negative, then one band per
+    decimal place of the largest magnitude, the highest first, NUL above
+    each value's leading digit.  The digits are peeled off the units
+    first with ``//`` by ten, which numpy runs far faster than ``%``."""
+    neg = x < 0
+    mag = x.astype(np.uint64)
+    sign = []
+    if neg.any():
+        np.negative(mag, out=mag, where=neg)  # modulo 2**64, so int64's minimum becomes 2**63
+        sign.append(neg * _C["-"])
+    ten, digits = np.uint64(10), []
+    for p in range(len(str(mag.max()))):
+        rest = mag // ten
+        digit = (mag - rest * ten).astype(np.uint8) + _C["0"]
+        digits.append(digit * (mag != 0) if p else digit)  # mag is 0 above the leading digit
+        mag = rest
+    return np.vstack(sign + digits[::-1])
 
 
 def write_events_csv(path: Union[str, Path], events: EventStream) -> Path:

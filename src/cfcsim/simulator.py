@@ -202,13 +202,24 @@ def _split_at(a, b, ya, yb, targets):
     keeping each one past the last kept.  Only lines that cross a target
     are cut, so the work beyond a few comparisons is on those alone.
     """
-    crosses = [(ya - tg) * (yb - tg) < 0.0 for tg in targets]
+    # compared, not multiplied: a product of the two distances underflows
+    # to -0.0 or overflows
+    lo, hi = np.minimum(ya, yb), np.maximum(ya, yb)
+    crosses = [(lo < tg) & (tg < hi) for tg in targets]
     crossing = np.logical_or.reduce(crosses)
     rows = np.flatnonzero(crossing)
     ra, rb, rya, ryb = a[rows], b[rows], ya[rows], yb[rows]
-    inv = (rb - ra) / (ryb - rya)
+    # a line only a few subnormals tall has no finite inv and is cut at the
+    # crossed share of its length; one whose ends lie further apart than the
+    # largest float has dy = inf and is left uncut; any other inf or nan
+    # falls at a target the line does not cross, which is dropped below
+    with np.errstate(over="ignore", invalid="ignore"):
+        dy = ryb - rya
+        inv = (rb - ra) / dy
+        steep = np.isinf(inv)
+        cuts = [np.where(steep, ra + (tg - rya) / dy * (rb - ra), ra + (tg - rya) * inv) for tg in targets]
     # one column per target; inf marks a target the line does not cross
-    tc = np.column_stack([np.where(c[rows], ra + (tg - rya) * inv, np.inf) for c, tg in zip(crosses, targets)])
+    tc = np.column_stack([np.where(c[rows], t, np.inf) for c, t in zip(crosses, cuts)])
     level = np.broadcast_to(np.asarray(targets, dtype=np.float64), tc.shape)
     order = np.lexsort((level, tc), axis=-1)
     tc = np.take_along_axis(tc, order, axis=-1)

@@ -442,7 +442,7 @@ def test_table_writers_match_the_per_row_reference(tmp_path, n):
 
 _CELL_FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(
     [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1 / 3])
-_CELL_INT_RANGES = {np.int64: (-2**63, 2**63 - 1), np.uint8: (0, 255), np.bool_: (0, 1)}
+_CELL_INT_RANGES = {np.int64: (-2**63, 2**63 - 1), np.uint64: (0, 2**64 - 1), np.uint8: (0, 255), np.bool_: (0, 1)}
 # no separator, line feed or NUL (which numpy strips from the end of a
 # ``<U`` cell), and no lone surrogate, which does not encode
 _CELL_TEXT = st.text(st.characters(blacklist_characters=",\n\x00", blacklist_categories=("Cs",)), max_size=5)
@@ -450,8 +450,9 @@ _CELL_TEXT = st.text(st.characters(blacklist_characters=",\n\x00", blacklist_cat
 
 @st.composite
 def _table_columns(draw):
-    """One to three equal-length columns: numpy float64, int64, uint8,
-    bool or ``<U`` blocks.
+    """One to three equal-length columns: numpy float64, int64, uint64,
+    uint8, bool or ``<U`` blocks, or one int64 broadcast to every row as
+    ``write_events_csv`` passes the channel.
     Each column either repeats a few drawn values or holds them once among
     random, almost surely distinct ones; some tables span several blocks,
     and some hold ``_REPR_MAX`` values or one more, on either side of the
@@ -460,8 +461,11 @@ def _table_columns(draw):
                                                    formats._BLOCK + 1, 2 * formats._BLOCK + 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
-    for kind in draw(st.lists(st.sampled_from(["float64", "int64", "uint8", "bool", "str"]),
+    for kind in draw(st.lists(st.sampled_from(["float64", "int64", "uint64", "uint8", "bool", "str", "broadcast"]),
                               min_size=1, max_size=3)):
+        if kind == "broadcast":
+            columns.append(np.broadcast_to(np.int64(draw(st.integers(-2**63, 2**63 - 1))), n))
+            continue
         if kind == "float64":
             pool = np.array(draw(st.lists(_CELL_FLOATS, min_size=1, max_size=8)))
             spread = rng.random(n) * draw(st.sampled_from([2.0**-1060, 2.0**-30, 1.0, 2.0**1000]))
@@ -469,10 +473,10 @@ def _table_columns(draw):
             pool = np.array(draw(st.lists(_CELL_TEXT, min_size=1, max_size=8)))
             spread = np.char.add("s", np.arange(n).astype(str))
         else:
-            dtype = {"int64": np.int64, "uint8": np.uint8, "bool": np.bool_}[kind]
+            dtype = {"int64": np.int64, "uint64": np.uint64, "uint8": np.uint8, "bool": np.bool_}[kind]
             lo, hi = _CELL_INT_RANGES[dtype]
-            pool = np.array(draw(st.lists(st.integers(lo, hi), min_size=1, max_size=8))).astype(dtype)
-            spread = rng.integers(lo, hi, n, dtype=np.int64, endpoint=True).astype(dtype)
+            pool = np.array(draw(st.lists(st.integers(lo, hi), min_size=1, max_size=8)), dtype=dtype)
+            spread = rng.integers(lo, hi, n, dtype=dtype, endpoint=True)
         if draw(st.booleans()):  # the drawn values, then the spread
             column = np.concatenate((pool, spread))[:n]
         else:
@@ -544,13 +548,44 @@ def test_float_kernel_needs_no_two_digit_minimum():
                                                                           "9007199254740992.0"]
 
 
+# The integer kernel: ``formats._int_cells`` must give ``str``'s bytes for
+# every integer of at most 64 bits.
+
+def test_int_kernel_is_str_at_the_edges():
+    tens = [v for k in range(20) for v in (10**k, 10**k - 1)]
+    signed = [v for v in tens + [-v for v in tens] + [-2**63, 2**63 - 1] if -2**63 <= v < 2**63]
+    cases = [np.array(signed, dtype=np.int64),
+             np.array(tens + [2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1], dtype=np.uint64),
+             np.arange(256, dtype=np.uint8),
+             np.array([-128, -1, 0, 127], dtype=np.int8),
+             np.broadcast_to(np.int64(-2**63), formats._BLOCK),  # the channel's zero-stride column
+             np.broadcast_to(np.int64(0), 3)]
+    for x in cases:
+        bands = formats._int_cells(x)
+        assert bands.dtype == np.uint8
+        assert [cell.tobytes().replace(b"\0", b"").decode() for cell in bands.T] == [str(v) for v in x.tolist()]
+
+
+def test_integer_blocks_are_neither_sorted_nor_given_to_str(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an increasing float column and integer columns need neither")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    monkeypatch.setattr(formats, "_str_cells", refuse)
+    n = 2 * formats._BLOCK  # full blocks: no float block is small enough for ``str``
+    sf = np.arange(n, dtype=np.uint8) % 2
+    path = write_events_csv(tmp_path / "events.csv", EventStream(np.arange(n) * 1e-6, 2**40, sf))
+    assert path.read_bytes().splitlines()[1:3] == [b"0.0,1099511627776,0", b"1e-06,1099511627776,1"]
+
+
 def _table_peak(traced_peak, path, n):
-    """Traced peak of writing a float64/int64/uint8 table of ``n`` rows."""
+    """Traced peak of writing a float64/int64/int64/uint8 table of ``n`` rows."""
     rng = np.random.default_rng(n)
     t = np.cumsum(rng.random(n) * 1e-5) - 1e-3  # long, all-distinct texts of both signs
     channel = rng.integers(0, 2**40, n)
+    wide = rng.integers(2**63 - 2**40, 2**63 - 1, n) * rng.choice([-1, 1], n)  # 19 digits and a sign
     sf = rng.integers(0, 2, n).astype(np.uint8)
-    return traced_peak(formats._write_table, path, "t,channel,sf", t, channel, sf)
+    return traced_peak(formats._write_table, path, "t,channel,wide,sf", t, channel, wide, sf)
 
 
 def test_table_writer_memory_is_one_block(tmp_path, traced_peak):

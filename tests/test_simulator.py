@@ -462,11 +462,12 @@ def test_jittered_flat_piece_longer_than_one_batch():
 def _ref_split_linear(a, b, ya, yb, targets):
     """Split the line (a,ya)-(b,yb) at strict interior crossings of targets."""
     cuts = []
-    if yb != ya:
-        inv = (b - a) / (yb - ya)
-        for tg in targets:
-            if (ya - tg) * (yb - tg) < 0.0:
-                cuts.append((a + (tg - ya) * inv, tg))
+    for tg in targets:
+        if min(ya, yb) < tg < max(ya, yb):
+            inv = (b - a) / (yb - ya)
+            # a line a few subnormals tall is cut at the crossed share of its length
+            tc = a + (tg - ya) / (yb - ya) * (b - a) if math.isinf(inv) else a + (tg - ya) * inv
+            cuts.append((tc, tg))
     if not cuts:
         return [(a, b, ya, yb)]
     cuts.sort()
@@ -587,6 +588,13 @@ def _signed_signals(draw):
     config=CfcConfig(hysteresis=0.3),
     run_to=1.0,
 )
+# a ramp between subnormal levels crosses zero, though the product of its
+# ends' distances to zero underflows to -0.0
+@example(
+    signal=(np.array([0.0, 0.0078125]), np.array([0.0, 5e-324]), np.array([5e-324, -2.225e-309]), 0.015625),
+    config=CFG,
+    run_to=1.0,
+)
 def test_effective_pieces_match_the_per_piece_reference(signal, config, run_to):
     times, i_start, i_end, end = signal
     stim = CurrentSignal(times, i_start, i_end, end)
@@ -625,8 +633,17 @@ def _bits(*values):
     return np.array(values, dtype=np.float64).tobytes()
 
 
+def _split_example(a, b, ya, yb, targets):
+    return {"case": ([np.array([v]) for v in (a, b, ya, yb)], targets)}
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=_split_cases())
+# the distances to the target multiply to -0.0, or overflow
+@example(**_split_example(0.0, 1.0, -1e-170, 1e-170, [0.0]))
+@example(**_split_example(0.0, 1.0, 1e300, 1e301, [0.0, 7e-9]))
+# so few subnormals tall that the inverse slope overflows
+@example(**_split_example(0.25, 1.0, -5e-324, 1e-323, [0.0, 5e-324, 7e-9]))
 def test_split_at_cuts_each_line_at_its_crossings(case):
     lines, targets = case
     got = _split_at(*lines, targets)
@@ -634,10 +651,14 @@ def test_split_at_cuts_each_line_at_its_crossings(case):
     for k, column in enumerate(got):
         assert column.tobytes() == np.concatenate([pieces[k] for pieces in alone]).tobytes()
     for (a, b, ya, yb), (pa, pb, pya, pyb) in zip(zip(*lines), alone):
-        crossed = {_bits(tg) for tg in targets if (ya - tg) * (yb - tg) < 0.0}
+        levels = [tg for tg in targets if min(ya, yb) < tg < max(ya, yb)]
+        crossed = {_bits(tg) for tg in levels}
         if not crossed:
             assert _bits(*pa, *pb, *pya, *pyb) == _bits(a, b, ya, yb)
             continue
+        # a crossing more than two ulp after the start is never lost
+        if max((tg - ya) / (yb - ya) * (b - a) for tg in levels) > 2 * math.ulp(a):
+            assert _bits(*pa, *pb, *pya, *pyb) != _bits(a, b, ya, yb)
         assert pa.size <= 1 + len(crossed)
         assert _bits(pa[0], pya[0]) == _bits(a, ya)
         assert pb[:-1].tobytes() == pa[1:].tobytes() and pyb[:-1].tobytes() == pya[1:].tobytes()
