@@ -7,19 +7,26 @@ byte-identical on any platform.
 
 The table writers send each block of a column by its kind.  Integers
 go to a numpy kernel (:func:`_int_cells`) that writes one band per
-decimal place.  Floats are deduplicated; at most ``_REPR_MAX`` distinct
-ones are written with ``repr`` (through ``str``), more go to a numpy
-kernel (:func:`_float_cells`) that finds the same digits with the
-Schubfach algorithm and writes each character of ``repr``'s layout into
-a fixed band, checked against ``repr`` on every power of two and of ten,
-the subnormals and random bit patterns.  Text and booleans are
-deduplicated and written with ``str``.  Tables are written
-``core._BLOCK`` rows at a time: each column's block becomes a band
-matrix, one value a column and NUL where a value has no character; the
-bands of all columns and the ``,`` and ``\\n`` bands are stacked,
-transposed once into rows and written without the NULs.  The working
-memory is one block, about 1.1 MB for an events table (traced peak),
-whatever the table's length.
+decimal place.  Floats are deduplicated by one sort; at most
+``_REPR_MAX`` distinct ones are written with ``repr`` (through ``str``),
+more go to a numpy kernel (:func:`_float_cells`) that finds the same
+digits with the Schubfach algorithm and writes each character of
+``repr``'s layout into a fixed band, checked against ``repr`` on every
+power of two and of ten, the subnormals and random bit patterns.  Text
+and booleans are deduplicated the same way and written with ``str``.
+Tables are written ``core._BLOCK`` rows at a time: each column's block
+becomes a band matrix, one value a column and NUL where a value has no
+character; the bands of all columns and the ``,`` and ``\\n`` bands
+are stacked, transposed once into rows and written without the NULs,
+by ``bytes.replace`` where they are few (below ``_REPLACE_MAX_NUL``)
+and by a boolean compress where they are many.  The working memory is
+one block, about 1.1 MB for an events table (traced peak), whatever
+the table's length.
+
+An events file is parsed by ``np.loadtxt``: from its path when it is
+ASCII and holds no line break that only ``str.splitlines`` takes (a
+streamed scan checks this), so that numpy's universal newlines end the
+same lines; else line by line through Python.
 
 Schemas:
     events  ``t_req_s,channel,sf``            sf: 0 = low, 1 = high
@@ -73,7 +80,10 @@ def _write_table(path: Union[str, Path], header: str, *columns) -> Path:
     :func:`_float_cells` or by ``str`` after dedupe, text and booleans
     by ``str`` after dedupe), each followed by a ``,`` band (``\\n`` for
     the last), are stacked, transposed once and written without the
-    NULs, half a block at a time.  A text cell must therefore hold no NUL.
+    NULs, half a block at a time.  A half with a share of NULs below
+    ``_REPLACE_MAX_NUL`` drops them with ``bytes.replace``, whose cost
+    grows with their count, any other with a boolean compress, whose cost
+    does not.  A text cell must therefore hold no NUL.
     """
     path = Path(path)
     n = len(columns[0])
@@ -87,10 +97,23 @@ def _write_table(path: Union[str, Path], header: str, *columns) -> Path:
             del cells  # free the column bands before the copy below
             rows = np.ascontiguousarray(bands.T)
             del bands
-            for half in np.array_split(rows, 2):  # the mask and text of half a block at a time
-                fh.write(half[half != 0])
+            for half in np.array_split(rows, 2):  # the copies of half a block at a time
+                if half.size - np.count_nonzero(half) < _REPLACE_MAX_NUL * half.size:
+                    fh.write(half.tobytes().replace(b"\0", b""))
+                else:
+                    fh.write(half[half != 0])
             del rows, half
     return path
+
+
+#: Below this share of NULs a half block drops them with ``bytes.replace``,
+#: at or above it with a boolean compress.  ``replace`` costs a few
+#: hundredths of a ns a byte and about 20 ns per NUL, the compress 0.6 to
+#: 1.2 ns a byte however many it drops; on the benchmark's blocks the two
+#: break even at 5-6% NUL (timeit on a 2-vCPU x86_64 VM).  Events and
+#: recon blocks hold about 2%; the blocks of a ground-truth signal, whose
+#: times step by round amounts from 0, 15-30%.
+_REPLACE_MAX_NUL = 0.05
 
 
 #: At most this many distinct floats are written with ``repr``, more with
@@ -111,8 +134,11 @@ def _block_cells(block) -> np.ndarray:
     does not depend on how many values repeat.  Of the other kinds each
     distinct value is formatted once by :func:`_cells`, keyed by its
     bytes (so ``0.0`` and ``-0.0`` stay apart), and its column is
-    repeated for every cell that holds it; a block whose cells are all
-    distinct, such as a strictly increasing one, is formatted in order.
+    repeated for every cell that holds it.  The keys are deduplicated by
+    one sort: the distinct ones are those that differ from the key before
+    them, and each cell finds its own among them by binary search.  A
+    block whose cells are all distinct, a strictly increasing one without
+    the sort, is formatted in order.
     """
     if block.dtype.kind in "iu":
         return _int_cells(block)
@@ -122,10 +148,14 @@ def _block_cells(block) -> np.ndarray:
         key = block.view(np.uint64)
     if (block[1:] > block[:-1]).all():
         return _cells(block)
-    distinct, inverse = np.unique(key, return_inverse=True)
-    if distinct.size == block.size:
+    ordered = np.sort(key)
+    new = np.empty(ordered.size, dtype=bool)
+    new[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    if new.all():
         return _cells(block)
-    return _cells(distinct.view(block.dtype))[:, inverse]
+    distinct = ordered[new]
+    return _cells(distinct.view(block.dtype))[:, np.searchsorted(distinct, key)]
 
 
 def _cells(values) -> np.ndarray:
@@ -377,14 +407,17 @@ def read_events_csv(path: Union[str, Path]) -> EventStream:
     where ``str.splitlines`` ends them.  No ordering is imposed here;
     consumers that need sorted input enforce it themselves.
 
-    The lines below the header stream from the open file into
-    ``np.loadtxt``, which parses them column-wise with no copy of the
-    whole text, and the columns are checked whole.  If that parse fails
-    or a check does not hold, the file is read again one row at a time
-    with Python's ``float`` and ``int``, which either accept it (they
-    take a few spellings ``loadtxt`` refuses, such as ``1_0``) or name
-    the first bad line.  The file is read as UTF-8; a byte that does not
-    decode names the line that holds it.
+    The rows are parsed column-wise by ``np.loadtxt`` with no copy of the
+    whole text, and the columns are checked whole.  A plain file (ASCII,
+    with none of the line breaks only ``str.splitlines`` takes: \\v, \\f
+    and \\x1c-\\x1e; see :func:`_plain`) goes to ``np.loadtxt`` by its
+    path, whose universal newlines end the same lines with no Python per
+    line; any other file's lines stream into it from :func:`_lines`.  If
+    that parse fails or a check does not hold, the file is read again one
+    row at a time with Python's ``float`` and ``int``, which either accept
+    it (they take a few spellings ``loadtxt`` refuses, such as ``1_0``)
+    or name the first bad line.  The file is read as UTF-8; a byte that
+    does not decode names the line that holds it.
     """
     path = Path(path)
     try:
@@ -407,8 +440,12 @@ def _read_events(path: Path) -> EventStream:
         first = next((row for row in lines if row.strip()), None)
         if first is None:
             return EventStream.empty()
+        if _plain(path):  # numpy reads the text itself, with no Python per line
+            source, header_rows = path, 1
+        else:
+            source, header_rows = itertools.chain((first,), lines), 0
         try:
-            rows = np.loadtxt(itertools.chain((first,), lines), delimiter=",", comments=None, ndmin=1,
+            rows = np.loadtxt(source, skiprows=header_rows, encoding="utf-8", delimiter=",", comments=None, ndmin=1,
                               dtype=_EVENTS_DTYPE)
         except ValueError:
             return _read_events_rows(path)
@@ -452,6 +489,21 @@ def _read_events_rows(path: Path) -> EventStream:
             t.append(time_s)
             sf.append(flag)
     return EventStream(np.asarray(t), channel_0, np.asarray(sf, dtype=np.uint8))
+
+
+#: The ASCII characters other than \n and \r at which ``str.splitlines`` ends a line.
+_SPLITLINES_ONLY = [bytes([c]) for c in b"\x0b\x0c\x1c\x1d\x1e"]
+
+
+def _plain(path: Path) -> bool:
+    """Whether a file is ASCII and holds none of ``_SPLITLINES_ONLY``, so
+    that any reader with universal newlines splits it into the lines
+    :func:`_lines` gives; read 64 KiB at a time."""
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 16):
+            if not chunk.isascii() or any(c in chunk for c in _SPLITLINES_ONLY):
+                return False
+    return True
 
 
 def _undecodable_line(path: Path) -> int:

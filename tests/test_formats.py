@@ -122,16 +122,18 @@ _SPELLINGS = [repr, "{:.17g}".format, "{:.17e}".format, "{:+.20f}".format, lambd
         st.tuples(_TIMES, st.sampled_from(range(len(_SPELLINGS))), st.sampled_from([0, 1]), st.booleans()),
         min_size=1, max_size=40,
     ),
+    # the first three are read from the path, the others line by line
+    line_break=st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"]),
 )
-@example(channel=2**63 - 1, rows=[(5e-324, 0, 1, False), (-0.0, 0, 0, True), (1e-310, 1, 0, False)])
-def test_events_reader_matches_the_row_parser(tmp_path_factory, channel, rows):
+@example(channel=2**63 - 1, rows=[(5e-324, 0, 1, False), (-0.0, 0, 0, True), (1e-310, 1, 0, False)], line_break="\n")
+def test_events_reader_matches_the_row_parser(tmp_path_factory, channel, rows, line_break):
     lines = ["t_req_s,channel,sf"]
     for time_s, spelling, flag, blank_after in rows:
         lines.append(f"{_SPELLINGS[spelling](time_s)},{channel},{flag}")
         if blank_after:
             lines.append("")
     path = tmp_path_factory.mktemp("rows") / "events.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(line_break.join(lines) + line_break, newline="")
     _assert_reads_as_rows(path)
 
 
@@ -187,6 +189,10 @@ def test_events_header_then_blank_lines_reads_empty_without_warning(tmp_path):
             assert len(read_events_csv(p)) == 0
 
 
+# the line breaks of ``str.splitlines`` that universal newlines do not take
+_SPLITLINES_ONLY = [b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", "\x85".encode(), "\u2028".encode()]
+
+
 @pytest.mark.parametrize("text", [
     b"t_req_s,channel,sf\r\n0.1,3,0\r\n0.2,3,1\r\n",
     b"t_req_s,channel,sf\r\n0.1,3,0\r\n0.2,3,2\r\n",
@@ -196,8 +202,11 @@ def test_events_header_then_blank_lines_reads_empty_without_warning(tmp_path):
     b"t_req_s,channel,sf\n\n \n\t\n",
     # a bad row far into the file, many chunks of text in
     b"t_req_s,channel,sf\n" + b"0.1,0,0\n" * 60_001 + b"0.2,0,2\n",
+    # a line break of ``str.splitlines`` alone inside a row, which a reader
+    # with universal newlines takes for whitespace around the channel
+    *(b"t_req_s,channel,sf\n0.1,0" + sep + b",1\n" for sep in _SPLITLINES_ONLY),
 ], ids=["crlf", "crlf-bad-row", "no-final-newline", "no-final-newline-bad-row", "blank-lines-between-rows",
-        "header-then-blank-lines", "bad-row-at-line-60003"])
+        "header-then-blank-lines", "bad-row-at-line-60003", *(f"split-at-{sep!r}" for sep in _SPLITLINES_ONLY)])
 def test_events_reader_streams_as_the_row_reader_reads(tmp_path, text):
     # the same stream, or the same error on the same line, as the per-row
     # reader; pytest turns a numpy warning into an error
@@ -400,6 +409,9 @@ def _table_cases(n):
     times[:1] = -0.0
     # every cell of a column holds one value, over several blocks at the largest n
     flat = ReconstructedSignal(times, np.full(n, 1 / 3), np.ones(n, dtype=np.uint8))
+    # cells almost all as long as their column's longest: the only case
+    # whose full blocks drop their NULs with ``bytes.replace``, not a compress
+    sparse = EventStream(np.sort(np.random.default_rng(n).uniform(0.3, 0.4, n)), 7, k % 2)
     spikes = SpikeTrain(np.concatenate(([-0.0, 5e-324], times[2:]))[:n])
     points = [SweepPoint(float(x), None if j % 3 == 0 else float(y), int(j * 1000003))
               for j, (x, y) in enumerate(zip(_floats(n), _floats(n, 4)))]
@@ -408,6 +420,7 @@ def _table_cases(n):
     comparison = (times, model, _floats(n, 5), DEFAULT_CONFIG)
     cases = [
         (write_events_csv, (ev,), _ref_events(ev)),
+        (write_events_csv, (sparse,), _ref_events(sparse)),
         (write_trace_csv, (tr,), _ref_trace(tr)),
         (write_recon_csv, (rec,), _ref_recon(rec)),
         (write_recon_csv, (flat,), _ref_recon(flat)),
@@ -434,7 +447,7 @@ def _table_cases(n):
 @pytest.mark.parametrize("n", [0, 1, 16, formats._BLOCK + 1, 3 * formats._BLOCK])
 def test_table_writers_match_the_per_row_reference(tmp_path, n):
     cases = _table_cases(n)
-    assert len(cases) == (8 if n else 7)
+    assert len(cases) == (9 if n else 8)
     for writer, args, expected in cases:
         path = writer(tmp_path / f"{writer.__name__}.csv", *args)
         assert path.read_bytes() == expected, writer.__name__
@@ -570,7 +583,15 @@ def test_integer_blocks_are_neither_sorted_nor_given_to_str(tmp_path, monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("an increasing float column and integer columns need neither")
 
-    monkeypatch.setattr(np, "unique", refuse)
+    def searchsorted(a, *args, **kwargs):  # the float kernel counts digits against the powers of ten
+        if a is not formats._POW10:
+            refuse()
+        return real_searchsorted(a, *args, **kwargs)
+
+    real_searchsorted = np.searchsorted
+    for name in ("unique", "sort"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(np, "searchsorted", searchsorted)
     monkeypatch.setattr(formats, "_str_cells", refuse)
     n = 2 * formats._BLOCK  # full blocks: no float block is small enough for ``str``
     sf = np.arange(n, dtype=np.uint8) % 2
@@ -578,19 +599,40 @@ def test_integer_blocks_are_neither_sorted_nor_given_to_str(tmp_path, monkeypatc
     assert path.read_bytes().splitlines()[1:3] == [b"0.0,1099511627776,0", b"1e-06,1099511627776,1"]
 
 
-def _table_peak(traced_peak, path, n):
-    """Traced peak of writing a float64/int64/int64/uint8 table of ``n`` rows."""
+def _dense_table(n):
+    """A float64/int64/int64/uint8 table of ``n`` rows whose cells vary in
+    length, so that its blocks are dense in NULs."""
     rng = np.random.default_rng(n)
     t = np.cumsum(rng.random(n) * 1e-5) - 1e-3  # long, all-distinct texts of both signs
     channel = rng.integers(0, 2**40, n)
     wide = rng.integers(2**63 - 2**40, 2**63 - 1, n) * rng.choice([-1, 1], n)  # 19 digits and a sign
     sf = rng.integers(0, 2, n).astype(np.uint8)
-    return traced_peak(formats._write_table, path, "t,channel,wide,sf", t, channel, wide, sf)
+    return t, channel, wide, sf
+
+
+def _sparse_table(n):
+    """An events table of ``n`` rows whose cells are almost all as long as
+    their column's longest, so that its blocks are sparse in NULs."""
+    rng = np.random.default_rng(n)
+    t = np.sort(rng.uniform(0.3, 0.4, n))
+    return t, np.broadcast_to(np.int64(7), n), rng.integers(0, 2, n).astype(np.uint8)
+
+
+def _nul_share(columns):
+    """The share of NULs in the rows of a table's first block."""
+    cells = [formats._block_cells(column[:formats._BLOCK]) for column in columns]
+    return sum(c.size - np.count_nonzero(c) for c in cells) / sum(c.size + c.shape[1] for c in cells)
 
 
 def test_table_writer_memory_is_one_block(tmp_path, traced_peak):
-    _table_peak(traced_peak, tmp_path / "warm.csv", formats._REPR_MAX + 1)  # the multiplier table, built once
-    one = _table_peak(traced_peak, tmp_path / "one.csv", formats._BLOCK + 1)
-    three = _table_peak(traced_peak, tmp_path / "three.csv", 3 * formats._BLOCK + 1)
-    assert three <= 1.1 * one
-    assert three < 1.5e6
+    def peak(table, n):
+        return traced_peak(formats._write_table, tmp_path / "t.csv", "h", *table(n))
+
+    peak(_dense_table, formats._REPR_MAX + 1)  # the multiplier table, built once
+    for table, sparse in [(_dense_table, False), (_sparse_table, True)]:
+        # each table takes one of the two routes that drop the NULs
+        assert (_nul_share(table(formats._BLOCK)) < formats._REPLACE_MAX_NUL) == sparse
+        one = peak(table, formats._BLOCK + 1)
+        three = peak(table, 3 * formats._BLOCK + 1)
+        assert three <= 1.1 * one, table.__name__
+        assert three < 1.5e6, table.__name__

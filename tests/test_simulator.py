@@ -633,6 +633,16 @@ def _bits(*values):
     return np.array(values, dtype=np.float64).tobytes()
 
 
+def _crossed_share(tg, ya, yb):
+    """The share of the rise from ya to yb that lies below tg, taken of
+    halved values where the rise overflows."""
+    with np.errstate(over="ignore"):
+        rise = yb - ya
+    if math.isinf(rise):
+        return (0.5 * tg - 0.5 * ya) / (0.5 * yb - 0.5 * ya)
+    return (tg - ya) / rise
+
+
 def _split_example(a, b, ya, yb, targets):
     return {"case": ([np.array([v]) for v in (a, b, ya, yb)], targets)}
 
@@ -644,6 +654,8 @@ def _split_example(a, b, ya, yb, targets):
 @example(**_split_example(0.0, 1.0, 1e300, 1e301, [0.0, 7e-9]))
 # so few subnormals tall that the inverse slope overflows
 @example(**_split_example(0.25, 1.0, -5e-324, 1e-323, [0.0, 5e-324, 7e-9]))
+# so tall that the rise overflows
+@example(**_split_example(0.0, 1.0, -1e308, 1e308, [0.0]))
 def test_split_at_cuts_each_line_at_its_crossings(case):
     lines, targets = case
     got = _split_at(*lines, targets)
@@ -657,7 +669,7 @@ def test_split_at_cuts_each_line_at_its_crossings(case):
             assert _bits(*pa, *pb, *pya, *pyb) == _bits(a, b, ya, yb)
             continue
         # a crossing more than two ulp after the start is never lost
-        if max((tg - ya) / (yb - ya) * (b - a) for tg in levels) > 2 * math.ulp(a):
+        if max(_crossed_share(tg, ya, yb) * (b - a) for tg in levels) > 2 * math.ulp(a):
             assert _bits(*pa, *pb, *pya, *pyb) != _bits(a, b, ya, yb)
         assert pa.size <= 1 + len(crossed)
         assert _bits(pa[0], pya[0]) == _bits(a, ya)
