@@ -23,10 +23,11 @@ and by a boolean compress where they are many.  The working memory is
 one block, about 1.1 MB for an events table (traced peak), whatever
 the table's length.
 
-An events file is parsed by ``np.loadtxt``: from its path when it is
-ASCII and holds no line break that only ``str.splitlines`` takes (a
-streamed scan checks this), so that numpy's universal newlines end the
-same lines; else line by line through Python.
+An events file is parsed by ``np.loadtxt``: from its path when it is a
+regular file, not named as compressed, ASCII and holding no line break
+that only ``str.splitlines`` takes (a streamed scan checks this), so
+that numpy's universal newlines end the same lines; else line by line
+through Python.
 
 Schemas:
     events  ``t_req_s,channel,sf``            sf: 0 = low, 1 = high
@@ -107,12 +108,13 @@ def _write_table(path: Union[str, Path], header: str, *columns) -> Path:
 
 
 #: Below this share of NULs a half block drops them with ``bytes.replace``,
-#: at or above it with a boolean compress.  ``replace`` costs a few
-#: hundredths of a ns a byte and about 20 ns per NUL, the compress 0.6 to
-#: 1.2 ns a byte however many it drops; on the benchmark's blocks the two
-#: break even at 5-6% NUL (timeit on a 2-vCPU x86_64 VM).  Events and
-#: recon blocks hold about 2%; the blocks of a ground-truth signal, whose
-#: times step by round amounts from 0, 15-30%.
+#: at or above it with a boolean compress.  On the 386 row halves the
+#: benchmark's workloads write, ``replace`` and the count of NULs cost
+#: about 0.2 ns a byte and 17 ns per NUL, the compress 0.7 to 1.7 ns a
+#: byte however many it drops, and the two break even at 5-6% NUL (timeit
+#: on a 2-vCPU x86_64 VM).  Events and recon blocks hold about 2%; the
+#: blocks of a ground-truth signal, whose times step by round amounts
+#: from 0, 15-30%.
 _REPLACE_MAX_NUL = 0.05
 
 
@@ -408,16 +410,18 @@ def read_events_csv(path: Union[str, Path]) -> EventStream:
     consumers that need sorted input enforce it themselves.
 
     The rows are parsed column-wise by ``np.loadtxt`` with no copy of the
-    whole text, and the columns are checked whole.  A plain file (ASCII,
-    with none of the line breaks only ``str.splitlines`` takes: \\v, \\f
-    and \\x1c-\\x1e; see :func:`_plain`) goes to ``np.loadtxt`` by its
-    path, whose universal newlines end the same lines with no Python per
-    line; any other file's lines stream into it from :func:`_lines`.  If
-    that parse fails or a check does not hold, the file is read again one
-    row at a time with Python's ``float`` and ``int``, which either accept
-    it (they take a few spellings ``loadtxt`` refuses, such as ``1_0``)
-    or name the first bad line.  The file is read as UTF-8; a byte that
-    does not decode names the line that holds it.
+    whole text, and the columns are checked whole.  A plain file (a
+    regular file not named ``*.gz``, ``*.bz2``, ``*.xz`` or ``*.lzma``,
+    ASCII, with none of the line breaks only ``str.splitlines`` takes:
+    \\v, \\f and \\x1c-\\x1e; see :func:`_plain`) goes to ``np.loadtxt``
+    by its path, whose universal newlines end the same lines with no
+    Python per line; any other file's lines, a pipe's too, stream into it
+    from :func:`_lines`.  If that parse fails or a check does not hold,
+    the file is read again one row at a time with Python's ``float`` and
+    ``int``, which either accept it (they take a few spellings ``loadtxt``
+    refuses, such as ``1_0``) or name the first bad line.  The file is
+    read as UTF-8; a byte that does not decode names the line that holds
+    it.
     """
     path = Path(path)
     try:
@@ -494,11 +498,18 @@ def _read_events_rows(path: Path) -> EventStream:
 #: The ASCII characters other than \n and \r at which ``str.splitlines`` ends a line.
 _SPLITLINES_ONLY = [bytes([c]) for c in b"\x0b\x0c\x1c\x1d\x1e"]
 
+#: The suffixes for which ``np.loadtxt`` opens a path with a decompressor.
+_COMPRESSED_SUFFIXES = frozenset({".bz2", ".gz", ".lzma", ".xz"})
+
 
 def _plain(path: Path) -> bool:
-    """Whether a file is ASCII and holds none of ``_SPLITLINES_ONLY``, so
-    that any reader with universal newlines splits it into the lines
-    :func:`_lines` gives; read 64 KiB at a time."""
+    """Whether ``np.loadtxt`` reads a file by its path as the lines
+    :func:`_lines` gives: a regular file (a pipe is read once, and its
+    header is read already), not named as compressed, ASCII and holding
+    none of ``_SPLITLINES_ONLY``, so that universal newlines end the same
+    lines; scanned 64 KiB at a time."""
+    if not path.is_file() or path.suffix in _COMPRESSED_SUFFIXES:
+        return False
     with path.open("rb") as fh:
         while chunk := fh.read(1 << 16):
             if not chunk.isascii() or any(c in chunk for c in _SPLITLINES_ONLY):

@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import re
 import sys
 import warnings
@@ -221,6 +222,36 @@ def test_events_reader_streams_as_the_row_reader_reads(tmp_path, text):
         return
     got = read_events_csv(p)
     assert got.t_req.tobytes() == want.t_req.tobytes()
+    assert got.channel == want.channel
+    assert got.sf.tolist() == want.sf.tolist()
+
+
+_SMALL_EVENTS = b"t_req_s,channel,sf\n" + b"".join(b"%r,3,%d\n" % (k / 7, k % 2) for k in range(100))
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_events_file_named_as_compressed_reads_as_its_text(tmp_path, suffix):
+    # ``np.loadtxt`` would open such a path with a decompressor
+    assert set(np.lib._datasource._file_openers.keys()) - {None} <= formats._COMPRESSED_SUFFIXES
+    p = tmp_path / f"events.csv{suffix}"
+    p.write_bytes(_SMALL_EVENTS)
+    _assert_reads_as_rows(p)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+def test_events_reader_reads_a_pipe(tmp_path):
+    # a pipe is read once: a reader that opens it again after the header sees no rows
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, _SMALL_EVENTS)  # less than any pipe's buffer
+        os.close(write_end)
+        got = read_events_csv(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    p = tmp_path / "events.csv"
+    p.write_bytes(_SMALL_EVENTS)
+    want = read_events_csv(p)
+    assert got.t_req.tobytes() == want.t_req.tobytes() and len(want) == 100
     assert got.channel == want.channel
     assert got.sf.tolist() == want.sf.tolist()
 
