@@ -23,11 +23,11 @@ and by a boolean compress where they are many.  The working memory is
 one block, about 1.1 MB for an events table (traced peak), whatever
 the table's length.
 
-An events file is parsed by ``np.loadtxt``: from its path when it is a
-regular file, not named as compressed, ASCII and holding no line break
-that only ``str.splitlines`` takes (a streamed scan checks this), so
-that numpy's universal newlines end the same lines; else line by line
-through Python.
+An events file takes one of two routes.  A plain one (a regular file,
+not named as compressed, ASCII and holding no line break that only
+``str.splitlines`` takes) is parsed by ``np.loadtxt`` from its path.
+Any other input, a pipe too, and a plain file that route refuses, is
+read once, row by row, in Python.
 
 Schemas:
     events  ``t_req_s,channel,sf``            sf: 0 = low, 1 = high
@@ -44,9 +44,9 @@ Schemas:
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
+from array import array
 from pathlib import Path
 from typing import Union
 
@@ -409,90 +409,98 @@ def read_events_csv(path: Union[str, Path]) -> EventStream:
     where ``str.splitlines`` ends them.  No ordering is imposed here;
     consumers that need sorted input enforce it themselves.
 
-    The rows are parsed column-wise by ``np.loadtxt`` with no copy of the
-    whole text, and the columns are checked whole.  A plain file (a
-    regular file not named ``*.gz``, ``*.bz2``, ``*.xz`` or ``*.lzma``,
-    ASCII, with none of the line breaks only ``str.splitlines`` takes:
-    \\v, \\f and \\x1c-\\x1e; see :func:`_plain`) goes to ``np.loadtxt``
-    by its path, whose universal newlines end the same lines with no
-    Python per line; any other file's lines, a pipe's too, stream into it
-    from :func:`_lines`.  If that parse fails or a check does not hold,
-    the file is read again one row at a time with Python's ``float`` and
-    ``int``, which either accept it (they take a few spellings ``loadtxt``
-    refuses, such as ``1_0``) or name the first bad line.  The file is
-    read as UTF-8; a byte that does not decode names the line that holds
-    it.
+    A plain file (see :func:`_plain`) with the header and a row goes to
+    ``np.loadtxt`` by its path, and its columns are checked whole.  Any
+    other input, a pipe too, and a plain file that route refuses, is read
+    once by :func:`_read_events_rows` with Python's ``float`` and ``int``,
+    which also take spellings such as ``1_0``.  The text is UTF-8: a byte
+    that does not decode names its line, ahead of any malformed line.
     """
     path = Path(path)
+    events = _read_plain(path) if _plain(path) else None
+    return _read_events_rows(path) if events is None else events
+
+
+def _read_plain(path: Path) -> EventStream | None:
+    """:func:`read_events_csv` of a plain file by ``np.loadtxt``, or None if
+    it lacks the header or a row, or ``loadtxt`` or a column check refuses it."""
+    with path.open(encoding="utf-8") as fh:  # universal newlines end a plain file's lines as :func:`_lines` does
+        if fh.readline().strip() != EVENTS_HEADER or not any(map(str.strip, fh)):
+            return None  # ``loadtxt`` warns on a file without rows
     try:
-        return _read_events(path)
-    except UnicodeDecodeError as exc:
-        raise CsvFormatError(f"{path}: line {_undecodable_line(path)}: byte {exc.object[exc.start]:#04x} "
-                             f"is not UTF-8 ({exc.reason})") from None
-
-
-def _read_events(path: Path) -> EventStream:
-    """:func:`read_events_csv` on a path, letting a decoding error through."""
-    with path.open(encoding="utf-8") as fh:
-        lines = _lines(fh)
-        header = next(lines, "")
-        if header.strip() != EVENTS_HEADER:
-            if header.strip() == "" and not any(map(str.strip, lines)):
-                return EventStream.empty()
-            raise CsvFormatError(f"{path}: line 1: expected header {EVENTS_HEADER!r}, got {header!r}")
-        # no row at all is an empty stream, which ``loadtxt`` would warn about
-        first = next((row for row in lines if row.strip()), None)
-        if first is None:
-            return EventStream.empty()
-        if _plain(path):  # numpy reads the text itself, with no Python per line
-            source, header_rows = path, 1
-        else:
-            source, header_rows = itertools.chain((first,), lines), 0
-        try:
-            rows = np.loadtxt(source, skiprows=header_rows, encoding="utf-8", delimiter=",", comments=None, ndmin=1,
-                              dtype=_EVENTS_DTYPE)
-        except ValueError:
-            return _read_events_rows(path)
+        rows = np.loadtxt(path, skiprows=1, encoding="utf-8", delimiter=",", comments=None, ndmin=1,
+                          dtype=_EVENTS_DTYPE)
+    except ValueError:
+        return None
     t, ch, sf = (np.ascontiguousarray(rows[name]) for name in _EVENTS_DTYPE.names)
     if not (np.isfinite(t).all() and (ch >= 0).all() and (ch == ch[0]).all() and ((sf == 0) | (sf == 1)).all()):
-        return _read_events_rows(path)
+        return None
     return EventStream(t, ch[0], sf.astype(np.uint8))
 
 
 def _read_events_rows(path: Path) -> EventStream:
-    """:func:`read_events_csv` one row at a time, below the header."""
-    t, sf = [], []
-    channel_0 = 0  # the first row's channel; a file without rows reads as channel 0
-    with path.open(encoding="utf-8") as fh:
-        lines = _lines(fh)
-        next(lines)
-        for ln, row in enumerate(lines, start=2):
-            if row.strip() == "":
+    """:func:`read_events_csv` in one pass, one row at a time, into
+    ``array("d")`` and ``array("B")`` as the event kernel fills them.
+    After a malformed line the rest is read only for an undecodable byte,
+    which is named first."""
+    t, sf = array("d"), array("B")
+    channel_0 = 0  # the first row's channel; a stream without rows has channel 0
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+        lines = _numbered_lines(path, fh)
+        _, header = next(lines, (1, ""))
+        error = None  # the first malformed line
+        if header.strip() != EVENTS_HEADER:
+            error = f"line 1: expected header {EVENTS_HEADER!r}, got {header!r}"
+        for ln, row in lines:
+            if not row.strip():
                 continue
-            parts = row.split(",")
-            if len(parts) != 3:
-                raise CsvFormatError(f"{path}: line {ln}: expected 3 fields, got {len(parts)}")
+            if error is not None:
+                break  # a row below a line 1 that is not the header
             try:
-                time_s = float(parts[0])
-                channel = int(parts[1])
-                flag = int(parts[2])
+                parts = row.split(",")
+                if len(parts) != 3:
+                    raise ValueError(f"expected 3 fields, got {len(parts)}")
+                time_s, channel, flag = float(parts[0]), int(parts[1]), int(parts[2])
+                if not math.isfinite(time_s):
+                    raise ValueError(f"t_req_s must be finite, got {parts[0]!r}")
+                if channel < 0:
+                    raise ValueError(f"channel must be non-negative, got {channel}")
+                if channel >= 2**63:
+                    raise ValueError(f"channel must be below 2**63, got {channel}")
+                if flag not in (0, 1):
+                    raise ValueError(f"sf must be 0 or 1, got {flag}")
+                if t and channel != channel_0:
+                    raise ValueError(f"channel {channel} differs from the first row's channel {channel_0}; "
+                                     "an events file holds one channel")
             except ValueError as exc:
-                raise CsvFormatError(f"{path}: line {ln}: {exc}") from None
-            if not math.isfinite(time_s):
-                raise CsvFormatError(f"{path}: line {ln}: t_req_s must be finite, got {parts[0]!r}")
-            if channel < 0:
-                raise CsvFormatError(f"{path}: line {ln}: channel must be non-negative, got {channel}")
-            if channel >= 2**63:
-                raise CsvFormatError(f"{path}: line {ln}: channel must be below 2**63, got {channel}")
-            if flag not in (0, 1):
-                raise CsvFormatError(f"{path}: line {ln}: sf must be 0 or 1, got {flag}")
-            if t and channel != channel_0:
-                raise CsvFormatError(f"{path}: line {ln}: channel {channel} differs from the first row's channel "
-                                     f"{channel_0}; an events file holds one channel")
+                error = f"line {ln}: {exc}"
+                break
             channel_0 = channel
             t.append(time_s)
             sf.append(flag)
-    return EventStream(np.asarray(t), channel_0, np.asarray(sf, dtype=np.uint8))
+        else:
+            if not header.strip():
+                error = None  # only whitespace: an empty stream
+        for _ in lines:  # the rest, for an undecodable byte
+            pass
+    if error is not None:
+        raise CsvFormatError(f"{path}: {error}")
+    return EventStream(np.frombuffer(t), channel_0, np.frombuffer(sf, dtype=np.uint8))
+
+
+def _numbered_lines(path: Path, fh):
+    """The lines of a text file opened with ``surrogateescape``, numbered
+    from 1, as :func:`_lines` splits them.  A line that is not ASCII is
+    checked for a byte UTF-8 does not decode, which that error handler
+    read as a lone surrogate, and such a byte names its line."""
+    for ln, line in enumerate(_lines(fh), start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CsvFormatError(f"{path}: line {ln}: byte {exc.object[exc.start]:#04x} is not UTF-8 "
+                                     f"({exc.reason})") from None
+        yield ln, line
 
 
 #: The ASCII characters other than \n and \r at which ``str.splitlines`` ends a line.
@@ -504,8 +512,8 @@ _COMPRESSED_SUFFIXES = frozenset({".bz2", ".gz", ".lzma", ".xz"})
 
 def _plain(path: Path) -> bool:
     """Whether ``np.loadtxt`` reads a file by its path as the lines
-    :func:`_lines` gives: a regular file (a pipe is read once, and its
-    header is read already), not named as compressed, ASCII and holding
+    :func:`_lines` gives: a regular file (this scan would use up a
+    pipe), not named as compressed, ASCII and holding
     none of ``_SPLITLINES_ONLY``, so that universal newlines end the same
     lines; scanned 64 KiB at a time."""
     if not path.is_file() or path.suffix in _COMPRESSED_SUFFIXES:
@@ -515,17 +523,6 @@ def _plain(path: Path) -> bool:
             if not chunk.isascii() or any(c in chunk for c in _SPLITLINES_ONLY):
                 return False
     return True
-
-
-def _undecodable_line(path: Path) -> int:
-    """The number of the first line of a file that holds a byte UTF-8
-    does not decode, counted as :func:`_lines` counts them."""
-    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
-        for ln, row in enumerate(_lines(fh), start=1):
-            try:
-                row.encode("utf-8")  # an undecodable byte was escaped to a lone surrogate
-            except UnicodeEncodeError:
-                return ln
 
 
 def _lines(fh):

@@ -84,13 +84,21 @@ class CurrentSignal:
 
     def pieces(self, duration: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The segments clipped to a run over [0, duration], as the linear
-        pieces ``(a, b, i_a, i_b)`` in columns."""
+        pieces ``(a, b, i_a, i_b)`` in columns.  A segment whose slope
+        overflows a float is refused with a ``ConfigError``: its piece
+        would start at ``i0 + inf * 0``, which is NaN."""
         n = int(np.searchsorted(self.times, duration, side="left"))  # segments starting in the run
         a = self.times[:n]
         seg_end = self.ends[:n]
         lo, hi = a, np.minimum(seg_end, duration)  # max(a, 0) is a itself: times start at 0
         i0, i1 = self.i_start[:n], self.i_end[:n]
-        slope = (i1 - i0) / (seg_end - a)
+        with np.errstate(over="ignore"):
+            slope = (i1 - i0) / (seg_end - a)
+        finite = np.isfinite(slope)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise ConfigError(f"segment {j} ramps from {i0[j]} A to {i1[j]} A in {seg_end[j] - a[j]} s: "
+                              "its slope overflows a float")
         return lo, hi, i0 + slope * (lo - a), i0 + slope * (hi - a)
 
     @classmethod

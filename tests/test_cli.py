@@ -136,6 +136,18 @@ def test_decode_undecodable_byte_exit_3_names_file_and_line(tmp_path, capsys):
     assert f"error: {p}: line 3: byte 0xff is not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+def test_decode_pipe_with_a_malformed_row_exit_3_names_line(tmp_path, capsys):
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b"t_req_s,channel,sf\n0.1,0,2\n")
+        os.close(write_end)
+        assert main(["decode", f"/dev/fd/{read_end}", "--out", str(tmp_path / "out")]) == 3
+    finally:
+        os.close(read_end)
+    assert f"error: /dev/fd/{read_end}: line 2: sf must be 0 or 1, got 2" in capsys.readouterr().err
+
+
 def test_decode_channel_of_2_64_exit_3_names_line(tmp_path, capsys):
     p = tmp_path / "events.csv"
     p.write_text("t_req_s,channel,sf\n0.1,0,0\n0.2,18446744073709551616,0\n")

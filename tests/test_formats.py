@@ -256,6 +256,51 @@ def test_events_reader_reads_a_pipe(tmp_path):
     assert got.sf.tolist() == want.sf.tolist()
 
 
+_HAS_FD = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+
+
+def _read_pipe(text):
+    """:func:`read_events_csv` of ``text``, shorter than any pipe's buffer,
+    written into a pipe and read as ``/dev/fd/N``."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, text)
+        os.close(write_end)
+        return read_events_csv(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+
+
+@_HAS_FD
+@pytest.mark.parametrize("text, error", [
+    (b"t_req_s,channel,sf\n0.1,0,2\n", "line 2: sf must be 0 or 1, got 2"),
+    (b"t_req_s,channel,sf\n0.1,0,0\n\xff,0,0\n", "line 3: byte 0xff is not UTF-8 (invalid start byte)"),
+    (b"time,chan,flag\n0.1,0,0\n", "line 1: expected header 't_req_s,channel,sf', got 'time,chan,flag'"),
+], ids=["bad-flag", "undecodable-byte", "wrong-header"])
+def test_events_reader_names_the_line_of_a_pipe(text, error):
+    # a pipe is read once: the line is named from that one pass
+    with pytest.raises(CsvFormatError, match=rf"^/dev/fd/\d+: {re.escape(error)}$"):
+        _read_pipe(text)
+
+
+@_HAS_FD
+def test_events_routes_are_loadtxt_for_plain_files_and_rows_for_the_rest(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("this input belongs to the other route")
+
+    n = 100
+    text = write_events_csv(tmp_path / "events.csv", EventStream(np.arange(n) / 7, 3, np.arange(n) % 2)).read_bytes()
+    monkeypatch.setattr(formats, "_read_events_rows", refuse)
+    for name, data in [("lf.csv", text), ("crlf.csv", text.replace(b"\n", b"\r\n")),
+                       ("blank-end.csv", text + b"\n\n\n")]:
+        (tmp_path / name).write_bytes(data)
+        assert len(read_events_csv(tmp_path / name)) == n
+    monkeypatch.undo()
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    (tmp_path / "events.csv.gz").write_bytes(text)
+    assert len(read_events_csv(tmp_path / "events.csv.gz")) == len(_read_pipe(text)) == n
+
+
 @pytest.mark.parametrize("text, line, byte", [
     (b"t_req_s,channel,sf\n0.1,0,0\n\xff\xfe,0,0\n", 3, "0xff"),
     (b"t_req_s,ch\xe9nnel,sf\n0.1,0,0\n", 1, "0xe9"),
@@ -270,6 +315,13 @@ def test_events_undecodable_byte_names_its_line(tmp_path, text, line, byte):
     p = tmp_path / "events.csv"
     p.write_bytes(text)
     with pytest.raises(CsvFormatError, match=rf"^{re.escape(str(p))}: line {line}: byte {byte} is not UTF-8 \("):
+        read_events_csv(p)
+
+
+def test_events_undecodable_byte_is_named_before_a_malformed_row_far_above_it(tmp_path):
+    p = tmp_path / "events.csv"
+    p.write_bytes(b"t_req_s,channel,sf\nx,0,0\n" + b"0.1,0,0\n" * 20_000 + b"0.2,0,\xff\n")
+    with pytest.raises(CsvFormatError, match=rf"^{re.escape(str(p))}: line 20003: byte 0xff is not UTF-8 \("):
         read_events_csv(p)
 
 
@@ -288,6 +340,17 @@ def test_empty_events_file_reads_empty(tmp_path):
     assert len(read_events_csv(p)) == 0
     p.write_text("t_req_s,channel,sf\n")
     assert len(read_events_csv(p)) == 0
+
+
+@pytest.mark.parametrize("text", ["time,chan,flag\n", "time,chan,flag\n\n \n", "\n0.1,0,0\n", " \n\n0.1,0,0\n"],
+                         ids=["wrong-header-only", "wrong-header-then-blank-lines", "blank-line-1-then-a-row",
+                              "blank-lines-then-a-row"])
+def test_events_file_without_the_header_names_line_1(tmp_path, text):
+    p = tmp_path / "events.csv"
+    p.write_text(text)
+    got = re.escape(repr(text.splitlines()[0]))
+    with pytest.raises(CsvFormatError, match=f": line 1: expected header 't_req_s,channel,sf', got {got}$"):
+        read_events_csv(p)
 
 
 def test_trace_and_recon_and_spikes_files(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfcsim.core import ConfigError
+from cfcsim.core import CfcConfig, ConfigError
+from cfcsim.simulator import simulate
 from cfcsim.stimulus import (
     AdexParams,
     CurrentSignal,
@@ -80,6 +81,17 @@ def test_pieces_clip_and_interpolate():
     # a run ending on a breakpoint takes no empty piece past it
     assert [c.size for c in ramp.pieces(1.0)] == [1, 1, 1, 1]
     assert ramp.pieces(3.0)[1].tolist() == ramp.ends.tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("signal, segment", [
+    pytest.param(CurrentSignal([0.0, 0.5], [0.0, -1e308], [0.0, 1e308], 1.0), 1, id="rise"),
+    pytest.param(CurrentSignal([0.0, 5e-324], [0.0, 0.0], [1e300, 0.0], 1.0), 0, id="width"),
+])
+def test_pieces_refuse_a_slope_past_the_largest_float(signal, segment):
+    # i0 + inf * 0 is nan: the run would take the ramp for no current
+    for run in (signal.pieces, lambda duration: simulate(CfcConfig(), signal, duration)):
+        with pytest.raises(ConfigError, match=rf"^segment {segment} ramps from .*: its slope overflows a float$"):
+            run(1.0)
 
 
 def test_values_vectorized_matches_scalar():
