@@ -9,7 +9,7 @@
 and half the ack jitter) from every interval before decoding.
 
 Exit codes: 0 success, 2 configuration/usage error or a path that cannot
-be read or written, 3 runtime error.
+be read or written, 3 runtime error (running out of memory included).
 Omitting ``--seed`` uses the fixed default 0; nothing ever draws from
 wall-clock entropy, so identical invocations produce identical files.
 """
@@ -169,8 +169,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        print(f"error: {exc}" if str(exc) else f"error: {type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -123,6 +123,9 @@ class CfcConfig:
     hysteresis: float = 0.0         # optional comparator hysteresis band, fraction of i_sw
 
     def __post_init__(self) -> None:
+        for name in (f.name for f in fields(self) if f.name not in ("polarity", "channel_address")):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.c1 > 0:
             raise ConfigError(f"c1 must be positive, got {self.c1}")
         if not self.alpha > 1:
@@ -135,8 +138,8 @@ class CfcConfig:
             )
         if not self.i_sw > 0:
             raise ConfigError(f"i_sw must be positive, got {self.i_sw}")
-        if not (self.t_rst >= 0 and math.isfinite(self.t_rst)):
-            raise ConfigError(f"t_rst must be finite and non-negative, got {self.t_rst}")
+        if not self.t_rst >= 0:
+            raise ConfigError(f"t_rst must be non-negative, got {self.t_rst}")
         if not self.i_leak_floor >= 0:
             raise ConfigError(f"i_leak_floor must be non-negative, got {self.i_leak_floor}")
         if not self.i_max_valid > 0:

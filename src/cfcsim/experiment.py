@@ -29,7 +29,7 @@ import numpy as np
 
 from . import formats
 from .core import CfcConfig, ConfigError, _number
-from .decoder import SweepPoint, reconstruct, sweep_analysis
+from .decoder import ReconstructedSignal, SweepPoint, reconstruct, sweep_analysis
 from .simulator import AckModel, EventStream, SimResult, simulate, power_estimate
 from .stimulus import (
     CurrentSignal,
@@ -265,6 +265,18 @@ def run_simulate(spec: ExperimentSpec, out_dir: Union[str, Path]) -> dict:
     return summary
 
 
+def run_monitor(out: Path, config: CfcConfig, signal: CurrentSignal, duration: float, ack: AckModel,
+                compensation: float) -> tuple[EventStream, ReconstructedSignal, list[Path]]:
+    """Monitor ``signal`` over [0, duration] and decode its events: writes
+    ``truth.csv``, ``events.csv`` and ``recon.csv`` into the directory
+    ``out`` and returns the events, the reconstruction and those files."""
+    events = simulate(config, signal, duration, ack=ack).events
+    recon = reconstruct(events, config, compensation=compensation)
+    files = [formats.write_signal_csv(out / "truth.csv", signal), formats.write_events_csv(out / "events.csv", events),
+             formats.write_recon_csv(out / "recon.csv", recon)]
+    return events, recon, files
+
+
 def run_sweep(
     config: CfcConfig,
     ack: AckModel,
@@ -277,23 +289,16 @@ def run_sweep(
 ) -> tuple[EventStream, list[SweepPoint], list[Path]]:
     """Run one staircase sweep and decode it per step and in full.
 
-    Writes ``truth.csv``, ``events.csv``, ``recon.csv`` and ``sweep.csv``
-    into ``out_dir`` and returns the events, the per-step points and the
-    written files; the caller writes its own summary.
+    Writes :func:`run_monitor`'s files and ``sweep.csv`` into ``out_dir``
+    and returns the events, the per-step points and the written files;
+    the caller writes its own summary.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     signal = staircase_sweep(start, stop, steps, dwell)
-    events = simulate(config, signal, signal.end, ack=ack).events
+    events, _, files = run_monitor(out, config, signal, signal.end, ack, compensation)
     points = sweep_analysis(events, signal, config, compensation=compensation)
-    recon = reconstruct(events, config, compensation=compensation)
-    files = [
-        formats.write_signal_csv(out / "truth.csv", signal),
-        formats.write_events_csv(out / "events.csv", events),
-        formats.write_recon_csv(out / "recon.csv", recon),
-        formats.write_sweep_csv(out / "sweep.csv", points),
-    ]
-    return events, points, files
+    return events, points, [*files, formats.write_sweep_csv(out / "sweep.csv", points)]
 
 
 def run_decode(

@@ -28,10 +28,11 @@ import numpy as np
 
 from . import formats
 from .core import CfcConfig, ConfigError, DEFAULT_CONFIG, above_floor, above_valid, dead_time, rectify
-from .decoder import fit_exponential, reconstruct
-from .experiment import run_sweep
-from .simulator import AckModel, simulate
-from .stimulus import FIVE_RANGE_SWEEPS, AdexParams, adex_neuron, dpi_synapse, pfet_gate_sweep, regular_train
+from .decoder import ReconstructedSignal, fit_exponential
+from .experiment import run_monitor, run_sweep
+from .simulator import AckModel
+from .stimulus import (FIVE_RANGE_SWEEPS, AdexParams, CurrentSignal, adex_neuron, dpi_synapse, pfet_gate_sweep,
+                       regular_train)
 
 
 @dataclass
@@ -68,6 +69,17 @@ def _preset_fig4(out: Path, config: CfcConfig, ack: AckModel, compensation: floa
     return files, {"steps_per_sweep": steps, "dwell_s": dwell, "sweeps": sweeps}
 
 
+def _compare(out: Path, config: CfcConfig, signal: CurrentSignal, recon: ReconstructedSignal, duration: float,
+             n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Path]:
+    """The signal and its decode, interpolated between samples, on an
+    ``n``-point grid over the run: writes ``comparison.csv`` and returns
+    the grid, the signal, the decode and the file."""
+    grid = np.linspace(0.0, duration, n)
+    decoded = np.interp(grid, recon.t, recon.i_est)
+    model = signal.values(grid)
+    return grid, model, decoded, formats.write_comparison_csv(out / "comparison.csv", grid, model, decoded, config)
+
+
 def _preset_fig5(out: Path, config: CfcConfig, ack: AckModel, compensation: float) -> tuple[list[Path], dict]:
     """Gate-voltage sweep of a subthreshold p-FET into the monitor."""
     duration = 2.0
@@ -79,14 +91,11 @@ def _preset_fig5(out: Path, config: CfcConfig, ack: AckModel, compensation: floa
         slope_per_decade=0.090,
         i_sat=4e-6,
     )
-    result = simulate(config, signal, duration, ack=ack)
-    recon = reconstruct(result.events, config, compensation=compensation)
+    events, recon, files = run_monitor(out, config, signal, duration, ack, compensation)
     # compare over the full run: outside the reconstruction span (e.g. the
     # sub-floor stretch before the first events) the nearest measurement is
     # held, which is exactly the divergence the flags mark
-    grid = np.linspace(0.0, duration, 2001)
-    decoded = np.interp(grid, recon.t, recon.i_est)
-    model = signal.values(grid)
+    grid, model, decoded, comparison = _compare(out, config, signal, recon, duration, 2001)
     rel = np.abs(decoded - model) / model
     # headline error counts only grid points covered by actual samples;
     # the edge-clamped stretch right after the floor crossing (current
@@ -95,15 +104,9 @@ def _preset_fig5(out: Path, config: CfcConfig, ack: AckModel, compensation: floa
     measured = (grid >= recon.t[0]) & (grid <= recon.t[-1])
     i_rect = rectify(model, config.polarity)
     kept, invalid = above_floor(config, i_rect), above_valid(config, i_rect)
-    files = [
-        formats.write_signal_csv(out / "truth.csv", signal),
-        formats.write_events_csv(out / "events.csv", result.events),
-        formats.write_recon_csv(out / "recon.csv", recon),
-        formats.write_comparison_csv(out / "comparison.csv", grid, model, decoded, config),
-    ]
-    return files, {
+    return [*files, comparison], {
         "duration_s": duration,
-        "events": len(result.events),
+        "events": len(events),
         "max_rel_err_in_band": float(rel[measured & kept & ~invalid].max()),
         "grid_points_below_floor": int((~kept).sum()),
         "grid_points_above_valid": int(invalid.sum()),
@@ -117,23 +120,14 @@ def _preset_fig6(out: Path, config: CfcConfig, ack: AckModel, compensation: floa
     synapse = dpi_synapse(drive, tau=20e-3, weight_jump=0.5e-9, i_base=20e-12, duration=duration)
     neuron = AdexParams(proxy_gain=40.0)
     proxy, out_spikes = adex_neuron(synapse, neuron, duration)
-    result = simulate(config, proxy, duration, ack=ack)
-    recon = reconstruct(result.events, config, compensation=compensation)
-    grid = np.linspace(0.0, duration, 3001)
-    decoded = np.interp(grid, recon.t, recon.i_est)
-    model = proxy.values(grid)
-    files = [
-        formats.write_spikes_csv(out / "input_spikes.csv", drive),
-        formats.write_spikes_csv(out / "output_spikes.csv", out_spikes),
-        formats.write_signal_csv(out / "truth.csv", proxy),
-        formats.write_events_csv(out / "events.csv", result.events),
-        formats.write_recon_csv(out / "recon.csv", recon),
-        formats.write_comparison_csv(out / "comparison.csv", grid, model, decoded, config),
-    ]
+    events, recon, files = run_monitor(out, config, proxy, duration, ack, compensation)
+    *_, comparison = _compare(out, config, proxy, recon, duration, 3001)
+    files = [formats.write_spikes_csv(out / "input_spikes.csv", drive),
+             formats.write_spikes_csv(out / "output_spikes.csv", out_spikes), *files, comparison]
     return files, {
         "duration_s": duration,
-        "events": len(result.events),
-        "high_range_events": int(result.events.sf.sum()),
+        "events": len(events),
+        "high_range_events": int(events.sf.sum()),
         "neuron_spikes": len(out_spikes),
         "neuron_rheobase_A": neuron.rheobase(),
     }
@@ -145,20 +139,14 @@ def _preset_fig7(out: Path, config: CfcConfig, ack: AckModel, compensation: floa
     tau, weight = 20e-3, 1e-9
     drive = regular_train(5.0, 1.0)  # sparse spikes leave full decays visible
     signal = dpi_synapse(drive, tau=tau, weight_jump=weight, i_base=20e-12, duration=duration)
-    result = simulate(config, signal, duration, ack=ack)
-    recon = reconstruct(result.events, config, compensation=compensation)
+    events, recon, files = run_monitor(out, config, signal, duration, ack, compensation)
     t_last = float(drive.times[-1])
     fit = fit_exponential(recon, (t_last + 2e-3, t_last + 0.18))
-    files = [
-        formats.write_spikes_csv(out / "input_spikes.csv", drive),
-        formats.write_signal_csv(out / "truth.csv", signal),
-        formats.write_events_csv(out / "events.csv", result.events),
-        formats.write_recon_csv(out / "recon.csv", recon),
-        formats.write_fit_record(out / "fit.txt", fit, extra={"stimulus_tau_s": tau}),
-    ]
+    files = [formats.write_spikes_csv(out / "input_spikes.csv", drive), *files,
+             formats.write_fit_record(out / "fit.txt", fit, extra={"stimulus_tau_s": tau})]
     return files, {
         "duration_s": duration,
-        "events": len(result.events),
+        "events": len(events),
         "stimulus_tau_s": tau,
         "fitted_tau_s": fit.tau,
         "tau_rel_err": abs(fit.tau - tau) / tau,

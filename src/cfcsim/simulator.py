@@ -196,6 +196,8 @@ def _split_at(a, b, ya, yb, targets):
     """Split the lines (a, ya)-(b, yb) at strict interior crossings of the
     target levels, as columns in, columns out.
 
+    Every rise ``yb - ya`` must be finite, as it is for the pieces of
+    :meth:`CurrentSignal.pieces` and for non-negative finite ends.
     Within a line the cuts are taken in (time, level) order, and a cut is
     kept only if it lies after the line's start and after the cut before
     it: the same pieces, bit for bit, as walking the sorted cuts and
@@ -210,17 +212,13 @@ def _split_at(a, b, ya, yb, targets):
     rows = np.flatnonzero(crossing)
     ra, rb, rya, ryb = a[rows], b[rows], ya[rows], yb[rows]
     # a line only a few subnormals tall has no finite inv and is cut at the
-    # crossed share of its length; so is one whose ends lie further apart
-    # than the largest float (dy = inf), with the share taken of halved
-    # values; any other inf or nan falls at a target the line does not
-    # cross, which is dropped below
+    # crossed share of its length; any other inf or nan falls at a target
+    # the line does not cross, which is dropped below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dy = ryb - rya
         inv = (rb - ra) / dy
-        wide = np.isinf(dy)
-        by_share = np.isinf(inv) | wide
-        shares = [np.where(wide, (0.5 * tg - 0.5 * rya) / (0.5 * ryb - 0.5 * rya), (tg - rya) / dy) for tg in targets]
-        cuts = [np.where(by_share, ra + share * (rb - ra), ra + (tg - rya) * inv) for tg, share in zip(targets, shares)]
+        by_share = np.isinf(inv)
+        cuts = [np.where(by_share, ra + (tg - rya) / dy * (rb - ra), ra + (tg - rya) * inv) for tg in targets]
     # one column per target; inf marks a target the line does not cross
     tc = np.column_stack([np.where(c[rows], t, np.inf) for c, t in zip(crosses, cuts)])
     level = np.broadcast_to(np.asarray(targets, dtype=np.float64), tc.shape)

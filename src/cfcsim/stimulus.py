@@ -84,22 +84,24 @@ class CurrentSignal:
 
     def pieces(self, duration: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The segments clipped to a run over [0, duration], as the linear
-        pieces ``(a, b, i_a, i_b)`` in columns.  A segment whose slope
-        overflows a float is refused with a ``ConfigError``: its piece
-        would start at ``i0 + inf * 0``, which is NaN."""
+        pieces ``(a, b, i_a, i_b)`` in columns, each with a finite rise
+        ``i_b - i_a`` and so finite ends.  A segment whose piece has no
+        finite rise is refused with a ``ConfigError``: its slope, or the
+        slope times the width, overflows a float (``i0 + inf * 0`` is NaN)."""
         n = int(np.searchsorted(self.times, duration, side="left"))  # segments starting in the run
         a = self.times[:n]
         seg_end = self.ends[:n]
         lo, hi = a, np.minimum(seg_end, duration)  # max(a, 0) is a itself: times start at 0
         i0, i1 = self.i_start[:n], self.i_end[:n]
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             slope = (i1 - i0) / (seg_end - a)
-        finite = np.isfinite(slope)
+            i_a, i_b = i0 + slope * (lo - a), i0 + slope * (hi - a)
+            finite = np.isfinite(i_b - i_a)
         if not finite.all():
             j = int(np.argmin(finite))
             raise ConfigError(f"segment {j} ramps from {i0[j]} A to {i1[j]} A in {seg_end[j] - a[j]} s: "
                               "its slope overflows a float")
-        return lo, hi, i0 + slope * (lo - a), i0 + slope * (hi - a)
+        return lo, hi, i_a, i_b
 
     @classmethod
     def from_samples(cls, ts: Sequence[float], values: Sequence[float]) -> "CurrentSignal":
@@ -312,7 +314,10 @@ def adex_neuron(
         tau_w dw/dt = a (v - e_l) - w
         v >= v_peak  ->  spike, v <- v_reset, w <- w + b
 
-    Fixed-step classic Runge-Kutta; the spike cutoff is checked once per
+    Fixed-step classic Runge-Kutta on the grid ``k * dt``, ended by
+    ``duration`` itself, with one step fewer where ``(n - 1) * dt``
+    already reaches ``duration`` (``n = ceil(duration / dt)``), so every
+    step has positive length.  The spike cutoff is checked once per
     step, so spike times are quantised to the step.  A step that leaves
     ``v`` more than 1 V below ``min(e_l, v_reset)`` has diverged (the
     drive is too strong for ``dt``) and raises :class:`ConfigError`.
@@ -330,6 +335,8 @@ def adex_neuron(
     p = params
     dt = p.dt
     n_steps = int(math.ceil(duration / dt))
+    if (n_steps - 1) * dt >= duration:  # the quotient rounded up: the last step would be empty
+        n_steps -= 1
     grid = np.minimum(np.arange(n_steps + 1) * dt, duration)
 
     # The four RK stages evaluate
@@ -364,9 +371,9 @@ def adex_neuron(
 def _rk4_block(rows, v, w, consts, spike_times: list, dt: float):
     """One block of :func:`adex_neuron`'s RK4 steps from the state (v, w).
 
-    ``rows`` holds each step's length, half and sixth, its end time and
-    the drive at its start, middle and end; ``consts`` the neuron's
-    constants in the order ``adex_neuron`` packs them.  The RK stages
+    ``rows`` holds each step's positive length, its half and sixth, its
+    end time and the drive at its start, middle and end; ``consts`` the
+    neuron's constants in the order ``adex_neuron`` packs them.  The RK stages
     are written out inline on local floats, every operation in the
     order of the formula.  Spike times are appended to ``spike_times``;
     returns v, w and the voltage after each step.
@@ -376,9 +383,6 @@ def _rk4_block(rows, v, w, consts, spike_times: list, dt: float):
     v_hist = array("d")
     append = v_hist.append
     for h, half, sixth, t_next, i0, i1, i2 in rows:
-        if h <= 0:
-            append(v)
-            continue
         d = v - e_l
         arg = (v - v_t) / delta_t
         if arg > exp_cap:

@@ -17,7 +17,7 @@ from cfcsim.simulator import simulate
 from cfcsim.stimulus import constant
 
 
-def _write_spec(path, **updates):
+def _spec_text(**updates):
     spec = {
         "name": "const-demo",
         "duration": 0.02,
@@ -25,7 +25,11 @@ def _write_spec(path, **updates):
         "config": {"t_rst": 0.0, "i_leak_floor": 0.0},
     }
     spec.update(updates)
-    path.write_text(json.dumps(spec))
+    return json.dumps(spec)
+
+
+def _write_spec(path, **updates):
+    path.write_text(_spec_text(**updates))
     return path
 
 
@@ -279,17 +283,23 @@ def test_decode_compensation_includes_ack_latency(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "key, updates",
+    "key, text",
     [
-        pytest.param("seed", {"seed": -1}, id="negative-seed"),
-        pytest.param("extra", {"extra": 1}, id="unknown-top-level-key"),
+        pytest.param("seed", _spec_text(seed=-1), id="negative-seed"),
+        pytest.param("extra", _spec_text(extra=1), id="unknown-top-level-key"),
+        pytest.param("config", _spec_text(config=5), id="scalar-config"),
+        pytest.param("ack", _spec_text(ack=5), id="scalar-ack"),
+        pytest.param("c1", json.dumps({"c1": "x"}), id="flat-config-string-c1"),
+        pytest.param("JSON", "{", id="invalid-json"),
+        pytest.param("top level", "[1]", id="list-top-level"),
     ],
 )
-def test_decode_bad_spec_converter_exit_2_names_key(tmp_path, capsys, key, updates):
+def test_decode_bad_spec_converter_exit_2_names_key(tmp_path, capsys, key, text):
     from cfcsim.formats import write_events_csv
 
     p = write_events_csv(tmp_path / "events.csv", simulate(CfcConfig(), constant(1e-6, 2e-3), 2e-3).events)
-    spec_path = _write_spec(tmp_path / "spec.json", **updates)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
     assert main(["decode", str(p), "--out", str(tmp_path / "out"), "--config", str(spec_path)]) == 2
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
@@ -426,11 +436,17 @@ _STAIRCASE = {"kind": "staircase", "start": 1e-9, "stop": 2e-9, "steps": 3, "dwe
         )}, id="null-train-seed"),
         pytest.param("steps", {"duration": None, "stimulus": dict(_STAIRCASE, steps=2.5)}, id="fraction-steps"),
         pytest.param("train", {"duration": 0.5, "stimulus": dict(_DPI, train=5)}, id="scalar-train"),
+        pytest.param("kind", {"duration": 0.5, "stimulus": dict(_DPI, train={"kind": "burst", "rate": 20.0})},
+                     id="unknown-train-kind"),
+        pytest.param("stimulus", {"stimulus": 5}, id="scalar-stimulus"),
+        pytest.param("duration", {"duration": 1.0, "stimulus": _STAIRCASE}, id="duration-past-staircase"),
+        pytest.param("duration", {"duration": None}, id="constant-without-duration"),
+        pytest.param("config", None, id="no-config"),  # no description at all
     ],
 )
 def test_simulate_bad_value_exit_2_names_key(tmp_path, capsys, key, updates):
-    spec_path = _write_spec(tmp_path / "spec.json", **updates)
-    assert main(["simulate", "--config", str(spec_path), "--out", str(tmp_path / "run")]) == 2
+    config = [] if updates is None else ["--config", str(_write_spec(tmp_path / "spec.json", **updates))]
+    assert main(["simulate", *config, "--out", str(tmp_path / "run")]) == 2
     assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
 
@@ -480,6 +496,8 @@ def test_load_spec_rejects_unknown_stimulus_kind():
         load_spec({"duration": 1.0, "stimulus": {"kind": "sawtooth"}})
     with pytest.raises(ConfigError, match="unknown key"):
         load_spec({"duration": 1.0, "stimulus": {"kind": "constant", "i": 1e-9, "amp": 2}})
+    with pytest.raises(ConfigError, match="top level must be a JSON object"):
+        load_spec([{"duration": 1.0, "stimulus": {"kind": "constant", "i": 1e-9}}])
 
 
 def test_load_spec_dpi_with_poisson_train_uses_seed():
@@ -540,8 +558,23 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     assert re.search(rb"spec\.json: byte 10 \(0xff\) is not UTF-8", done.stderr), done.stderr
 
 
+@pytest.mark.parametrize("error, line", [
+    pytest.param(MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB", id="numpy"),
+    pytest.param(MemoryError(), "error: MemoryError", id="bare"),
+])
+def test_running_out_of_memory_exit_3(tmp_path, capsys, monkeypatch, error, line):
+    import cfcsim.cli
+
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cfcsim.cli, "run_preset", exhausted)
+    assert main(["preset", "fig4", "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == line + "\n"
+
+
 # ---------------------------------------------------------------------------
-# scripts
+# scripts and packaging
 # ---------------------------------------------------------------------------
 
 _SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
@@ -551,3 +584,11 @@ _SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py")
 def test_script_imports_cleanly(script):
     # runs the module body only: each script calls main() under __main__
     assert callable(runpy.run_path(str(script), run_name="not_main")["main"])
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    import cfcsim
+
+    assert tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"] == cfcsim.__version__

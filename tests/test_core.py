@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -69,11 +70,20 @@ def test_caps_are_c1_and_the_divided_paths_capacitance():
         {"channel_address": 2**63},
         {"channel_address": True},
         {"t_rst": float("inf")},
+        {"polarity": "sink_n"},  # the enum's value, not the enum
     ],
 )
 def test_config_invariants_rejected(kwargs):
     with pytest.raises(ConfigError):
         CfcConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(CfcConfig) if f.name not in ("polarity", "channel_address")])
+def test_config_refuses_an_infinite_field_by_name(name, value):
+    # as CfcConfig.from_dict does for a description file
+    with pytest.raises(ConfigError, match=rf"^{name} must be finite, got {value}$"):
+        CfcConfig(**{name: value})
 
 
 def test_config_dict_roundtrip_and_unknown_keys():
@@ -179,6 +189,8 @@ def test_select_ranges_is_the_scalar_fold(currents, h):
 def test_select_range_rejects_negative():
     with pytest.raises(ValueError):
         select_ranges(CFG, [-1e-9])
+    with pytest.raises(ValueError, match="rectified current must be non-negative"):
+        ideal_rate(CFG, -1e-9)
     with pytest.raises(ValueError):
         select_ranges(CfcConfig(hysteresis=0.2), [1e-9, -1e-9])
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfcsim.core import CfcConfig, ConfigError
+from cfcsim.core import CfcConfig, ConfigError, Polarity
 from cfcsim.simulator import simulate
 from cfcsim.stimulus import (
     AdexParams,
@@ -83,15 +83,19 @@ def test_pieces_clip_and_interpolate():
     assert ramp.pieces(3.0)[1].tolist() == ramp.ends.tolist() == [1.0, 2.0, 3.0]
 
 
-@pytest.mark.parametrize("signal, segment", [
-    pytest.param(CurrentSignal([0.0, 0.5], [0.0, -1e308], [0.0, 1e308], 1.0), 1, id="rise"),
-    pytest.param(CurrentSignal([0.0, 5e-324], [0.0, 0.0], [1e300, 0.0], 1.0), 0, id="width"),
+@pytest.mark.parametrize("signal, segment, duration", [
+    pytest.param(CurrentSignal([0.0, 0.5], [0.0, -1e308], [0.0, 1e308], 1.0), 1, 1.0, id="rise"),
+    pytest.param(CurrentSignal([0.0, 5e-324], [0.0, 0.0], [1e300, 0.0], 1.0), 0, 1.0, id="width"),
+    # a finite slope whose value at the end rounds past the largest float
+    pytest.param(CurrentSignal([0.0], [1.0], [-1.7976931348623157e308], 3.0), 0, 3.0, id="end"),
 ])
-def test_pieces_refuse_a_slope_past_the_largest_float(signal, segment):
-    # i0 + inf * 0 is nan: the run would take the ramp for no current
-    for run in (signal.pieces, lambda duration: simulate(CfcConfig(), signal, duration)):
+def test_pieces_refuse_a_slope_past_the_largest_float(signal, segment, duration):
+    # i0 + inf * 0 is nan: the run would take the ramp for no current, or
+    # (accepting the negative side) emit an event at t = nan
+    runs = [signal.pieces] + [lambda d, p=p: simulate(CfcConfig(polarity=p), signal, d) for p in Polarity]
+    for run in runs:
         with pytest.raises(ConfigError, match=rf"^segment {segment} ramps from .*: its slope overflows a float$"):
-            run(1.0)
+            run(duration)
 
 
 def test_values_vectorized_matches_scalar():
@@ -321,6 +325,8 @@ def _adex_reference(i_in, p, duration):
     the exponent clamp."""
     dt = p.dt
     n_steps = int(math.ceil(duration / dt))
+    if (n_steps - 1) * dt >= duration:  # no empty last step
+        n_steps -= 1
     grid = np.minimum(np.arange(n_steps + 1) * dt, duration)
     drive = i_in.values(np.minimum(np.arange(2 * n_steps + 1) * (dt / 2.0), duration))
     exp_cap = 40.0
@@ -340,9 +346,6 @@ def _adex_reference(i_in, p, duration):
     spikes = []
     for k in range(n_steps):
         h = grid[k + 1] - grid[k]
-        if h <= 0:
-            v_hist[k + 1] = v
-            continue
         i0, i1, i2 = drive[2 * k], drive[2 * k + 1], drive[2 * k + 2]
         k1v, k1w = dvw(v, w, i0)
         k2v, k2w = dvw(v + 0.5 * h * k1v, w + 0.5 * h * k1w, i1)
@@ -374,11 +377,15 @@ def _adex_reference(i_in, p, duration):
         # in the first (2 nA) and the last (5 nA) stage shows
         (constant(2e-9, 0.1), AdexParams(), 0.1, "plain"),
         (constant(5e-9, 0.1), AdexParams(), 0.1, "plain"),
+        # ceil(duration / dt) rounds up past a whole step: (n - 1) * dt
+        # already reaches the end, so the grid takes one step fewer
+        (constant(1e-10, 1.0103647254408115), AdexParams(dt=8.120532108251914e-06), 1.0103647254408115, "plain"),
     ],
-    ids=["fig6", "exp-cap", "1.5uA-cap", "2nA", "5nA"],
+    ids=["fig6", "exp-cap", "1.5uA-cap", "2nA", "5nA", "rounded-up-steps"],
 )
 def test_adex_matches_the_per_stage_reference(drive, params, duration, outcome):
     grid, ref_proxy, ref_spikes, capped = _adex_reference(drive, params, duration)
+    assert (np.diff(grid) > 0).all() and grid[-1] == duration
     assert (capped > 0) == (outcome != "plain")
     if outcome == "diverges":
         # refused at the first step that ends more than 1 V below rest
@@ -444,6 +451,14 @@ _NAN_CASES = [
     ("duration", regular_train, (10.0, _NAN)),
     ("rate", poisson_train, (_NAN, 1.0, 0)),
     ("duration", poisson_train, (10.0, _NAN, 0)),
+    ("finite", CurrentSignal, ([0.0], [_NAN], [0.0], 1.0)),
+    # and inputs of the wrong size, shape or span
+    ("segment", CurrentSignal, ([], [], [], 1.0)),
+    ("shapes", CurrentSignal, ([0.0], [0.0, 1.0], [0.0], 1.0)),
+    ("samples", CurrentSignal.from_samples, ([0.0], [1.0])),
+    ("one-dimensional", SpikeTrain, (np.zeros((2, 2)),)),
+    ("points_per_decade", pfet_gate_sweep, (0.0, -0.5, 1.0, 1e-12, 0.1, 1e-6, None, 0)),
+    ("full duration", adex_neuron, (constant(1e-10, 0.5), AdexParams(), 1.0)),
 ]
 
 
