@@ -16,12 +16,12 @@ power of two and of ten, the subnormals and random bit patterns.  Text
 and booleans are deduplicated the same way and written with ``str``.
 Tables are written ``core._BLOCK`` rows at a time: each column's block
 becomes a band matrix, one value a column and NUL where a value has no
-character; the bands of all columns and the ``,`` and ``\\n`` bands
-are stacked, transposed once into rows and written without the NULs,
-by ``bytes.replace`` where they are few (below ``_REPLACE_MAX_NUL``)
-and by a boolean compress where they are many.  The working memory is
-one block, about 1.1 MB for an events table (traced peak), whatever
-the table's length.
+character; the matrices are copied, each transposed, into their slots of
+one row buffer, between ``,`` and ``\\n`` bytes written in place, and
+the rows are written without the NULs, by ``bytes.replace`` where they
+are few (below ``_REPLACE_MAX_NUL``) and by a boolean compress where
+they are many.  The working memory is one block, about 1.05 MB for an
+events or recon table (traced peak), whatever the table's length.
 
 An events file takes one of two routes.  A plain one (a regular file,
 not named as compressed, ASCII and holding no line break that only
@@ -79,9 +79,10 @@ def _write_table(path: Union[str, Path], header: str, *columns) -> Path:
     block rather than by the table: the band matrices of the columns
     (:func:`_block_cells`: integers by :func:`_int_cells`, floats by
     :func:`_float_cells` or by ``str`` after dedupe, text and booleans
-    by ``str`` after dedupe), each followed by a ``,`` band (``\\n`` for
-    the last), are stacked, transposed once and written without the
-    NULs, half a block at a time.  A half with a share of NULs below
+    by ``str`` after dedupe) are each copied once, transposed, into their
+    slots of one ``(rows, width)`` buffer, each followed by a ``,`` byte
+    (``\\n`` for the last), and the rows are written without the NULs,
+    half a block at a time.  A half with a share of NULs below
     ``_REPLACE_MAX_NUL`` drops them with ``bytes.replace``, whose cost
     grows with their count, any other with a boolean compress, whose cost
     does not.  A text cell must therefore hold no NUL.
@@ -92,12 +93,14 @@ def _write_table(path: Union[str, Path], header: str, *columns) -> Path:
         fh.write(header.encode() + b"\n")
         for lo in range(0, n, _BLOCK):
             cells = [_block_cells(column[lo:lo + _BLOCK]) for column in columns]
-            comma = np.full((1, cells[0].shape[1]), ord(","), dtype=np.uint8)
-            bands = np.concatenate([part for c in cells for part in (c, comma)])
-            bands[-1] = ord("\n")
-            del cells  # free the column bands before the copy below
-            rows = np.ascontiguousarray(bands.T)
-            del bands
+            rows = np.empty((cells[0].shape[1], sum(len(c) + 1 for c in cells)), dtype=np.uint8)
+            at = 0
+            for c in cells:
+                rows[:, at:at + len(c)] = c.T
+                rows[:, at + len(c)] = ord(",")
+                at += len(c) + 1
+            rows[:, -1] = ord("\n")
+            del cells, c  # free the column bands before the copies below
             for half in np.array_split(rows, 2):  # the copies of half a block at a time
                 if half.size - np.count_nonzero(half) < _REPLACE_MAX_NUL * half.size:
                     fh.write(half.tobytes().replace(b"\0", b""))

@@ -86,8 +86,9 @@ class CurrentSignal:
         """The segments clipped to a run over [0, duration], as the linear
         pieces ``(a, b, i_a, i_b)`` in columns, each with a finite rise
         ``i_b - i_a`` and so finite ends.  A segment whose piece has no
-        finite rise is refused with a ``ConfigError``: its slope, or the
-        slope times the width, overflows a float (``i0 + inf * 0`` is NaN)."""
+        finite rise is refused with a ``ConfigError`` naming what overflows a
+        float: its slope, or else the slope times the width in the run
+        (``i0 + inf * 0`` is NaN)."""
         n = int(np.searchsorted(self.times, duration, side="left"))  # segments starting in the run
         a = self.times[:n]
         seg_end = self.ends[:n]
@@ -99,8 +100,9 @@ class CurrentSignal:
             finite = np.isfinite(i_b - i_a)
         if not finite.all():
             j = int(np.argmin(finite))
+            what = "rise over the run" if np.isfinite(slope[j]) else "slope"
             raise ConfigError(f"segment {j} ramps from {i0[j]} A to {i1[j]} A in {seg_end[j] - a[j]} s: "
-                              "its slope overflows a float")
+                              f"its {what} overflows a float")
         return lo, hi, i_a, i_b
 
     @classmethod

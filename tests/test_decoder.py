@@ -156,6 +156,12 @@ def test_fit_rejects_flat_and_rising_data():
         fit_exponential(_recon_from(t, np.full(50, 1e-9)), (0.0, 0.1))
     with pytest.raises(ValueError, match="no exponential trend"):
         fit_exponential(_recon_from(t, 1e-9 * np.exp(t / 50e-3)), (0.0, 0.1))
+    # the last sample is below the first, but the samples rise until a
+    # drop at the end, so the best fit of every tau has no decaying part
+    t = [0.0848, 0.5829, 0.6132, 0.6633, 0.6681, 0.7409, 0.8016]
+    y = [1.0, 1.1306, 1.0837, 1.3231, 1.9276, 1.4726, 0.5]
+    with pytest.raises(ValueError, match="^no exponential trend: fitted decay is degenerate$"):
+        fit_exponential(_recon_from(t, y), (t[0], t[-1]))
 
 
 def test_fit_needs_five_samples():

@@ -712,6 +712,16 @@ def _sparse_table(n):
     return t, np.broadcast_to(np.int64(7), n), rng.integers(0, 2, n).astype(np.uint8)
 
 
+def _recon_table(n):
+    """A recon table of ``n`` rows: increasing times, currents of a few
+    repeated values, which take the gather of the deduplicated block, and
+    a uint8 range flag."""
+    rng = np.random.default_rng(n)
+    t = np.cumsum(rng.random(n) * 1e-5)
+    i = rng.choice([1e-12, 3.3e-11, 1.7e-9, 2.5e-7, 4e-6], n)
+    return t, i, (i > 1e-7).astype(np.uint8)
+
+
 def _nul_share(columns):
     """The share of NULs in the rows of a table's first block."""
     cells = [formats._block_cells(column[:formats._BLOCK]) for column in columns]
@@ -723,7 +733,7 @@ def test_table_writer_memory_is_one_block(tmp_path, traced_peak):
         return traced_peak(formats._write_table, tmp_path / "t.csv", "h", *table(n))
 
     peak(_dense_table, formats._REPR_MAX + 1)  # the multiplier table, built once
-    for table, sparse in [(_dense_table, False), (_sparse_table, True)]:
+    for table, sparse in [(_dense_table, False), (_sparse_table, True), (_recon_table, False)]:
         # each table takes one of the two routes that drop the NULs
         assert (_nul_share(table(formats._BLOCK)) < formats._REPLACE_MAX_NUL) == sparse
         one = peak(table, formats._BLOCK + 1)

@@ -83,18 +83,19 @@ def test_pieces_clip_and_interpolate():
     assert ramp.pieces(3.0)[1].tolist() == ramp.ends.tolist() == [1.0, 2.0, 3.0]
 
 
-@pytest.mark.parametrize("signal, segment, duration", [
-    pytest.param(CurrentSignal([0.0, 0.5], [0.0, -1e308], [0.0, 1e308], 1.0), 1, 1.0, id="rise"),
-    pytest.param(CurrentSignal([0.0, 5e-324], [0.0, 0.0], [1e300, 0.0], 1.0), 0, 1.0, id="width"),
-    # a finite slope whose value at the end rounds past the largest float
-    pytest.param(CurrentSignal([0.0], [1.0], [-1.7976931348623157e308], 3.0), 0, 3.0, id="end"),
+@pytest.mark.parametrize("signal, segment, duration, what", [
+    pytest.param(CurrentSignal([0.0, 0.5], [0.0, -1e308], [0.0, 1e308], 1.0), 1, 1.0, "slope", id="rise"),
+    pytest.param(CurrentSignal([0.0, 5e-324], [0.0, 0.0], [1e300, 0.0], 1.0), 0, 1.0, "slope", id="width"),
+    # a finite slope, -6e307, whose value at the end rounds past the largest float
+    pytest.param(CurrentSignal([0.0], [1.0], [-1.7976931348623157e308], 3.0), 0, 3.0, "rise over the run",
+                 id="end"),
 ])
-def test_pieces_refuse_a_slope_past_the_largest_float(signal, segment, duration):
+def test_pieces_refuse_a_slope_past_the_largest_float(signal, segment, duration, what):
     # i0 + inf * 0 is nan: the run would take the ramp for no current, or
     # (accepting the negative side) emit an event at t = nan
     runs = [signal.pieces] + [lambda d, p=p: simulate(CfcConfig(polarity=p), signal, d) for p in Polarity]
     for run in runs:
-        with pytest.raises(ConfigError, match=rf"^segment {segment} ramps from .*: its slope overflows a float$"):
+        with pytest.raises(ConfigError, match=rf"^segment {segment} ramps from .*: its {what} overflows a float$"):
             run(duration)
 
 
