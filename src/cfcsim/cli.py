@@ -22,9 +22,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import formats
-from .core import CfcConfig, ConfigError, _number, dead_time
-from .experiment import DEFAULT_SEED, load_converter, load_spec, read_json_object, run_decode, run_simulate, run_sweep
+from .core import CfcConfig, ConfigError, _number
+from .experiment import (DEFAULT_SEED, compensation_for, finish_run, load_converter, load_spec, read_json_object,
+                         run_decode, run_simulate, run_sweep)
 from .presets import PRESETS, run_preset
 from .simulator import AckModel
 
@@ -67,15 +67,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_swp = sub.add_parser("sweep", help="staircase sweep with per-step decode")
     _add_common(p_swp, "converter-config overrides JSON")
-    p_swp.add_argument("--start", type=float, required=True, help="first step current in A")
-    p_swp.add_argument("--stop", type=float, required=True, help="last step current in A")
+    # argparse takes "-2e-8" for an option, so a negative current needs the "=" form
+    p_swp.add_argument("--start", type=float, required=True, help="first step current in A (negative: --start=-2e-8)")
+    p_swp.add_argument("--stop", type=float, required=True, help="last step current in A (negative: --stop=-1e-9)")
     p_swp.add_argument("--steps", type=int, required=True, help="number of steps")
     p_swp.add_argument("--dwell", type=float, required=True, help="dwell per step in s")
     p_swp.add_argument("--compensate", action="store_true", help="decode with dead-time compensation")
 
+    # simulate's default None leaves the seed to its experiment description
     for p in (p_sim, p_pre, p_swp):
         what = "random seed" if p is p_sim else "recorded in summary.json only; presets and sweeps draw nothing"
-        p.add_argument("--seed", type=int, default=None, help=f"{what} (default {DEFAULT_SEED})")
+        p.add_argument("--seed", type=int, default=None if p is p_sim else DEFAULT_SEED,
+                       help=f"{what} (default {DEFAULT_SEED})")
     return parser
 
 
@@ -105,51 +108,38 @@ def _cmd_simulate(args) -> int:
     spec = load_spec(args.config, seed_override=args.seed, duration_override=args.duration)
     if args.trace and not spec.trace:
         spec = dataclasses.replace(spec, trace=True)
-    summary = run_simulate(spec, args.out)
-    _report(f"{spec.name}: {summary['event_count']} events -> {args.out}")
+    record = run_simulate(spec, args.out)
+    _report(f"{spec.name}: {record.summary['event_count']} events -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_decode(args) -> int:
     config, ack = _load_decode_config(args.config)
-    compensation = dead_time(config, ack) if args.compensate else 0.0
-    out_path = run_decode(args.events, config, args.out, compensation=compensation)
+    out_path = run_decode(args.events, config, args.out, compensation=compensation_for(config, ack, args.compensate))
     _report(f"decoded {args.events} -> {out_path}")
     return EXIT_OK
 
 
 def _cmd_preset(args) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    result = run_preset(args.name, args.out, seed=seed, compensate=args.compensate)
-    _report(f"preset {result.name}: {len(result.files)} files -> {result.out_dir}")
+    record = run_preset(args.name, args.out, seed=args.seed, compensate=args.compensate)
+    _report(f"preset {args.name}: {len(record.files)} files -> {record.out_dir}")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     for flag in ("start", "stop", "dwell"):
         _number(getattr(args, flag), f"--{flag}", "sweep")
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
     config = CfcConfig.from_dict(read_json_object(args.config) if args.config is not None else {})
-    ack = AckModel(seed=seed)
-    compensation = dead_time(config, ack) if args.compensate else 0.0
-    events, points, _ = run_sweep(
+    ack = AckModel(seed=args.seed)
+    compensation = compensation_for(config, ack, args.compensate)
+    points, counts, files = run_sweep(
         config, ack, args.start, args.stop, args.steps, args.dwell, args.out, compensation=compensation
     )
-    measured = sum(1 for p in points if p.decoded is not None)
-    formats.write_summary_json(args.out / "summary.json", {
-        "name": "sweep",
-        "seed": seed,
-        "start_A": args.start,
-        "stop_A": args.stop,
-        "steps": args.steps,
-        "dwell_s": args.dwell,
-        "compensation_s": compensation,
-        "event_count": len(events),
-        "steps_measured": measured,
-        "steps_no_measurement": len(points) - measured,
-        "config": config.to_dict(),
-    })
-    _report(f"sweep: {len(events)} events, {measured}/{len(points)} steps measured -> {args.out}")
+    events = counts.pop("events")
+    summary = {"name": "sweep", "start_A": args.start, "stop_A": args.stop, "steps": args.steps,
+               "dwell_s": args.dwell, "event_count": events, **counts}
+    finish_run(args.out, files, summary, config, ack, compensation)
+    _report(f"sweep: {events} events, {counts['steps_measured']}/{len(points)} steps measured -> {args.out}")
     return EXIT_OK
 
 

@@ -28,9 +28,9 @@ from typing import Optional, Union
 import numpy as np
 
 from . import formats
-from .core import CfcConfig, ConfigError, _number
+from .core import CfcConfig, ConfigError, _number, dead_time
 from .decoder import ReconstructedSignal, SweepPoint, reconstruct, sweep_analysis
-from .simulator import AckModel, EventStream, SimResult, simulate, power_estimate
+from .simulator import AckModel, EventStream, simulate, power_estimate
 from .stimulus import (
     CurrentSignal,
     SpikeTrain,
@@ -226,43 +226,63 @@ def load_spec(
     )
 
 
-def summarize(spec: ExperimentSpec, result: SimResult) -> dict:
+@dataclass(frozen=True)
+class RunRecord:
+    """A run's output directory, its files as written (``summary.json`` last) and its summary."""
+
+    out_dir: Path
+    files: list[Path]
+    summary: dict
+
+
+def output_dir(path: Union[str, Path]) -> Path:
+    """The directory ``path``, created with its parents if needed."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def compensation_for(config: CfcConfig, ack: AckModel, compensate: bool) -> float:
+    """What ``--compensate`` subtracts from every interval: the mean dead time, else 0."""
+    return dead_time(config, ack) if compensate else 0.0
+
+
+def finish_run(out: Path, files: list[Path], summary: dict, config: CfcConfig, ack: AckModel,
+               compensation_s: Optional[float] = None) -> RunRecord:
+    """Add the keys every summary shares (``seed``, ``config`` and, for a
+    run that decodes, ``compensation_s``) to ``summary``, write it to
+    ``summary.json`` after ``files`` and return the run's record."""
+    summary.update(seed=ack.seed, config=config.to_dict())
+    if compensation_s is not None:
+        summary["compensation_s"] = compensation_s
+    files.append(formats.write_summary_json(out / "summary.json", summary))
+    return RunRecord(out, files, summary)
+
+
+def run_simulate(spec: ExperimentSpec, out_dir: Union[str, Path]) -> RunRecord:
+    """Execute an experiment and emit its files into ``out_dir``.
+
+    Writes ``events.csv``, ``truth.csv``, when the spec asks for it
+    ``trace.csv``, and ``summary.json``.  Deterministic for a fixed seed.
+    """
+    out = output_dir(out_dir)
+    result = simulate(spec.config, spec.stimulus, spec.duration, ack=spec.ack, trace=spec.trace)
     events = result.events
+    files = [formats.write_events_csv(out / "events.csv", events),
+             formats.write_signal_csv(out / "truth.csv", spec.stimulus)]
+    if result.trace is not None:
+        files.append(formats.write_trace_csv(out / "trace.csv", result.trace))
     n = len(events)
-    isi_rate = None
-    if n >= 2:
-        span = float(events.t_req[-1] - events.t_req[0])
-        if span > 0:
-            isi_rate = (n - 1) / span
-    return {
+    span = float(events.t_req[-1] - events.t_req[0]) if n >= 2 else 0.0
+    return finish_run(out, files, {
         "name": spec.name,
-        "seed": spec.ack.seed,
         "duration_s": spec.duration,
         "event_count": n,
         "mean_rate_hz": n / spec.duration,
-        "isi_mean_rate_hz": isi_rate,
+        "isi_mean_rate_hz": (n - 1) / span if span > 0 else None,
         "power_w": power_estimate(events, spec.duration),
-        "config": spec.config.to_dict(),
         "ack": {"latency": spec.ack.latency, "jitter": spec.ack.jitter},
-    }
-
-
-def run_simulate(spec: ExperimentSpec, out_dir: Union[str, Path]) -> dict:
-    """Execute an experiment and emit its files into ``out_dir``.
-
-    Writes ``events.csv``, ``truth.csv``, ``summary.json`` and, when the
-    spec asks for it, ``trace.csv``.  Deterministic for a fixed seed.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    result = simulate(spec.config, spec.stimulus, spec.duration, ack=spec.ack, trace=spec.trace)
-    formats.write_events_csv(out / "events.csv", result.events)
-    formats.write_signal_csv(out / "truth.csv", spec.stimulus)
-    if result.trace is not None:
-        formats.write_trace_csv(out / "trace.csv", result.trace)
-    summary = summarize(spec, result)
-    formats.write_summary_json(out / "summary.json", summary)
-    return summary
+    }, spec.config, spec.ack)
 
 
 def run_monitor(out: Path, config: CfcConfig, signal: CurrentSignal, duration: float, ack: AckModel,
@@ -286,19 +306,21 @@ def run_sweep(
     dwell: float,
     out_dir: Union[str, Path],
     compensation: float = 0.0,
-) -> tuple[EventStream, list[SweepPoint], list[Path]]:
+) -> tuple[list[SweepPoint], dict, list[Path]]:
     """Run one staircase sweep and decode it per step and in full.
 
     Writes :func:`run_monitor`'s files and ``sweep.csv`` into ``out_dir``
-    and returns the events, the per-step points and the written files;
+    and returns the per-step points, the sweep's counts (``events``,
+    ``steps_measured``, ``steps_no_measurement``) and the written files;
     the caller writes its own summary.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     signal = staircase_sweep(start, stop, steps, dwell)
     events, _, files = run_monitor(out, config, signal, signal.end, ack, compensation)
     points = sweep_analysis(events, signal, config, compensation=compensation)
-    return events, points, [*files, formats.write_sweep_csv(out / "sweep.csv", points)]
+    measured = sum(1 for p in points if p.decoded is not None)
+    counts = {"events": len(events), "steps_measured": measured, "steps_no_measurement": len(points) - measured}
+    return points, counts, [*files, formats.write_sweep_csv(out / "sweep.csv", points)]
 
 
 def run_decode(
@@ -308,8 +330,7 @@ def run_decode(
     compensation: float = 0.0,
 ) -> Path:
     """Decode an events file into ``recon.csv`` inside ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     events = formats.read_events_csv(events_path)
     recon = reconstruct(events, config, compensation=compensation)
     return formats.write_recon_csv(out / "recon.csv", recon)

@@ -20,27 +20,19 @@ output file byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Union
 
 import numpy as np
 
 from . import formats
-from .core import CfcConfig, ConfigError, DEFAULT_CONFIG, above_floor, above_valid, dead_time, rectify
+from .core import CfcConfig, ConfigError, DEFAULT_CONFIG, above_floor, above_valid, rectify
 from .decoder import ReconstructedSignal, fit_exponential
-from .experiment import run_monitor, run_sweep
+from .experiment import RunRecord, compensation_for, finish_run, output_dir, run_monitor, run_sweep
 from .simulator import AckModel
 from .stimulus import (FIVE_RANGE_SWEEPS, AdexParams, CurrentSignal, adex_neuron, dpi_synapse, pfet_gate_sweep,
                        regular_train)
-
-
-@dataclass
-class PresetResult:
-    name: str
-    out_dir: Path
-    files: list[Path]
-    summary: dict
 
 
 def _preset_fig4(out: Path, config: CfcConfig, ack: AckModel, compensation: float) -> tuple[list[Path], dict]:
@@ -49,23 +41,16 @@ def _preset_fig4(out: Path, config: CfcConfig, ack: AckModel, compensation: floa
     files: list[Path] = []
     sweeps = []
     for idx, (lo, hi) in enumerate(FIVE_RANGE_SWEEPS):
-        events, points, sweep_files = run_sweep(
+        points, counts, sweep_files = run_sweep(
             config, ack, lo, hi, steps, dwell, out / f"sweep{idx + 1}", compensation=compensation
         )
         files.extend(sweep_files)
-        measured = [p for p in points if p.decoded is not None]
         in_band = [
             abs(p.decoded - p.level) / p.level
-            for p in measured
-            if 10e-12 <= p.level and not above_valid(config, p.level)
+            for p in points
+            if p.decoded is not None and 10e-12 <= p.level and not above_valid(config, p.level)
         ]
-        sweeps.append({
-            "range_A": [lo, hi],
-            "events": len(events),
-            "steps_measured": len(measured),
-            "steps_no_measurement": len(points) - len(measured),
-            "max_rel_err_in_band": max(in_band) if in_band else None,
-        })
+        sweeps.append({"range_A": [lo, hi], **counts, "max_rel_err_in_band": max(in_band) if in_band else None})
     return files, {"steps_per_sweep": steps, "dwell_s": dwell, "sweeps": sweeps}
 
 
@@ -167,22 +152,19 @@ def run_preset(
     out_dir: Union[str, Path],
     seed: int = 0,
     compensate: bool = False,
-) -> PresetResult:
+) -> RunRecord:
     """Run one named preset into ``out_dir`` (created if needed).
 
     The preset writes its own files and summary keys; the ack model, the
-    dead-time compensation and the summary keys every preset shares
-    (``preset``, ``seed``, ``compensation_s``, ``config``) are set here,
-    and ``summary.json`` is written last.
+    dead-time compensation and the ``preset`` key are set here, and
+    :func:`~cfcsim.experiment.finish_run` adds the keys every summary
+    shares and writes ``summary.json`` last.
     """
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     preset, config = PRESETS[name]
     ack = AckModel(seed=seed)
-    compensation = dead_time(config, ack) if compensate else 0.0
+    compensation = compensation_for(config, ack, compensate)
     files, summary = preset(out, config, ack, compensation)
-    summary.update(preset=name, seed=seed, compensation_s=compensation, config=config.to_dict())
-    files.append(formats.write_summary_json(out / "summary.json", summary))
-    return PresetResult(name, out, files, summary)
+    return finish_run(out, files, {**summary, "preset": name}, config, ack, compensation)

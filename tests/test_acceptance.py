@@ -358,3 +358,33 @@ def test_criterion_10_source_p_hysteresis_determinism(tmp_path):
         "events, trace, truth and summary match the recorded digests"
         if not mismatches else f"differs: {mismatches}",
     )
+
+
+# `cfcsim sweep` through both ranges, from a step under the leak floor,
+# without and with --compensate, and fig5 decoded with compensation
+CLI_PINNED_RUNS = {
+    "sweep": ["sweep", "--start", "1e-12", "--stop", "2e-6", "--steps", "8", "--dwell", "0.01", "--seed", "7"],
+    "sweep_compensate": ["sweep", "--start", "1e-12", "--stop", "2e-6", "--steps", "8", "--dwell", "0.01",
+                         "--seed", "7", "--compensate"],
+    "fig5_compensate": ["preset", "fig5", "--seed", "7", "--compensate"],
+}
+
+
+def test_criterion_10_cli_sweep_and_compensated_preset_determinism(tmp_path):
+    pinned = json.loads(PRESET_DIGESTS.read_text())
+    mismatches = []
+    for key, argv in CLI_PINNED_RUNS.items():
+        out = tmp_path / key
+        assert main([*argv, "--out", str(out)]) == 0
+        expected = pinned[key]
+        assert sorted(expected) == sorted(p.name for p in out.iterdir())
+        mismatches += [
+            f"{key}/{name}" for name, digest in expected.items()
+            if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest
+        ]
+    _verdict(
+        "criterion 10 (sweep and compensated preset determinism)",
+        not mismatches,
+        "sweep with and without --compensate and fig5 --compensate match the recorded digests"
+        if not mismatches else f"differs: {mismatches}",
+    )

@@ -347,6 +347,23 @@ def test_sweep_command(tmp_path):
     assert summary["steps_no_measurement"] >= 1
 
 
+def test_sweep_negative_currents_in_the_equals_form(tmp_path):
+    # argparse may take a bare "-2e-8" for an option; "--start=-2e-8" is
+    # always read as the value
+    config = tmp_path / "sp.json"
+    config.write_text(json.dumps({"polarity": "source_p"}))
+    out = tmp_path / "swp"
+    assert main([
+        "sweep", "--config", str(config), "--start=-2e-8", "--stop=-1e-9", "--steps", "4", "--dwell", "0.01",
+        "--out", str(out),
+    ]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["start_A"], summary["stop_A"]) == (-2e-8, -1e-9)
+    assert (summary["steps_measured"], summary["steps_no_measurement"]) == (4, 0)
+    levels = [float(row.split(",")[0]) for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert levels == pytest.approx([-2e-8, -1.3667e-8, -7.333e-9, -1e-9], rel=1e-4)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("flag", ["--start", "--stop", "--dwell"])
 def test_sweep_non_finite_flag_exit_2_names_it(tmp_path, capsys, flag, value):

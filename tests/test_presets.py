@@ -6,10 +6,21 @@ from pathlib import Path
 
 import pytest
 
+from cfcsim import cli, experiment
 from cfcsim.cli import main
 from cfcsim.core import ConfigError
 from cfcsim.presets import run_preset
 from cfcsim.stimulus import FIVE_RANGE_SWEEPS
+
+
+def assert_record_lists_its_files(record, out):
+    """The run record lists every file under ``out``, each once, in the
+    order written, with ``summary.json`` last."""
+    assert record.out_dir == out
+    assert len(set(record.files)) == len(record.files)
+    assert sorted(record.files) == sorted(p for p in out.rglob("*") if p.is_file())
+    assert record.files[-1] == out / "summary.json"
+    assert json.loads(record.files[-1].read_text()) == json.loads(json.dumps(record.summary))
 
 
 def test_sweep_command_matches_fig4_fifth_sweep(tmp_path):
@@ -35,6 +46,7 @@ def test_fig4_writes_five_sweep_tables(tmp_path):
         for name in ("truth.csv", "events.csv", "recon.csv", "sweep.csv"):
             assert (d / name).exists()
     assert len(result.summary["sweeps"]) == 5
+    assert_record_lists_its_files(result, tmp_path)
 
 
 def test_fig5_compensation_removes_dead_time_distortion(tmp_path):
@@ -44,6 +56,7 @@ def test_fig5_compensation_removes_dead_time_distortion(tmp_path):
     # so the 0.1 us reset pulse costs ~10% uncompensated
     assert 0.05 < raw.summary["max_rel_err_in_band"] < 0.12
     assert comp.summary["max_rel_err_in_band"] < 0.005
+    assert_record_lists_its_files(raw, tmp_path / "raw")
     # the comparison table flags exactly the grid points the summary counts,
     # and the sweep starts below the leak floor
     lines = (tmp_path / "raw" / "comparison.csv").read_text().splitlines()
@@ -66,12 +79,34 @@ def test_fig6_monitors_neuron_through_range_switch(tmp_path):
         assert (tmp_path / name).exists()
     summary_file = json.loads((tmp_path / "summary.json").read_text())
     assert summary_file["neuron_spikes"] == s["neuron_spikes"]
+    assert_record_lists_its_files(result, tmp_path)
 
 
 def test_fig7_summary_reports_tau(tmp_path):
     result = run_preset("fig7", tmp_path, seed=0)
     assert result.summary["tau_rel_err"] < 0.05
     assert result.summary["stimulus_tau_s"] == pytest.approx(20e-3)
+    assert_record_lists_its_files(result, tmp_path)
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_simulate_record_lists_its_files(tmp_path, trace):
+    spec = experiment.load_spec({"duration": 0.01, "trace": trace, "stimulus": {"kind": "constant", "i": 3e-9}})
+    record = experiment.run_simulate(spec, tmp_path)
+    assert (tmp_path / "trace.csv").exists() == trace
+    assert_record_lists_its_files(record, tmp_path)
+
+
+def test_sweep_command_record_lists_its_files(tmp_path, monkeypatch):
+    # the command returns an exit code, so the record is taken from its
+    # finishing step
+    records = []
+    monkeypatch.setattr(cli, "finish_run", lambda *args: records.append(experiment.finish_run(*args)))
+    out = tmp_path / "swp"
+    assert main(["sweep", "--start", "1e-9", "--stop", "2e-8", "--steps", "4", "--dwell", "0.01",
+                 "--out", str(out)]) == 0
+    (record,) = records
+    assert_record_lists_its_files(record, out)
 
 
 def test_fig7_imports_numpy_alone(tmp_path):
