@@ -105,7 +105,10 @@ def _load_decode_config(path: Optional[Path]) -> tuple[CfcConfig, AckModel]:
 def _cmd_simulate(args) -> int:
     if args.config is None:
         raise ConfigError("simulate requires --config with an experiment description")
-    spec = load_spec(args.config, seed_override=args.seed, duration_override=args.duration)
+    raw = read_json_object(args.config)
+    # the flags replace the description's keys, checked as the keys are
+    raw.update((key, value) for key, value in (("seed", args.seed), ("duration", args.duration)) if value is not None)
+    spec = load_spec(raw, str(args.config))
     if args.trace and not spec.trace:
         spec = dataclasses.replace(spec, trace=True)
     record = run_simulate(spec, args.out)

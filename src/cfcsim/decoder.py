@@ -5,7 +5,9 @@ sample: the interval between them, minus an optional dead-time
 compensation, is inverted through the rate law at the range flagged on
 the second event.  Because the interval measures the *average* current
 over itself, each sample is placed at the interval midpoint, which
-removes the first-order lag bias on ramps.
+removes the first-order lag bias on ramps.  :func:`reconstruct` checks
+the stream and decodes it; the analyses read its samples, so each
+stream is decoded once.
 """
 
 from __future__ import annotations
@@ -49,25 +51,16 @@ def reconstruct(
 ) -> ReconstructedSignal:
     """Turn a channel's event stream into current samples.
 
-    The times must increase by more than ``compensation``; the error
-    names the first event that breaks this.  Fewer than two events
+    This is where a stream is checked: the compensation must be finite
+    and non-negative and the times must increase by more than it; the
+    error names the first event that breaks this.  Fewer than two events
     decode to an empty signal (one event carries no interval).  The
     events' range flags are trusted.
     """
-    _check_stream(events, compensation)
-    t = events.t_req
-    sf = events.sf[1:]
-    i_est = decode(config, np.diff(t), sf, compensation)
-    return ReconstructedSignal(0.5 * (t[:-1] + t[1:]), i_est, sf.astype(np.uint8))
-
-
-def _check_stream(events: EventStream, compensation: float) -> None:
-    """Require a finite, non-negative compensation and times that increase
-    by more than it; the error names the first event that breaks this."""
     _check_compensation(compensation)
-    # a time that does not increase is the worst case of a short interval
     t = events.t_req
     dt = np.diff(t)
+    # a time that does not increase is the worst case of a short interval
     bad = np.flatnonzero(~(dt > compensation))
     if bad.size:
         k = int(bad[0]) + 1
@@ -78,6 +71,9 @@ def _check_stream(events: EventStream, compensation: float) -> None:
         raise ValueError(
             f"{problem}: event {k} at t = {float(t[k])!r} s follows event {k - 1} at t = {float(t[k - 1])!r} s"
         )
+    sf = events.sf[1:]
+    i_est = decode(config, dt, sf, compensation)
+    return ReconstructedSignal(0.5 * (t[:-1] + t[1:]), i_est, sf.astype(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -152,22 +148,24 @@ class SweepPoint:
 
 def sweep_analysis(
     events: EventStream,
+    recon: ReconstructedSignal,
     staircase: CurrentSignal,
-    config: CfcConfig,
-    compensation: float = 0.0,
 ) -> list[SweepPoint]:
     """Average the decoded current per staircase step.
 
-    Each segment of ``staircase`` is one step, held flat at its level.
-    The first ``_SETTLE_FRACTION`` of each dwell is discarded as
-    settling time; the remaining intervals are decoded individually and
-    averaged.  Steps with fewer than two usable events (dead-zone levels, or dwells
-    too short for the expected rate) report no measurement instead of a
-    number.  The stream is checked as in :func:`reconstruct`.
+    ``recon`` is :func:`reconstruct`'s decode of ``events``, one sample
+    per interval, so the stream is checked and decoded once.  Each
+    segment of ``staircase`` is one step, held flat at its level.  The
+    first ``_SETTLE_FRACTION`` of each dwell is discarded as settling
+    time; the samples of the intervals between the remaining events are
+    averaged.  Steps with fewer than two usable events (dead-zone levels,
+    or dwells too short for the expected rate) report no measurement
+    instead of a number.
     """
     if np.any(staircase.i_start != staircase.i_end):
         raise ValueError("sweep analysis needs a staircase: a ramp segment has no single level")
-    _check_stream(events, compensation)
+    if len(recon) != max(len(events) - 1, 0):
+        raise ValueError(f"reconstruction holds {len(recon)} samples, not one per interval of {len(events)} events")
     t = events.t_req
     start, end = float(staircase.times[0]), staircase.end
     if len(events) and (t[0] < start - 1e-15 or t[-1] > end + 1e-15):
@@ -178,9 +176,7 @@ def sweep_analysis(
         lo = int(np.searchsorted(t, w0, side="left"))
         hi = int(np.searchsorted(t, t1, side="right"))
         n = hi - lo
-        if n < 2:
-            out.append(SweepPoint(level, None, n))
-            continue
-        decoded = decode(config, np.diff(t[lo:hi]), events.sf[lo + 1:hi], compensation)
-        out.append(SweepPoint(level, float(decoded.mean()), n))
+        # sample k decodes the interval from event k to event k + 1
+        decoded = float(recon.i_est[lo:hi - 1].mean()) if n >= 2 else None
+        out.append(SweepPoint(level, decoded, n))
     return out

@@ -16,6 +16,10 @@ typos fail fast::
 
 Every experiment resolves to fully concrete objects (or fails) before
 any simulation starts, and all randomness derives from the single seed.
+``cfcsim simulate`` writes its ``--seed`` and ``--duration`` into the
+parsed description as those keys, so they are checked as the keys are.
+A monitored stream is decoded once, by :func:`run_monitor`; a sweep's
+per-step means are read off that decode.
 """
 
 from __future__ import annotations
@@ -168,17 +172,14 @@ def read_json_object(path: Union[str, Path]) -> dict:
     return raw
 
 
-def load_converter(
-    raw: dict, context: str, seed_override: Optional[int] = None
-) -> tuple[CfcConfig, AckModel]:
+def load_converter(raw: dict, context: str) -> tuple[CfcConfig, AckModel]:
     """Check the top-level keys of an experiment description and build
     its converter: the ``config`` and the ``ack`` model seeded from
     ``seed``.  The stimulus is not read."""
     _reject_unknown(
         raw, {"name", "config", "stimulus", "duration", "ack", "seed", "trace"}, context
     )
-    seed = raw.get("seed", DEFAULT_SEED) if seed_override is None else seed_override
-    seed = _number(seed, "seed", context, integer=True)
+    seed = _number(raw.get("seed", DEFAULT_SEED), "seed", context, integer=True)
 
     cfg_overrides = raw.get("config", {})
     if not isinstance(cfg_overrides, dict):
@@ -192,22 +193,12 @@ def load_converter(
     return config, ack
 
 
-def load_spec(
-    source: Union[str, Path, dict],
-    seed_override: Optional[int] = None,
-    duration_override: Optional[float] = None,
-) -> ExperimentSpec:
-    """Parse an experiment description from a JSON file or a dict."""
-    if isinstance(source, (str, Path)):
-        raw = read_json_object(source)
-        context = str(source)
-    else:
-        raw = source
-        context = "experiment spec"
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{context}: top level must be a JSON object")
-    config, ack = load_converter(raw, context, seed_override)
-    duration = duration_override if duration_override is not None else raw.get("duration")
+def load_spec(raw: dict, context: str = "experiment spec") -> ExperimentSpec:
+    """Resolve a parsed experiment description; ``context`` names it in errors."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{context}: top level must be a JSON object")
+    config, ack = load_converter(raw, context)
+    duration = raw.get("duration")
     duration = float(_number(duration, "duration", context)) if duration is not None else None
 
     trace = raw.get("trace", False)
@@ -307,7 +298,7 @@ def run_sweep(
     out_dir: Union[str, Path],
     compensation: float = 0.0,
 ) -> tuple[list[SweepPoint], dict, list[Path]]:
-    """Run one staircase sweep and decode it per step and in full.
+    """Run one staircase sweep, decode it once and average the decode per step.
 
     Writes :func:`run_monitor`'s files and ``sweep.csv`` into ``out_dir``
     and returns the per-step points, the sweep's counts (``events``,
@@ -316,8 +307,8 @@ def run_sweep(
     """
     out = output_dir(out_dir)
     signal = staircase_sweep(start, stop, steps, dwell)
-    events, _, files = run_monitor(out, config, signal, signal.end, ack, compensation)
-    points = sweep_analysis(events, signal, config, compensation=compensation)
+    events, recon, files = run_monitor(out, config, signal, signal.end, ack, compensation)
+    points = sweep_analysis(events, recon, signal)
     measured = sum(1 for p in points if p.decoded is not None)
     counts = {"events": len(events), "steps_measured": measured, "steps_no_measurement": len(points) - measured}
     return points, counts, [*files, formats.write_sweep_csv(out / "sweep.csv", points)]

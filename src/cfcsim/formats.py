@@ -37,7 +37,8 @@ Schemas:
     spikes  ``t_s``
     sweep   ``level_A,i_decoded_A,n_events``  empty decode = no measurement
     comparison  ``t_s,i_model_A,i_decoded_A,rel_err,flag``
-                flag: ``ok``, ``below_floor`` or ``above_valid``
+                flag: ``ok``, ``below_floor`` or ``above_valid``, judged
+                by the preset that builds the table
     fit     flat ``key=value`` lines
 """
 
@@ -52,7 +53,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import _BLOCK, CfcConfig, above_floor, above_valid, rectify
+from .core import _BLOCK
 from .decoder import ExponentialFit, ReconstructedSignal, SweepPoint
 from .simulator import EventStream, StateTrace
 from .stimulus import CurrentSignal, SpikeTrain
@@ -575,18 +576,9 @@ def write_sweep_csv(path: Union[str, Path], points: list[SweepPoint]) -> Path:
     return _write_table(path, SWEEP_HEADER, levels, decoded, n_events)
 
 
-def write_comparison_csv(path: Union[str, Path], t, model, decoded, config: CfcConfig) -> Path:
-    """Decoded against modelled current on a time grid.
-
-    ``rel_err`` is ``nan`` where the model is 0; ``flag`` marks the
-    points whose rectified model current is at or below the leak floor
-    (which includes the blocked sign) or above the validity bound.
-    """
-    t, model, decoded = (np.asarray(a, dtype=np.float64) for a in (t, model, decoded))
-    with np.errstate(all="ignore"):
-        rel = np.where(model != 0, (decoded - model) / model, np.nan)
-    i_rect = rectify(model, config.polarity)
-    flag = np.select([~above_floor(config, i_rect), above_valid(config, i_rect)], ["below_floor", "above_valid"], "ok")
+def write_comparison_csv(path: Union[str, Path], t, model, decoded, rel, flag) -> Path:
+    """Decoded against modelled current on a time grid, with each point's
+    relative error and flag as judged by the caller."""
     return _write_table(path, COMPARISON_HEADER, t, model, decoded, rel, flag)
 
 

@@ -57,12 +57,19 @@ def _preset_fig4(out: Path, config: CfcConfig, ack: AckModel, compensation: floa
 def _compare(out: Path, config: CfcConfig, signal: CurrentSignal, recon: ReconstructedSignal, duration: float,
              n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Path]:
     """The signal and its decode, interpolated between samples, on an
-    ``n``-point grid over the run: writes ``comparison.csv`` and returns
-    the grid, the signal, the decode and the file."""
+    ``n``-point grid over the run, judged once per point: ``rel`` is the
+    decode's relative error (``nan`` where the signal is 0) and ``flag``
+    marks the points whose rectified signal is at or below the leak floor
+    (the blocked sign included) or above the validity bound.  Writes
+    ``comparison.csv`` and returns the grid, ``rel``, ``flag`` and the file."""
     grid = np.linspace(0.0, duration, n)
     decoded = np.interp(grid, recon.t, recon.i_est)
     model = signal.values(grid)
-    return grid, model, decoded, formats.write_comparison_csv(out / "comparison.csv", grid, model, decoded, config)
+    with np.errstate(all="ignore"):
+        rel = np.where(model != 0, (decoded - model) / model, np.nan)
+    i_rect = rectify(model, config.polarity)
+    flag = np.select([~above_floor(config, i_rect), above_valid(config, i_rect)], ["below_floor", "above_valid"], "ok")
+    return grid, rel, flag, formats.write_comparison_csv(out / "comparison.csv", grid, model, decoded, rel, flag)
 
 
 def _preset_fig5(out: Path, config: CfcConfig, ack: AckModel, compensation: float) -> tuple[list[Path], dict]:
@@ -80,21 +87,18 @@ def _preset_fig5(out: Path, config: CfcConfig, ack: AckModel, compensation: floa
     # compare over the full run: outside the reconstruction span (e.g. the
     # sub-floor stretch before the first events) the nearest measurement is
     # held, which is exactly the divergence the flags mark
-    grid, model, decoded, comparison = _compare(out, config, signal, recon, duration, 2001)
-    rel = np.abs(decoded - model) / model
+    grid, rel, flag, comparison = _compare(out, config, signal, recon, duration, 2001)
     # headline error counts only grid points covered by actual samples;
     # the edge-clamped stretch right after the floor crossing (current
     # above the floor but no interval measured yet) stays in the CSV,
     # flagged, without skewing the statistic
     measured = (grid >= recon.t[0]) & (grid <= recon.t[-1])
-    i_rect = rectify(model, config.polarity)
-    kept, invalid = above_floor(config, i_rect), above_valid(config, i_rect)
     return [*files, comparison], {
         "duration_s": duration,
         "events": len(events),
-        "max_rel_err_in_band": float(rel[measured & kept & ~invalid].max()),
-        "grid_points_below_floor": int((~kept).sum()),
-        "grid_points_above_valid": int(invalid.sum()),
+        "max_rel_err_in_band": float(np.abs(rel[measured & (flag == "ok")]).max()),
+        "grid_points_below_floor": int((flag == "below_floor").sum()),
+        "grid_points_above_valid": int((flag == "above_valid").sum()),
     }
 
 

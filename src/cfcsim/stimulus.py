@@ -148,8 +148,9 @@ def staircase_sweep(
 ) -> CurrentSignal:
     """Linear-in-current staircase from ``start`` to ``stop``.
 
-    Step ``k`` is the flat segment at ``start + k * (stop - start) /
-    (steps - 1)`` from ``k * dwell`` to ``(k + 1) * dwell``.
+    Step ``k`` is the flat segment at ``start + k * ((stop - start) /
+    (steps - 1))`` from ``k * dwell`` to ``(k + 1) * dwell``; the last
+    step is ``stop`` exactly.
     """
     if steps < 2:
         raise ConfigError(f"need at least 2 steps, got {steps}")
@@ -157,7 +158,7 @@ def staircase_sweep(
         raise ConfigError(f"dwell must be positive, got {dwell}")
     if not start < stop:
         raise ConfigError(f"start ({start}) must be below stop ({stop})")
-    levels = start + np.arange(steps) * ((stop - start) / (steps - 1))
+    levels = np.linspace(start, stop, steps)
     return CurrentSignal(np.arange(steps) * dwell, levels, levels.copy(), float(steps * dwell))
 
 

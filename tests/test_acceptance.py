@@ -361,12 +361,15 @@ def test_criterion_10_source_p_hysteresis_determinism(tmp_path):
 
 
 # `cfcsim sweep` through both ranges, from a step under the leak floor,
-# without and with --compensate, and fig5 decoded with compensation
+# without and with --compensate, and fig4, fig5 and fig6 decoded with
+# compensation (fig4 writes one subdirectory per sweep)
 CLI_PINNED_RUNS = {
     "sweep": ["sweep", "--start", "1e-12", "--stop", "2e-6", "--steps", "8", "--dwell", "0.01", "--seed", "7"],
     "sweep_compensate": ["sweep", "--start", "1e-12", "--stop", "2e-6", "--steps", "8", "--dwell", "0.01",
                          "--seed", "7", "--compensate"],
+    "fig4_compensate": ["preset", "fig4", "--seed", "7", "--compensate"],
     "fig5_compensate": ["preset", "fig5", "--seed", "7", "--compensate"],
+    "fig6_compensate": ["preset", "fig6", "--seed", "7", "--compensate"],
 }
 
 
@@ -377,7 +380,7 @@ def test_criterion_10_cli_sweep_and_compensated_preset_determinism(tmp_path):
         out = tmp_path / key
         assert main([*argv, "--out", str(out)]) == 0
         expected = pinned[key]
-        assert sorted(expected) == sorted(p.name for p in out.iterdir())
+        assert sorted(expected) == sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
         mismatches += [
             f"{key}/{name}" for name, digest in expected.items()
             if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest
@@ -385,6 +388,6 @@ def test_criterion_10_cli_sweep_and_compensated_preset_determinism(tmp_path):
     _verdict(
         "criterion 10 (sweep and compensated preset determinism)",
         not mismatches,
-        "sweep with and without --compensate and fig5 --compensate match the recorded digests"
+        "sweep with and without --compensate and fig4, fig5 and fig6 --compensate match the recorded digests"
         if not mismatches else f"differs: {mismatches}",
     )

@@ -97,6 +97,27 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_simulate_seed_flag_replaces_the_description_seed(tmp_path):
+    # with acknowledge jitter the seed moves the events: a description at
+    # seed 3 run with --seed 9 is the same run as that description at seed 9
+    ack = {"latency": 1e-7, "jitter": 2e-7}
+    runs = {}
+    for name, seed, argv in (("flag", 3, ["--seed", "9"]), ("nine", 9, []), ("three", 3, [])):
+        spec_path = _write_spec(tmp_path / f"{name}.json", seed=seed, ack=ack)
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(spec_path), "--out", str(out), *argv]) == 0
+        runs[name] = out
+    assert json.loads((runs["flag"] / "summary.json").read_text())["seed"] == 9
+    assert (runs["flag"] / "events.csv").read_bytes() == (runs["nine"] / "events.csv").read_bytes()
+    assert (runs["flag"] / "events.csv").read_bytes() != (runs["three"] / "events.csv").read_bytes()
+
+
+def test_simulate_trace_flag_still_checks_the_description_trace(tmp_path, capsys):
+    spec_path = _write_spec(tmp_path / "spec.json", trace="yes")
+    assert main(["simulate", "--config", str(spec_path), "--out", str(tmp_path / "run"), "--trace"]) == 2
+    assert "'trace' must be true or false" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # decode
 # ---------------------------------------------------------------------------
@@ -362,6 +383,7 @@ def test_sweep_negative_currents_in_the_equals_form(tmp_path):
     assert (summary["steps_measured"], summary["steps_no_measurement"]) == (4, 0)
     levels = [float(row.split(",")[0]) for row in (out / "sweep.csv").read_text().splitlines()[1:]]
     assert levels == pytest.approx([-2e-8, -1.3667e-8, -7.333e-9, -1e-9], rel=1e-4)
+    assert levels[-1] == summary["stop_A"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -525,9 +547,9 @@ def test_load_spec_dpi_with_poisson_train_uses_seed():
             "train": {"kind": "poisson", "rate": 50.0},
         },
     }
-    a = load_spec(desc, seed_override=5)
-    b = load_spec(desc, seed_override=5)
-    c = load_spec(desc, seed_override=6)
+    a = load_spec({**desc, "seed": 5})
+    b = load_spec({**desc, "seed": 5})
+    c = load_spec({**desc, "seed": 6})
     assert np.array_equal(a.stimulus.times, b.stimulus.times)
     assert not np.array_equal(a.stimulus.times, c.stimulus.times)
 

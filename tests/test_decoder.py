@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfcsim.core import CfcConfig, dead_time, select_ranges
-from cfcsim.decoder import ReconstructedSignal, fit_exponential, reconstruct, sweep_analysis
+from cfcsim.core import CfcConfig, dead_time, decode, select_ranges
+from cfcsim.decoder import ReconstructedSignal, SweepPoint, fit_exponential, reconstruct, sweep_analysis
 from cfcsim.simulator import AckModel, EventStream, simulate
 from cfcsim.stimulus import (
     SpikeTrain,
@@ -69,14 +69,15 @@ def test_interval_not_longer_than_the_compensation_is_named():
     # an interval equal to the compensation is not longer than it
     with pytest.raises(ValueError, match=r"event 1 at t = 1e-07 s"):
         reconstruct(_stream([0.0, 1e-7], [0, 0]), CFG, compensation=1e-7)
-    # sweep analysis names the event by its index in the whole stream
+    # a sweep's stream is checked where it is decoded, which names the
+    # event by its index in the whole stream
     sig = staircase_sweep(1e-12, 2e-12, 2, 0.5)
-    times = [0.05, 0.2, 0.3, 0.6, 0.7, 0.70000005, 0.9]
+    ev = _stream([0.05, 0.2, 0.3, 0.6, 0.7, 0.70000005, 0.9], [0] * 7)
     with pytest.raises(ValueError, match=r"event 5 at t = 0\.70000005 s follows event 4 at t = 0\.7 s"):
-        sweep_analysis(_stream(times, [0] * 7), sig, CFG, compensation=1e-7)
-    # without compensation the same streams decode
-    assert len(reconstruct(_stream(times, [0] * 7), CFG)) == 6
-    assert [p.n_events for p in sweep_analysis(_stream(times, [0] * 7), sig, CFG)] == [2, 4]
+        reconstruct(ev, CFG, compensation=1e-7)
+    # without compensation the same stream decodes
+    assert len(reconstruct(ev, CFG)) == 6
+    assert [p.n_events for p in sweep_analysis(ev, reconstruct(ev, CFG), sig)] == [2, 4]
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +216,7 @@ def test_end_to_end_dpi_decay_recovery():
 def test_sweep_roundtrip_within_half_percent():
     sig = staircase_sweep(1e-9, 10e-9, 10, 0.01)
     ev = simulate(IDEAL, sig, sig.end).events
-    points = sweep_analysis(ev, sig, IDEAL)
+    points = sweep_analysis(ev, reconstruct(ev, IDEAL), sig)
     assert len(points) == 10
     for p in points:
         assert p.decoded is not None
@@ -225,7 +226,7 @@ def test_sweep_roundtrip_within_half_percent():
 def test_sweep_dead_zone_reports_no_measurement():
     sig = staircase_sweep(3e-12, 30e-12, 4, 0.5)
     ev = simulate(CFG, sig, sig.end).events
-    points = sweep_analysis(ev, sig, CFG)
+    points = sweep_analysis(ev, reconstruct(ev, CFG), sig)
     assert points[0].decoded is None  # 3 pA sits under the 5.5 pA floor
     assert points[0].n_events == 0
     assert all(p.decoded is not None for p in points[1:])
@@ -236,7 +237,7 @@ def test_sweep_boundary_step_decodes_on_high_range():
     ev = simulate(IDEAL, sig, sig.end).events
     last_dwell = ev.sf[ev.t_req > sig.times[1] + 1e-3]
     assert np.all(last_dwell == 1)  # the tie at i_sw lands on the high range
-    points = sweep_analysis(ev, sig, IDEAL)
+    points = sweep_analysis(ev, reconstruct(ev, IDEAL), sig)
     assert points[1].decoded == pytest.approx(10e-9, rel=1e-6)
 
 
@@ -244,14 +245,14 @@ def test_sweep_rejects_out_of_schedule_events():
     sig = staircase_sweep(1e-9, 2e-9, 2, 0.1)
     ev = _stream([0.05, 0.5], [0, 0])  # second event after the sweep ends
     with pytest.raises(ValueError, match="events outside the staircase span"):
-        sweep_analysis(ev, sig, CFG)
+        sweep_analysis(ev, reconstruct(ev, CFG), sig)
 
 
 def test_sweep_rejects_a_ramp_segment():
     ramp = from_breakpoints([(0.0, 1e-9), (0.1, 2e-9), (0.2, 3e-9)], ["step", "linear"], end=0.3)
     ev = _stream([0.05, 0.15], [0, 0])
     with pytest.raises(ValueError, match="ramp segment"):
-        sweep_analysis(ev, ramp, CFG)
+        sweep_analysis(ev, reconstruct(ev, CFG), ramp)
 
 
 def test_sweep_rejects_a_shuffled_stream():
@@ -262,9 +263,73 @@ def test_sweep_rejects_a_shuffled_stream():
     shuffled = EventStream(t, ev.channel, ev.sf)
     where = rf"event 41 at t = {float(t[41])!r} s follows event 40"
     with pytest.raises(ValueError, match=f"strictly increasing in time: {where}"):
-        sweep_analysis(shuffled, sig, IDEAL)
-    with pytest.raises(ValueError, match="event 41 at t = "):
         reconstruct(shuffled, IDEAL)
+
+
+def test_sweep_refuses_a_reconstruction_of_another_stream():
+    sig = staircase_sweep(1e-9, 2e-9, 2, 0.02)
+    ev = simulate(IDEAL, sig, sig.end).events
+    rec = reconstruct(ev, IDEAL)
+    shorter = ReconstructedSignal(rec.t[1:], rec.i_est[1:], rec.ranges[1:])
+    for other in (shorter, reconstruct(EventStream.empty(), IDEAL)):
+        with pytest.raises(ValueError, match=f"reconstruction holds {len(other)} samples, not one per interval of"):
+            sweep_analysis(ev, other, sig)
+    # no events, or one, decode to no samples
+    for few in (EventStream.empty(), _stream([0.01], [0])):
+        assert [p.decoded for p in sweep_analysis(few, reconstruct(few, IDEAL), sig)] == [None, None]
+
+
+def _ref_sweep(events, staircase, config, compensation):
+    """Each step's intervals decoded anew from the events, as sweep
+    analysis did before it read the reconstruction."""
+    t = events.t_req
+    out = []
+    for t0, t1, level in zip(staircase.times.tolist(), staircase.ends.tolist(), staircase.i_start.tolist()):
+        w0 = t0 + 0.2 * (t1 - t0)
+        lo = int(np.searchsorted(t, w0, side="left"))
+        hi = int(np.searchsorted(t, t1, side="right"))
+        n = hi - lo
+        if n < 2:
+            out.append(SweepPoint(level, None, n))
+            continue
+        decoded = decode(config, np.diff(t[lo:hi]), events.sf[lo + 1:hi], compensation)
+        out.append(SweepPoint(level, float(decoded.mean()), n))
+    return out
+
+
+def _jittered_sweep(compensate):
+    # through i_sw, so both ranges decode, with seeded acknowledge jitter
+    sig = staircase_sweep(1e-9, 30e-9, 6, 0.01)
+    ack = AckModel(latency=1e-7, jitter=2e-7, seed=3)
+    ev = simulate(CFG, sig, sig.end, ack=ack).events
+    return ev, sig, CFG, dead_time(CFG, ack) if compensate else 0.0
+
+
+def _floor_sweep():
+    sig = staircase_sweep(3e-12, 30e-12, 4, 0.5)  # 3 pA sits under the 5.5 pA floor
+    return simulate(CFG, sig, sig.end).events, sig, CFG, 0.0
+
+
+def _two_event_windows():
+    # each step's window, after the first 20% of its dwell, holds two events
+    ev = _stream([0.05, 0.25, 0.3, 0.55, 0.7, 0.9], [0] * 6)
+    return ev, staircase_sweep(1e-12, 2e-12, 2, 0.5), CFG, 0.0
+
+
+@pytest.mark.parametrize("case, n_events", [
+    pytest.param(lambda: _jittered_sweep(False), None, id="jittered"),
+    pytest.param(lambda: _jittered_sweep(True), None, id="compensated"),
+    pytest.param(_floor_sweep, 0, id="leak-floor-step"),
+    pytest.param(_two_event_windows, 2, id="two-event-window"),
+])
+def test_sweep_means_equal_the_per_step_decode(case, n_events):
+    ev, sig, config, compensation = case()
+    points = sweep_analysis(ev, reconstruct(ev, config, compensation), sig)
+    # SweepPoint equality compares each decoded mean with ==, bit for bit
+    assert points == _ref_sweep(ev, sig, config, compensation)
+    if n_events is not None:  # the case holds the step it is named for
+        assert any(p.n_events == n_events for p in points)
+    assert any(p.decoded is not None for p in points)
 
 
 # ---------------------------------------------------------------------------

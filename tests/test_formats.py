@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfcsim import formats
-from cfcsim.core import DEFAULT_CONFIG, CfcConfig, Polarity
+from cfcsim.core import DEFAULT_CONFIG, CfcConfig
 from cfcsim.decoder import ExponentialFit, ReconstructedSignal, SweepPoint, reconstruct
 from cfcsim.formats import (
     CsvFormatError,
@@ -401,16 +401,6 @@ def test_summary_json_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_comparison_flag_is_judged_on_the_rectified_current(tmp_path):
-    # a source_p monitor takes negative currents: -1 uA sits at the
-    # validity bound, +1 uA is blocked, -2 uA lies past the bound
-    model = np.array([-1e-6, 1e-6, -2e-6, -1e-12, -1e-9, 0.0, -0.0])
-    flags = ["ok", "below_floor", "above_valid", "below_floor", "ok", "below_floor", "below_floor"]
-    for config, sign in ((CfcConfig(polarity=Polarity.SOURCE_P), 1.0), (CfcConfig(), -1.0)):
-        path = write_comparison_csv(tmp_path / "comparison.csv", np.arange(7.0), sign * model, sign * model, config)
-        assert [row.rsplit(",", 1)[1] for row in path.read_text().splitlines()[1:]] == flags
-
-
 def test_write_events_empty_stream(tmp_path):
     p = write_events_csv(tmp_path / "none.csv", EventStream.empty())
     assert p.read_text() == "t_req_s,channel,sf\n"
@@ -468,18 +458,19 @@ def _ref_sweep(points):
     return _ref_table("level_A,i_decoded_A,n_events", rows)
 
 
-def _ref_comparison(t, model, decoded, config):
-    rows = []
-    for k in range(t.size):
-        m, d = float(model[k]), float(decoded[k])
-        rel = (d - m) / m if m != 0 else float("nan")
-        if m <= config.i_leak_floor:
-            flag = "below_floor"
-        elif m > config.i_max_valid:
-            flag = "above_valid"
-        else:
-            flag = "ok"
-        rows.append(f"{float(t[k])!r},{m!r},{d!r},{rel!r},{flag}")
+def _comparison_columns(t, model, decoded, config):
+    """The comparison table's columns, with each point's relative error
+    and flag judged row by row."""
+    rel, flag = [], []
+    for m, d in zip(model.tolist(), decoded.tolist()):
+        rel.append((d - m) / m if m != 0 else float("nan"))
+        flag.append("below_floor" if m <= config.i_leak_floor else "above_valid" if m > config.i_max_valid else "ok")
+    return t, model, decoded, np.array(rel), np.array(flag, dtype=str)
+
+
+def _ref_comparison(t, model, decoded, rel, flag):
+    rows = [f"{float(t[k])!r},{float(model[k])!r},{float(decoded[k])!r},{float(rel[k])!r},{flag[k]}"
+            for k in range(t.size)]
     return _ref_table("t_s,i_model_A,i_decoded_A,rel_err,flag", rows)
 
 
@@ -511,7 +502,7 @@ def _table_cases(n):
               for j, (x, y) in enumerate(zip(_floats(n), _floats(n, 4)))]
     model = np.resize([0.0, -0.0, 5e-324, 1e-12, DEFAULT_CONFIG.i_leak_floor, 1e-9,
                        DEFAULT_CONFIG.i_max_valid, 1e-5, 1e300], n)
-    comparison = (times, model, _floats(n, 5), DEFAULT_CONFIG)
+    comparison = _comparison_columns(times, model, _floats(n, 5), DEFAULT_CONFIG)
     cases = [
         (write_events_csv, (ev,), _ref_events(ev)),
         (write_events_csv, (sparse,), _ref_events(sparse)),

@@ -6,11 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from cfcsim import cli, experiment
+import numpy as np
+
+from cfcsim import cli, experiment, presets
 from cfcsim.cli import main
-from cfcsim.core import ConfigError
+from cfcsim.core import CfcConfig, ConfigError, Polarity
+from cfcsim.decoder import ReconstructedSignal
 from cfcsim.presets import run_preset
-from cfcsim.stimulus import FIVE_RANGE_SWEEPS
+from cfcsim.stimulus import FIVE_RANGE_SWEEPS, CurrentSignal
 
 
 def assert_record_lists_its_files(record, out):
@@ -66,6 +69,22 @@ def test_fig5_compensation_removes_dead_time_distortion(tmp_path):
     assert flags.count("below_floor") == raw.summary["grid_points_below_floor"] > 0
     assert flags.count("above_valid") == raw.summary["grid_points_above_valid"] > 0
     assert set(flags) == {"ok", "below_floor", "above_valid"}
+
+
+def test_comparison_flag_is_judged_on_the_rectified_current(tmp_path):
+    # a source_p monitor takes negative currents: -1 uA sits at the
+    # validity bound, +1 uA is blocked, -2 uA lies past the bound
+    model = np.array([-1e-6, 1e-6, -2e-6, -1e-12, -1e-9, 0.0, -0.0])
+    flags = ["ok", "below_floor", "above_valid", "below_floor", "ok", "below_floor", "below_floor"]
+    for config, sign in ((CfcConfig(polarity=Polarity.SOURCE_P), 1.0), (CfcConfig(), -1.0)):
+        # one flat segment per grid point 0..6, decoded exactly at each
+        signal = CurrentSignal(np.arange(7.0), sign * model, sign * model, 7.0)
+        recon = ReconstructedSignal(np.arange(7.0), sign * model, np.zeros(7, dtype=np.uint8))
+        grid, rel, flag, path = presets._compare(tmp_path, config, signal, recon, 6.0, 7)
+        assert grid.tolist() == list(range(7))
+        assert flag.tolist() == flags
+        assert np.array_equal(rel, np.where(model != 0, 0.0, np.nan), equal_nan=True)
+        assert [row.rsplit(",", 1)[1] for row in path.read_text().splitlines()[1:]] == flags
 
 
 def test_fig6_monitors_neuron_through_range_switch(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cfcsim.core import (CfcConfig, ConfigError, Polarity, RangeSelect, dead_time, decode, ideal_isi, ideal_rate,
                          select_ranges)
-from cfcsim.decoder import reconstruct, sweep_analysis
+from cfcsim.decoder import reconstruct
 from cfcsim.simulator import (
     DEFAULT_EVENT_CAP,
     AckModel,
@@ -22,7 +22,7 @@ from cfcsim.simulator import (
     power_estimate,
     simulate,
 )
-from cfcsim.stimulus import CurrentSignal, constant, staircase_sweep
+from cfcsim.stimulus import CurrentSignal, constant
 from oracle import from_breakpoints
 
 CFG = CfcConfig()
@@ -703,8 +703,6 @@ def test_simulate_validation():
       for name, call in [
           ("decode", lambda c=bad: decode(CFG, [1e-3, 2e-3], [0, 0], compensation=c)),
           ("reconstruct", lambda c=bad: reconstruct(EventStream([1e-3, 2e-3], 0, [0, 0]), CFG, compensation=c)),
-          ("sweep_analysis",
-           lambda c=bad: sweep_analysis(EventStream.empty(), staircase_sweep(1e-9, 2e-9, 2, 0.1), CFG, c)),
       ]),
     pytest.param(lambda: constant(1e-9, 1.0).values([0.5, math.nan]), "outside signal domain", id="values"),
 ])
