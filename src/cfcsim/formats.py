@@ -23,11 +23,12 @@ are few (below ``_REPLACE_MAX_NUL``) and by a boolean compress where
 they are many.  The working memory is one block, about 1.05 MB for an
 events or recon table (traced peak), whatever the table's length.
 
-An events file takes one of two routes.  A plain one (a regular file,
-not named as compressed, ASCII and holding no line break that only
-``str.splitlines`` takes) is parsed by ``np.loadtxt`` from its path.
-Any other input, a pipe too, and a plain file that route refuses, is
-read once, row by row, in Python.
+An events file has one line rule and one field rule: lines end at
+``\\n``, ``\\r\\n`` or ``\\r``, and each field is stripped with
+``str.strip`` before it is parsed.  A regular file not named as
+compressed is parsed by ``np.loadtxt`` from its path, which applies the
+same rules.  Any other input, a pipe too, and a file that route refuses,
+is read once, row by row, in Python.
 
 Schemas:
     events  ``t_req_s,channel,sf``            sf: 0 = low, 1 = high
@@ -409,29 +410,37 @@ def read_events_csv(path: Union[str, Path]) -> EventStream:
     or has a non-finite time, a channel outside [0, 2**63) or a flag
     other than 0 and 1, or if its channel is not the first row's: a file
     holds one channel.  A file holding only whitespace, or a header
-    followed only by blank lines, reads as an empty stream.  Lines end
-    where ``str.splitlines`` ends them.  No ordering is imposed here;
-    consumers that need sorted input enforce it themselves.
+    followed only by blank lines, reads as an empty stream.  Lines end at
+    ``\\n``, ``\\r\\n`` or ``\\r`` (universal newlines), and each field is
+    stripped of the whitespace ``str.strip`` removes before it is parsed.
+    No ordering is imposed here; consumers that need sorted input enforce
+    it themselves.
 
-    A plain file (see :func:`_plain`) with the header and a row goes to
-    ``np.loadtxt`` by its path, and its columns are checked whole.  Any
-    other input, a pipe too, and a plain file that route refuses, is read
+    A regular file not named as compressed goes to ``np.loadtxt`` by its
+    path (see :func:`_read_plain`), and its columns are checked whole.
+    Any other input, a pipe too, and a file that route refuses, is read
     once by :func:`_read_events_rows` with Python's ``float`` and ``int``,
-    which also take spellings such as ``1_0``.  The text is UTF-8: a byte
-    that does not decode names its line, ahead of any malformed line.
+    which also take spellings such as ``1_0``.  The two rules are the
+    ones ``np.loadtxt`` applies, so both routes read the same text alike.
+    The text is UTF-8: a byte that does not decode names its line, ahead
+    of any malformed line.
     """
     path = Path(path)
-    events = _read_plain(path) if _plain(path) else None
+    # ``loadtxt`` reads a path once more after the header check (a pipe
+    # would be used up) and opens a compressed name with a decompressor
+    plain = path.is_file() and path.suffix not in _COMPRESSED_SUFFIXES
+    events = _read_plain(path) if plain else None
     return _read_events_rows(path) if events is None else events
 
 
 def _read_plain(path: Path) -> EventStream | None:
-    """:func:`read_events_csv` of a plain file by ``np.loadtxt``, or None if
-    it lacks the header or a row, or ``loadtxt`` or a column check refuses it."""
-    with path.open(encoding="utf-8") as fh:  # universal newlines end a plain file's lines as :func:`_lines` does
-        if fh.readline().strip() != EVENTS_HEADER or not any(map(str.strip, fh)):
-            return None  # ``loadtxt`` warns on a file without rows
+    """:func:`read_events_csv` of a regular file by ``np.loadtxt``, or None
+    if it lacks the header or a row, does not decode (``UnicodeDecodeError``
+    is a ``ValueError``), or ``loadtxt`` or a column check refuses it."""
     try:
+        with path.open(encoding="utf-8") as fh:  # universal newlines, as ``loadtxt`` reads it
+            if fh.readline().strip() != EVENTS_HEADER or not any(map(str.strip, fh)):
+                return None  # ``loadtxt`` warns on a file without rows
         rows = np.loadtxt(path, skiprows=1, encoding="utf-8", delimiter=",", comments=None, ndmin=1,
                           dtype=_EVENTS_DTYPE)
     except ValueError:
@@ -464,7 +473,8 @@ def _read_events_rows(path: Path) -> EventStream:
                 parts = row.split(",")
                 if len(parts) != 3:
                     raise ValueError(f"expected 3 fields, got {len(parts)}")
-                time_s, channel, flag = float(parts[0]), int(parts[1]), int(parts[2])
+                # ``float`` and ``int`` do not skip \x1c-\x1f, which ``str.strip`` and ``loadtxt`` do
+                time_s, channel, flag = float(parts[0].strip()), int(parts[1].strip()), int(parts[2].strip())
                 if not math.isfinite(time_s):
                     raise ValueError(f"t_req_s must be finite, got {parts[0]!r}")
                 if channel < 0:
@@ -493,53 +503,23 @@ def _read_events_rows(path: Path) -> EventStream:
 
 
 def _numbered_lines(path: Path, fh):
-    """The lines of a text file opened with ``surrogateescape``, numbered
-    from 1, as :func:`_lines` splits them.  A line that is not ASCII is
-    checked for a byte UTF-8 does not decode, which that error handler
-    read as a lone surrogate, and such a byte names its line."""
-    for ln, line in enumerate(_lines(fh), start=1):
+    """The lines of a text file opened with universal newlines and
+    ``surrogateescape``, numbered from 1, without their ``\\n``.  A line
+    that is not ASCII is checked for a byte UTF-8 does not decode, which
+    that error handler read as a lone surrogate, and such a byte names its
+    line."""
+    for ln, line in enumerate(fh, start=1):
         if not line.isascii():
             try:
                 line.encode("utf-8", "surrogateescape").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CsvFormatError(f"{path}: line {ln}: byte {exc.object[exc.start]:#04x} is not UTF-8 "
                                      f"({exc.reason})") from None
-        yield ln, line
+        yield ln, line.removesuffix("\n")
 
-
-#: The ASCII characters other than \n and \r at which ``str.splitlines`` ends a line.
-_SPLITLINES_ONLY = [bytes([c]) for c in b"\x0b\x0c\x1c\x1d\x1e"]
 
 #: The suffixes for which ``np.loadtxt`` opens a path with a decompressor.
 _COMPRESSED_SUFFIXES = frozenset({".bz2", ".gz", ".lzma", ".xz"})
-
-
-def _plain(path: Path) -> bool:
-    """Whether ``np.loadtxt`` reads a file by its path as the lines
-    :func:`_lines` gives: a regular file (this scan would use up a
-    pipe), not named as compressed, ASCII and holding
-    none of ``_SPLITLINES_ONLY``, so that universal newlines end the same
-    lines; scanned 64 KiB at a time."""
-    if not path.is_file() or path.suffix in _COMPRESSED_SUFFIXES:
-        return False
-    with path.open("rb") as fh:
-        while chunk := fh.read(1 << 16):
-            if not chunk.isascii() or any(c in chunk for c in _SPLITLINES_ONLY):
-                return False
-    return True
-
-
-def _lines(fh):
-    """The lines of an open text file, split as ``str.splitlines`` splits
-    its whole text, read ``_BLOCK`` characters at a time."""
-    tail = ""
-    while chunk := fh.read(_BLOCK):
-        # a sentinel character ends the last line only if the chunk did not
-        lines = (tail + chunk + "x").splitlines()
-        tail = lines.pop()[:-1]
-        yield from lines
-    if tail:
-        yield tail
 
 
 def write_trace_csv(path: Union[str, Path], trace: StateTrace) -> Path:

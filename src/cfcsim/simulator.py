@@ -88,8 +88,8 @@ class EventStream:
         self.t_req = np.asarray(t_req, dtype=np.float64)
         self.channel = int(channel)
         self.sf = np.asarray(sf, dtype=np.uint8)
-        if self.t_req.shape != self.sf.shape:
-            raise ValueError("event columns must have matching shapes")
+        if self.t_req.ndim != 1 or self.t_req.shape != self.sf.shape:
+            raise ValueError("event columns must be one-dimensional, of matching shapes")
 
     @classmethod
     def empty(cls) -> "EventStream":

@@ -4,6 +4,7 @@ import re
 import runpy
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,33 @@ def test_decode_pipe_with_a_malformed_row_exit_3_names_line(tmp_path, capsys):
     finally:
         os.close(read_end)
     assert f"error: /dev/fd/{read_end}: line 2: sf must be 0 or 1, got 2" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+def test_decode_of_a_file_and_of_a_pipe_write_the_same_recon(tmp_path):
+    # a jittered staircase over both ranges: a regular file is parsed by
+    # ``np.loadtxt``, a pipe row by row
+    spec = {"name": "routes", "seed": 3, "ack": {"latency": 0.1e-6, "jitter": 0.2e-6},
+            "stimulus": {"kind": "staircase", "start": 12.5e-9, "stop": 3.2e-6, "steps": 20, "dwell": 0.05}}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["simulate", "--config", str(spec_path), "--out", str(tmp_path / "run")]) == 0
+    events = (tmp_path / "run" / "events.csv").read_bytes()
+    assert main(["decode", str(tmp_path / "run" / "events.csv"), "--config", str(spec_path),
+                 "--out", str(tmp_path / "file"), "--compensate"]) == 0
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(write_end, events), os.close(write_end)))
+    writer.start()  # the file is larger than a pipe's buffer
+    try:
+        assert main(["decode", f"/dev/fd/{read_end}", "--config", str(spec_path),
+                     "--out", str(tmp_path / "pipe"), "--compensate"]) == 0
+    finally:
+        os.close(read_end)  # a reader that stopped early leaves the writer a broken pipe, not a wait
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    recon = (tmp_path / "file" / "recon.csv").read_bytes()
+    assert recon.count(b"\n") == events.count(b"\n") - 1 > 100_000
+    assert (tmp_path / "pipe" / "recon.csv").read_bytes() == recon
 
 
 def test_decode_channel_of_2_64_exit_3_names_line(tmp_path, capsys):

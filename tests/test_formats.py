@@ -1,4 +1,3 @@
-import io
 import math
 import os
 import re
@@ -85,12 +84,13 @@ def test_events_channel_of_2_63_or_more_names_its_line(tmp_path):
 
 
 def _read_rows(text):
-    """An events file read one row at a time with Python's float and int:
-    the times, the channel of each row and the flags."""
+    """An events file read one row at a time with Python's float and int,
+    its lines ended by universal newlines and each field stripped: the
+    times, the channel of each row and the flags."""
     t, ch, sf = [], [], []
-    for row in text.splitlines()[1:]:
+    for row in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")[1:]:
         if row.strip():
-            time_s, channel, flag = row.split(",")
+            time_s, channel, flag = (field.strip() for field in row.split(","))
             t.append(float(time_s))
             ch.append(int(channel))
             sf.append(int(flag))
@@ -123,8 +123,7 @@ _SPELLINGS = [repr, "{:.17g}".format, "{:.17e}".format, "{:+.20f}".format, lambd
         st.tuples(_TIMES, st.sampled_from(range(len(_SPELLINGS))), st.sampled_from([0, 1]), st.booleans()),
         min_size=1, max_size=40,
     ),
-    # the first three are read from the path, the others line by line
-    line_break=st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"]),
+    line_break=st.sampled_from(["\n", "\r\n", "\r"]),
 )
 @example(channel=2**63 - 1, rows=[(5e-324, 0, 1, False), (-0.0, 0, 0, True), (1e-310, 1, 0, False)], line_break="\n")
 def test_events_reader_matches_the_row_parser(tmp_path_factory, channel, rows, line_break):
@@ -141,8 +140,8 @@ def test_events_reader_matches_the_row_parser(tmp_path_factory, channel, rows, l
 @pytest.mark.parametrize("body", [
     "0.1,0,0\n   \n0.2,0,1\n",        # a whitespace-only row
     "1_0,1_0,0\n0.5,1_0,1\n",         # digit-group underscores
-    "0.1,0,0\x0c0.2,0,1\n",             # form feed ends a line
-    "0.1,0,0\u20280.2,0,1\n",           # so does U+2028
+    "0.1,0,0\x0c0.2,0,1\n",             # form feed ends no line: five fields
+    "0.1,0,0\u20280.2,0,1\n",           # nor does U+2028
     "\u0661.\u0665,\u0663,0\n",         # Arabic-Indic digits
     "\uff11.\uff15,\uff11\uff12,1\n",    # fullwidth digits
     "\n\n0.1,0,0\n",
@@ -150,6 +149,12 @@ def test_events_reader_matches_the_row_parser(tmp_path_factory, channel, rows, l
 def test_events_reader_edge_rows_read_as_the_row_parser(tmp_path, body):
     p = tmp_path / "events.csv"
     p.write_text("t_req_s,channel,sf\n" + body)
+    try:
+        _read_rows(p.read_text())
+    except ValueError:  # a row of five fields
+        with pytest.raises(CsvFormatError, match=r": line 2: expected 3 fields, got 5$"):
+            read_events_csv(p)
+        return
     _assert_reads_as_rows(p)
 
 
@@ -164,13 +169,6 @@ def test_events_second_channel_names_its_line(tmp_path, body, line):
     with pytest.raises(CsvFormatError, match=rf": line {line}: channel \d+ differs from the first row's channel 4; "
                                              "an events file holds one channel$"):
         read_events_csv(p)
-
-
-def test_events_header_and_separator_on_one_line(tmp_path):
-    # a form feed after the header starts the first row
-    p = tmp_path / "events.csv"
-    p.write_text("t_req_s,channel,sf\x0c0.1,0,0")
-    assert read_events_csv(p).t_req.tolist() == [0.1]
 
 
 @pytest.mark.parametrize("row", ["nan,0,0", "inf,0,0", "infinity,0,0", "-Infinity,0,1", "1e400,0,0"])
@@ -190,8 +188,8 @@ def test_events_header_then_blank_lines_reads_empty_without_warning(tmp_path):
             assert len(read_events_csv(p)) == 0
 
 
-# the line breaks of ``str.splitlines`` that universal newlines do not take
-_SPLITLINES_ONLY = [b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", "\x85".encode(), "\u2028".encode()]
+# the line breaks of ``str.splitlines`` that end no line of an events file
+_NOT_NEWLINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
 
 
 @pytest.mark.parametrize("text", [
@@ -201,13 +199,13 @@ _SPLITLINES_ONLY = [b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", "\x85".encode()
     b"t_req_s,channel,sf\n0.1,3,0\n0.2,x,1",
     b"t_req_s,channel,sf\n\n0.1,3,0\n\n \t\n0.2,3,1\n\n",
     b"t_req_s,channel,sf\n\n \n\t\n",
-    # a bad row far into the file, many chunks of text in
+    # a bad row far into the file
     b"t_req_s,channel,sf\n" + b"0.1,0,0\n" * 60_001 + b"0.2,0,2\n",
-    # a line break of ``str.splitlines`` alone inside a row, which a reader
-    # with universal newlines takes for whitespace around the channel
-    *(b"t_req_s,channel,sf\n0.1,0" + sep + b",1\n" for sep in _SPLITLINES_ONLY),
+    # a line break of ``str.splitlines`` alone inside a row: whitespace
+    # after the channel, which both routes strip
+    *(f"t_req_s,channel,sf\n0.1,0{sep},1\n".encode() for sep in _NOT_NEWLINES),
 ], ids=["crlf", "crlf-bad-row", "no-final-newline", "no-final-newline-bad-row", "blank-lines-between-rows",
-        "header-then-blank-lines", "bad-row-at-line-60003", *(f"split-at-{sep!r}" for sep in _SPLITLINES_ONLY)])
+        "header-then-blank-lines", "bad-row-at-line-60003", *(f"padded-by-{sep!r}" for sep in _NOT_NEWLINES)])
 def test_events_reader_streams_as_the_row_reader_reads(tmp_path, text):
     # the same stream, or the same error on the same line, as the per-row
     # reader; pytest turns a numpy warning into an error
@@ -271,6 +269,64 @@ def _read_pipe(text):
         os.close(read_end)
 
 
+def _read_both(path, text):
+    """What ``text`` reads as from the regular file ``path`` and from a
+    pipe: each stream's columns, or its error without the path."""
+    path.write_bytes(text)
+    got = []
+    for read in (lambda: read_events_csv(path), lambda: _read_pipe(text)):
+        try:
+            ev = read()
+        except CsvFormatError as exc:
+            got.append(str(exc).split(": ", 1)[1])
+        else:
+            got.append((ev.t_req.tobytes(), ev.channel, ev.sf.tobytes()))
+    return got
+
+
+def _padding():
+    """Every character that ``str.isspace`` takes or ``str.splitlines``
+    ends a line at, but \\n and \\r: each line of all characters in order,
+    but the last, ends at such a break."""
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    breaks = {line[-1] for line in chars.splitlines(keepends=True)[:-1]}
+    return sorted({*filter(str.isspace, chars), *breaks} - {"\n", "\r"})
+
+
+_PADS = st.text(st.sampled_from(_padding()), max_size=2)
+_JUNK_ROWS = ["x,3,0", "0.1,3", "0.1,3,1,", "0.1,3,2", "0.1,3.0,1", "nan,3,0", "0.1,-1,0", "0.1,4,0", "1_0,3,1",
+              "", " \t"]
+
+
+@st.composite
+def _padded_rows(draw):
+    fields = [draw(st.sampled_from(_SPELLINGS))(draw(_TIMES)), "3", str(draw(st.sampled_from([0, 1])))]
+    return ",".join(draw(_PADS) + field + draw(_PADS) for field in fields)
+
+
+@_HAS_FD
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.one_of(_padded_rows(), st.sampled_from(_JUNK_ROWS)), min_size=1, max_size=20),
+       line_break=st.sampled_from(["\n", "\r\n", "\r"]))
+@example(rows=["0.1,3,1\x1f"], line_break="\n")
+def test_events_file_and_pipe_read_alike(tmp_path_factory, rows, line_break):
+    # ``np.loadtxt`` reads the file and the row reader the pipe: the same
+    # stream, or the same error
+    text = line_break.join(["t_req_s,channel,sf", *rows]) + line_break
+    path_got, pipe_got = _read_both(tmp_path_factory.mktemp("routes") / "events.csv", text.encode())
+    assert path_got == pipe_got
+
+
+@_HAS_FD
+def test_events_header_and_separator_on_one_line(tmp_path):
+    # \x0c, \x1c and U+2028 end no line: a file broken only by them is one
+    # line, which is not the header, from a path and from a pipe
+    for sep in ["\x0c", "\x1c", "\u2028"]:
+        text = sep.join(["t_req_s,channel,sf", "0.1,0,0", "0.2,0,1", ""])
+        error = f"line 1: expected header 't_req_s,channel,sf', got {text!r}"
+        assert _read_both(tmp_path / "events.csv", text.encode()) == [error, error]
+
+
 @_HAS_FD
 @pytest.mark.parametrize("text, error", [
     (b"t_req_s,channel,sf\n0.1,0,2\n", "line 2: sf must be 0 or 1, got 2"),
@@ -292,7 +348,8 @@ def test_events_routes_are_loadtxt_for_plain_files_and_rows_for_the_rest(tmp_pat
     text = write_events_csv(tmp_path / "events.csv", EventStream(np.arange(n) / 7, 3, np.arange(n) % 2)).read_bytes()
     monkeypatch.setattr(formats, "_read_events_rows", refuse)
     for name, data in [("lf.csv", text), ("crlf.csv", text.replace(b"\n", b"\r\n")),
-                       ("blank-end.csv", text + b"\n\n\n")]:
+                       ("blank-end.csv", text + b"\n\n\n"), ("non-ascii.csv", text.replace(b",3,", b",\xc2\xa03,")),
+                       ("form-feed.csv", text.replace(b",3,", b",3\x0c,"))]:
         (tmp_path / name).write_bytes(data)
         assert len(read_events_csv(tmp_path / name)) == n
     monkeypatch.undo()
@@ -304,13 +361,13 @@ def test_events_routes_are_loadtxt_for_plain_files_and_rows_for_the_rest(tmp_pat
 @pytest.mark.parametrize("text, line, byte", [
     (b"t_req_s,channel,sf\n0.1,0,0\n\xff\xfe,0,0\n", 3, "0xff"),
     (b"t_req_s,ch\xe9nnel,sf\n0.1,0,0\n", 1, "0xe9"),
-    # the bad byte far into the file; a CR LF and a form feed each end one line
-    (b"t_req_s,channel,sf\r\n" + b"0.1,0,0\n" * 20_000 + b"0.2,0,0\x0c0.3,\x80,1\n", 20_003, "0x80"),
+    # the bad byte far into the file; a CR LF ends one line, a form feed none
+    (b"t_req_s,channel,sf\r\n" + b"0.1,0,0\n" * 20_000 + b"0.2,0,0\x0c0.3,\x80,1\n", 20_002, "0x80"),
     # a multi-byte sequence cut off at the end of the file
     (b"t_req_s,channel,sf\n0.1,0,0\n0.2,0,\xc3", 3, "0xc3"),
     # after a malformed row the bad byte is still the one named
     (b"t_req_s,channel,sf\nx,0,0\n0.2,0,0\xa0\n", 3, "0xa0"),
-], ids=["row", "header", "line-20003", "truncated-at-end", "after-a-bad-row"])
+], ids=["row", "header", "line-20002", "truncated-at-end", "after-a-bad-row"])
 def test_events_undecodable_byte_names_its_line(tmp_path, text, line, byte):
     p = tmp_path / "events.csv"
     p.write_bytes(text)
@@ -323,15 +380,6 @@ def test_events_undecodable_byte_is_named_before_a_malformed_row_far_above_it(tm
     p.write_bytes(b"t_req_s,channel,sf\nx,0,0\n" + b"0.1,0,0\n" * 20_000 + b"0.2,0,\xff\n")
     with pytest.raises(CsvFormatError, match=rf"^{re.escape(str(p))}: line 20003: byte 0xff is not UTF-8 \("):
         read_events_csv(p)
-
-
-@pytest.mark.parametrize("end", ["", "no line break at the end"])
-def test_lines_split_across_chunks_as_splitlines_splits(end):
-    # rows of varying length put every kind of line break on and around
-    # the chunk boundaries
-    breaks = ["\n", "\x0c", "\x1c", "\u2028", "\x85", "\v", "\n\n"]
-    text = "".join(f"{k}{breaks[k % len(breaks)]}" for k in range(3 * formats._BLOCK)) + end
-    assert list(formats._lines(io.StringIO(text))) == text.splitlines()
 
 
 def test_empty_events_file_reads_empty(tmp_path):

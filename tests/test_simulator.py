@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -341,6 +342,20 @@ def test_jitter_free_batches_follow_the_period_rule(config, i, latency, duration
         assert f"at t = {refused!r} s" in str(exc.value)
     assert got.t_req.tobytes() == np.asarray(want, dtype=np.float64).tobytes()
     assert np.all(got.sf == select_ranges(config, [i])[0])
+
+
+@pytest.mark.parametrize("i, duration, count", [(10e-12, 1.0, 99), (100e-9, 0.5, 4_995), (3e-6, 0.05, 14_563)])
+def test_flat_input_events_lie_within_2_ulp_of_exact(i, duration, count):
+    # the exact times of the float inputs, in rational arithmetic:
+    # t_k = isi + k (isi + t_rst), with isi = C_r (v_ref_h - v_ref_l) / i
+    sel = int(select_ranges(CFG, [i])[0])
+    isi = Fraction(CFG.caps[sel]) * (Fraction(CFG.v_ref_h) - Fraction(CFG.v_ref_l)) / Fraction(i)
+    period = isi + Fraction(CFG.t_rst)
+    assert (Fraction(duration) - isi) // period + 1 == count  # the t_k <= duration
+    got = simulate(CFG, constant(i, duration), duration).events.t_req.tolist()
+    assert len(got) == count
+    exact = (isi + period * k for k in range(count))
+    assert max(abs(Fraction(t) - x) / Fraction(math.ulp(float(x))) for t, x in zip(got, exact)) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -871,6 +886,17 @@ def test_event_stream_container():
     assert EventStream([0.0], 2**63 - 1, [0]).channel == 2**63 - 1
     with pytest.raises(ValueError, match="matching shapes"):
         EventStream([0.0], 0, [0, 0])
+
+
+@pytest.mark.parametrize("t_req, sf", [
+    pytest.param(np.zeros((2, 2)), np.zeros((2, 2), np.uint8), id="2-d"),
+    pytest.param(0.0, 0, id="0-d"),
+])
+def test_event_stream_refuses_columns_that_are_not_1d(t_req, sf):
+    # as SpikeTrain refuses them: a (2, 2) stream would count 4 events,
+    # decode to a (2, 2) signal and fail to write
+    with pytest.raises(ValueError, match="event columns must be one-dimensional"):
+        EventStream(t_req, 0, sf)
 
 
 @pytest.mark.parametrize("channel", [
