@@ -8,8 +8,9 @@
 ``--compensate`` subtracts the mean dead time (reset pulse, ack latency
 and half the ack jitter) from every interval before decoding.
 
-Exit codes: 0 success, 2 configuration/usage error or a path that cannot
-be read or written, 3 runtime error (running out of memory included).
+Exit codes: 0 success, 2 configuration/usage error, a malformed events
+file or a path that cannot be read or written, 3 runtime error (an event
+stream ``reconstruct`` refuses and running out of memory included).
 Omitting ``--seed`` uses the fixed default 0; nothing ever draws from
 wall-clock entropy, so identical invocations produce identical files.
 """
@@ -25,6 +26,7 @@ from typing import Optional, Sequence
 from .core import CfcConfig, ConfigError, _number
 from .experiment import (DEFAULT_SEED, compensation_for, finish_run, load_converter, load_spec, read_json_object,
                          run_decode, run_simulate, run_sweep)
+from .formats import CsvFormatError
 from .presets import PRESETS, run_preset
 from .simulator import AckModel
 
@@ -159,7 +161,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, OSError) as exc:  # an OSError names its path
+    except (ConfigError, CsvFormatError, OSError) as exc:  # a CsvFormatError and an OSError name their path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError, MemoryError) as exc:

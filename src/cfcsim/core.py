@@ -301,17 +301,21 @@ def _check_compensation(compensation: float) -> None:
 def decode(config: CfcConfig, isis, sf, compensation: float = 0.0):
     """Reconstruct input currents from inter-event intervals.
 
-    ``sf`` is the range flag of each interval's closing event.  With
-    ``compensation`` = 0 this is the plain inverse of the rate law;
-    setting it to :func:`dead_time` removes the systematic read-low
-    error at high rates.  Works elementwise on scalars or arrays.
+    ``sf`` is the range flag of each interval's closing event, 0 (low) or
+    1 (high).  With ``compensation`` = 0 this is the plain inverse of the
+    rate law; setting it to :func:`dead_time` removes the systematic
+    read-low error at high rates.  Works elementwise on scalars or arrays.
+    An interval that is not longer than the compensation, NaN included,
+    and any other flag are refused.
     """
     _check_compensation(compensation)
     isis = np.asarray(isis, dtype=np.float64)
-    if np.any(isis <= compensation):
-        raise ValueError(
-            f"interval shorter than dead time ({compensation} s): "
-            "corrupt event stream or mis-set compensation"
-        )
-    cap = np.where(np.asarray(sf) == int(RangeSelect.HIGH), config.caps[RangeSelect.HIGH], config.caps[RangeSelect.LOW])
+    if not (isis > compensation).all():
+        raise ValueError(f"interval shorter than dead time ({compensation} s) or not a number: "
+                         "corrupt event stream or mis-set compensation")
+    sf = np.asarray(sf)
+    bad = (sf != RangeSelect.LOW) & (sf != RangeSelect.HIGH)
+    if bad.any():
+        raise ValueError(f"range flag must be 0 (low) or 1 (high), got {sf[bad].tolist()[0]!r}")
+    cap = np.where(sf == RangeSelect.HIGH, config.caps[RangeSelect.HIGH], config.caps[RangeSelect.LOW])
     return cap * config.delta_v / (isis - compensation)

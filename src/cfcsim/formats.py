@@ -28,7 +28,7 @@ An events file has one line rule and one field rule: lines end at
 ``str.strip`` before it is parsed.  A regular file not named as
 compressed is parsed by ``np.loadtxt`` from its path, which applies the
 same rules.  Any other input, a pipe too, and a file that route refuses,
-is read once, row by row, in Python.
+is read once, row by row, in Python, which stops at the first fault.
 
 Schemas:
     events  ``t_req_s,channel,sf``            sf: 0 = low, 1 = high
@@ -422,8 +422,9 @@ def read_events_csv(path: Union[str, Path]) -> EventStream:
     once by :func:`_read_events_rows` with Python's ``float`` and ``int``,
     which also take spellings such as ``1_0``.  The two rules are the
     ones ``np.loadtxt`` applies, so both routes read the same text alike.
-    The text is UTF-8: a byte that does not decode names its line, ahead
-    of any malformed line.
+    The text is UTF-8: a byte that does not decode names its line.  Of
+    several faults the first in the file is named, and nothing after it
+    is read, so a live pipe reports a bad line as soon as it arrives.
     """
     path = Path(path)
     # ``loadtxt`` reads a path once more after the header check (a pipe
@@ -436,41 +437,44 @@ def read_events_csv(path: Union[str, Path]) -> EventStream:
 def _read_plain(path: Path) -> EventStream | None:
     """:func:`read_events_csv` of a regular file by ``np.loadtxt``, or None
     if it lacks the header or a row, does not decode (``UnicodeDecodeError``
-    is a ``ValueError``), or ``loadtxt`` or a column check refuses it."""
+    is a ``ValueError``), holds two channels, or ``loadtxt`` or
+    :class:`EventStream` refuses it."""
     try:
         with path.open(encoding="utf-8") as fh:  # universal newlines, as ``loadtxt`` reads it
             if fh.readline().strip() != EVENTS_HEADER or not any(map(str.strip, fh)):
                 return None  # ``loadtxt`` warns on a file without rows
         rows = np.loadtxt(path, skiprows=1, encoding="utf-8", delimiter=",", comments=None, ndmin=1,
                           dtype=_EVENTS_DTYPE)
+        t, ch, sf = (np.ascontiguousarray(rows[name]) for name in _EVENTS_DTYPE.names)
+        return EventStream(t, ch[0], sf) if (ch == ch[0]).all() else None
     except ValueError:
         return None
-    t, ch, sf = (np.ascontiguousarray(rows[name]) for name in _EVENTS_DTYPE.names)
-    if not (np.isfinite(t).all() and (ch >= 0).all() and (ch == ch[0]).all() and ((sf == 0) | (sf == 1)).all()):
-        return None
-    return EventStream(t, ch[0], sf.astype(np.uint8))
 
 
 def _read_events_rows(path: Path) -> EventStream:
-    """:func:`read_events_csv` in one pass, one row at a time, into
-    ``array("d")`` and ``array("B")`` as the event kernel fills them.
-    After a malformed line the rest is read only for an undecodable byte,
-    which is named first."""
+    """:func:`read_events_csv` in one forward pass, one row at a time, into
+    ``array("d")`` and ``array("B")`` as the event kernel fills them.  The
+    first fault read, a byte UTF-8 does not decode or a malformed line,
+    is raised there, and nothing after it is read."""
     t, sf = array("d"), array("B")
     channel_0 = 0  # the first row's channel; a stream without rows has channel 0
     with path.open(encoding="utf-8", errors="surrogateescape") as fh:
-        lines = _numbered_lines(path, fh)
-        _, header = next(lines, (1, ""))
-        error = None  # the first malformed line
-        if header.strip() != EVENTS_HEADER:
-            error = f"line 1: expected header {EVENTS_HEADER!r}, got {header!r}"
-        for ln, row in lines:
-            if not row.strip():
+        for ln, line in enumerate(fh, start=1):
+            if not line.isascii():  # ``surrogateescape`` reads a byte UTF-8 does not decode as a lone surrogate
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CsvFormatError(f"{path}: line {ln}: byte {exc.object[exc.start]:#04x} is not UTF-8 "
+                                         f"({exc.reason})") from None
+            if ln == 1:
+                header = line.removesuffix("\n")
+                has_header = header.strip() == EVENTS_HEADER
+            if not line.strip() or ln == 1 and has_header:
                 continue
-            if error is not None:
-                break  # a row below a line 1 that is not the header
+            if not has_header:  # a line 1 that is not the header, or a blank one above a row
+                raise CsvFormatError(f"{path}: line 1: expected header {EVENTS_HEADER!r}, got {header!r}")
             try:
-                parts = row.split(",")
+                parts = line.split(",")
                 if len(parts) != 3:
                     raise ValueError(f"expected 3 fields, got {len(parts)}")
                 # ``float`` and ``int`` do not skip \x1c-\x1f, which ``str.strip`` and ``loadtxt`` do
@@ -487,35 +491,11 @@ def _read_events_rows(path: Path) -> EventStream:
                     raise ValueError(f"channel {channel} differs from the first row's channel {channel_0}; "
                                      "an events file holds one channel")
             except ValueError as exc:
-                error = f"line {ln}: {exc}"
-                break
+                raise CsvFormatError(f"{path}: line {ln}: {exc}") from None
             channel_0 = channel
             t.append(time_s)
             sf.append(flag)
-        else:
-            if not header.strip():
-                error = None  # only whitespace: an empty stream
-        for _ in lines:  # the rest, for an undecodable byte
-            pass
-    if error is not None:
-        raise CsvFormatError(f"{path}: {error}")
     return EventStream(np.frombuffer(t), channel_0, np.frombuffer(sf, dtype=np.uint8))
-
-
-def _numbered_lines(path: Path, fh):
-    """The lines of a text file opened with universal newlines and
-    ``surrogateescape``, numbered from 1, without their ``\\n``.  A line
-    that is not ASCII is checked for a byte UTF-8 does not decode, which
-    that error handler read as a lone surrogate, and such a byte names its
-    line."""
-    for ln, line in enumerate(fh, start=1):
-        if not line.isascii():
-            try:
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CsvFormatError(f"{path}: line {ln}: byte {exc.object[exc.start]:#04x} is not UTF-8 "
-                                     f"({exc.reason})") from None
-        yield ln, line.removesuffix("\n")
 
 
 #: The suffixes for which ``np.loadtxt`` opens a path with a decompressor.

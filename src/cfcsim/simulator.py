@@ -77,7 +77,9 @@ class EventStream:
 
     Request times and range flags (0 = low, 1 = high) in two flat arrays
     rather than one object per event, 9 bytes an event, and the channel
-    address they were all sent under, one int in [0, 2**63).
+    address they were all sent under, one int in [0, 2**63).  A time that
+    is not finite and a flag other than 0 and 1 are refused, naming the
+    first such event.
     """
 
     __slots__ = ("t_req", "channel", "sf")
@@ -85,11 +87,19 @@ class EventStream:
     def __init__(self, t_req: np.ndarray, channel: int, sf: np.ndarray):
         if not _is_address(channel):
             raise ValueError(f"an event stream holds one channel, an integer in [0, 2**63), got {channel!r}")
-        self.t_req = np.asarray(t_req, dtype=np.float64)
+        t = self.t_req = np.asarray(t_req, dtype=np.float64)
         self.channel = int(channel)
-        self.sf = np.asarray(sf, dtype=np.uint8)
-        if self.t_req.ndim != 1 or self.t_req.shape != self.sf.shape:
+        sf = np.asarray(sf)
+        if t.ndim != 1 or t.shape != sf.shape:
             raise ValueError("event columns must be one-dimensional, of matching shapes")
+        # min and max, which propagate a NaN, make no temporary the size of the stream
+        if not (math.isfinite(t.min(initial=0.0)) and math.isfinite(t.max(initial=0.0))):
+            k = int(np.argmin(np.isfinite(t)))
+            raise ValueError(f"event times must be finite: event {k} is at t = {float(t[k])!r} s")
+        if not (sf.dtype == np.uint8 and sf.max(initial=0) <= 1 or ((sf == 0) | (sf == 1)).all()):
+            k = int(np.argmin((sf == 0) | (sf == 1)))
+            raise ValueError(f"range flags must be 0 or 1: event {k} has flag {sf[k].item()!r}")
+        self.sf = sf.astype(np.uint8, copy=False)
 
     @classmethod
     def empty(cls) -> "EventStream":

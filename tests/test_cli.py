@@ -148,27 +148,27 @@ def test_decode_shuffled_rows_exit_3(tmp_path):
     assert main(["decode", str(p), "--out", str(tmp_path / "out")]) == 3
 
 
-def test_decode_malformed_row_exit_3_names_line(tmp_path, capsys):
+def test_decode_malformed_row_exit_2_names_line(tmp_path, capsys):
     p = tmp_path / "events.csv"
     p.write_text("t_req_s,channel,sf\n0.1,0,0\noops\n")
-    assert main(["decode", str(p), "--out", str(tmp_path / "out")]) == 3
+    assert main(["decode", str(p), "--out", str(tmp_path / "out")]) == 2
     assert "line 3" in capsys.readouterr().err
 
 
-def test_decode_undecodable_byte_exit_3_names_file_and_line(tmp_path, capsys):
+def test_decode_undecodable_byte_exit_2_names_file_and_line(tmp_path, capsys):
     p = tmp_path / "events.csv"
     p.write_bytes(b"t_req_s,channel,sf\n0.1,0,0\n\xff\xfe,0,0\n")
-    assert main(["decode", str(p), "--out", str(tmp_path / "out")]) == 3
+    assert main(["decode", str(p), "--out", str(tmp_path / "out")]) == 2
     assert f"error: {p}: line 3: byte 0xff is not UTF-8" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
-def test_decode_pipe_with_a_malformed_row_exit_3_names_line(tmp_path, capsys):
+def test_decode_pipe_with_a_malformed_row_exit_2_names_line(tmp_path, capsys):
     read_end, write_end = os.pipe()
     try:
         os.write(write_end, b"t_req_s,channel,sf\n0.1,0,2\n")
         os.close(write_end)
-        assert main(["decode", f"/dev/fd/{read_end}", "--out", str(tmp_path / "out")]) == 3
+        assert main(["decode", f"/dev/fd/{read_end}", "--out", str(tmp_path / "out")]) == 2
     finally:
         os.close(read_end)
     assert f"error: /dev/fd/{read_end}: line 2: sf must be 0 or 1, got 2" in capsys.readouterr().err
@@ -201,10 +201,10 @@ def test_decode_of_a_file_and_of_a_pipe_write_the_same_recon(tmp_path):
     assert (tmp_path / "pipe" / "recon.csv").read_bytes() == recon
 
 
-def test_decode_channel_of_2_64_exit_3_names_line(tmp_path, capsys):
+def test_decode_channel_of_2_64_exit_2_names_line(tmp_path, capsys):
     p = tmp_path / "events.csv"
     p.write_text("t_req_s,channel,sf\n0.1,0,0\n0.2,18446744073709551616,0\n")
-    assert main(["decode", str(p), "--out", str(tmp_path / "out")]) == 3
+    assert main(["decode", str(p), "--out", str(tmp_path / "out")]) == 2
     assert "line 3: channel must be below 2**63" in capsys.readouterr().err
 
 
@@ -233,10 +233,10 @@ def test_decode_compensate_names_a_too_short_interval_exit_3(tmp_path, capsys):
     assert main(["decode", str(p), "--out", str(tmp_path / "out")]) == 0
 
 
-def test_decode_second_channel_names_its_line_exit_3(tmp_path, capsys):
+def test_decode_second_channel_names_its_line_exit_2(tmp_path, capsys):
     p = tmp_path / "events.csv"
     p.write_text("t_req_s,channel,sf\n0.1,2,0\n0.2,2,0\n0.3,5,1\n")
-    assert main(["decode", str(p), "--out", str(tmp_path / "out")]) == 3
+    assert main(["decode", str(p), "--out", str(tmp_path / "out")]) == 2
     assert "line 4: channel 5 differs from the first row's channel 2" in capsys.readouterr().err
     assert not (tmp_path / "out" / "recon.csv").exists()
 

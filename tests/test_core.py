@@ -275,6 +275,16 @@ def test_decode_interval_shorter_than_dead_time():
         decode(CFG, 1e-3, RangeSelect.LOW, compensation=-1e-9)
 
 
+def test_decode_refuses_a_nan_interval_and_a_flag_other_than_0_and_1():
+    # a NaN is not longer than any compensation, and a flag of 2 is no range
+    with pytest.raises(ValueError, match="shorter than dead time .* or not a number"):
+        decode(CFG, [math.nan], [0])
+    with pytest.raises(ValueError, match=r"range flag must be 0 \(low\) or 1 \(high\), got 2$"):
+        decode(CFG, [1e-3], [2])
+    with pytest.raises(ValueError, match="got 0.5$"):
+        decode(CFG, np.array([1e-3, 1e-3]), np.array([1.0, 0.5]))
+
+
 def test_dead_time_is_reset_plus_mean_ack_wait():
     assert dead_time(CFG, AckModel()) == CFG.t_rst
     assert dead_time(CFG, AckModel(latency=4e-7)) == pytest.approx(5e-7, rel=1e-12)

@@ -2,6 +2,7 @@ import math
 import os
 import re
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -358,28 +359,56 @@ def test_events_routes_are_loadtxt_for_plain_files_and_rows_for_the_rest(tmp_pat
     assert len(read_events_csv(tmp_path / "events.csv.gz")) == len(_read_pipe(text)) == n
 
 
-@pytest.mark.parametrize("text, line, byte", [
-    (b"t_req_s,channel,sf\n0.1,0,0\n\xff\xfe,0,0\n", 3, "0xff"),
-    (b"t_req_s,ch\xe9nnel,sf\n0.1,0,0\n", 1, "0xe9"),
+@pytest.mark.parametrize("text, error", [
+    (b"t_req_s,channel,sf\n0.1,0,0\n\xff\xfe,0,0\n", "line 3: byte 0xff is not UTF-8 ("),
+    (b"t_req_s,ch\xe9nnel,sf\n0.1,0,0\n", "line 1: byte 0xe9 is not UTF-8 ("),
     # the bad byte far into the file; a CR LF ends one line, a form feed none
-    (b"t_req_s,channel,sf\r\n" + b"0.1,0,0\n" * 20_000 + b"0.2,0,0\x0c0.3,\x80,1\n", 20_002, "0x80"),
+    (b"t_req_s,channel,sf\r\n" + b"0.1,0,0\n" * 20_000 + b"0.2,0,0\x0c0.3,\x80,1\n",
+     "line 20002: byte 0x80 is not UTF-8 ("),
     # a multi-byte sequence cut off at the end of the file
-    (b"t_req_s,channel,sf\n0.1,0,0\n0.2,0,\xc3", 3, "0xc3"),
-    # after a malformed row the bad byte is still the one named
-    (b"t_req_s,channel,sf\nx,0,0\n0.2,0,0\xa0\n", 3, "0xa0"),
+    (b"t_req_s,channel,sf\n0.1,0,0\n0.2,0,\xc3", "line 3: byte 0xc3 is not UTF-8 ("),
+    # a malformed row above the bad byte is the first fault, and is named
+    (b"t_req_s,channel,sf\nx,0,0\n0.2,0,0\xa0\n", "line 2: could not convert string to float: 'x'"),
 ], ids=["row", "header", "line-20002", "truncated-at-end", "after-a-bad-row"])
-def test_events_undecodable_byte_names_its_line(tmp_path, text, line, byte):
+def test_events_undecodable_byte_names_its_line(tmp_path, text, error):
     p = tmp_path / "events.csv"
     p.write_bytes(text)
-    with pytest.raises(CsvFormatError, match=rf"^{re.escape(str(p))}: line {line}: byte {byte} is not UTF-8 \("):
+    with pytest.raises(CsvFormatError, match=rf"^{re.escape(f'{p}: {error}')}"):
         read_events_csv(p)
 
 
-def test_events_undecodable_byte_is_named_before_a_malformed_row_far_above_it(tmp_path):
+def test_events_malformed_row_is_named_before_an_undecodable_byte_far_below_it(tmp_path):
     p = tmp_path / "events.csv"
     p.write_bytes(b"t_req_s,channel,sf\nx,0,0\n" + b"0.1,0,0\n" * 20_000 + b"0.2,0,\xff\n")
-    with pytest.raises(CsvFormatError, match=rf"^{re.escape(str(p))}: line 20003: byte 0xff is not UTF-8 \("):
+    with pytest.raises(CsvFormatError, match=rf"^{re.escape(str(p))}: line 2: could not convert string to float: 'x'$"):
         read_events_csv(p)
+
+
+@_HAS_FD
+def test_events_pipe_names_a_malformed_line_before_its_writer_closes():
+    # a live stream: the reader names line 2 as soon as it arrives, without
+    # waiting for the end of the input.  The read runs in a thread, so that
+    # a reader that waits fails here rather than hanging the suite
+    read_end, write_end = os.pipe()
+    got = []
+
+    def read():
+        try:
+            read_events_csv(f"/dev/fd/{read_end}")
+        except CsvFormatError as exc:
+            got.append(str(exc))
+
+    reader = threading.Thread(target=read, daemon=True)
+    try:
+        os.write(write_end, b"t_req_s,channel,sf\n0.1,0,2\n")
+        reader.start()
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "the reader waited for the writer to close"
+    finally:
+        os.close(write_end)  # ends a waiting read, so the thread finishes
+        reader.join(timeout=10)
+        os.close(read_end)
+    assert got == [f"/dev/fd/{read_end}: line 2: sf must be 0 or 1, got 2"]
 
 
 def test_empty_events_file_reads_empty(tmp_path):

@@ -344,18 +344,88 @@ def test_jitter_free_batches_follow_the_period_rule(config, i, latency, duration
     assert np.all(got.sf == select_ranges(config, [i])[0])
 
 
+def _cycle_charge(i):
+    """The exact charge C_r (v_ref_h - v_ref_l) of one cycle from a reset,
+    under ``CFG``, in the range of current ``i``, and that range."""
+    sel = int(select_ranges(CFG, [i])[0])
+    return Fraction(CFG.caps[sel]) * (Fraction(CFG.v_ref_h) - Fraction(CFG.v_ref_l)), sel
+
+
+def _max_ulps(got, exact):
+    """The largest distance of a float time from its exact value, in ulps
+    of the exact value."""
+    return max(abs(Fraction(t) - x) / Fraction(math.ulp(float(x))) for t, x in zip(got, exact, strict=True))
+
+
 @pytest.mark.parametrize("i, duration, count", [(10e-12, 1.0, 99), (100e-9, 0.5, 4_995), (3e-6, 0.05, 14_563)])
 def test_flat_input_events_lie_within_2_ulp_of_exact(i, duration, count):
     # the exact times of the float inputs, in rational arithmetic:
     # t_k = isi + k (isi + t_rst), with isi = C_r (v_ref_h - v_ref_l) / i
-    sel = int(select_ranges(CFG, [i])[0])
-    isi = Fraction(CFG.caps[sel]) * (Fraction(CFG.v_ref_h) - Fraction(CFG.v_ref_l)) / Fraction(i)
+    q, _ = _cycle_charge(i)
+    isi = q / Fraction(i)
     period = isi + Fraction(CFG.t_rst)
     assert (Fraction(duration) - isi) // period + 1 == count  # the t_k <= duration
     got = simulate(CFG, constant(i, duration), duration).events.t_req.tolist()
     assert len(got) == count
-    exact = (isi + period * k for k in range(count))
-    assert max(abs(Fraction(t) - x) / Fraction(math.ulp(float(x))) for t, x in zip(got, exact)) <= 2
+    assert _max_ulps(got, (isi + period * k for k in range(count))) <= 2
+
+
+_BITS = 200  # the fractional bits an exact ramp reference keeps
+
+
+@pytest.mark.parametrize("i0, i1, duration, count, budget", [
+    (10e-12, 9e-9, 0.1, 4_478, 599),  # measured 598.1 ulp
+    (9e-9, 10e-12, 0.1, 4_478, 25_260),  # measured 25,259.5, at the last event
+    (20e-9, 3e-6, 0.02, 2_960, 331),  # measured 330.2
+    (3e-6, 20e-9, 0.02, 2_960, 2_734),  # measured 2,733.9, at the last event
+], ids=["low-rising", "low-falling", "high-rising", "high-falling"])
+def test_ramp_events_lie_within_the_per_event_budget_of_exact(i0, i1, duration, count, budget):
+    # one linear piece that stays in one range runs the per-event loop.
+    # From a reset at t the current is i_t and its slope s, and a cycle's
+    # charge q is in at t + tau, where i_t tau + s tau**2 / 2 = q:
+    # tau = 2 q / (i_t + sqrt(i_t**2 + 2 s q)).  The exact times take the
+    # root by ``math.isqrt`` and keep _BITS fractional bits, so that their
+    # denominators stay bounded.  The loop's float running sum drifts from
+    # them, most where a falling ramp barely holds a cycle's charge and the
+    # discriminant cancels
+    q, sel = _cycle_charge(i0)
+    a, b, end, dead = Fraction(i0), Fraction(i1), Fraction(duration), Fraction(CFG.t_rst)
+    slope = (b - a) / end
+    exact, t = [], Fraction(0)
+    while (a + slope * t + b) / 2 * (end - t) >= q:  # a cycle's charge is left before the end
+        i_t = a + slope * t
+        disc = i_t * i_t + 2 * slope * q
+        root = Fraction(math.isqrt(disc.numerator * 4**_BITS // disc.denominator), 2**_BITS)
+        exact.append(Fraction(round((t + 2 * q / (i_t + root)) * 2**_BITS), 2**_BITS))
+        t = exact[-1] + dead
+    got = simulate(CFG, CurrentSignal.from_samples([0.0, duration], [i0, i1]), duration).events
+    assert len(exact) == len(got) == count
+    assert np.all(got.sf == sel)
+    assert _max_ulps(got.t_req.tolist(), exact) <= budget
+
+
+@pytest.mark.parametrize("i, duration, count, budget", [
+    (10e-12, 1.0, 99, 19),  # measured 18.0 ulp
+    (100e-9, 0.5, 4_985, 444),  # measured 443.1
+    (3e-6, 0.05, 13_761, 2_854),  # measured 2,853.8
+])
+def test_jittered_flat_events_lie_within_the_batch_budget_of_exact(i, duration, count, budget):
+    # a jittered flat input runs the jittered batch.  Event k is at
+    # s_k + isi, with isi = q / i, and the next cycle starts at
+    # s_k+1 = s_k + isi + lat_k + t_rst, summed exactly over the run's own
+    # float latency draws lat_k
+    ack = AckModel(latency=1e-7, jitter=2e-7, seed=1)
+    q, _ = _cycle_charge(i)
+    isi, dead = q / Fraction(i), Fraction(CFG.t_rst)
+    exact, s = [], Fraction(0)
+    for lat in ack.latencies(CFG.channel_address):
+        if s + isi > duration:
+            break
+        exact.append(s + isi)
+        s += isi + Fraction(lat) + dead
+    got = simulate(CFG, constant(i, duration), duration, ack=ack).events.t_req.tolist()
+    assert len(exact) == len(got) == count
+    assert _max_ulps(got, exact) <= budget
 
 
 # ---------------------------------------------------------------------------
@@ -896,6 +966,22 @@ def test_event_stream_refuses_columns_that_are_not_1d(t_req, sf):
     # as SpikeTrain refuses them: a (2, 2) stream would count 4 events,
     # decode to a (2, 2) signal and fail to write
     with pytest.raises(ValueError, match="event columns must be one-dimensional"):
+        EventStream(t_req, 0, sf)
+
+
+@pytest.mark.parametrize("t_req, sf, error", [
+    pytest.param([0.0, 1e-3, 2e-3], [0, 2, 1], "range flags must be 0 or 1: event 1 has flag 2", id="flag-2"),
+    # a uint8 cast would make 256 a low-range 0
+    pytest.param([0.0, 1e-3], np.array([1, 256]), "event 1 has flag 256", id="int64-flag-256"),
+    pytest.param([0.0, 1e-3], np.array([0, 3], dtype=np.uint8), "event 1 has flag 3", id="uint8-flag-3"),
+    pytest.param([0.0, 1e-3], [0.5, 1.0], "event 0 has flag 0.5", id="float-flag"),
+    pytest.param([0.0, np.nan, 1.0], [0, 0, 0], r"event times must be finite: event 1 is at t = nan s", id="nan"),
+    pytest.param([0.0, -np.inf], [0, 0], "event 1 is at t = -inf s", id="-inf"),
+])
+def test_event_stream_refuses_non_finite_times_and_other_flags(t_req, sf, error):
+    # such a stream would decode a flag of 2 as the low range, and write a
+    # file that the events reader refuses
+    with pytest.raises(ValueError, match=error):
         EventStream(t_req, 0, sf)
 
 
