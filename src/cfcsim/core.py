@@ -227,12 +227,12 @@ def thresholds(config: CfcConfig) -> tuple[float, ...]:
     return (config.i_leak_floor, config.i_sw) + edge
 
 
-def select_ranges(config: CfcConfig, i_eff) -> np.ndarray:
+def select_ranges(config: CfcConfig, i_eff, start: int = RangeSelect.LOW) -> np.ndarray:
     """The comparator's range (uint8, 0 = LOW) for each of a sequence of
     rectified currents: HIGH at or above ``i_sw`` (a real comparator is
     metastable at the tie, and HIGH keeps the rate bounded), LOW below the
     band edge ``i_sw * (1 - hysteresis)``.  Inside the band the range in
-    force carries over; the sequence starts LOW."""
+    force carries over; before the sequence, ``start`` is in force."""
     i = np.asarray(i_eff, dtype=np.float64)
     if np.any(i < 0.0):
         raise ValueError(f"rectified current must be non-negative, got {i[i < 0.0][0]}")
@@ -241,7 +241,7 @@ def select_ranges(config: CfcConfig, i_eff) -> np.ndarray:
     if edge:
         decisive = high | ~(i >= edge[0])
         last = np.maximum.accumulate(np.where(decisive, np.arange(i.size), -1))
-        high = (last >= 0) & high[last]
+        high = np.where(last >= 0, high[last], start == RangeSelect.HIGH)
     return high.astype(np.uint8)
 
 

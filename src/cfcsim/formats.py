@@ -72,13 +72,38 @@ class CsvFormatError(ValueError):
 
 
 def _write_table(path: Union[str, Path], header: str, *columns) -> Path:
-    """Write equal-length columns as CSV rows under ``header``.
+    """Write equal-length columns as CSV rows under ``header``
+    (see :func:`_write_blocks`)."""
+    return _write_blocks(path, header, [columns])
+
+
+def _full_blocks(blocks):
+    """Blocks of equal-length columns, of any lengths, regrouped into
+    blocks of ``_BLOCK`` rows, the last holding the rest: slices of a
+    block long enough, else a join with the rows held over."""
+    held = None
+    for block in blocks:
+        if held is not None:
+            block, held = [np.concatenate(pair) for pair in zip(held, block)], None
+        n = len(block[0])
+        full = n - n % _BLOCK
+        for lo in range(0, full, _BLOCK):
+            yield [column[lo:lo + _BLOCK] for column in block]
+        held = [column[full:] for column in block] if full < n else None
+    if held is not None:
+        yield held
+
+
+def _write_blocks(path: Union[str, Path], header: str, blocks) -> Path:
+    """Write CSV rows under ``header`` from blocks of equal-length columns,
+    whose rows follow on from block to block.
 
     A column is a numpy array of floats, integers, booleans or ``<U``
     text; each cell is the UTF-8 text of ``str`` of its value, which for
     a float is its shortest round-tripping ``repr``.
-    Rows are formatted ``_BLOCK`` at a time, so memory is bounded by one
-    block rather than by the table: the band matrices of the columns
+    Rows are formatted ``_BLOCK`` at a time (:func:`_full_blocks`), so
+    memory is bounded by one block rather than by the table, however the
+    rows come: the band matrices of the columns
     (:func:`_block_cells`: integers by :func:`_int_cells`, floats by
     :func:`_float_cells` or by ``str`` after dedupe, text and booleans
     by ``str`` after dedupe) are each copied once, transposed, into their
@@ -90,11 +115,10 @@ def _write_table(path: Union[str, Path], header: str, *columns) -> Path:
     does not.  A text cell must therefore hold no NUL.
     """
     path = Path(path)
-    n = len(columns[0])
     with path.open("wb") as fh:
         fh.write(header.encode() + b"\n")
-        for lo in range(0, n, _BLOCK):
-            cells = [_block_cells(column[lo:lo + _BLOCK]) for column in columns]
+        for block in _full_blocks(blocks):
+            cells = [_block_cells(column) for column in block]
             rows = np.empty((cells[0].shape[1], sum(len(c) + 1 for c in cells)), dtype=np.uint8)
             at = 0
             for c in cells:
@@ -516,13 +540,21 @@ def write_signal_csv(path: Union[str, Path], signal: CurrentSignal) -> Path:
 
     Adjacent rows with the same time mark a step discontinuity, which
     external plotting tools render as a vertical edge.  A segment's start
-    row is left out where it repeats the previous segment's end row.
+    row is left out where it repeats the previous segment's end row.  The
+    rows are built ``_BLOCK`` segments at a time.
     """
-    t = np.column_stack((signal.times, signal.ends)).ravel()
-    i = np.column_stack((signal.i_start, signal.i_end)).ravel()
-    keep = np.ones(t.size, dtype=bool)
-    keep[2::2] = signal.i_start[1:] != signal.i_end[:-1]
-    return _write_table(path, SIGNAL_HEADER, t[keep], i[keep])
+    times, i_start, i_end = signal.times, signal.i_start, signal.i_end
+
+    def rows(lo, hi):
+        t = np.column_stack((times[lo:hi], signal._ends(lo, hi))).ravel()
+        i = np.column_stack((i_start[lo:hi], i_end[lo:hi])).ravel()
+        keep = np.ones(t.size, dtype=bool)
+        keep[0] = lo == 0 or i_start[lo] != i_end[lo - 1]
+        keep[2::2] = i_start[lo + 1:hi] != i_end[lo:hi - 1]
+        return t[keep], i[keep]
+
+    n = times.size
+    return _write_blocks(path, SIGNAL_HEADER, (rows(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)))
 
 
 def write_spikes_csv(path: Union[str, Path], train: SpikeTrain) -> Path:

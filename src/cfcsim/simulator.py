@@ -19,8 +19,8 @@ reselected.
 Threshold crossings are solved in closed form.  The stimulus is reduced
 to linear pieces of *effective* current (rectified, leak floor applied,
 split wherever the range selection can change), built as numpy columns
-together with each piece's range in one vectorised pass over the
-stimulus, and within one piece the charge balance
+together with each piece's range in vectorised passes over blocks of
+the stimulus, and within one piece the charge balance
 
     integral i_eff dt  =  C_equiv * (v_active - v_ref_l)
 
@@ -37,10 +37,12 @@ loop's running sum in the last bits.  With jitter, one cumulative sum
 over the interval and the drawn latencies places them, bit for bit as
 the per-event loop does, and its stopping tests run elementwise.
 
-The kernel reads the pieces as Python floats one block of rows at a
-time and keeps the events in typed buffers, 9 bytes an event, which the
-finished stream wraps without a copy; its memory grows with the events,
-not with Python objects per piece or candidate cycles per stretch.
+The effective pieces are built one block of at most ``core._BLOCK``
+stimulus segments at a time, and the kernel reads each block's rows as
+Python floats as it is built.  It keeps the events in typed buffers, 9
+bytes an event, which the finished stream wraps without a copy; its
+memory grows with the events, not with the pieces, Python objects per
+piece or candidate cycles per stretch.
 
 The state trace (capacitor voltages, phase and range over time) is
 rebuilt after the run from the pieces and the events, so asking for it
@@ -259,14 +261,28 @@ def _split_at(a, b, ya, yb, targets):
 def _effective_pieces(config: CfcConfig, stimulus: CurrentSignal, duration: float):
     """Linear pieces of effective (rectified + floored) current covering
     [0, duration] and the range each selects, as the columns ``starts,
-    ends, i_a, i_b, sel``.
+    ends, i_a, i_b, sel``, one block per block of stimulus pieces.
 
-    The stimulus pieces (:meth:`CurrentSignal.pieces`) are split where
-    they cross zero; the pieces of the accepted sign are rectified and
-    split at the :func:`~cfcsim.core.thresholds`.  Each piece is judged
-    at its midpoint by the rules of :mod:`cfcsim.core`.
+    The stimulus pieces (:meth:`CurrentSignal.pieces`, which checks every
+    segment before the first block) are split where they cross zero; the
+    pieces of the accepted sign are rectified and split at the
+    :func:`~cfcsim.core.thresholds`.  Each piece is judged at its midpoint
+    by the rules of :mod:`cfcsim.core`.  Every step but the range works
+    on each piece alone, and the range in force at the end of a block
+    carries into the next, so the blocks joined end to end are the
+    columns one pass over the whole stimulus would build, bit for bit.
     """
-    starts, ends, ia, ib = _split_at(*stimulus.pieces(duration), [0.0])
+    sel = RangeSelect.LOW
+    for block in stimulus.pieces(duration):
+        block = _effective_block(config, *block, sel)  # drops the stimulus block
+        sel = block[-1][-1]  # the range in force at the block's end
+        yield block
+
+
+def _effective_block(config: CfcConfig, a, b, ia, ib, sel):
+    """The columns of :func:`_effective_pieces` for one block of stimulus
+    pieces, with ``sel`` the range in force before it."""
+    starts, ends, ia, ib = _split_at(a, b, ia, ib, [0.0])
 
     # accepted by its midpoint's sign, then the magnitude of its ends: a
     # zero cut that rounds onto a piece's start is dropped, so a piece can
@@ -275,7 +291,12 @@ def _effective_pieces(config: CfcConfig, stimulus: CurrentSignal, duration: floa
     ra, rb = np.where(accepted, np.abs((ia, ib)), 0.0)
     starts, ends, ra, rb = _split_at(starts, ends, ra, rb, thresholds(config))
     i_a, i_b = np.where(above_floor(config, 0.5 * (ra + rb)), (ra, rb), 0.0)
-    return starts, ends, i_a, i_b, select_ranges(config, 0.5 * (i_a + i_b))
+    return starts, ends, i_a, i_b, select_ranges(config, 0.5 * (i_a + i_b), sel)
+
+
+def _joined(blocks):
+    """Column blocks joined end to end into whole columns."""
+    return [np.concatenate(column) for column in zip(*blocks)]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +361,9 @@ def simulate(
     bit-identical event lists on every run, with or without ``trace``,
     which only adds the :class:`StateTrace` rebuilt from the finished
     run.  Raises :class:`EventCapError` (with the events so far
-    attached) if more than ``max_events`` crossings occur.
+    attached) if more than ``max_events`` crossings occur, and a
+    ``ConfigError`` for a stimulus segment :meth:`CurrentSignal.pieces`
+    refuses, before any event.
     """
     if not duration > 0:
         raise ConfigError(f"duration must be positive, got {duration}")
@@ -353,7 +376,10 @@ def simulate(
     ack = AckModel() if ack is None else ack
     latencies = ack.latencies(config.channel_address)
 
-    pieces = _effective_pieces(config, stimulus, duration)
+    # the kernel takes each block of pieces as it is built; a trace keeps them
+    blocks = _effective_pieces(config, stimulus, duration)
+    if trace:
+        blocks = list(blocks)
 
     v_ref_h, v_ref_l, t_rst = config.v_ref_h, config.v_ref_l, config.t_rst
     caps = config.caps
@@ -370,7 +396,7 @@ def simulate(
     v = [v_ref_h, v_ref_h]  # capacitor voltages, indexed by range
     dead_until = 0.0  # end of the last reset; a piece integrates from here on
 
-    for a, b, ia, ib, sel in _block_rows(*pieces):
+    for a, b, ia, ib, sel in itertools.chain.from_iterable(_block_rows(*block) for block in blocks):
         slope = (ib - ia) / (b - a)
         c_eq = caps[sel]
         t = dead_until if dead_until > a else a
@@ -444,12 +470,12 @@ def simulate(
             v = [v_ref_h, v_ref_h]
 
     events = _channel_stream(config, ev_t, ev_sf)
-    return SimResult(events, _state_trace(config, pieces, events, ack, duration) if trace else None)
+    return SimResult(events, _state_trace(config, _joined(blocks), events, ack, duration) if trace else None)
 
 
 def _state_trace(config: CfcConfig, pieces, events: EventStream, ack: AckModel, duration: float) -> StateTrace:
     """Rebuild the state trace of a finished run from its effective pieces
-    (the columns of :func:`_effective_pieces`), its events and the
+    (the blocks of :func:`_effective_pieces`, joined), its events and the
     acknowledge latencies the kernel took for them from ``ack``.
 
     Rows: the start, every range switch, the end of the run and, per

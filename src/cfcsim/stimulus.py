@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -66,44 +66,63 @@ class CurrentSignal:
     @property
     def ends(self) -> np.ndarray:
         """Segment end times: the next segment's start, ``end`` for the last."""
-        return np.append(self.times[1:], self.end)
+        return self._ends(0, self.times.size)
+
+    def _ends(self, lo: int, hi: int) -> np.ndarray:
+        """The end times of segments ``lo`` to ``hi - 1`` (see :attr:`ends`)."""
+        return np.append(self.times[lo + 1:hi + 1], self.end)[:hi - lo]
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         """Vectorised evaluation at sorted-or-not times within [0, end];
         at a breakpoint it takes the later segment's value, right-continuous
-        like the signal itself.  A NaN time lies outside the domain.
+        like the signal itself.  A NaN time lies outside the domain.  Each
+        time reads only its own segment's bounds and values.
         """
         ts = np.asarray(ts, dtype=np.float64)
         if ts.size and not (ts.min() >= 0.0 and ts.max() <= self.end * (1 + 1e-12) + 1e-300):
             raise ValueError(f"time outside signal domain [0, {self.end}]")
-        idx = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, self.times.size - 1)
-        width = self.ends - self.times
-        rise = self.i_end - self.i_start
-        frac = np.clip((ts - self.times[idx]) / width[idx], 0.0, 1.0)
-        return self.i_start[idx] + rise[idx] * frac
+        n = self.times.size
+        idx = np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, n - 1)
+        start, i0 = self.times[idx], self.i_start[idx]
+        end = np.where(idx + 1 < n, self.times.take(idx + 1, mode="clip"), self.end)
+        frac = np.clip((ts - start) / (end - start), 0.0, 1.0)
+        return i0 + (self.i_end[idx] - i0) * frac
 
-    def pieces(self, duration: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def pieces(self, duration: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """The segments clipped to a run over [0, duration], as the linear
-        pieces ``(a, b, i_a, i_b)`` in columns, each with a finite rise
-        ``i_b - i_a`` and so finite ends.  A segment whose piece has no
-        finite rise is refused with a ``ConfigError`` naming what overflows a
-        float: its slope, or else the slope times the width in the run
-        (``i0 + inf * 0`` is NaN)."""
+        pieces ``(a, b, i_a, i_b)`` in columns, one block of at most
+        ``_BLOCK`` segments at a time, each piece with a finite rise
+        ``i_b - i_a`` and so finite ends.
+
+        Every segment of the run is checked when this is called, before
+        any block is read: a segment whose piece has no finite rise is
+        refused with a ``ConfigError`` naming it by its index in the signal
+        and what overflows a float: its slope, or else the slope times the
+        width in the run (``i0 + inf * 0`` is NaN)."""
         n = int(np.searchsorted(self.times, duration, side="left"))  # segments starting in the run
-        a = self.times[:n]
-        seg_end = self.ends[:n]
-        lo, hi = a, np.minimum(seg_end, duration)  # max(a, 0) is a itself: times start at 0
-        i0, i1 = self.i_start[:n], self.i_end[:n]
+        blocks = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+        for lo, hi in blocks:
+            self._clipped(lo, hi, duration)
+        return (self._clipped(lo, hi, duration) for lo, hi in blocks)
+
+    def _clipped(self, lo: int, hi: int, duration: float):
+        """The pieces of segments ``lo`` to ``hi - 1`` over [0, duration]
+        (see :meth:`pieces`), or the ``ConfigError`` of the first that
+        has no finite rise."""
+        a = self.times[lo:hi]
+        seg_end = self._ends(lo, hi)
+        b = np.minimum(seg_end, duration)  # max(a, 0) is a itself: times start at 0
+        i0, i1 = self.i_start[lo:hi], self.i_end[lo:hi]
         with np.errstate(over="ignore", invalid="ignore"):
             slope = (i1 - i0) / (seg_end - a)
-            i_a, i_b = i0 + slope * (lo - a), i0 + slope * (hi - a)
+            i_a, i_b = i0 + slope * 0.0, i0 + slope * (b - a)  # i0 + inf * 0 is NaN
             finite = np.isfinite(i_b - i_a)
         if not finite.all():
             j = int(np.argmin(finite))
             what = "rise over the run" if np.isfinite(slope[j]) else "slope"
-            raise ConfigError(f"segment {j} ramps from {i0[j]} A to {i1[j]} A in {seg_end[j] - a[j]} s: "
+            raise ConfigError(f"segment {lo + j} ramps from {i0[j]} A to {i1[j]} A in {seg_end[j] - a[j]} s: "
                               f"its {what} overflows a float")
-        return lo, hi, i_a, i_b
+        return a, b, i_a, i_b
 
     @classmethod
     def from_samples(cls, ts: Sequence[float], values: Sequence[float]) -> "CurrentSignal":

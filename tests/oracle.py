@@ -1,24 +1,39 @@
-"""Test machinery: the brute-force oracle and a breakpoint stimulus builder.
+"""Test machinery: the brute-force oracle, a breakpoint stimulus builder
+and a block-size switch.
 
 :func:`oracle_simulate` is the fixed-step reference integrator that the
 closed-form event solver of :func:`cfcsim.simulator.simulate` is checked
 against (``test_oracle.py`` and criterion 08 of ``test_acceptance.py``):
 same channel semantics, entirely different numerics.
 :func:`from_breakpoints` builds the piecewise stimuli those tests drive
-it with.
+it with.  :func:`block_size` runs the package's blocked loops with
+another block size, to show their results do not depend on it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from array import array
 from typing import Optional, Sequence
 
 import numpy as np
+import pytest
 
 from cfcsim.core import CfcConfig, ConfigError, Polarity, RangeSelect, _block_rows, ideal_rate, rectify
 from cfcsim.simulator import DEFAULT_EVENT_CAP, AckModel, EventCapError, EventStream, _channel_stream
 from cfcsim.stimulus import CurrentSignal
+
+
+@contextlib.contextmanager
+def block_size(k: int):
+    """Inside the ``with`` statement, ``core._BLOCK`` is ``k`` in every
+    module that reads it: each binds it under its own name."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module in ("core", "stimulus", "simulator", "formats"):
+            mp.setattr(f"cfcsim.{module}._BLOCK", k)
+        yield
 
 
 def from_breakpoints(
@@ -65,10 +80,15 @@ def from_breakpoints(
 # ---------------------------------------------------------------------------
 
 
+def _rows(blocks):
+    """The rows of blocks of columns, in order, as tuples of floats."""
+    return itertools.chain.from_iterable(_block_rows(*block) for block in blocks)
+
+
 def _raw_crossings(stimulus: CurrentSignal, duration: float, targets) -> list[float]:
     """Times where the raw signed stimulus crosses any target level."""
     times = []
-    for a, b, ia, ib in _block_rows(*stimulus.pieces(duration)):
+    for a, b, ia, ib in _rows(stimulus.pieces(duration)):
         if ib == ia:
             continue
         inv = (b - a) / (ib - ia)
@@ -81,7 +101,7 @@ def _raw_crossings(stimulus: CurrentSignal, duration: float, targets) -> list[fl
 def _fastest_ideal_isi(config: CfcConfig, stimulus: CurrentSignal, duration: float) -> Optional[float]:
     """Shortest ideal inter-event interval the stimulus can provoke."""
     max_rate = 0.0
-    for _, _, ia, ib in _block_rows(*stimulus.pieces(duration)):
+    for _, _, ia, ib in _rows(stimulus.pieces(duration)):
         ra = rectify(ia, config.polarity)
         rb = rectify(ib, config.polarity)
         lo, hi = min(ra, rb), max(ra, rb)

@@ -28,6 +28,7 @@ from cfcsim.formats import (
 )
 from cfcsim.simulator import EventStream, Phase, StateTrace, simulate
 from cfcsim.stimulus import CurrentSignal, SpikeTrain, constant, regular_train, staircase_sweep
+from oracle import block_size
 
 IDEAL = CfcConfig(t_rst=0.0, i_leak_floor=0.0)
 
@@ -615,6 +616,15 @@ def test_table_writers_match_the_per_row_reference(tmp_path, n):
         assert path.read_bytes() == expected, writer.__name__
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_table_writers_do_not_depend_on_the_block_size(tmp_path, k):
+    # blocks of a few rows: a signal's blocks of segments keep one or two
+    # rows a segment, and the writer regroups them across its blocks
+    with block_size(k):
+        for writer, args, expected in _table_cases(16):
+            assert writer(tmp_path / f"{writer.__name__}.csv", *args).read_bytes() == expected, writer.__name__
+
+
 _CELL_FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(
     [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1 / 3])
 _CELL_INT_RANGES = {np.int64: (-2**63, 2**63 - 1), np.uint64: (0, 2**64 - 1), np.uint8: (0, 255), np.bool_: (0, 1)}
@@ -794,6 +804,30 @@ def _nul_share(columns):
     """The share of NULs in the rows of a table's first block."""
     cells = [formats._block_cells(column[:formats._BLOCK]) for column in columns]
     return sum(c.size - np.count_nonzero(c) for c in cells) / sum(c.size + c.shape[1] for c in cells)
+
+
+def _sampled_signal(n):
+    """A decay sampled at ``n + 1`` points: one row a segment, all floats distinct."""
+    t = np.linspace(0.0, 1.0, n + 1)
+    return CurrentSignal.from_samples(t, 1e-9 * np.exp(-t / 0.3) + 2e-11)
+
+
+def _stepped_signal(n):
+    """A staircase of ``n`` steps: two rows a segment."""
+    return staircase_sweep(1e-12, 1e-6, n, 1e-3)
+
+
+def test_signal_writer_memory_is_one_block(tmp_path, traced_peak):
+    # the rows are built one block of segments at a time and handed to
+    # the writer in full blocks of rows.  Measured traced peaks at
+    # 3 * _BLOCK + 1 segments: 2.57 and 2.44 MB when the whole interleaved
+    # columns were built, 1.48 and 1.08 MB with the blocks
+    formats._write_table(tmp_path / "t.csv", "h", *_dense_table(formats._REPR_MAX + 1))  # the multiplier table
+    for signal in (_sampled_signal, _stepped_signal):
+        one = traced_peak(write_signal_csv, tmp_path / "s.csv", signal(formats._BLOCK + 1))
+        three = traced_peak(write_signal_csv, tmp_path / "s.csv", signal(3 * formats._BLOCK + 1))
+        assert three <= 1.1 * one, signal.__name__
+        assert three < 1.5e6, signal.__name__
 
 
 def test_table_writer_memory_is_one_block(tmp_path, traced_peak):

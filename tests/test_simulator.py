@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfcsim.core import (CfcConfig, ConfigError, Polarity, RangeSelect, dead_time, decode, ideal_isi, ideal_rate,
-                         select_ranges)
+from cfcsim.core import (_BLOCK, CfcConfig, ConfigError, Polarity, RangeSelect, dead_time, decode, ideal_isi,
+                         ideal_rate, select_ranges)
 from cfcsim.decoder import reconstruct
 from cfcsim.simulator import (
     DEFAULT_EVENT_CAP,
@@ -19,12 +19,13 @@ from cfcsim.simulator import (
     _STRETCH_BLOCK,
     _effective_pieces,
     _jittered_stretch,
+    _joined,
     _split_at,
     power_estimate,
     simulate,
 )
 from cfcsim.stimulus import CurrentSignal, constant
-from oracle import from_breakpoints
+from oracle import block_size, from_breakpoints
 
 CFG = CfcConfig()
 IDEAL = CfcConfig(t_rst=0.0, i_leak_floor=0.0)
@@ -443,7 +444,7 @@ def _per_event_reference(config, stimulus, duration, ack, max_events):
     ev_t, ev_sf = [], []
     v = [v_ref_h, v_ref_h]
     dead_until = 0.0
-    for a, b, ia, ib, sel in zip(*(col.tolist() for col in _effective_pieces(config, stimulus, duration))):
+    for a, b, ia, ib, sel in zip(*(col.tolist() for col in _joined(_effective_pieces(config, stimulus, duration)))):
         slope = (ib - ia) / (b - a)
         c_eq = caps[sel]
         t = dead_until if dead_until > a else a
@@ -622,18 +623,27 @@ def _ref_segment_selection(config, segments):
     return sels
 
 
-# thresholds of the configs below and their negatives, or any level
+# thresholds of the configs below and their negatives, 8 nA inside both
+# hysteresis bands, or any level
 _LEVELS = st.one_of(
-    st.sampled_from([s * v for v in (0.0, 2e-12, 5.5e-12, 7e-9, 7.5e-9, 1e-8, 2.5e-8) for s in (1.0, -1.0)]),
+    st.sampled_from([s * v for v in (0.0, 2e-12, 5.5e-12, 7e-9, 7.5e-9, 8e-9, 1e-8, 2.5e-8) for s in (1.0, -1.0)]),
     st.floats(min_value=-3e-8, max_value=3e-8),
 )
 
+_SIGNED_CONFIGS = st.sampled_from([
+    CFG,
+    CfcConfig(hysteresis=0.3),
+    CfcConfig(polarity=Polarity.SOURCE_P),
+    CfcConfig(polarity=Polarity.SOURCE_P, hysteresis=0.25, i_leak_floor=0.0),
+])
+
 
 @st.composite
-def _signed_signals(draw):
-    """Columns of a signed signal: up to eight flat or ramping pieces,
-    each starting where the last ended or stepping to a new level."""
-    gaps = draw(st.lists(st.floats(min_value=1e-4, max_value=1e-2), min_size=1, max_size=8))
+def _signed_signals(draw, min_size=1, max_size=8, longest=1e-2):
+    """Columns of a signed signal: ``min_size`` to ``max_size`` flat or
+    ramping pieces up to ``longest`` seconds long, each starting where the
+    last ended or stepping to a new level."""
+    gaps = draw(st.lists(st.floats(min_value=1e-4, max_value=longest), min_size=min_size, max_size=max_size))
     times = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
     i_start, i_end = [], []
     for _ in gaps:
@@ -646,12 +656,7 @@ def _signed_signals(draw):
 @settings(max_examples=300, deadline=None)
 @given(
     signal=_signed_signals(),
-    config=st.sampled_from([
-        CFG,
-        CfcConfig(hysteresis=0.3),
-        CfcConfig(polarity=Polarity.SOURCE_P),
-        CfcConfig(polarity=Polarity.SOURCE_P, hysteresis=0.25, i_leak_floor=0.0),
-    ]),
+    config=_SIGNED_CONFIGS,
     run_to=st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0)),
 )
 # the run ends inside a ramp that has just crossed zero and the floor
@@ -686,7 +691,7 @@ def test_effective_pieces_match_the_per_piece_reference(signal, config, run_to):
     duration = end * run_to
     segments = _ref_effective_segments(config, stim, duration)
     ref = [*np.array(segments, dtype=np.float64).T, np.array(_ref_segment_selection(config, segments), dtype=np.uint8)]
-    got = _effective_pieces(config, stim, duration)
+    got = _joined(_effective_pieces(config, stim, duration))
     for want, have in zip(ref, got, strict=True):
         assert have.dtype == want.dtype
         assert have.tobytes() == want.tobytes()  # -0.0 and 0.0 differ here
@@ -755,6 +760,78 @@ def test_split_at_cuts_each_line_at_its_crossings(case):
         assert (np.diff(pa) > 0).all()
         assert all(_bits(y) in crossed for y in pya[1:])
         assert _bits(pb[-1], pyb[-1]) == _bits(b, yb) or (pb[-1] >= b and _bits(pyb[-1]) in crossed)
+
+
+# ---------------------------------------------------------------------------
+# blocks of pieces
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _block_edge_runs(draw):
+    """A block size of three to seven segments and a signed signal of up
+    to four such blocks and a bit, so that crossings and range changes
+    fall on every side of the block edges."""
+    k = draw(st.integers(3, 7))
+    return k, draw(_signed_signals(k - 1, 4 * k + 1, 2e-3))
+
+
+def _flat_steps(*levels):
+    """A signal of 1 ms flat segments at ``levels``."""
+    n = len(levels)
+    return np.arange(n) * 1e-3, np.array(levels), np.array(levels), n * 1e-3
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    run=_block_edge_runs(),
+    config=_SIGNED_CONFIGS,
+    run_to=st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0)),
+    jitter=st.booleans(),
+    trace=st.booleans(),
+)
+# HIGH ends the first block and the second opens inside the band, where
+# HIGH carries over
+@example(run=(3, _flat_steps(2e-8, 2e-8, 2e-8, 8e-9, 8e-9, 5e-9)), config=CfcConfig(hysteresis=0.3), run_to=1.0,
+         jitter=False, trace=True)
+def test_events_do_not_depend_on_block_boundaries(run, config, run_to, jitter, trace):
+    k, signal = run
+    stim = CurrentSignal(*signal)
+    duration = stim.end * run_to
+    ack = AckModel(latency=1e-7, jitter=2e-7 if jitter else 0.0, seed=3)
+    want = simulate(config, stim, duration, ack=ack, trace=trace)
+    want_pieces = _joined(_effective_pieces(config, stim, duration))
+    with block_size(k):
+        got = simulate(config, stim, duration, ack=ack, trace=trace)
+        got_pieces = _joined(_effective_pieces(config, stim, duration))
+    for have, ref in zip(got_pieces, want_pieces, strict=True):
+        assert have.dtype == ref.dtype and have.tobytes() == ref.tobytes()
+    assert got.events.t_req.tobytes() == want.events.t_req.tobytes()
+    assert got.events.sf.tobytes() == want.events.sf.tobytes()
+    if trace:
+        for column in ("t", "v_low", "v_high", "selected"):
+            assert getattr(got.trace, column).tobytes() == getattr(want.trace, column).tobytes(), column
+        assert got.trace.phase.tolist() == want.trace.phase.tolist()
+    else:
+        assert got.trace is None
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_a_refused_segment_past_the_first_block_is_named_before_any_event(trace):
+    # ten flat segments of 1 nA, about 1,250 events each, around one whose
+    # slope overflows; blocks of four segments put it second in the third
+    # block, and the message gives its index in the signal
+    i_start = np.full(11, 1e-9)
+    i_end = i_start.copy()
+    i_start[9], i_end[9] = -1e308, 1e308
+    stim = CurrentSignal(np.arange(11) * 0.125, i_start, i_end, 1.375)
+    refused = r"^segment 9 ramps from -1e\+308 A to 1e\+308 A in 0\.125 s: its slope overflows a float$"
+    with block_size(4):
+        with pytest.raises(ConfigError, match=refused):
+            stim.pieces(1.375)
+        for polarity in Polarity:
+            with pytest.raises(ConfigError, match=refused):
+                simulate(CfcConfig(polarity=polarity), stim, 1.375, trace=trace, max_events=1)
 
 
 # ---------------------------------------------------------------------------
@@ -830,13 +907,23 @@ def test_event_cap_inside_a_jittered_batch():
 
 
 def test_simulate_memory_per_piece_is_bounded(traced_peak):
-    # 100k ramp pieces and about 5k events.  The kernel holds the pieces
-    # as numpy columns and reads them as Python floats one block at a
-    # time.  Measured traced peaks: 171 B a piece when the five columns
-    # became whole Python lists, 93 B with the blocks.
-    n = 100_000
-    ramp = CurrentSignal.from_samples(np.linspace(0.0, 1.0, n + 1), np.linspace(1e-11, 1e-9, n + 1))
-    assert traced_peak(simulate, CFG, ramp, 1.0) < 130 * n
+    # about 5k events on a ramp of _BLOCK + 1 or of 100k pieces.  The
+    # pieces are built and read one block of stimulus segments at a time,
+    # so the peak grows with the events, 9 bytes each, not with the pieces.
+    # Measured traced peaks at 100k pieces: 171 B a piece when the five
+    # columns became whole Python lists, 109 B with whole numpy columns
+    # read in blocks, and 1.44 MB at both lengths with the pieces built
+    # in blocks
+    def run(n):
+        ramp = CurrentSignal.from_samples(np.linspace(0.0, 1.0, n + 1), np.linspace(1e-11, 1e-9, n + 1))
+        done = []
+        peak = traced_peak(lambda: done.append(simulate(CFG, ramp, 1.0)))
+        return peak, len(done[0].events)
+
+    one, events_one = run(_BLOCK + 1)
+    many, events = run(100_000)
+    assert many <= 1.1 * one + 9 * abs(events - events_one)
+    assert many < 2e6
 
 
 def _simulate_to_the_cap(config, stimulus, duration, max_events):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfcsim.core import CfcConfig, ConfigError, Polarity
-from cfcsim.simulator import simulate
+from cfcsim.simulator import _joined, simulate
 from cfcsim.stimulus import (
     AdexParams,
     CurrentSignal,
@@ -70,17 +70,17 @@ def test_signal_validation():
 
 def test_pieces_clip_and_interpolate():
     ramp = from_breakpoints([(0.0, 0.0), (1.0, 10.0), (2.0, -0.0)], "linear", end=3.0)
-    a, b, ia, ib = ramp.pieces(0.75)
+    a, b, ia, ib = _joined(ramp.pieces(0.75))
     assert (a.tolist(), b.tolist()) == ([0.0], [0.75])
     assert ia.tolist() == [0.0]
     assert ib.tolist() == [pytest.approx(7.5)]
     # a -0.0 start value comes out as 0.0
-    a, b, ia, ib = ramp.pieces(2.5)
+    a, b, ia, ib = _joined(ramp.pieces(2.5))
     assert (a.tolist(), b.tolist()) == ([0.0, 1.0, 2.0], [1.0, 2.0, 2.5])
     assert np.signbit(ia).tolist() == [False, False, False]
     # a run ending on a breakpoint takes no empty piece past it
-    assert [c.size for c in ramp.pieces(1.0)] == [1, 1, 1, 1]
-    assert ramp.pieces(3.0)[1].tolist() == ramp.ends.tolist() == [1.0, 2.0, 3.0]
+    assert [c.size for c in _joined(ramp.pieces(1.0))] == [1, 1, 1, 1]
+    assert _joined(ramp.pieces(3.0))[1].tolist() == ramp.ends.tolist() == [1.0, 2.0, 3.0]
 
 
 @pytest.mark.parametrize("signal, segment, duration, what", [
@@ -106,6 +106,34 @@ def test_values_vectorized_matches_scalar():
     ts = np.linspace(0.0, 1.0, 37)
     vec = sig.values(ts)
     assert vec == pytest.approx([_value(sig, float(t)) for t in ts])
+
+
+def _values_from_whole_columns(sig, ts):
+    """:meth:`CurrentSignal.values` with every segment's width and rise
+    built first, then gathered."""
+    idx = np.clip(np.searchsorted(sig.times, ts, side="right") - 1, 0, sig.times.size - 1)
+    width = sig.ends - sig.times
+    rise = sig.i_end - sig.i_start
+    frac = np.clip((ts - sig.times[idx]) / width[idx], 0.0, 1.0)
+    return sig.i_start[idx] + rise[idx] * frac
+
+
+@settings(max_examples=100)
+@given(
+    gaps=st.lists(st.floats(min_value=1e-12, max_value=1.0), min_size=1, max_size=12),
+    levels=st.lists(st.floats(min_value=-1e-6, max_value=1e-6), min_size=24, max_size=24),
+    shares=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20),
+)
+def test_values_gather_each_segment_alone(gaps, levels, shares):
+    # the same operations on the same operands as when the widths and
+    # rises of all segments were built first: the same bits, at
+    # breakpoints, at the end and between
+    times = np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    n = times.size
+    end = float(times[-1] + gaps[-1])
+    sig = CurrentSignal(times, np.array(levels[:n]), np.array(levels[12:12 + n]), end)
+    ts = np.concatenate((times, [end], np.array(shares) * end))
+    assert sig.values(ts).tobytes() == _values_from_whole_columns(sig, ts).tobytes()
 
 
 # ---------------------------------------------------------------------------
