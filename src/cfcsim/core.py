@@ -45,11 +45,17 @@ class ConfigError(ValueError):
 _BLOCK = 8192
 
 
+def _spans(n: int) -> list[tuple[int, int]]:
+    """The bounds ``(lo, hi)`` of the blocks of at most ``_BLOCK`` rows
+    that cover ``range(n)``, in order; ``_BLOCK`` is read at each call."""
+    return [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+
+
 def _block_rows(*columns):
     """The rows of equal-length numpy columns as tuples of Python
-    scalars, converted ``_BLOCK`` rows at a time."""
+    scalars, converted one block (:func:`_spans`) at a time."""
     return itertools.chain.from_iterable(
-        zip(*(c[lo:lo + _BLOCK].tolist() for c in columns)) for lo in range(0, len(columns[0]), _BLOCK)
+        zip(*(c[lo:hi].tolist() for c in columns)) for lo, hi in _spans(len(columns[0]))
     )
 
 

@@ -204,11 +204,14 @@ def load_spec(raw: dict, context: str = "experiment spec") -> ExperimentSpec:
     trace = raw.get("trace", False)
     if not isinstance(trace, bool):
         raise ConfigError(f"{context}: 'trace' must be true or false, got {trace!r}")
+    name = raw.get("name", "run")
+    if not isinstance(name, str):
+        raise ConfigError(f"{context}: 'name' must be a string, got {name!r}")
 
     stimulus_desc = _require(raw, "stimulus", context)
     signal, duration = build_stimulus(stimulus_desc, duration, ack.seed)
     return ExperimentSpec(
-        name=str(raw.get("name", "run")),
+        name=name,
         config=config,
         stimulus=signal,
         duration=duration,

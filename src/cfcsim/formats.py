@@ -14,7 +14,8 @@ digits with the Schubfach algorithm and writes each character of
 ``repr``'s layout into a fixed band, checked against ``repr`` on every
 power of two and of ten, the subnormals and random bit patterns.  Text
 and booleans are deduplicated the same way and written with ``str``.
-Tables are written ``core._BLOCK`` rows at a time: each column's block
+Tables are written in blocks of at most ``core._BLOCK`` rows, cut from
+the columns as they come (:func:`core._spans`): each column's block
 becomes a band matrix, one value a column and NUL where a value has no
 character; the matrices are copied, each transposed, into their slots of
 one row buffer, between ``,`` and ``\\n`` bytes written in place, and
@@ -54,7 +55,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import _BLOCK
+from .core import _spans
 from .decoder import ExponentialFit, ReconstructedSignal, SweepPoint
 from .simulator import EventStream, StateTrace
 from .stimulus import CurrentSignal, SpikeTrain
@@ -71,39 +72,18 @@ class CsvFormatError(ValueError):
     """A CSV file does not match its documented schema."""
 
 
-def _write_table(path: Union[str, Path], header: str, *columns) -> Path:
-    """Write equal-length columns as CSV rows under ``header``
-    (see :func:`_write_blocks`)."""
-    return _write_blocks(path, header, [columns])
-
-
-def _full_blocks(blocks):
-    """Blocks of equal-length columns, of any lengths, regrouped into
-    blocks of ``_BLOCK`` rows, the last holding the rest: slices of a
-    block long enough, else a join with the rows held over."""
-    held = None
-    for block in blocks:
-        if held is not None:
-            block, held = [np.concatenate(pair) for pair in zip(held, block)], None
-        n = len(block[0])
-        full = n - n % _BLOCK
-        for lo in range(0, full, _BLOCK):
-            yield [column[lo:lo + _BLOCK] for column in block]
-        held = [column[full:] for column in block] if full < n else None
-    if held is not None:
-        yield held
-
-
-def _write_blocks(path: Union[str, Path], header: str, blocks) -> Path:
-    """Write CSV rows under ``header`` from blocks of equal-length columns,
-    whose rows follow on from block to block.
+def _write_table(path: Union[str, Path], header: str, blocks) -> Path:
+    """Write CSV rows under ``header`` from an iterable of tuples of
+    equal-length columns, whose rows follow on from tuple to tuple.
 
     A column is a numpy array of floats, integers, booleans or ``<U``
     text; each cell is the UTF-8 text of ``str`` of its value, which for
     a float is its shortest round-tripping ``repr``.
-    Rows are formatted ``_BLOCK`` at a time (:func:`_full_blocks`), so
-    memory is bounded by one block rather than by the table, however the
-    rows come: the band matrices of the columns
+    Each tuple is cut into blocks of at most ``core._BLOCK`` rows
+    (:func:`core._spans`), and rows are formatted one block at a time, so
+    memory is bounded by one block, and by the largest tuple, rather than
+    by the table.  A row's bytes do not depend on which block holds it.
+    The band matrices of the columns
     (:func:`_block_cells`: integers by :func:`_int_cells`, floats by
     :func:`_float_cells` or by ``str`` after dedupe, text and booleans
     by ``str`` after dedupe) are each copied once, transposed, into their
@@ -117,22 +97,23 @@ def _write_blocks(path: Union[str, Path], header: str, blocks) -> Path:
     path = Path(path)
     with path.open("wb") as fh:
         fh.write(header.encode() + b"\n")
-        for block in _full_blocks(blocks):
-            cells = [_block_cells(column) for column in block]
-            rows = np.empty((cells[0].shape[1], sum(len(c) + 1 for c in cells)), dtype=np.uint8)
-            at = 0
-            for c in cells:
-                rows[:, at:at + len(c)] = c.T
-                rows[:, at + len(c)] = ord(",")
-                at += len(c) + 1
-            rows[:, -1] = ord("\n")
-            del cells, c  # free the column bands before the copies below
-            for half in np.array_split(rows, 2):  # the copies of half a block at a time
-                if half.size - np.count_nonzero(half) < _REPLACE_MAX_NUL * half.size:
-                    fh.write(half.tobytes().replace(b"\0", b""))
-                else:
-                    fh.write(half[half != 0])
-            del rows, half
+        for block in blocks:
+            for lo, hi in _spans(len(block[0])):
+                cells = [_block_cells(column[lo:hi]) for column in block]
+                rows = np.empty((hi - lo, sum(len(c) + 1 for c in cells)), dtype=np.uint8)
+                at = 0
+                for c in cells:
+                    rows[:, at:at + len(c)] = c.T
+                    rows[:, at + len(c)] = ord(",")
+                    at += len(c) + 1
+                rows[:, -1] = ord("\n")
+                del cells, c  # free the column bands before the copies below
+                for half in np.array_split(rows, 2):  # the copies of half a block at a time
+                    if half.size - np.count_nonzero(half) < _REPLACE_MAX_NUL * half.size:
+                        fh.write(half.tobytes().replace(b"\0", b""))
+                    else:
+                        fh.write(half[half != 0])
+                del rows, half
     return path
 
 
@@ -420,7 +401,7 @@ def _int_cells(x: np.ndarray) -> np.ndarray:
 
 def write_events_csv(path: Union[str, Path], events: EventStream) -> Path:
     channel = np.broadcast_to(np.int64(events.channel), len(events))
-    return _write_table(path, EVENTS_HEADER, events.t_req, channel, events.sf)
+    return _write_table(path, EVENTS_HEADER, [(events.t_req, channel, events.sf)])
 
 
 #: One row of an events file as parsed by ``np.loadtxt``.
@@ -528,11 +509,11 @@ _COMPRESSED_SUFFIXES = frozenset({".bz2", ".gz", ".lzma", ".xz"})
 
 def write_trace_csv(path: Union[str, Path], trace: StateTrace) -> Path:
     phase = np.array([p.value for p in trace.phase], dtype=str)
-    return _write_table(path, TRACE_HEADER, trace.t, trace.v_low, trace.v_high, phase, trace.selected)
+    return _write_table(path, TRACE_HEADER, [(trace.t, trace.v_low, trace.v_high, phase, trace.selected)])
 
 
 def write_recon_csv(path: Union[str, Path], signal: ReconstructedSignal) -> Path:
-    return _write_table(path, RECON_HEADER, signal.t, signal.i_est, signal.ranges)
+    return _write_table(path, RECON_HEADER, [(signal.t, signal.i_est, signal.ranges)])
 
 
 def write_signal_csv(path: Union[str, Path], signal: CurrentSignal) -> Path:
@@ -541,7 +522,7 @@ def write_signal_csv(path: Union[str, Path], signal: CurrentSignal) -> Path:
     Adjacent rows with the same time mark a step discontinuity, which
     external plotting tools render as a vertical edge.  A segment's start
     row is left out where it repeats the previous segment's end row.  The
-    rows are built ``_BLOCK`` segments at a time.
+    rows are built one block of segments (:func:`core._spans`) at a time.
     """
     times, i_start, i_end = signal.times, signal.i_start, signal.i_end
 
@@ -553,25 +534,24 @@ def write_signal_csv(path: Union[str, Path], signal: CurrentSignal) -> Path:
         keep[2::2] = i_start[lo + 1:hi] != i_end[lo:hi - 1]
         return t[keep], i[keep]
 
-    n = times.size
-    return _write_blocks(path, SIGNAL_HEADER, (rows(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)))
+    return _write_table(path, SIGNAL_HEADER, (rows(lo, hi) for lo, hi in _spans(times.size)))
 
 
 def write_spikes_csv(path: Union[str, Path], train: SpikeTrain) -> Path:
-    return _write_table(path, SPIKES_HEADER, train.times)
+    return _write_table(path, SPIKES_HEADER, [(train.times,)])
 
 
 def write_sweep_csv(path: Union[str, Path], points: list[SweepPoint]) -> Path:
     levels = np.array([p.level for p in points], dtype=np.float64)
     decoded = np.array(["" if p.decoded is None else repr(float(p.decoded)) for p in points], dtype=str)
     n_events = np.array([p.n_events for p in points], dtype=np.int64)
-    return _write_table(path, SWEEP_HEADER, levels, decoded, n_events)
+    return _write_table(path, SWEEP_HEADER, [(levels, decoded, n_events)])
 
 
 def write_comparison_csv(path: Union[str, Path], t, model, decoded, rel, flag) -> Path:
     """Decoded against modelled current on a time grid, with each point's
     relative error and flag as judged by the caller."""
-    return _write_table(path, COMPARISON_HEADER, t, model, decoded, rel, flag)
+    return _write_table(path, COMPARISON_HEADER, [(t, model, decoded, rel, flag)])
 
 
 def write_fit_record(path: Union[str, Path], fit: ExponentialFit, extra: dict | None = None) -> Path:

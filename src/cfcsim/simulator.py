@@ -60,7 +60,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .core import (_BLOCK, CfcConfig, ConfigError, RangeSelect, _block_rows, _is_address, above_floor, rectify,
+from . import core
+from .core import (CfcConfig, ConfigError, RangeSelect, _block_rows, _is_address, above_floor, rectify,
                    select_ranges, thresholds)
 from .stimulus import CurrentSignal
 
@@ -138,13 +139,15 @@ class AckModel:
         """The acknowledge latency of each successive event of a channel.
 
         Without jitter every event waits ``latency``.  With jitter the
-        uniform draws are taken ``_BLOCK`` at a time, in order,
-        which yields the same values as one scalar draw per event.
+        uniform draws are taken ``core._BLOCK`` at a time, as it is when
+        this is called, in order, which yields the same values as one
+        scalar draw per event, whatever the block size.
         """
         if self.jitter == 0.0:
             return itertools.repeat(self.latency)
         rng = np.random.default_rng([self.seed, channel_address])
-        blocks = iter(lambda: (self.latency + rng.uniform(0.0, self.jitter, _BLOCK)).tolist(), None)
+        size = core._BLOCK
+        blocks = iter(lambda: (self.latency + rng.uniform(0.0, self.jitter, size)).tolist(), None)
         return itertools.chain.from_iterable(blocks)
 
 

@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import _BLOCK, ConfigError, _block_rows
+from .core import ConfigError, _block_rows, _spans
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class CurrentSignal:
     def pieces(self, duration: float) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """The segments clipped to a run over [0, duration], as the linear
         pieces ``(a, b, i_a, i_b)`` in columns, one block of at most
-        ``_BLOCK`` segments at a time, each piece with a finite rise
+        ``core._BLOCK`` segments at a time, each piece with a finite rise
         ``i_b - i_a`` and so finite ends.
 
         Every segment of the run is checked when this is called, before
@@ -100,7 +100,7 @@ class CurrentSignal:
         and what overflows a float: its slope, or else the slope times the
         width in the run (``i0 + inf * 0`` is NaN)."""
         n = int(np.searchsorted(self.times, duration, side="left"))  # segments starting in the run
-        blocks = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+        blocks = _spans(n)
         for lo, hi in blocks:
             self._clipped(lo, hi, duration)
         return (self._clipped(lo, hi, duration) for lo, hi in blocks)
@@ -377,8 +377,7 @@ def adex_neuron(
     # half-step grid the RK stages use, points 2*lo..2*hi; each step's
     # length and its half and sixth are taken as columns, the same
     # products the loop would form
-    for lo in range(0, n_steps, _BLOCK):
-        hi = min(lo + _BLOCK, n_steps)
+    for lo, hi in _spans(n_steps):
         t_ends = grid[lo + 1:hi + 1]
         step = t_ends - grid[lo:hi]
         drive = i_in.values(np.minimum(np.arange(2 * lo, 2 * hi + 1) * (dt / 2.0), duration))

@@ -28,11 +28,10 @@ from cfcsim.stimulus import CurrentSignal
 
 @contextlib.contextmanager
 def block_size(k: int):
-    """Inside the ``with`` statement, ``core._BLOCK`` is ``k`` in every
-    module that reads it: each binds it under its own name."""
+    """Inside the ``with`` statement, ``core._BLOCK`` is ``k``: every
+    blocked loop of the package reads it from ``cfcsim.core`` when it runs."""
     with pytest.MonkeyPatch.context() as mp:
-        for module in ("core", "stimulus", "simulator", "formats"):
-            mp.setattr(f"cfcsim.{module}._BLOCK", k)
+        mp.setattr("cfcsim.core._BLOCK", k)
         yield
 
 

@@ -451,6 +451,8 @@ _STAIRCASE = {"kind": "staircase", "start": 1e-9, "stop": 2e-9, "steps": 3, "dwe
         pytest.param("trace", {"trace": "no"}, id="string-trace"),
         pytest.param("trace", {"trace": 1}, id="number-trace"),
         pytest.param("trace", {"trace": None}, id="null-trace"),
+        pytest.param("name", {"name": None}, id="null-name"),
+        pytest.param("name", {"name": ["a"]}, id="list-name"),
         pytest.param("seed", {"duration": 0.5, "stimulus": {
             "kind": "dpi_synapse", "tau": 0.02, "weight_jump": 1e-9, "i_base": 1e-11,
             "train": {"kind": "poisson", "rate": 20.0, "seed": -1},

@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import fields
 
@@ -19,7 +20,9 @@ from cfcsim.core import (
     select_ranges,
     thresholds,
 )
+from cfcsim.core import _spans
 from cfcsim.simulator import AckModel
+from oracle import block_size
 
 CFG = CfcConfig()
 IDEAL = CfcConfig(t_rst=0.0, i_leak_floor=0.0)
@@ -304,3 +307,22 @@ def test_roundtrip_with_compensation(i, comp):
     sel = select_ranges(CFG, [i])[0]
     isi = ideal_isi(CFG, i, sel) + comp
     assert decode(CFG, isi, sel, compensation=comp) == pytest.approx(i, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the block size
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, k", [(0, 3), (1, 3), (3, 3), (7, 3), (7, 1)])
+def test_spans_cover_the_rows_in_blocks_of_the_block_size(n, k):
+    with block_size(k):
+        spans = _spans(n)
+    assert [i for lo, hi in spans for i in range(lo, hi)] == list(range(n))
+    assert [hi - lo for lo, hi in spans] == [k] * (n // k) + ([n % k] if n % k else [])
+
+
+@pytest.mark.parametrize("module", ["stimulus", "simulator", "formats", "decoder", "experiment"])
+def test_only_core_binds_the_block_size(module):
+    # ``oracle.block_size`` sets ``core._BLOCK`` alone, so a module with a
+    # binding of its own would keep the old size inside the ``with``
+    assert "_BLOCK" not in vars(importlib.import_module(f"cfcsim.{module}"))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfcsim import formats
+from cfcsim import core, formats
 from cfcsim.core import DEFAULT_CONFIG, CfcConfig
 from cfcsim.decoder import ExponentialFit, ReconstructedSignal, SweepPoint, reconstruct
 from cfcsim.formats import (
@@ -607,7 +607,7 @@ def _table_cases(n):
 
 # n = 16: one block holds both 0.0 and -0.0 in the comparison model column;
 # 3 * _BLOCK: several full blocks, each with its own set of sample times
-@pytest.mark.parametrize("n", [0, 1, 16, formats._BLOCK + 1, 3 * formats._BLOCK])
+@pytest.mark.parametrize("n", [0, 1, 16, core._BLOCK + 1, 3 * core._BLOCK])
 def test_table_writers_match_the_per_row_reference(tmp_path, n):
     cases = _table_cases(n)
     assert len(cases) == (9 if n else 8)
@@ -619,7 +619,7 @@ def test_table_writers_match_the_per_row_reference(tmp_path, n):
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_table_writers_do_not_depend_on_the_block_size(tmp_path, k):
     # blocks of a few rows: a signal's blocks of segments keep one or two
-    # rows a segment, and the writer regroups them across its blocks
+    # rows a segment, and the writer cuts each into blocks of rows
     with block_size(k):
         for writer, args, expected in _table_cases(16):
             assert writer(tmp_path / f"{writer.__name__}.csv", *args).read_bytes() == expected, writer.__name__
@@ -642,8 +642,8 @@ def _table_columns(draw):
     random, almost surely distinct ones; some tables span several blocks,
     and some hold ``_REPR_MAX`` values or one more, on either side of the
     switch from ``str`` to the float kernel."""
-    n = draw(st.integers(1, 40) | st.sampled_from([formats._REPR_MAX, formats._REPR_MAX + 1, formats._BLOCK,
-                                                   formats._BLOCK + 1, 2 * formats._BLOCK + 3]))
+    n = draw(st.integers(1, 40) | st.sampled_from([formats._REPR_MAX, formats._REPR_MAX + 1, core._BLOCK,
+                                                   core._BLOCK + 1, 2 * core._BLOCK + 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
     for kind in draw(st.lists(st.sampled_from(["float64", "int64", "uint64", "uint8", "bool", "str", "broadcast"]),
@@ -676,7 +676,7 @@ def _table_columns(draw):
 @example(columns=[np.array([-0.0, 0.0, -0.0, 5e-324, 5e-324, math.nan]),
                   np.array(["0.5", "", "3", "", "-0.0", "7"])])
 def test_table_cells_are_str_of_each_value(tmp_path_factory, columns):
-    path = formats._write_table(tmp_path_factory.mktemp("table") / "t.csv", "h", *columns)
+    path = formats._write_table(tmp_path_factory.mktemp("table") / "t.csv", "h", [columns])
     header, *rows, end = path.read_bytes().decode().split("\n")
     assert (header, end) == ("h", "")
     cells = list(zip(*(row.split(",") for row in rows)))
@@ -743,7 +743,7 @@ def test_int_kernel_is_str_at_the_edges():
              np.array(tens + [2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1], dtype=np.uint64),
              np.arange(256, dtype=np.uint8),
              np.array([-128, -1, 0, 127], dtype=np.int8),
-             np.broadcast_to(np.int64(-2**63), formats._BLOCK),  # the channel's zero-stride column
+             np.broadcast_to(np.int64(-2**63), core._BLOCK),  # the channel's zero-stride column
              np.broadcast_to(np.int64(0), 3)]
     for x in cases:
         bands = formats._int_cells(x)
@@ -765,7 +765,7 @@ def test_integer_blocks_are_neither_sorted_nor_given_to_str(tmp_path, monkeypatc
         monkeypatch.setattr(np, name, refuse)
     monkeypatch.setattr(np, "searchsorted", searchsorted)
     monkeypatch.setattr(formats, "_str_cells", refuse)
-    n = 2 * formats._BLOCK  # full blocks: no float block is small enough for ``str``
+    n = 2 * core._BLOCK  # full blocks: no float block is small enough for ``str``
     sf = np.arange(n, dtype=np.uint8) % 2
     path = write_events_csv(tmp_path / "events.csv", EventStream(np.arange(n) * 1e-6, 2**40, sf))
     assert path.read_bytes().splitlines()[1:3] == [b"0.0,1099511627776,0", b"1e-06,1099511627776,1"]
@@ -802,7 +802,7 @@ def _recon_table(n):
 
 def _nul_share(columns):
     """The share of NULs in the rows of a table's first block."""
-    cells = [formats._block_cells(column[:formats._BLOCK]) for column in columns]
+    cells = [formats._block_cells(column[:core._BLOCK]) for column in columns]
     return sum(c.size - np.count_nonzero(c) for c in cells) / sum(c.size + c.shape[1] for c in cells)
 
 
@@ -818,27 +818,27 @@ def _stepped_signal(n):
 
 
 def test_signal_writer_memory_is_one_block(tmp_path, traced_peak):
-    # the rows are built one block of segments at a time and handed to
-    # the writer in full blocks of rows.  Measured traced peaks at
+    # the rows are built one block of segments at a time, and the writer
+    # cuts each into blocks of at most _BLOCK rows.  Measured traced peaks at
     # 3 * _BLOCK + 1 segments: 2.57 and 2.44 MB when the whole interleaved
     # columns were built, 1.48 and 1.08 MB with the blocks
-    formats._write_table(tmp_path / "t.csv", "h", *_dense_table(formats._REPR_MAX + 1))  # the multiplier table
+    formats._write_table(tmp_path / "t.csv", "h", [_dense_table(formats._REPR_MAX + 1)])  # the multiplier table
     for signal in (_sampled_signal, _stepped_signal):
-        one = traced_peak(write_signal_csv, tmp_path / "s.csv", signal(formats._BLOCK + 1))
-        three = traced_peak(write_signal_csv, tmp_path / "s.csv", signal(3 * formats._BLOCK + 1))
+        one = traced_peak(write_signal_csv, tmp_path / "s.csv", signal(core._BLOCK + 1))
+        three = traced_peak(write_signal_csv, tmp_path / "s.csv", signal(3 * core._BLOCK + 1))
         assert three <= 1.1 * one, signal.__name__
         assert three < 1.5e6, signal.__name__
 
 
 def test_table_writer_memory_is_one_block(tmp_path, traced_peak):
     def peak(table, n):
-        return traced_peak(formats._write_table, tmp_path / "t.csv", "h", *table(n))
+        return traced_peak(formats._write_table, tmp_path / "t.csv", "h", [table(n)])
 
     peak(_dense_table, formats._REPR_MAX + 1)  # the multiplier table, built once
     for table, sparse in [(_dense_table, False), (_sparse_table, True), (_recon_table, False)]:
         # each table takes one of the two routes that drop the NULs
-        assert (_nul_share(table(formats._BLOCK)) < formats._REPLACE_MAX_NUL) == sparse
-        one = peak(table, formats._BLOCK + 1)
-        three = peak(table, 3 * formats._BLOCK + 1)
+        assert (_nul_share(table(core._BLOCK)) < formats._REPLACE_MAX_NUL) == sparse
+        one = peak(table, core._BLOCK + 1)
+        three = peak(table, 3 * core._BLOCK + 1)
         assert three <= 1.1 * one, table.__name__
         assert three < 1.5e6, table.__name__

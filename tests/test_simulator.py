@@ -526,6 +526,20 @@ def test_jittered_event_fired_at_the_end_of_its_piece():
     assert t_next == b + lat[0] + CFG.t_rst
 
 
+def test_per_event_root_past_its_piece_is_clamped_to_the_end():
+    # two flat steps: the charge left at the step at a is in 0.13 ulp
+    # before the run's end d, exactly, but the per-event root rounds to
+    # 1 ulp past d.  The event is clamped to d, the end of its piece
+    i1, i2 = 4.900790617011122e-10, 2.2651479755136995e-10
+    a, d = 8.2287396618404e-05, 0.00034572568197763085
+    events = simulate(CFG, CurrentSignal([0.0, a], [i1, i2], [i1, i2], d), d).events
+    assert events.t_req.tolist() == [d] and events.sf.tolist() == [0]
+    q, sel = _cycle_charge(i1)
+    assert sel == 0
+    exact = Fraction(a) + (q - Fraction(i1) * Fraction(a)) / Fraction(i2)
+    assert exact < d and _max_ulps([d], [exact]) <= 1
+
+
 def test_jittered_interval_of_a_current_whose_square_is_subnormal():
     # (1e-160 A)**2 underflows, so the loop's interval 2q/(i + sqrt(i*i))
     # is not q/i; the batch takes the loop's expression
