@@ -31,6 +31,7 @@ from .simulator import (
     StateTrace,
     power_estimate,
     simulate,
+    state_trace,
 )
 from .stimulus import (
     FIVE_RANGE_SWEEPS,

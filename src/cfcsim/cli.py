@@ -167,7 +167,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}" if str(exc) else f"error: {type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-if __name__ == "__main__":
-    sys.exit(main())

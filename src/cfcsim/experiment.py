@@ -34,7 +34,7 @@ import numpy as np
 from . import formats
 from .core import CfcConfig, ConfigError, _number, dead_time
 from .decoder import ReconstructedSignal, SweepPoint, reconstruct, sweep_analysis
-from .simulator import AckModel, EventStream, simulate, power_estimate
+from .simulator import AckModel, EventStream, power_estimate, simulate, state_trace
 from .stimulus import (
     CurrentSignal,
     SpikeTrain,
@@ -260,12 +260,12 @@ def run_simulate(spec: ExperimentSpec, out_dir: Union[str, Path]) -> RunRecord:
     ``trace.csv``, and ``summary.json``.  Deterministic for a fixed seed.
     """
     out = output_dir(out_dir)
-    result = simulate(spec.config, spec.stimulus, spec.duration, ack=spec.ack, trace=spec.trace)
-    events = result.events
+    events = simulate(spec.config, spec.stimulus, spec.duration, ack=spec.ack).events
     files = [formats.write_events_csv(out / "events.csv", events),
              formats.write_signal_csv(out / "truth.csv", spec.stimulus)]
-    if result.trace is not None:
-        files.append(formats.write_trace_csv(out / "trace.csv", result.trace))
+    if spec.trace:
+        trace = state_trace(spec.config, spec.stimulus, spec.duration, events, spec.ack)
+        files.append(formats.write_trace_csv(out / "trace.csv", trace))
     n = len(events)
     span = float(events.t_req[-1] - events.t_req[0]) if n >= 2 else 0.0
     return finish_run(out, files, {

@@ -34,6 +34,7 @@ is read once, row by row, in Python, which stops at the first fault.
 Schemas:
     events  ``t_req_s,channel,sf``            sf: 0 = low, 1 = high
     trace   ``t_s,v_low_V,v_high_V,phase,selected``
+            phase: ``integrating``, ``request_pending`` or ``reset_pulse``
     recon   ``t_s,i_A,range``
     signal  ``t_s,i_A``                       ground-truth currents
     spikes  ``t_s``
@@ -508,7 +509,8 @@ _COMPRESSED_SUFFIXES = frozenset({".bz2", ".gz", ".lzma", ".xz"})
 
 
 def write_trace_csv(path: Union[str, Path], trace: StateTrace) -> Path:
-    phase = np.array([p.value for p in trace.phase], dtype=str)
+    # the text of each phase, indexed by its code
+    phase = np.array(("integrating", "request_pending", "reset_pulse"))[trace.phase]
     return _write_table(path, TRACE_HEADER, [(trace.t, trace.v_low, trace.v_high, phase, trace.selected)])
 
 

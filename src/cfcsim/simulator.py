@@ -45,8 +45,9 @@ memory grows with the events, not with the pieces, Python objects per
 piece or candidate cycles per stretch.
 
 The state trace (capacitor voltages, phase and range over time) is
-rebuilt after the run from the pieces and the events, so asking for it
-leaves the event kernel and its output unchanged.
+not made by the kernel: :func:`state_trace` rebuilds it from a finished
+run's events and the pieces, built again, so the kernel has no trace
+option and its events are the same whether a trace is asked for or not.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from typing import Iterator, Optional
 
 import numpy as np
@@ -69,10 +70,10 @@ DEFAULT_EVENT_CAP = 100_000_000
 _STRETCH_BLOCK = 1 << 16  # most candidate cycles one flat-stretch batch places
 
 
-class Phase(Enum):
-    INTEGRATING = "integrating"
-    REQUEST_PENDING = "request_pending"
-    RESET_PULSE = "reset_pulse"
+class Phase(IntEnum):
+    INTEGRATING = 0
+    REQUEST_PENDING = 1
+    RESET_PULSE = 2
 
 
 class EventStream:
@@ -155,8 +156,8 @@ class AckModel:
 class StateTrace:
     """Rows (t, v_low, v_high, phase, selected) of a run, held as columns.
 
-    ``phase`` holds :class:`Phase` members and ``selected`` the range in
-    force at each row (0 = low, 1 = high).
+    ``phase`` holds the :class:`Phase` code of each row as a uint8 and
+    ``selected`` the range in force at it (0 = low, 1 = high).
     """
 
     t: np.ndarray
@@ -172,7 +173,6 @@ class StateTrace:
 @dataclass
 class SimResult:
     events: EventStream
-    trace: Optional[StateTrace] = None
 
 
 class EventCapError(RuntimeError):
@@ -355,34 +355,25 @@ def simulate(
     stimulus: CurrentSignal,
     duration: float,
     ack: Optional[AckModel] = None,
-    trace: bool = False,
     max_events: int = DEFAULT_EVENT_CAP,
 ) -> SimResult:
     """Run one channel against a stimulus and collect its event stream.
 
     Deterministic: the same config, stimulus and ack seed produce
-    bit-identical event lists on every run, with or without ``trace``,
-    which only adds the :class:`StateTrace` rebuilt from the finished
-    run.  Raises :class:`EventCapError` (with the events so far
-    attached) if more than ``max_events`` crossings occur, and a
-    ``ConfigError`` for a stimulus segment :meth:`CurrentSignal.pieces`
-    refuses, before any event.
+    bit-identical event lists on every run.  Raises
+    :class:`EventCapError` (with the events so far attached) if more
+    than ``max_events`` crossings occur, and a ``ConfigError`` for a
+    stimulus segment :meth:`CurrentSignal.pieces` refuses, before any
+    event.
     """
-    if not duration > 0:
-        raise ConfigError(f"duration must be positive, got {duration}")
-    if stimulus.end < duration:
-        raise ConfigError(
-            f"stimulus is defined up to {stimulus.end} s but the run lasts {duration} s"
-        )
+    _check_run(stimulus, duration)
     if max_events < 1:
         raise ConfigError("max_events must be at least 1")
     ack = AckModel() if ack is None else ack
     latencies = ack.latencies(config.channel_address)
 
-    # the kernel takes each block of pieces as it is built; a trace keeps them
+    # the kernel takes each block of pieces as it is built
     blocks = _effective_pieces(config, stimulus, duration)
-    if trace:
-        blocks = list(blocks)
 
     v_ref_h, v_ref_l, t_rst = config.v_ref_h, config.v_ref_l, config.t_rst
     caps = config.caps
@@ -472,14 +463,22 @@ def simulate(
             t = dead_until = t_ev + next(latencies) + t_rst
             v = [v_ref_h, v_ref_h]
 
-    events = _channel_stream(config, ev_t, ev_sf)
-    return SimResult(events, _state_trace(config, _joined(blocks), events, ack, duration) if trace else None)
+    return SimResult(_channel_stream(config, ev_t, ev_sf))
 
 
-def _state_trace(config: CfcConfig, pieces, events: EventStream, ack: AckModel, duration: float) -> StateTrace:
-    """Rebuild the state trace of a finished run from its effective pieces
-    (the blocks of :func:`_effective_pieces`, joined), its events and the
-    acknowledge latencies the kernel took for them from ``ack``.
+def _check_run(stimulus: CurrentSignal, duration: float) -> None:
+    """Refuse a run that is not positive or outlasts its stimulus."""
+    if not duration > 0:
+        raise ConfigError(f"duration must be positive, got {duration}")
+    if stimulus.end < duration:
+        raise ConfigError(f"stimulus is defined up to {stimulus.end} s but the run lasts {duration} s")
+
+
+def state_trace(config: CfcConfig, stimulus: CurrentSignal, duration: float, events: EventStream,
+                ack: Optional[AckModel] = None) -> StateTrace:
+    """Rebuild the state trace of a finished run from ``events``, what
+    :func:`simulate` returned for the same arguments, the effective pieces,
+    built again, and the latencies the kernel drew for them from ``ack``.
 
     Rows: the start, every range switch, the end of the run and, per
     event, its request, its acknowledge (kept at or before the end) and
@@ -489,7 +488,9 @@ def _state_trace(config: CfcConfig, pieces, events: EventStream, ack: AckModel, 
     request to the end of its reset, the capacitor that fired holds
     v_ref_l and the other one keeps its value at the request.
     """
-    starts, ends, i_a, i_b, sel = pieces
+    _check_run(stimulus, duration)
+    ack = AckModel() if ack is None else ack
+    starts, ends, i_a, i_b, sel = _joined(_effective_pieces(config, stimulus, duration))
     slope = (i_b - i_a) / (ends - starts)
     caps = np.asarray(config.caps)
 
@@ -514,14 +515,14 @@ def _state_trace(config: CfcConfig, pieces, events: EventStream, ack: AckModel, 
 
     # each event's request, acknowledge and reset end, in that order
     t_cycle = np.column_stack((t_ev, t_ack, reset_end)).ravel()
-    cycle = np.array([Phase.REQUEST_PENDING, Phase.RESET_PULSE, Phase.INTEGRATING], dtype=object)
+    cycle = np.array([Phase.REQUEST_PENDING, Phase.RESET_PULSE, Phase.INTEGRATING], dtype=np.uint8)
     phase_cycle = np.tile(cycle, n)
     keep = np.column_stack((np.ones(n, dtype=bool), t_ack <= duration, reset_end < duration)).ravel()
 
     # the start, each range switch and the end take the phase in force
     t_fixed = np.concatenate(([0.0], starts[np.flatnonzero(sel[1:] != sel[:-1]) + 1], [duration]))
     in_force = np.searchsorted(t_cycle, t_fixed, side="right") - 1
-    phase_fixed = np.append(phase_cycle, Phase.INTEGRATING)[in_force]  # -1: before any event
+    phase_fixed = np.append(phase_cycle, np.uint8(Phase.INTEGRATING))[in_force]  # -1: before any event
 
     # the end row goes last, after any acknowledge at the very end
     t = np.concatenate((t_fixed[:-1], t_cycle[keep], t_fixed[-1:]))

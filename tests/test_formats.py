@@ -26,7 +26,7 @@ from cfcsim.formats import (
     write_sweep_csv,
     write_trace_csv,
 )
-from cfcsim.simulator import EventStream, Phase, StateTrace, simulate
+from cfcsim.simulator import EventStream, Phase, StateTrace, simulate, state_trace
 from cfcsim.stimulus import CurrentSignal, SpikeTrain, constant, regular_train, staircase_sweep
 from oracle import block_size
 
@@ -432,8 +432,9 @@ def test_events_file_without_the_header_names_line_1(tmp_path, text):
 
 
 def test_trace_and_recon_and_spikes_files(tmp_path):
-    result = simulate(IDEAL, constant(1e-9, 1e-3), 1e-3, trace=True)
-    tr = write_trace_csv(tmp_path / "trace.csv", result.trace)
+    stim = constant(1e-9, 1e-3)
+    result = simulate(IDEAL, stim, 1e-3)
+    tr = write_trace_csv(tmp_path / "trace.csv", state_trace(IDEAL, stim, 1e-3, result.events))
     lines = tr.read_text().splitlines()
     assert lines[0] == "t_s,v_low_V,v_high_V,phase,selected"
     assert "integrating" in lines[1]
@@ -501,8 +502,12 @@ def _ref_events(ev):
     return _ref_table("t_req_s,channel,sf", rows)
 
 
+_PHASE_TEXT = {Phase.INTEGRATING: "integrating", Phase.REQUEST_PENDING: "request_pending",
+               Phase.RESET_PULSE: "reset_pulse"}
+
+
 def _ref_trace(tr):
-    rows = [f"{_f(tr.t[k])},{_f(tr.v_low[k])},{_f(tr.v_high[k])},{tr.phase[k].value},{int(tr.selected[k])}"
+    rows = [f"{_f(tr.t[k])},{_f(tr.v_low[k])},{_f(tr.v_high[k])},{_PHASE_TEXT[tr.phase[k]]},{int(tr.selected[k])}"
             for k in range(len(tr))]
     return _ref_table("t_s,v_low_V,v_high_V,phase,selected", rows)
 
@@ -565,7 +570,7 @@ def _table_cases(n):
     """(writer, argument(s), reference bytes) for every table writer, ``n`` rows of input."""
     k = np.arange(n)
     ev = EventStream(_floats(n), 2**62 + 1, k % 2)
-    phases = np.resize(np.array(list(Phase), dtype=object), n)
+    phases = np.resize(np.array(list(Phase), dtype=np.uint8), n)
     tr = StateTrace(_floats(n), _floats(n, 1), _floats(n, 2), phases, (k % 2).astype(np.uint8))
     rec = ReconstructedSignal(_floats(n), _floats(n, 3), (k % 2).astype(np.uint8))
     times = np.arange(n) * 1e-4

@@ -23,6 +23,7 @@ from cfcsim.simulator import (
     _split_at,
     power_estimate,
     simulate,
+    state_trace,
 )
 from cfcsim.stimulus import CurrentSignal, constant
 from oracle import block_size, from_breakpoints
@@ -207,10 +208,9 @@ def test_batched_path_emits_no_event_past_the_run():
     isi = ideal_isi(CFG, 1e-9)
     period = isi + CFG.t_rst
     d = isi + 9 * period - 1e-10 * period
-    for trace in (False, True):
-        ev = simulate(CFG, constant(1e-9, d), d, trace=trace).events
-        assert len(ev) == 9
-        assert ev.t_req[-1] <= d
+    ev = simulate(CFG, constant(1e-9, d), d).events
+    assert len(ev) == 9
+    assert ev.t_req[-1] <= d
 
 
 # staircases and ramps of up to four levels, with and without
@@ -253,13 +253,9 @@ def _staircase_run(levels, dwell, latency, jitter, linear):
 # a subnormal current: the interval overflows to inf, no event fits
 @example(levels=[5e-324], dwell=1e-3, latency=0.0, jitter=0.0, linear=False, config=IDEAL)
 @example(levels=[5e-324], dwell=1e-3, latency=0.0, jitter=2e-7, linear=False, config=IDEAL)
-def test_events_match_with_trace_on_and_off(levels, dwell, latency, jitter, linear, config):
+def test_no_event_falls_past_the_run(levels, dwell, latency, jitter, linear, config):
     stim, duration, ack = _staircase_run(levels, dwell, latency, jitter, linear)
-    plain = simulate(config, stim, duration, ack=ack).events
-    traced = simulate(config, stim, duration, ack=ack, trace=True).events
-    assert np.array_equal(plain.t_req, traced.t_req)
-    assert np.array_equal(plain.sf, traced.sf)
-    assert np.all(plain.t_req <= duration)
+    assert np.all(simulate(config, stim, duration, ack=ack).events.t_req <= duration)
 
 
 @settings(max_examples=25, deadline=None)
@@ -272,8 +268,8 @@ def test_events_match_with_trace_on_and_off(levels, dwell, latency, jitter, line
 @example(**_DEAD_TIME_STEPS, jitter=2e-7)
 def test_every_event_fires_from_an_integrating_stretch(levels, dwell, latency, jitter, linear, config):
     stim, duration, ack = _staircase_run(levels, dwell, latency, jitter, linear)
-    result = simulate(config, stim, duration, ack=ack, trace=True)
-    t_req, tr = result.events.t_req, result.trace
+    events = simulate(config, stim, duration, ack=ack).events
+    t_req, tr = events.t_req, state_trace(config, stim, duration, events, ack)
     # the first row at each request time is request_pending, and the row
     # in force up to it is integrating
     first = np.searchsorted(tr.t, t_req, side="left")
@@ -802,36 +798,35 @@ def _flat_steps(*levels):
     config=_SIGNED_CONFIGS,
     run_to=st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0)),
     jitter=st.booleans(),
-    trace=st.booleans(),
 )
 # HIGH ends the first block and the second opens inside the band, where
 # HIGH carries over
 @example(run=(3, _flat_steps(2e-8, 2e-8, 2e-8, 8e-9, 8e-9, 5e-9)), config=CfcConfig(hysteresis=0.3), run_to=1.0,
-         jitter=False, trace=True)
-def test_events_do_not_depend_on_block_boundaries(run, config, run_to, jitter, trace):
+         jitter=False)
+def test_events_do_not_depend_on_block_boundaries(run, config, run_to, jitter):
     k, signal = run
     stim = CurrentSignal(*signal)
     duration = stim.end * run_to
     ack = AckModel(latency=1e-7, jitter=2e-7 if jitter else 0.0, seed=3)
-    want = simulate(config, stim, duration, ack=ack, trace=trace)
-    want_pieces = _joined(_effective_pieces(config, stim, duration))
+
+    def run_all():
+        events = simulate(config, stim, duration, ack=ack).events
+        return events, state_trace(config, stim, duration, events, ack), _joined(
+            _effective_pieces(config, stim, duration))
+
+    want, want_trace, want_pieces = run_all()
     with block_size(k):
-        got = simulate(config, stim, duration, ack=ack, trace=trace)
-        got_pieces = _joined(_effective_pieces(config, stim, duration))
+        got, got_trace, got_pieces = run_all()
     for have, ref in zip(got_pieces, want_pieces, strict=True):
         assert have.dtype == ref.dtype and have.tobytes() == ref.tobytes()
-    assert got.events.t_req.tobytes() == want.events.t_req.tobytes()
-    assert got.events.sf.tobytes() == want.events.sf.tobytes()
-    if trace:
-        for column in ("t", "v_low", "v_high", "selected"):
-            assert getattr(got.trace, column).tobytes() == getattr(want.trace, column).tobytes(), column
-        assert got.trace.phase.tolist() == want.trace.phase.tolist()
-    else:
-        assert got.trace is None
+    assert got.t_req.tobytes() == want.t_req.tobytes()
+    assert got.sf.tobytes() == want.sf.tobytes()
+    for column in ("t", "v_low", "v_high", "phase", "selected"):
+        have, ref = getattr(got_trace, column), getattr(want_trace, column)
+        assert have.dtype == ref.dtype and have.tobytes() == ref.tobytes(), column
 
 
-@pytest.mark.parametrize("trace", [False, True])
-def test_a_refused_segment_past_the_first_block_is_named_before_any_event(trace):
+def test_a_refused_segment_past_the_first_block_is_named_before_any_event():
     # ten flat segments of 1 nA, about 1,250 events each, around one whose
     # slope overflows; blocks of four segments put it second in the third
     # block, and the message gives its index in the signal
@@ -845,7 +840,9 @@ def test_a_refused_segment_past_the_first_block_is_named_before_any_event(trace)
             stim.pieces(1.375)
         for polarity in Polarity:
             with pytest.raises(ConfigError, match=refused):
-                simulate(CfcConfig(polarity=polarity), stim, 1.375, trace=trace, max_events=1)
+                simulate(CfcConfig(polarity=polarity), stim, 1.375, max_events=1)
+            with pytest.raises(ConfigError, match=refused):
+                state_trace(CfcConfig(polarity=polarity), stim, 1.375, EventStream.empty())
 
 
 # ---------------------------------------------------------------------------
@@ -866,11 +863,18 @@ def test_simulate_validation():
         simulate(CFG, constant(1e-9, 1.0), 0.0)
     with pytest.raises(ConfigError, match="defined up to"):
         simulate(CFG, constant(1e-9, 0.5), 1.0)
+    # the trace refuses the same runs with the same messages
+    for duration in (math.nan, 0.0, -1.0):
+        with pytest.raises(ConfigError, match=f"^duration must be positive, got {duration}$"):
+            state_trace(CFG, constant(1e-9, 1.0), duration, EventStream.empty())
+    with pytest.raises(ConfigError, match="^stimulus is defined up to 0.5 s but the run lasts 1.0 s$"):
+        state_trace(CFG, constant(1e-9, 0.5), 1.0, EventStream.empty())
 
 
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: simulate(CFG, constant(1e-9, 1.0), math.nan), "duration", id="simulate"),
-    pytest.param(lambda: simulate(CFG, constant(1e-9, 1.0), math.nan, trace=True), "duration", id="simulate-trace"),
+    pytest.param(lambda: state_trace(CFG, constant(1e-9, 1.0), math.nan, EventStream.empty()), "duration",
+                 id="state_trace"),
     pytest.param(lambda: power_estimate(EventStream.empty(), math.nan), "duration", id="power_estimate"),
     pytest.param(lambda: power_estimate(EventStream.empty(), math.inf), "duration", id="power_estimate-inf"),
     pytest.param(lambda: simulate(CFG, constant(1e-9, 1.0), 1.0, max_events=0), "max_events", id="max_events-0"),
@@ -976,18 +980,19 @@ def _assert_trace_in_order(tr):
     assert np.all(np.diff(tr.t) >= 0)
     for k in range(1, len(tr)):
         before, phase = tr.phase[k - 1], tr.phase[k]
-        if phase is before:
+        if phase == before:
             assert tr.selected[k] != tr.selected[k - 1] or k == len(tr) - 1, f"row {k} repeats {phase}"
         else:
-            assert phase is _NEXT_PHASE[before], f"illegal phase transition {before} -> {phase}"
+            assert phase == _NEXT_PHASE[before], f"illegal phase transition {before} -> {phase}"
 
 
 def test_trace_phases_and_voltage_bounds():
     ack = AckModel(latency=3e-6)
     cfg = CfcConfig(i_leak_floor=0.0)
-    result = simulate(cfg, constant(1e-9, 1e-3), 1e-3, ack=ack, trace=True)
-    tr = result.trace
-    assert tr is not None and len(tr) > 10
+    stim = constant(1e-9, 1e-3)
+    tr = state_trace(cfg, stim, 1e-3, simulate(cfg, stim, 1e-3, ack=ack).events, ack)
+    assert len(tr) > 10
+    assert tr.phase.dtype == np.uint8
     assert np.all(np.asarray(tr.v_low) >= cfg.v_ref_l - 1e-12)
     assert np.all(np.asarray(tr.v_low) <= cfg.v_ref_h + 1e-12)
     assert np.all(np.asarray(tr.v_high) >= cfg.v_ref_l - 1e-12)
@@ -1005,15 +1010,16 @@ def test_trace_time_runs_forward_across_a_switch_during_a_pending_request():
     # request waits 3 us for its acknowledge
     stim = from_breakpoints([(0.0, 1e-9), (101e-6, 20e-9)], "step", end=300e-6)
     cfg = CfcConfig(i_leak_floor=0.0)
-    tr = simulate(cfg, stim, 300e-6, ack=AckModel(latency=3e-6), trace=True).trace
+    ack = AckModel(latency=3e-6)
+    tr = state_trace(cfg, stim, 300e-6, simulate(cfg, stim, 300e-6, ack=ack).events, ack)
     _assert_trace_in_order(tr)
-    assert [(phase.value, int(sel)) for phase, sel in zip(tr.phase, tr.selected)] == [
-        ("integrating", 0),
-        ("request_pending", 0),
-        ("request_pending", 1),
-        ("reset_pulse", 1),
-        ("integrating", 1),
-        ("integrating", 1),
+    assert [(Phase(phase), int(sel)) for phase, sel in zip(tr.phase, tr.selected)] == [
+        (Phase.INTEGRATING, 0),
+        (Phase.REQUEST_PENDING, 0),
+        (Phase.REQUEST_PENDING, 1),
+        (Phase.RESET_PULSE, 1),
+        (Phase.INTEGRATING, 1),
+        (Phase.INTEGRATING, 1),
     ]
 
 
@@ -1023,10 +1029,11 @@ def test_trace_replays_the_kernel_latency_draws():
     # blocks of latency draws
     i, duration = 1e-6, 0.11
     ack = AckModel(latency=1e-6, jitter=2e-6, seed=11)
-    result = simulate(CFG, constant(i, duration), duration, ack=ack, trace=True)
-    tr = result.trace
+    stim = constant(i, duration)
+    events = simulate(CFG, stim, duration, ack=ack).events
+    tr = state_trace(CFG, stim, duration, events, ack)
     reset_ends = tr.t[(tr.phase == Phase.INTEGRATING) & (tr.t > 0.0) & (tr.t < duration)]
-    gaps = result.events.t_req[1:] - reset_ends[: len(result.events) - 1]
+    gaps = events.t_req[1:] - reset_ends[: len(events) - 1]
     assert len(gaps) > 2 * 4096
     assert gaps == pytest.approx(np.full(len(gaps), ideal_isi(CFG, i)), rel=1e-12)
 

@@ -433,6 +433,16 @@ def test_adex_matches_the_per_stage_reference(drive, params, duration, outcome):
     assert proxy.end == grid[-1]
 
 
+def test_adex_first_stage_exp_is_clamped_after_a_reset_far_above_threshold():
+    # a reset at 1.4 V puts the first RK stage's exp argument at 725 after
+    # every spike, past what math.exp takes: the neuron fires every step
+    # from 6.38 ms on and the proxy stays finite
+    proxy, spikes = adex_neuron(constant(1e-9, 0.05), AdexParams(v_reset=1.4, v_peak=2.0), 0.05)
+    assert len(spikes) == 4363
+    assert spikes.times[0] == pytest.approx(6.38e-3)
+    assert np.all(np.isfinite(proxy.i_start)) and np.all(np.isfinite(proxy.i_end))
+
+
 def test_adex_memory_per_step_is_bounded(traced_peak):
     # 100k steps.  The grid and the voltage are numpy columns, the drive
     # is evaluated a block at a time, and the RK4 loop reads them as
