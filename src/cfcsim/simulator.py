@@ -34,8 +34,8 @@ batch places the events of at most ``_STRETCH_BLOCK`` cycles from that
 reset.  Without jitter each cycle lasts the same period, so the events
 sit at ``first + period * k``, which can differ from the per-event
 loop's running sum in the last bits.  With jitter, one cumulative sum
-over the interval and the drawn latencies places them, bit for bit as
-the per-event loop does, and its stopping tests run elementwise.
+over the interval and the latencies, read by event index as one numpy
+column, places them bit for bit as the per-event loop does.
 
 The effective pieces are built one block of at most ``core._BLOCK``
 stimulus segments at a time, and the kernel reads each block's rows as
@@ -118,10 +118,10 @@ class AckModel:
     """Acknowledge latency of the off-chip receiver.
 
     ``latency`` is the fixed part; a positive ``jitter`` adds a uniform
-    draw in [0, jitter) per event.  :meth:`latencies` is the one source
-    of these values: event k of a channel waits the k-th draw of a
-    generator seeded with ``(seed, channel_address)``, so the sequence is
-    reproducible and independent per channel.
+    draw in [0, jitter) per event.  :meth:`draws` is the one source of
+    these values: event k of a channel waits the k-th draw of a generator
+    seeded with ``(seed, channel_address)``, so draw k depends only on the
+    seed, the channel and k, and the sequences of channels are independent.
     """
 
     latency: float = 0.0
@@ -136,19 +136,23 @@ class AckModel:
         if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool) or self.seed < 0:
             raise ConfigError(f"ack seed must be a non-negative integer, got {self.seed!r}")
 
-    def latencies(self, channel_address: int) -> Iterator[float]:
-        """The acknowledge latency of each successive event of a channel.
-
-        Without jitter every event waits ``latency``.  With jitter the
-        uniform draws are taken ``core._BLOCK`` at a time, as it is when
-        this is called, in order, which yields the same values as one
-        scalar draw per event, whatever the block size.
-        """
+    def draws(self, channel_address: int, start: int, count: int) -> np.ndarray:
+        """The latencies of events ``start`` to ``start + count - 1`` of a channel, as one column.  A
+        float64 uniform takes one PCG64 output, so advancing ``start`` outputs (never back) reaches draw ``start``."""
+        for name, value in (("start", start), ("count", count)):
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         if self.jitter == 0.0:
-            return itertools.repeat(self.latency)
+            return np.full(count, self.latency)
         rng = np.random.default_rng([self.seed, channel_address])
+        rng.bit_generator.advance(start)
+        return self.latency + rng.uniform(0.0, self.jitter, count)
+
+    def latencies(self, channel_address: int, start: int = 0) -> Iterator[float]:
+        """:meth:`draws` from event ``start`` on, as Python floats, taken
+        ``core._BLOCK`` at a time, as it is when this is called."""
         size = core._BLOCK
-        blocks = iter(lambda: (self.latency + rng.uniform(0.0, self.jitter, size)).tolist(), None)
+        blocks = (self.draws(channel_address, k, size).tolist() for k in itertools.count(start, size))
         return itertools.chain.from_iterable(blocks)
 
 
@@ -316,8 +320,8 @@ def _channel_stream(config: CfcConfig, ev_t: array, ev_sf: array) -> EventStream
 
 def _jittered_stretch(t, b, i_t, ib, q_need, isi, t_rst, lat):
     """The events the per-event loop emits on a flat stretch [t, b) of
-    current ``i_t`` (``ib`` at b), one candidate cycle per latency in
-    ``lat``, as ``(times, t_next, q_avail)``.
+    current ``i_t`` (``ib`` at b), one candidate cycle per latency in the
+    numpy column ``lat``, as ``(times, t_next, q_avail)``.
 
     Candidate k integrates from t_k for ``isi``, fires at t_ev_k and
     integrates again from t_{k+1} = (t_ev_k + lat_k) + t_rst.  One
@@ -343,7 +347,7 @@ def _jittered_stretch(t, b, i_t, ib, q_need, isi, t_rst, lat):
     n = int(stop[0]) if stop.size else m
     times = np.minimum(c[1:3 * n:3], b)
     if n and c[3 * n - 2] > b:  # the last event fired at b
-        t_next = b + lat[n - 1] + t_rst
+        t_next = b + lat.item(n - 1) + t_rst  # a Python float, as in the per-event loop
     else:
         t_next = float(c[3 * n])
     short = n < m and starts[n] < b
@@ -377,10 +381,7 @@ def simulate(
 
     v_ref_h, v_ref_l, t_rst = config.v_ref_h, config.v_ref_l, config.t_rst
     caps = config.caps
-    jittered = ack.jitter != 0.0
     shortest_dead = ack.latency + t_rst  # of the shortest cycle, and of every cycle without jitter
-    base = latencies
-    n_spare = 0  # unused draws the last jittered batch put back in line
 
     # 9 bytes an event: the time as a C double, the range as one byte;
     # a batch is appended as the raw bytes of its numpy times
@@ -409,13 +410,12 @@ def simulate(
                 cycle = isi + shortest_dead
                 fit = (b - t) / cycle if cycle > 0.0 else math.inf
                 m = int(min(fit + 2.0, room + 1, _STRETCH_BLOCK))
-                if jittered:
-                    # drawing at least the spares keeps ``latencies`` one chain deep
-                    lat = list(itertools.islice(latencies, max(m, n_spare)))
-                    times, t_next, q_avail = _jittered_stretch(t, b, i_t, ib, q_need, isi, t_rst, lat[:m])
+                if ack.jitter:
+                    k = len(ev_t)  # every event so far took one draw
+                    lat = ack.draws(config.channel_address, k, m)
+                    times, t_next, q_avail = _jittered_stretch(t, b, i_t, ib, q_need, isi, t_rst, lat)
                     # the draws no event took go, in order, to the next events
-                    n_spare = len(lat) - times.size
-                    latencies = itertools.chain(lat[times.size:], base) if n_spare else base
+                    latencies = itertools.chain(lat[times.size:].tolist(), ack.latencies(config.channel_address, k + m))
                 else:
                     # (t + isi) + cycle * k, built in place, never decreases
                     # in k: one search counts the events at or before b.
@@ -510,7 +510,7 @@ def state_trace(config: CfcConfig, stimulus: CurrentSignal, duration: float, eve
 
     t_ev = events.t_req
     n = t_ev.size
-    t_ack = t_ev + np.fromiter(ack.latencies(config.channel_address), np.float64, n)
+    t_ack = t_ev + ack.draws(config.channel_address, 0, n)
     reset_end = t_ack + config.t_rst
 
     # each event's request, acknowledge and reset end, in that order

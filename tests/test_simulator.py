@@ -499,6 +499,11 @@ def _assert_matches_per_event_reference(config, stim, duration, ack, cap):
 # a range switch leaves a capacitor part-charged: one cycle per event,
 # then batches
 @example(levels=[5e-9, 2e-8, 5e-9], dwell=3e-4, latency=0.0, jitter=2e-7, linear=False, config=IDEAL, cap=90)
+# the first batch places 8,258 events from 8,492 draws; the event at the
+# step takes its first spare draw per event, and the second batch reads
+# its draws from event 8,259 on, past the first _BLOCK of the stream
+@example(levels=[3e-6, 2e-6], dwell=0.03, latency=1e-7, jitter=2e-7, linear=False, config=CFG,
+         cap=DEFAULT_EVENT_CAP)
 def test_jittered_runs_match_the_per_event_loop(levels, dwell, latency, jitter, linear, config, cap):
     stim, duration, ack = _staircase_run(levels, dwell, latency, jitter, linear)
     _assert_matches_per_event_reference(config, stim, duration, ack, cap)
@@ -515,11 +520,25 @@ def test_jittered_event_fired_at_the_end_of_its_piece():
     _assert_matches_per_event_reference(CFG, stim, 1e-3, ack, DEFAULT_EVENT_CAP)
     # the reset runs from b, not from the unclamped crossing 1 ulp later
     q_need = CFG.c1 * CFG.delta_v
-    lat = list(itertools.islice(ack.latencies(0), 3))
+    lat = ack.draws(0, 0, 3)
     isi = 2.0 * q_need / (i + math.sqrt(i * i))
     times, t_next, q_avail = _jittered_stretch(0.0, b, i, i, q_need, isi, CFG.t_rst, lat)
     assert times.tolist() == [b] and q_avail is None
-    assert t_next == b + lat[0] + CFG.t_rst
+    assert t_next == b + lat.item(0) + CFG.t_rst
+
+
+@pytest.mark.parametrize("b, fired_at_b", [(2.9022683934929417e-05, True), (1e-3, False)])
+def test_jittered_stretch_resumes_at_a_python_float(b, fired_at_b):
+    # t_next becomes the per-event loop's t and dead_until: a numpy scalar
+    # there would turn every later per-event value into one.  The event at
+    # b and the running sum are the two ways t_next is found
+    i = 3.445580712804024e-09
+    q_need = CFG.c1 * CFG.delta_v
+    isi = 2.0 * q_need / (i + math.sqrt(i * i))
+    lat = AckModel(latency=1e-7, jitter=2e-7, seed=1).draws(0, 0, 3)
+    times, t_next, _ = _jittered_stretch(0.0, b, i, i, q_need, isi, CFG.t_rst, lat)
+    assert (times[-1] == b) == fired_at_b
+    assert type(t_next) is float
 
 
 def test_per_event_root_past_its_piece_is_clamped_to_the_end():
@@ -859,6 +878,15 @@ def test_ack_model_validation():
                    {"seed": True}):
         with pytest.raises(ConfigError):
             AckModel(**kwargs)
+    # a generator advanced by a negative step rewinds without an error,
+    # so a negative event index is refused, with jitter or without
+    for jitter in (0.0, 2e-6):
+        ack = AckModel(latency=1e-6, jitter=jitter)
+        for args, name in (((-1, 3), "start"), ((0, -1), "count"), ((-2, -1), "start")):
+            with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -[12]$"):
+                ack.draws(0, *args)
+        with pytest.raises(ValueError, match="^start must be non-negative, got -1$"):
+            next(ack.latencies(0, -1))
 
 
 def test_simulate_validation():
@@ -1049,6 +1077,23 @@ def test_ack_latencies_are_the_scalar_draws_in_order():
     assert drawn == expected
     fixed = list(itertools.islice(AckModel(latency=1e-6, seed=11).latencies(3), n))
     assert fixed == [1e-6] * n
+
+
+@settings(max_examples=40, deadline=None)
+@given(jitter=st.sampled_from([0.0, 2e-6]), start=st.integers(0, 3 * _BLOCK), count=st.integers(0, 2 * _BLOCK + 1))
+@example(jitter=2e-6, start=_BLOCK - 1, count=2)
+@example(jitter=2e-6, start=_BLOCK, count=_BLOCK + 1)
+@example(jitter=2e-6, start=_BLOCK + 1, count=2 * _BLOCK + 1)
+def test_ack_draws_read_the_stream_at_any_event(jitter, start, count):
+    # a batch reads draws from the event it starts at; the per-event loop
+    # reads them in order from event 0, or from after a batch
+    ack = AckModel(latency=1e-6, jitter=jitter, seed=11)
+    in_order = list(itertools.islice(ack.latencies(3), start, start + count))
+    assert ack.draws(3, start, count).tolist() == in_order
+    assert list(itertools.islice(ack.latencies(3, start), count)) == in_order
+    # and both are one block of draws from a fresh generator, cut at start
+    rng = np.random.default_rng([11, 3])
+    assert in_order == (1e-6 + rng.uniform(0.0, jitter, start + count)[start:]).tolist()
 
 
 # ---------------------------------------------------------------------------
