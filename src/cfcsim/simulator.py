@@ -150,7 +150,8 @@ class AckModel:
 
     def latencies(self, channel_address: int, start: int = 0) -> Iterator[float]:
         """:meth:`draws` from event ``start`` on, as Python floats, taken
-        ``core._BLOCK`` at a time, as it is when this is called."""
+        ``core._BLOCK`` at a time, as it is when this is called; without
+        jitter, blocks of the latency repeated."""
         size = core._BLOCK
         blocks = (self.draws(channel_address, k, size).tolist() for k in itertools.count(start, size))
         return itertools.chain.from_iterable(blocks)
@@ -258,8 +259,8 @@ def _split_at(a, b, ya, yb, targets):
 
     counts = np.ones(a.size, dtype=np.intp)
     counts[rows] = n_pts - 1
-    a, b, ya, yb = (np.repeat(col, counts) for col in (a, b, ya, yb))
-    cut = np.repeat(crossing, counts)
+    src = np.repeat(np.arange(a.size), counts)  # the line each piece comes from
+    a, b, ya, yb, cut = (col[src] for col in (a, b, ya, yb, crossing))
     a[cut], b[cut] = np.delete(pt_t, row_last), np.delete(pt_t, row_first)
     ya[cut], yb[cut] = np.delete(pt_y, row_last), np.delete(pt_y, row_first)
     return a, b, ya, yb
@@ -381,6 +382,7 @@ def simulate(
 
     v_ref_h, v_ref_l, t_rst = config.v_ref_h, config.v_ref_l, config.t_rst
     caps = config.caps
+    sqrt = math.sqrt
     shortest_dead = ack.latency + t_rst  # of the shortest cycle, and of every cycle without jitter
 
     # 9 bytes an event: the time as a C double, the range as one byte;
@@ -404,7 +406,7 @@ def simulate(
             if slope == 0.0 and i_t > 0.0 and v[0] == v_ref_h and v[1] == v_ref_h:
                 room = max_events - len(ev_t)
                 # the per-event loop's interval expression, not q_need / i_t
-                isi = 2.0 * q_need / (i_t + math.sqrt(i_t * i_t + 2.0 * slope * q_need))
+                isi = 2.0 * q_need / (i_t + sqrt(i_t * i_t + 2.0 * slope * q_need))
                 # enough candidates to reach b, as no cycle is shorter than
                 # ``cycle``, but at most one past the cap and one block
                 cycle = isi + shortest_dead
@@ -452,8 +454,7 @@ def simulate(
                     break
                 t_ev = t
             else:
-                disc = i_t * i_t + 2.0 * slope * q_need
-                t_ev = t + 2.0 * q_need / (i_t + math.sqrt(disc))
+                t_ev = t + 2.0 * q_need / (i_t + sqrt(i_t * i_t + 2.0 * slope * q_need))
                 if t_ev > b:
                     t_ev = b
             if len(ev_t) >= max_events:
@@ -461,7 +462,7 @@ def simulate(
             ev_t.append(t_ev)
             ev_sf.append(sel)
             t = dead_until = t_ev + next(latencies) + t_rst
-            v = [v_ref_h, v_ref_h]
+            v[0] = v[1] = v_ref_h
 
     return SimResult(_channel_stream(config, ev_t, ev_sf))
 

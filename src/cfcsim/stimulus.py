@@ -367,43 +367,49 @@ def adex_neuron(
     # with exp_cap = 40, which keeps runaway stages finite; a step that
     # ends 1 V below rest has overshot, not integrated
     consts = (-p.g_l, p.g_l * p.delta_t, p.e_l, p.v_t, p.delta_t, p.c_m, p.a, p.tau_w, 40.0, p.peak,
-              p.v_reset, p.b, min(p.e_l, p.v_reset) - 1.0)
-    v = p.e_l
-    w = 0.0
+              p.v_reset, p.b, min(p.e_l, p.v_reset) - 1.0, dt)
+    v, w = p.e_l, 0.0
     v_out = np.empty(n_steps + 1)
     v_out[0] = v
-    spike_times: list[float] = []
-    # a block of steps lo..hi-1 reads grid[lo..hi] and the drive on the
-    # half-step grid the RK stages use, points 2*lo..2*hi; each step's
-    # length and its half and sixth are taken as columns, the same
-    # products the loop would form
+    spike_steps: list[int] = []
+    # a block of steps lo..hi-1 reads three columns: each step's length
+    # and the drive at its middle and end, points 2k+1 and 2k+2 of the
+    # half-step grid the RK stages use.  A step's start drive, point 2k,
+    # is the end drive of the step before, carried over; the block's
+    # first step starts from drive[0], point 2*lo
     for lo, hi in _spans(n_steps):
-        t_ends = grid[lo + 1:hi + 1]
-        step = t_ends - grid[lo:hi]
         drive = i_in.values(np.minimum(np.arange(2 * lo, 2 * hi + 1) * (dt / 2.0), duration))
-        rows = _block_rows(step, 0.5 * step, step / 6.0, t_ends, drive[:-1:2], drive[1::2], drive[2::2])
-        v, w, v_out[lo + 1:hi + 1] = _rk4_block(rows, v, w, consts, spike_times, dt)
+        rows = _block_rows(grid[lo + 1:hi + 1] - grid[lo:hi], drive[1::2], drive[2::2])
+        v, w, v_out[lo + 1:hi + 1] = _rk4_block(rows, v, w, float(drive[0]), consts, grid, lo, spike_steps)
 
-    proxy = p.i_rest_proxy + p.proxy_gain * p.g_l * (v_out - p.e_l)
-    signal = CurrentSignal.from_samples(grid, proxy)
-    return signal, SpikeTrain(np.asarray(spike_times))
+    # the proxy, formed in place on the voltage column by the operations of
+    # i_rest + (gain * g_l) * (v - e_l); the signal holds it and the grid
+    v_out -= p.e_l
+    v_out *= p.proxy_gain * p.g_l
+    v_out += p.i_rest_proxy
+    signal = CurrentSignal(grid[:-1], v_out[:-1], v_out[1:], float(grid[-1]))
+    return signal, SpikeTrain(grid[np.asarray(spike_steps, dtype=np.intp)])
 
 
-def _rk4_block(rows, v, w, consts, spike_times: list, dt: float):
-    """One block of :func:`adex_neuron`'s RK4 steps from the state (v, w).
+def _rk4_block(rows, v, w, i0, consts, grid, lo, spike_steps: list):
+    """One block of :func:`adex_neuron`'s RK4 steps from the state (v, w),
+    the first of them step ``lo`` of ``grid``, which starts at drive ``i0``.
 
-    ``rows`` holds each step's positive length, its half and sixth, its
-    end time and the drive at its start, middle and end; ``consts`` the
-    neuron's constants in the order ``adex_neuron`` packs them.  The RK stages
-    are written out inline on local floats, every operation in the
-    order of the formula.  Spike times are appended to ``spike_times``;
-    returns v, w and the voltage after each step.
+    ``rows`` holds each step's positive length ``h`` and the drive at its
+    middle and end; the start drive of every later step is the end drive
+    of the step before.  ``consts`` holds the neuron's constants in the
+    order ``adex_neuron`` packs them.  The RK stages are written out
+    inline on local floats, every operation in the order of the formula,
+    ``0.5 * h`` and ``h / 6.0`` included.  A spike appends the index of
+    its step's end in ``grid`` to ``spike_steps``; returns v, w and the
+    voltage after each step.
     """
-    neg_g_l, gd, e_l, v_t, delta_t, c_m, a, tau_w, exp_cap, v_peak, v_reset, b, v_floor = consts
+    neg_g_l, gd, e_l, v_t, delta_t, c_m, a, tau_w, exp_cap, v_peak, v_reset, b, v_floor, dt = consts
     exp = math.exp
     v_hist = array("d")
     append = v_hist.append
-    for h, half, sixth, t_next, i0, i1, i2 in rows:
+    for h, i1, i2 in rows:
+        half = 0.5 * h
         d = v - e_l
         arg = (v - v_t) / delta_t
         if arg > exp_cap:
@@ -431,15 +437,17 @@ def _rk4_block(rows, v, w, consts, spike_times: list, dt: float):
             arg = exp_cap
         k4v = (neg_g_l * d + gd * exp(arg) - w4 + i2) / c_m
         k4w = (a * d - w4) / tau_w
+        sixth = h / 6.0
         v += sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         w += sixth * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        i0 = i2
         if v >= v_peak:
-            spike_times.append(t_next)
+            spike_steps.append(lo + len(v_hist) + 1)
             v = v_reset
             w += b
         if not v >= v_floor:  # NaN included
             raise ConfigError(
-                f"adex_neuron diverged at t = {t_next!r} s (v = {v!r} V): "
+                f"adex_neuron diverged at t = {grid.item(lo + len(v_hist) + 1)!r} s (v = {v!r} V): "
                 f"the step dt = {dt!r} s is too coarse for this drive"
             )
         append(v)

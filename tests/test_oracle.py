@@ -50,8 +50,14 @@ def test_triangle_with_range_crossings():
 
 def test_agreement_with_ack_latency_and_reset():
     cfg = CfcConfig(i_leak_floor=0.0, t_rst=2e-7)
+    ack = AckModel(latency=3e-7)
     stim = from_breakpoints([(0.0, 5e-9), (4e-4, 2e-9)], "step", end=1e-3)
-    _agree(cfg, stim, 1e-3, dt=5e-10, ack=AckModel(latency=3e-7))
+    _agree(cfg, stim, 1e-3, dt=5e-10, ack=ack)
+    # a ramp runs every event through the per-event loop: both integrators
+    # agree event by event with a nonzero jitter-free latency
+    ramp = from_breakpoints([(0.0, 2e-9), (1e-3, 8e-9)], "linear", end=1e-3)
+    sim, _ = _agree(cfg, ramp, 1e-3, dt=1e-9, ack=ack)
+    assert len(sim) == 48
 
 
 def test_agreement_with_jittered_ack():

@@ -21,7 +21,7 @@ from cfcsim.stimulus import (
     regular_train,
     staircase_sweep,
 )
-from oracle import from_breakpoints
+from oracle import block_size, from_breakpoints
 
 
 def _value(sig, t):
@@ -448,9 +448,37 @@ def test_adex_memory_per_step_is_bounded(traced_peak):
     # is evaluated a block at a time, and the RK4 loop reads them as
     # Python floats one block at a time.
     # Measured traced peaks: 201 B a step with whole-run Python lists,
-    # 50 B with the blocks.
+    # 50 B with the blocks, 28 B with the proxy formed in place on the
+    # voltage column and the signal built over it.
     duration = 1.0  # 100k steps of the default 10 us
-    assert traced_peak(adex_neuron, constant(1e-9, duration), AdexParams(), duration) < 120 * 100_000
+    assert traced_peak(adex_neuron, constant(1e-9, duration), AdexParams(), duration) < 40 * 100_000
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_adex_does_not_depend_on_block_boundaries(k):
+    # a block's first step starts from the block's own first drive point,
+    # and every later step from the end drive of the step before.  1.5 uA
+    # fires on every step but the last, which is shorter, as the run ends
+    # between two grid points; 2 nA fires steadily; fig6's drive, cut to
+    # 0.12 s, takes two input spikes, at 50 and 100 ms; 20 uA diverges
+    # after its first spike
+    fig6 = dpi_synapse(regular_train(20.0, 1.5), 20e-3, 0.5e-9, 20e-12, 1.5)
+    runs = [(constant(1.5e-6, 0.1001), AdexParams(), 0.100005), (constant(2e-9, 0.1), AdexParams(), 0.1),
+            (fig6, AdexParams(proxy_gain=40.0), 0.12)]
+    diverging = (constant(20e-6, 0.0101), AdexParams(), 0.010095)
+    want = [adex_neuron(*run) for run in runs]
+    with pytest.raises(ConfigError) as diverged:
+        adex_neuron(*diverging)
+    assert len(want[0][1]) == len(want[0][0].times) - 1 == 10_000
+    with block_size(k):
+        got = [adex_neuron(*run) for run in runs]
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(diverged.value))}$"):
+            adex_neuron(*diverging)
+    for (proxy, spikes), (ref_proxy, ref_spikes) in zip(got, want, strict=True):
+        for column in ("times", "i_start", "i_end"):
+            assert getattr(proxy, column).tobytes() == getattr(ref_proxy, column).tobytes(), column
+        assert proxy.end == ref_proxy.end
+        assert spikes.times.tobytes() == ref_spikes.times.tobytes()
 
 
 def test_from_samples_joins_the_samples_and_holds_the_last_to_end():
