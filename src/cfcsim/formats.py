@@ -12,7 +12,14 @@ decimal place.  Floats are deduplicated by one sort; at most
 more go to a numpy kernel (:func:`_float_cells`) that finds the same
 digits with the Schubfach algorithm and writes each character of
 ``repr``'s layout into a fixed band, checked against ``repr`` on every
-power of two and of ten, the subnormals and random bit patterns.  Text
+power of two and of ten, the subnormals, random bit patterns and a block
+of every binade.  Its 126-bit multiplier and shift follow from each
+value's binary exponent; when all the values of a block share one
+(biased) exponent and none is a power of two, as in most blocks of a
+sorted time column, the kernel takes them once, as numpy scalars, for
+the whole block.  Such blocks hold 82% of the values the kernel formats
+in the benchmark's ``staircase`` workload, 84% in ``roundtrip`` and 36%
+in ``neuron``.  Text
 and booleans are deduplicated the same way and written with ``str``.
 Tables are written in blocks of at most ``core._BLOCK`` rows, cut from
 the columns as they come (:func:`core._spans`): each column's block
@@ -256,16 +263,25 @@ def _round_to_odd(x, g):
 def _shortest(bits):
     """The shortest decimal f * 10**k that reads back as each finite,
     nonzero double (given as its bits): f < 10**17 as uint64 and k as
-    int16.  Arrays are updated in place and dropped once used, so that
-    few columns of the block are alive at a time.
+    int16.
+
+    When all the doubles share one biased exponent and none is a power
+    of two, the exponent is taken as one numpy scalar, and so are k, the
+    multiplier, the shift and the interval's half-width that follow from
+    it: the same lines then run on them by broadcasting, and k is 0-d.
+    Otherwise each value has its own.  Columns are updated in place (an
+    augmented assignment rebinds a scalar) and dropped once used, so
+    that few columns of the block are alive at a time.
     """
     q = (bits >> np.uint64(52)).astype(np.int64)
     q &= 0x7FF  # the biased exponent
     c = bits & np.uint64(2**52 - 1)
     del bits
     irregular = (c == 0) & (q > 1)  # a power of two: the double below is half as far as the one above
+    if not irregular.any() and (q == q[0]).all():
+        q, irregular = q[0], np.False_  # one binade: one multiplier and one shift for the block
     c |= (q != 0) * np.uint64(2**52)
-    np.maximum(q, 1, out=q)
+    q = np.maximum(q, 1)
     q -= 1075  # v = c * 2**q
     # floor(log10(2**q)), or floor(log10(3/4 * 2**q)) when irregular (Java's MathUtils)
     k = q * 661_971_961_083
@@ -286,7 +302,7 @@ def _shortest(bits):
     step = np.uint64(2) << h  # R's half-width, or its upper half-width when irregular
     del h
     vbr = _round_to_odd(x + step, g)
-    step >>= irregular.view(np.uint8)
+    step = step >> irregular
     x -= step
     del step
     vbl = _round_to_odd(x, g)

@@ -475,6 +475,32 @@ def _check_run(stimulus: CurrentSignal, duration: float) -> None:
         raise ConfigError(f"stimulus is defined up to {stimulus.end} s but the run lasts {duration} s")
 
 
+def _charge(pieces, t, q_first=(0.0, 0.0)) -> np.ndarray:
+    """The charge each range (rows) took in from the first piece's start
+    up to each time of ``t`` (columns), which lie in the pieces
+    ``starts, ends, i_a, i_b, sel`` of :func:`_effective_pieces`, given
+    ``q_first``, the charge per range at the first piece's start.
+
+    The charge at each piece's start is one running sum per range from
+    ``q_first`` on, so the pieces cut into blocks, each block given the
+    whole's charge at its first start, take in the same charges, bit for
+    bit, as the whole.  Within a piece the current is linear in time.
+    """
+    starts, ends, i_a, i_b, sel = pieces
+    slope = (i_b - i_a) / (ends - starts)
+    q_piece = 0.5 * (i_a + i_b) * (ends - starts)
+    q_start = np.empty((2, starts.size))
+    for r in RangeSelect:
+        q_start[r, 0] = q_first[r]
+        q_start[r, 1:] = np.where(sel[:-1] == r, q_piece[:-1], 0.0)
+        q_start[r] = np.cumsum(q_start[r])
+    k = np.searchsorted(starts, t, side="right") - 1
+    dt = t - starts[k]
+    q = q_start[:, k]
+    q[sel[k], np.arange(t.size)] += i_a[k] * dt + 0.5 * slope[k] * dt * dt
+    return q
+
+
 def state_trace(config: CfcConfig, stimulus: CurrentSignal, duration: float, events: EventStream,
                 ack: Optional[AckModel] = None) -> StateTrace:
     """Rebuild the state trace of a finished run from ``events``, what
@@ -491,23 +517,9 @@ def state_trace(config: CfcConfig, stimulus: CurrentSignal, duration: float, eve
     """
     _check_run(stimulus, duration)
     ack = AckModel() if ack is None else ack
-    starts, ends, i_a, i_b, sel = _joined(_effective_pieces(config, stimulus, duration))
-    slope = (i_b - i_a) / (ends - starts)
+    pieces = _joined(_effective_pieces(config, stimulus, duration))
+    starts, *_, sel = pieces
     caps = np.asarray(config.caps)
-
-    # charge each range took in from t = 0 to the start of every piece
-    q_piece = 0.5 * (i_a + i_b) * (ends - starts)
-    q_start = np.zeros((2, starts.size))
-    for r in RangeSelect:
-        q_start[r, 1:] = np.cumsum(np.where(sel == r, q_piece, 0.0))[:-1]
-
-    def charge(t):
-        """Charge per range (rows) taken in over [0, t] (columns)."""
-        k = np.searchsorted(starts, t, side="right") - 1
-        dt = t - starts[k]
-        q = q_start[:, k]
-        q[sel[k], np.arange(t.size)] += i_a[k] * dt + 0.5 * slope[k] * dt * dt
-        return q
 
     t_ev = events.t_req
     n = t_ev.size
@@ -540,7 +552,7 @@ def state_trace(config: CfcConfig, stimulus: CurrentSignal, duration: float, eve
     since = np.concatenate(([0.0], reset_end))[owner + integrating]
     held = t.copy()
     held[dead] = t_ev[owner[dead]]
-    v = config.v_ref_h - (charge(held) - charge(since)) / caps[:, None]
+    v = config.v_ref_h - (_charge(pieces, held) - _charge(pieces, since)) / caps[:, None]
     v[events.sf[owner[dead]], dead] = config.v_ref_l
     selected = sel[np.searchsorted(starts, t, side="right") - 1]
     return StateTrace(t, v[RangeSelect.LOW], v[RangeSelect.HIGH], phase, selected)

@@ -644,7 +644,8 @@ def _table_columns(draw):
     uint8, bool or ``<U`` blocks, or one int64 broadcast to every row as
     ``write_events_csv`` passes the channel.
     Each column either repeats a few drawn values or holds them once among
-    random, almost surely distinct ones; some tables span several blocks,
+    random, almost surely distinct ones, which a float column may draw
+    sorted within one binade; some tables span several blocks,
     and some hold ``_REPR_MAX`` values or one more, on either side of the
     switch from ``str`` to the float kernel."""
     n = draw(st.integers(1, 40) | st.sampled_from([formats._REPR_MAX, formats._REPR_MAX + 1, core._BLOCK,
@@ -658,7 +659,10 @@ def _table_columns(draw):
             continue
         if kind == "float64":
             pool = np.array(draw(st.lists(_CELL_FLOATS, min_size=1, max_size=8)))
-            spread = rng.random(n) * draw(st.sampled_from([2.0**-1060, 2.0**-30, 1.0, 2.0**1000]))
+            spread = rng.random(n)
+            if draw(st.booleans()):  # one binade, as a sorted time column mostly is
+                spread = 1.0 + np.sort(spread)
+            spread *= draw(st.sampled_from([2.0**-1060, 2.0**-30, 1.0, 2.0**1000]))
         elif kind == "str":
             pool = np.array(draw(st.lists(_CELL_TEXT, min_size=1, max_size=8)))
             spread = np.char.add("s", np.arange(n).astype(str))
@@ -678,6 +682,7 @@ def _table_columns(draw):
 @settings(max_examples=60, deadline=None)
 @given(columns=_table_columns())
 @example(columns=[np.array([0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310])])
+@example(columns=[np.linspace(1.25, 1.75, formats._REPR_MAX + 1)])  # one binade, through the float kernel
 @example(columns=[np.array([-0.0, 0.0, -0.0, 5e-324, 5e-324, math.nan]),
                   np.array(["0.5", "", "3", "", "-0.0", "7"])])
 def test_table_cells_are_str_of_each_value(tmp_path_factory, columns):
@@ -729,6 +734,36 @@ def test_float_kernel_is_repr_at_the_edges():
     x = _with_neighbours(np.concatenate((powers_of_two, powers_of_ten, switches, integers, specials)))
     subnormals = np.arange(2**16, dtype=np.uint64).view(np.float64)  # 0.0 and the 2**16 - 1 smallest
     _assert_kernel_is_repr(np.concatenate((x, -x, subnormals, -subnormals, nans)))
+
+
+def _one_binade(e, n, rng):
+    """A sorted block of ``n`` random doubles of biased exponent ``e``
+    (0: the subnormals), of random signs."""
+    bits = np.uint64(e) << np.uint64(52) | rng.integers(1, 2**52, n, dtype=np.uint64)
+    bits |= rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+    return np.sort(bits.view(np.float64))
+
+
+def test_float_kernel_is_repr_in_every_binade():
+    # each block takes one multiplier; with the power of two that opens its
+    # binade (0.0 for the subnormals) added, each value takes its own,
+    # except beside 2**-1022, whose rounding interval is symmetric
+    rng = np.random.default_rng(36)
+    for e in range(2047):
+        block = _one_binade(e, 24, rng)
+        opening = np.uint64(e << 52).view(np.float64)
+        _assert_kernel_is_repr(block)
+        _assert_kernel_is_repr(np.sort(np.append(block, opening)))
+
+
+def test_one_binade_takes_one_exponent():
+    rng = np.random.default_rng(7)
+    one = _one_binade(1000, 50, rng)
+    f, k = formats._shortest(one.view(np.uint64))
+    assert (f.shape, np.ndim(k)) == ((50,), 0)
+    for block in (np.append(one, _one_binade(1001, 1, rng)), np.append(one, 2.0**(1000 - 1023))):
+        f, k = formats._shortest(block.view(np.uint64))
+        assert f.shape == k.shape == (51,)
 
 
 def test_float_kernel_needs_no_two_digit_minimum():
@@ -847,3 +882,12 @@ def test_table_writer_memory_is_one_block(tmp_path, traced_peak):
         three = peak(table, 3 * core._BLOCK + 1)
         assert three <= 1.1 * one, table.__name__
         assert three < 1.5e6, table.__name__
+
+
+def test_one_binade_block_memory_is_bounded(traced_peak):
+    # one multiplier and one shift for the whole block: traced peaks of
+    # 0.66 MB, and 1.04 MB when each value took its own
+    formats._float_cells(np.linspace(0.1, 0.9, formats._REPR_MAX + 1))  # the multiplier table, built once
+    block = 2.0**-20 * (1.0 + np.sort(np.random.default_rng(0).random(core._BLOCK)))
+    assert np.ndim(formats._shortest(block.view(np.uint64))[1]) == 0
+    assert traced_peak(formats._float_cells, block) <= 0.75e6

@@ -17,6 +17,7 @@ from cfcsim.simulator import (
     EventStream,
     Phase,
     _STRETCH_BLOCK,
+    _charge,
     _effective_pieces,
     _jittered_stretch,
     _joined,
@@ -1067,6 +1068,43 @@ def test_trace_replays_the_kernel_latency_draws():
     gaps = events.t_req[1:] - reset_ends[: len(events) - 1]
     assert len(gaps) > 2 * 4096
     assert gaps == pytest.approx(np.full(len(gaps), ideal_isi(CFG, i)), rel=1e-12)
+
+
+def _ramp_pieces(cuts, ranges):
+    """The ramp i(t) = 2t A, cut at ``cuts``, one range a piece."""
+    starts, ends = np.array(cuts[:-1], dtype=float), np.array(cuts[1:], dtype=float)
+    return starts, ends, 2.0 * starts, 2.0 * ends, np.array(ranges, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("q_first", [(0.0, 0.0), (0.25, 0.5)])
+def test_charge_is_the_trapezoid_of_each_range(q_first):
+    # LOW over [0, 1] and [3, 4], HIGH over [1, 3]; the charge over [a, b]
+    # of a linear current is the trapezoid (i(a) + i(b)) / 2 * (b - a)
+    pieces = _ramp_pieces([0.0, 1.0, 3.0, 4.0], [RangeSelect.LOW, RangeSelect.HIGH, RangeSelect.LOW])
+    t = np.array([0.0, 0.5, 1.0, 2.5, 3.0, 3.5, 4.0])
+
+    def trapezoid(a, b):
+        b = np.clip(t, a, b)
+        return (2.0 * a + 2.0 * b) / 2 * (b - a)
+
+    q = _charge(pieces, t, q_first)
+    assert q.shape == (2, t.size)
+    assert q[RangeSelect.LOW] == pytest.approx(q_first[0] + trapezoid(0.0, 1.0) + trapezoid(3.0, 4.0), rel=1e-15)
+    assert q[RangeSelect.HIGH] == pytest.approx(q_first[1] + trapezoid(1.0, 3.0), rel=1e-15)
+    assert q[:, 0].tolist() == list(q_first)
+
+
+def test_charge_carries_across_blocks_bit_for_bit():
+    # pieces cut into two blocks, the second given the charge at its
+    # first start, take in what the whole takes in
+    rng = np.random.default_rng(5)
+    cuts = np.cumsum(rng.random(41) * 1e-4)
+    pieces = _ramp_pieces(cuts, rng.integers(0, 2, 40))
+    t = np.sort(rng.uniform(cuts[17], cuts[-1], 100))
+    whole = _charge(pieces, t)
+    carry = _charge(pieces, cuts[17:18])[:, 0]
+    second = _charge([column[17:] for column in pieces], t, tuple(carry))
+    assert second.tobytes() == whole.tobytes()
 
 
 def test_ack_latencies_are_the_scalar_draws_in_order():
