@@ -18,7 +18,6 @@ wall-clock entropy, so identical invocations produce identical files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -108,11 +107,11 @@ def _cmd_simulate(args) -> int:
     if args.config is None:
         raise ConfigError("simulate requires --config with an experiment description")
     raw = read_json_object(args.config)
-    # the flags replace the description's keys, checked as the keys are
+    # the flags replace the description's keys, checked as the keys are; --trace only an absent or false one
     raw.update((key, value) for key, value in (("seed", args.seed), ("duration", args.duration)) if value is not None)
+    if args.trace and raw.get("trace", False) is False:
+        raw["trace"] = True
     spec = load_spec(raw, str(args.config))
-    if args.trace and not spec.trace:
-        spec = dataclasses.replace(spec, trace=True)
     record = run_simulate(spec, args.out)
     _report(f"{spec.name}: {record.summary['event_count']} events -> {args.out}")
     return EXIT_OK

@@ -16,8 +16,8 @@ typos fail fast::
 
 Every experiment resolves to fully concrete objects (or fails) before
 any simulation starts, and all randomness derives from the single seed.
-``cfcsim simulate`` writes its ``--seed`` and ``--duration`` into the
-parsed description as those keys, so they are checked as the keys are.
+``cfcsim simulate`` writes its ``--seed``, ``--duration`` and ``--trace``
+into the description as those keys, so they are checked as the keys are.
 A monitored stream is decoded once, by :func:`run_monitor`; a sweep's
 per-step means are read off that decode.
 """

@@ -29,13 +29,13 @@ path; the test suite cross-checks it against a deliberately different
 brute-force integrator, the fixed-step oracle in ``tests/oracle.py``.
 
 Events are found one at a time, except on a flat stretch of current
-entered with both capacitors reset: there every cycle is alike, and one
-batch places the events of at most ``_STRETCH_BLOCK`` cycles from that
-reset.  Without jitter each cycle lasts the same period, so the events
-sit at ``first + period * k``, which can differ from the per-event
-loop's running sum in the last bits.  With jitter, one cumulative sum
-over the interval and the latencies, read by event index as one numpy
-column, places them bit for bit as the per-event loop does.
+entered with both capacitors reset: there every cycle is alike, and
+batches of at most ``core._BLOCK`` cycles place its events.  Without
+jitter each cycle lasts the same period, and the events sit at
+``first + period * k`` however the batches cut the stretch, which can
+differ from the per-event loop's running sum in the last bits.  With
+jitter, one cumulative sum over the interval and the latencies, read
+by event index as one numpy column, is that loop's sum bit for bit.
 
 The effective pieces are built one block of at most ``core._BLOCK``
 stimulus segments at a time, and the kernel reads each block's rows as
@@ -67,7 +67,6 @@ from .core import (CfcConfig, ConfigError, RangeSelect, _block_rows, _is_address
 from .stimulus import CurrentSignal
 
 DEFAULT_EVENT_CAP = 100_000_000
-_STRETCH_BLOCK = 1 << 16  # most candidate cycles one flat-stretch batch places
 
 
 class Phase(IntEnum):
@@ -397,6 +396,7 @@ def simulate(
         slope = (ib - ia) / (b - a)
         c_eq = caps[sel]
         t = dead_until if dead_until > a else a
+        stretch = None  # a jitter-free stretch cut at a batch's end: (first, next k)
         while t < b:
             v_active = v[sel]
             q_need = c_eq * (v_active - v_ref_l)
@@ -411,7 +411,7 @@ def simulate(
                 # ``cycle``, but at most one past the cap and one block
                 cycle = isi + shortest_dead
                 fit = (b - t) / cycle if cycle > 0.0 else math.inf
-                m = int(min(fit + 2.0, room + 1, _STRETCH_BLOCK))
+                m = int(min(fit + 2.0, room + 1, core._BLOCK))
                 if ack.jitter:
                     k = len(ev_t)  # every event so far took one draw
                     lat = ack.draws(config.channel_address, k, m)
@@ -419,14 +419,15 @@ def simulate(
                     # the draws no event took go, in order, to the next events
                     latencies = itertools.chain(lat[times.size:].tolist(), ack.latencies(config.channel_address, k + m))
                 else:
-                    # (t + isi) + cycle * k, built in place, never decreases
-                    # in k: one search counts the events at or before b.
-                    # A first interval past b (or overflowed to inf, where
-                    # 0 * inf would be nan) leaves no candidate
-                    times = np.arange(m if t + isi <= b else 0, dtype=np.float64)
+                    # first + cycle * k, built in place, never decreases in k: one search
+                    # counts the events at or before b, and a cut stretch goes on from its
+                    # k.  A first interval past b or at inf (0 * inf is nan) leaves none
+                    first, k = (t + isi, 0) if stretch is None else stretch
+                    times = np.arange(k, k + m if first <= b else k, dtype=np.float64)
                     times *= cycle
-                    times += t + isi
+                    times += first
                     times = times[:np.searchsorted(times, b, side="right")]
+                    stretch = (first, k + m) if times.size == m else None
                     t_next = float(times[-1]) + shortest_dead if times.size else t
                     q_avail = None if times.size else (b - t) * i_t
                 n = times.size

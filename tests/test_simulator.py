@@ -16,7 +16,6 @@ from cfcsim.simulator import (
     EventCapError,
     EventStream,
     Phase,
-    _STRETCH_BLOCK,
     _charge,
     _effective_pieces,
     _jittered_stretch,
@@ -141,6 +140,18 @@ def test_range_switch_mid_cycle_to_high_uses_full_big_cap():
     ev = simulate(IDEAL, stim, 0.02).events
     assert ev.t_req[0] == pytest.approx(5e-3 + 0.5e-3, rel=1e-12)
     assert ev.sf[0] == 1
+
+
+@pytest.mark.parametrize("i3, want", [(0.0, []), (3e-9, [5.618897024171029e-05])], ids=["0A-holds", "3nA-fires"])
+def test_capacitor_rounded_onto_v_ref_l_holds_or_fires_at_once(i3, want):
+    # the second piece leaves too little charge for an event, yet its
+    # partial charge rounds the capacitor onto v_ref_l: no charge is needed
+    # at b2 = 5.618897024171029e-05.  With no current the channel holds,
+    # where the crossing time would divide by zero; with current it fires
+    # at b2 itself.  The next event comes 33 us later
+    stim = from_breakpoints([(0.0, 4.784567932257322e-09), (1.788125865888559e-05, 3.771017018613626e-10),
+                             (5.618897024171029e-05, i3)], "step", end=8e-5)
+    assert simulate(CFG, stim, 8e-5).events.t_req.tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +304,10 @@ def test_every_event_fires_from_an_integrating_stretch(levels, dwell, latency, j
 def _period_rule_reference(config, i, duration, ack, max_events):
     """The jitter-free batch rule on ``constant(i, duration)`` as a scalar
     loop: from a reset at t the events sit at first + period * k, with
-    first = t + isi, for k below ``_STRETCH_BLOCK`` and up to the end of
-    the run, and integration resumes at the last event plus the dead
-    time.  Returns the event times and the time of the event the cap
-    refused (None when the cap was not hit)."""
+    first = t + isi, for every k up to the end of the run, and
+    integration resumes at the last event plus the dead time.  Returns
+    the event times and the time of the event the cap refused (None when
+    the cap was not hit)."""
     sel = int(select_ranges(config, [i])[0])
     isi = config.caps[sel] * (config.v_ref_h - config.v_ref_l) / i
     dead = dead_time(config, ack)
@@ -304,7 +315,7 @@ def _period_rule_reference(config, i, duration, ack, max_events):
     times, t = [], 0.0
     while t < duration and t + isi <= duration:
         first, k = t + isi, 0
-        while k < _STRETCH_BLOCK and first + period * k <= duration:
+        while first + period * k <= duration:
             if len(times) == max_events:
                 return times, first + period * k
             times.append(first + period * k)
@@ -325,8 +336,7 @@ def _period_rule_reference(config, i, duration, ack, max_events):
 @example(config=CFG, i=1e-9, latency=0.0, duration=0.0010008999999999999, cap=DEFAULT_EVENT_CAP)
 # a cycle that rounds to zero length: the batch fills to the cap
 @example(config=CfcConfig(c1=1e-320, t_rst=0.0, i_leak_floor=0.0), i=1e10, latency=0.0, duration=1.0, cap=1000)
-# about 70,800 cycles: the rule restarts from the reset after the last
-# event of the first block
+# about 70,800 cycles: one progression across every cut of the batches
 @example(config=CFG, i=3e-6, latency=1e-7, duration=0.25, cap=DEFAULT_EVENT_CAP)
 def test_jitter_free_batches_follow_the_period_rule(config, i, latency, duration, cap):
     ack = AckModel(latency=latency)
@@ -823,6 +833,10 @@ def _flat_steps(*levels):
 # HIGH carries over
 @example(run=(3, _flat_steps(2e-8, 2e-8, 2e-8, 8e-9, 8e-9, 5e-9)), config=CfcConfig(hysteresis=0.3), run_to=1.0,
          jitter=False)
+# one 30 ms flat stretch of about 8,300-8,500 cycles, longer than one
+# default block: batches of k cycles cut it where the default cuts it once
+@example(run=(3, (np.zeros(1), np.full(1, 3e-6), np.full(1, 3e-6), 0.03)), config=CFG, run_to=1.0, jitter=False)
+@example(run=(7, (np.zeros(1), np.full(1, 3e-6), np.full(1, 3e-6), 0.03)), config=CFG, run_to=1.0, jitter=True)
 def test_events_do_not_depend_on_block_boundaries(run, config, run_to, jitter):
     k, signal = run
     stim = CurrentSignal(*signal)
@@ -976,27 +990,30 @@ def test_simulate_memory_per_piece_is_bounded(traced_peak):
     assert many < 2e6
 
 
-def _simulate_to_the_cap(config, stimulus, duration, max_events):
+def _simulate_to_the_cap(config, stimulus, duration, max_events, ack=None):
     """The events of a run, or those a cap error attached."""
     try:
-        return simulate(config, stimulus, duration, max_events=max_events).events
+        return simulate(config, stimulus, duration, ack=ack, max_events=max_events).events
     except EventCapError as exc:
         return exc.events
 
 
-@pytest.mark.parametrize("config, i, cap, n", [
+@pytest.mark.parametrize("config, i, ack, cap, n", [
     # a cycle that rounds to zero length: one flat stretch up to the cap
-    pytest.param(CfcConfig(c1=1e-320, t_rst=0.0, i_leak_floor=0.0), 1e10, 1_000_000, 1_000_000, id="zero-cycle"),
-    pytest.param(CFG, 3e-6, DEFAULT_EVENT_CAP, 291_262, id="3uA"),
+    pytest.param(CfcConfig(c1=1e-320, t_rst=0.0, i_leak_floor=0.0), 1e10, None, 1_000_000, 1_000_000,
+                 id="zero-cycle"),
+    pytest.param(CFG, 3e-6, None, DEFAULT_EVENT_CAP, 291_262, id="3uA"),
+    pytest.param(CFG, 3e-6, AckModel(latency=1e-7, jitter=2e-7, seed=1), DEFAULT_EVENT_CAP, 275_235,
+                 id="3uA-jittered"),
 ])
-def test_flat_stretch_memory_per_event_is_bounded(traced_peak, config, i, cap, n):
+def test_flat_stretch_memory_per_event_is_bounded(traced_peak, config, i, ack, cap, n):
     # the events take 9 bytes each in their buffers, and a batch places at
-    # most _STRETCH_BLOCK cycles at once.  Measured traced peaks: 25.6 and
-    # 18.6 B an event when a jitter-free batch placed a whole stretch, 10.1
-    # and 11.2 B with the block
+    # most core._BLOCK cycles at once.  Measured traced peaks: 10.1, 11.2
+    # and 25.9 B an event with batches of 65,536 cycles, 9.6, 9.8 and
+    # 11.5 B with core._BLOCK (8,192)
     stim = constant(i, 1.0)
-    assert len(_simulate_to_the_cap(config, stim, 1.0, cap)) == n
-    assert traced_peak(_simulate_to_the_cap, config, stim, 1.0, cap) <= 12 * n
+    assert len(_simulate_to_the_cap(config, stim, 1.0, cap, ack)) == n
+    assert traced_peak(_simulate_to_the_cap, config, stim, 1.0, cap, ack) <= 12 * n
 
 
 _NEXT_PHASE = {
