@@ -10,7 +10,8 @@ and half the ack jitter) from every interval before decoding.
 
 Exit codes: 0 success, 2 configuration/usage error, a malformed events
 file or a path that cannot be read or written, 3 runtime error (an event
-stream ``reconstruct`` refuses and running out of memory included).
+stream ``reconstruct`` refuses and running out of memory included).  An
+error is one stderr line, ``error: <command>: <message>``.
 Omitting ``--seed`` uses the fixed default 0; nothing ever draws from
 wall-clock entropy, so identical invocations produce identical files.
 """
@@ -161,8 +162,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, CsvFormatError, OSError) as exc:  # a CsvFormatError and an OSError name their path
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError, MemoryError) as exc:
-        print(f"error: {exc}" if str(exc) else f"error: {type(exc).__name__}", file=sys.stderr)
+        print(f"error: {args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME

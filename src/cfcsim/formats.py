@@ -19,8 +19,9 @@ value's binary exponent; when all the values of a block share one
 sorted time column, the kernel takes them once, as numpy scalars, for
 the whole block.  Such blocks hold 82% of the values the kernel formats
 in the benchmark's ``staircase`` workload, 84% in ``roundtrip`` and 36%
-in ``neuron``.  Text
-and booleans are deduplicated the same way and written with ``str``.
+in ``neuron``.  One product per value gives its digits and both ends of
+its rounding interval.  Text and booleans are deduplicated the same way
+and written with ``str``.
 Tables are written in blocks of at most ``core._BLOCK`` rows, cut from
 the columns as they come (:func:`core._spans`): each column's block
 becomes a band matrix, one value a column and NUL where a value has no
@@ -200,8 +201,9 @@ def _str_cells(values) -> np.ndarray:
 # (s + 1) * 10**k that bracket v, and the one-digit-shorter multiples of
 # 10**(k + 1), the shortest in R is taken, the closer to v of two, the
 # even one on a tie.  The scaled values 4 * v / 10**k and the interval's
-# ends come from 64 x 126-bit products rounded to odd, run on 32-bit limbs
-# in uint64 arrays.
+# ends are ``rop`` (x * g / 2**127 rounded to odd) of x and x +- 2**w:
+# one 64 x 126-bit product, on 32-bit limbs in uint64 arrays, gives x's,
+# and g shifted by w, with one carry or borrow, moves it to the ends'.
 
 _M32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
@@ -248,16 +250,32 @@ def _mul_high(x0, x1, gh, gl):
     return ((gl * x0 >> _32) + gl * x1 + gh * x0 >> _32) + gh * x1
 
 
-def _round_to_odd(x, g):
-    """x * g / 2**127 rounded down, with its lowest bit set if that
-    dropped a nonzero fraction, as ``rop`` of Java's ``DoubleToDecimal``
-    computes it; g is ``(g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32)``
-    of ``_multipliers`` gathered per value, all uint64."""
-    g1, g1h, g1l, g0h, g0l = g
-    x0, x1 = x & _M32, x >> _32
-    z = g1 * x >> np.uint64(1)
-    z += _mul_high(x0, x1, g0h, g0l)
-    return _mul_high(x0, x1, g1h, g1l) + (z >> np.uint64(63)) | (z << np.uint64(1) != 0)
+def _rop_moved(hi, z, lo, g1, g0, w, up):
+    """``rop`` of x + 2**w (``up``) or of x - 2**w, for 0 < w < 64, from
+    x's F = hi * 2**63 + z and ``lo`` (see :func:`_shortest`).  Up, F
+    gains A = floor(g * 2**w / 2**64) = g1 * 2**(w - 1) + (g0 >> 64 - w),
+    split as a1 * 2**63 + a0, and the carry out of lo + (g0 << w mod 2**64).
+    Down, it loses A and the borrow of lo - (g0 << w mod 2**64), taken as
+    F + ~A + 1 - borrow, ~A the 127-bit complement of A.  The moved z
+    stays below 2**64, and its bit 63 carries into hi."""
+    t = np.uint8(64) - w
+    a0 = g1 << w - np.uint8(1)
+    a0 |= g0 >> t
+    a0 &= _M63
+    if up:
+        carry = lo > ~(g0 << w)
+    else:
+        a0 ^= _M63
+        carry = lo >= g0 << w
+    z = z + a0
+    z += carry
+    del a0, carry
+    vb = z >> np.uint64(63)
+    vb += hi
+    vb += g1 >> t if up else ~(g1 >> t)
+    z &= _M63
+    vb |= z != 0
+    return vb
 
 
 def _shortest(bits):
@@ -289,8 +307,6 @@ def _shortest(bits):
     k >>= 41
     k -= _K_MIN
     g1, g0, h = (t[k] for t in _multipliers())
-    g = g1, g1 >> _32, g1 & _M32, g0 >> _32, g0 & _M32
-    del g1, g0
     k = (k + _K_MIN).astype(np.int16)
     h += q
     del q
@@ -298,15 +314,24 @@ def _shortest(bits):
     x = c << h + np.uint8(2)  # 4 * c, scaled so that x * g / 2**127 is near 4 * v / 10**k
     odd = (c & np.uint64(1)) != 0  # R excludes its ends when c is odd
     del c
-    vb = _round_to_odd(x, g)
-    step = np.uint64(2) << h  # R's half-width, or its upper half-width when irregular
+    # rop reads x * g, g = g1 * 2**63 + g0, as F = floor(x * g1 / 2) + floor(x * g0 / 2**64),
+    # kept as hi * 2**63 + z with z < 2**63: rop(x) is hi, its lowest bit set if z is not 0;
+    # lo, the low word of x * g0, gives the ends their carry or borrow
+    x0, x1 = x & _M32, x >> _32
+    z = x * g1
+    z >>= np.uint64(1)
+    z += _mul_high(x0, x1, g0 >> _32, g0 & _M32)
+    hi = _mul_high(x0, x1, g1 >> _32, g1 & _M32)
+    hi += z >> np.uint64(63)
+    z &= _M63
+    lo = x * g0
+    del x, x0, x1
+    w = h + np.uint8(1)  # R's half-width is 2**w, its upper half-width when irregular
     del h
-    vbr = _round_to_odd(x + step, g)
-    step = step >> irregular
-    x -= step
-    del step
-    vbl = _round_to_odd(x, g)
-    del x, g
+    vb = hi | (z != 0)
+    vbr = _rop_moved(hi, z, lo, g1, g0, w, up=True)
+    vbl = _rop_moved(hi, z, lo, g1, g0, w - irregular, up=False)
+    del hi, z, lo, g1, g0, w
     vbl += odd
     vbr -= odd
     s = vb >> np.uint64(2)
@@ -360,11 +385,11 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     lo = f.astype(np.uint32)
     del f
     digits = np.empty((17, x.size), dtype=np.uint8)
+    half = lo
     for m in range(16, -1, -1):
-        half = lo if m > 8 else hi
         q = half // np.uint32(10)
-        digits[m] = half - q * np.uint32(10)
-        half[...] = q
+        np.subtract(half, q * np.uint32(10), out=digits[m], casting="unsafe")
+        half = hi if m == 9 else q  # lo holds the last eight digits, hi the nine before them
     del q, half, lo, hi
     nd = np.max((digits != 0) * _DIGIT_RANK, axis=0).astype(np.int16)  # significant digits
     digits += ord("0")
@@ -400,17 +425,19 @@ def _int_cells(x: np.ndarray) -> np.ndarray:
     band matrix: a ``-`` band if any value is negative, then one band per
     decimal place of the largest magnitude, the highest first, NUL above
     each value's leading digit.  The digits are peeled off the units
-    first with ``//`` by ten, which numpy runs far faster than ``%``."""
+    first with ``//`` by ten, which numpy runs far faster than ``%``, in
+    the narrowest unsigned type that holds the largest magnitude."""
     neg = x < 0
     mag = x.astype(np.uint64)
     sign = []
     if neg.any():
         np.negative(mag, out=mag, where=neg)  # modulo 2**64, so int64's minimum becomes 2**63
         sign.append(neg * _C["-"])
-    ten, digits = np.uint64(10), []
-    for p in range(len(str(mag.max()))):
-        rest = mag // ten
-        digit = (mag - rest * ten).astype(np.uint8) + _C["0"]
+    top, digits = mag.max(), []
+    mag = mag.astype(np.min_scalar_type(top), copy=False)
+    for p in range(len(str(top))):
+        rest = mag // 10
+        digit = (mag - rest * 10).astype(np.uint8, copy=False) + _C["0"]
         digits.append(digit * (mag != 0) if p else digit)  # mag is 0 above the leading digit
         mag = rest
     return np.vstack(sign + digits[::-1])

@@ -1,5 +1,5 @@
-"""Test machinery: the brute-force oracle, a breakpoint stimulus builder
-and a block-size switch.
+"""Test machinery: the brute-force oracle, a breakpoint stimulus builder,
+a block-size switch and the reference float kernel.
 
 :func:`oracle_simulate` is the fixed-step reference integrator that the
 closed-form event solver of :func:`cfcsim.simulator.simulate` is checked
@@ -8,6 +8,10 @@ same channel semantics, entirely different numerics.
 :func:`from_breakpoints` builds the piecewise stimuli those tests drive
 it with.  :func:`block_size` runs the package's blocked loops with
 another block size, to show their results do not depend on it.
+:func:`oracle_shortest` is the float kernel's digit search with three
+separate round-to-odd products, one for each end of the rounding interval
+and one for the value, which ``cfcsim.formats._shortest`` must match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 import pytest
 
 from cfcsim.core import CfcConfig, ConfigError, Polarity, RangeSelect, _block_rows, ideal_rate, rectify
+from cfcsim.formats import _32, _K_MIN, _M32, _multipliers
 from cfcsim.simulator import DEFAULT_EVENT_CAP, AckModel, EventCapError, EventStream, _channel_stream
 from cfcsim.stimulus import CurrentSignal
 
@@ -241,3 +246,93 @@ def oracle_simulate(
         v_low = v_high = v_ref_h
 
     return _channel_stream(config, ev_t, ev_sf)
+
+
+# The float kernel's digit search as it was with one 64 x 126-bit product
+# for each of v and the two ends of its rounding interval.
+
+def _mul_high(x0, x1, gh, gl):
+    """floor(x * g / 2**64) for x < 2**60 given as its 32-bit limbs
+    (x0 low, x1 high) and g < 2**63 as (gh, gl); no sum overflows."""
+    return ((gl * x0 >> _32) + gl * x1 + gh * x0 >> _32) + gh * x1
+
+
+def _round_to_odd(x, g):
+    """x * g / 2**127 rounded down, with its lowest bit set if that
+    dropped a nonzero fraction, as ``rop`` of Java's ``DoubleToDecimal``
+    computes it; g is ``(g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32)``
+    of ``_multipliers`` gathered per value, all uint64."""
+    g1, g1h, g1l, g0h, g0l = g
+    x0, x1 = x & _M32, x >> _32
+    z = g1 * x >> np.uint64(1)
+    z += _mul_high(x0, x1, g0h, g0l)
+    return _mul_high(x0, x1, g1h, g1l) + (z >> np.uint64(63)) | (z << np.uint64(1) != 0)
+
+
+def oracle_shortest(bits):
+    """The shortest decimal f * 10**k that reads back as each finite,
+    nonzero double (given as its bits): f < 10**17 as uint64 and k as
+    int16.
+
+    When all the doubles share one biased exponent and none is a power
+    of two, the exponent is taken as one numpy scalar, and so are k, the
+    multiplier, the shift and the interval's half-width that follow from
+    it: the same lines then run on them by broadcasting, and k is 0-d.
+    Otherwise each value has its own.  Columns are updated in place (an
+    augmented assignment rebinds a scalar) and dropped once used, so
+    that few columns of the block are alive at a time.
+    """
+    q = (bits >> np.uint64(52)).astype(np.int64)
+    q &= 0x7FF  # the biased exponent
+    c = bits & np.uint64(2**52 - 1)
+    del bits
+    irregular = (c == 0) & (q > 1)  # a power of two: the double below is half as far as the one above
+    if not irregular.any() and (q == q[0]).all():
+        q, irregular = q[0], np.False_  # one binade: one multiplier and one shift for the block
+    c |= (q != 0) * np.uint64(2**52)
+    q = np.maximum(q, 1)
+    q -= 1075  # v = c * 2**q
+    # floor(log10(2**q)), or floor(log10(3/4 * 2**q)) when irregular (Java's MathUtils)
+    k = q * 661_971_961_083
+    k -= irregular * 274_743_187_321
+    k >>= 41
+    k -= _K_MIN
+    g1, g0, h = (t[k] for t in _multipliers())
+    g = g1, g1 >> _32, g1 & _M32, g0 >> _32, g0 & _M32
+    del g1, g0
+    k = (k + _K_MIN).astype(np.int16)
+    h += q
+    del q
+    h = h.astype(np.uint8)
+    x = c << h + np.uint8(2)  # 4 * c, scaled so that x * g / 2**127 is near 4 * v / 10**k
+    odd = (c & np.uint64(1)) != 0  # R excludes its ends when c is odd
+    del c
+    vb = _round_to_odd(x, g)
+    step = np.uint64(2) << h  # R's half-width, or its upper half-width when irregular
+    del h
+    vbr = _round_to_odd(x + step, g)
+    step = step >> irregular
+    x -= step
+    del step
+    vbl = _round_to_odd(x, g)
+    del x, g
+    vbl += odd
+    vbr -= odd
+    s = vb >> np.uint64(2)
+    # the one-digit-shorter candidates: at most one lies in R
+    sp10 = s // np.uint64(10)
+    sp10 *= np.uint64(10)
+    upin = vbl <= sp10 << np.uint64(2)
+    wpin = sp10 + np.uint64(10) << np.uint64(2) <= vbr
+    shorter = (upin != wpin) & (s >= np.uint64(10))
+    del upin
+    # s or s + 1: the one in R, else the closer to v, else the even one
+    uin = vbl <= s << np.uint64(2)
+    win = s + np.uint64(1) << np.uint64(2) <= vbr
+    del vbl, vbr
+    vb += s & np.uint64(1)
+    up = np.where(uin == win, vb > (s << np.uint64(2)) + np.uint64(2), win)
+    del vb
+    s += up
+    sp10 += wpin * np.uint64(10)
+    return np.where(shorter, sp10, s), k

@@ -159,7 +159,7 @@ def test_decode_undecodable_byte_exit_2_names_file_and_line(tmp_path, capsys):
     p = tmp_path / "events.csv"
     p.write_bytes(b"t_req_s,channel,sf\n0.1,0,0\n\xff\xfe,0,0\n")
     assert main(["decode", str(p), "--out", str(tmp_path / "out")]) == 2
-    assert f"error: {p}: line 3: byte 0xff is not UTF-8" in capsys.readouterr().err
+    assert f"error: decode: {p}: line 3: byte 0xff is not UTF-8" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
@@ -171,7 +171,7 @@ def test_decode_pipe_with_a_malformed_row_exit_2_names_line(tmp_path, capsys):
         assert main(["decode", f"/dev/fd/{read_end}", "--out", str(tmp_path / "out")]) == 2
     finally:
         os.close(read_end)
-    assert f"error: /dev/fd/{read_end}: line 2: sf must be 0 or 1, got 2" in capsys.readouterr().err
+    assert f"error: decode: /dev/fd/{read_end}: line 2: sf must be 0 or 1, got 2" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
@@ -266,7 +266,7 @@ def test_decode_unusable_path_exit_2_names_it(tmp_path, capsys, paths):
     events, out, bad = paths(tmp_path)
     assert main(["decode", str(events), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(bad) in err
+    assert err.startswith("error: decode: ") and str(bad) in err
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +628,8 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
 
 
 @pytest.mark.parametrize("error, line", [
-    pytest.param(MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB", id="numpy"),
-    pytest.param(MemoryError(), "error: MemoryError", id="bare"),
+    pytest.param(MemoryError("Unable to allocate 7.28 TiB"), "error: preset: Unable to allocate 7.28 TiB", id="numpy"),
+    pytest.param(MemoryError(), "error: preset: MemoryError", id="bare"),
 ])
 def test_running_out_of_memory_exit_3(tmp_path, capsys, monkeypatch, error, line):
     import cfcsim.cli
