@@ -11,7 +11,8 @@ and half the ack jitter) from every interval before decoding.
 Exit codes: 0 success, 2 configuration/usage error, a malformed events
 file or a path that cannot be read or written, 3 runtime error (an event
 stream ``reconstruct`` refuses and running out of memory included).  An
-error is one stderr line, ``error: <command>: <message>``.
+error is one stderr line, ``error: <command>: <message>``, ending in
+`` (seed N)`` once ``simulate`` has resolved the seed its run draws from.
 Omitting ``--seed`` uses the fixed default 0; nothing ever draws from
 wall-clock entropy, so identical invocations produce identical files.
 """
@@ -113,6 +114,7 @@ def _cmd_simulate(args) -> int:
     if args.trace and raw.get("trace", False) is False:
         raw["trace"] = True
     spec = load_spec(raw, str(args.config))
+    args.drawn_seed = spec.ack.seed  # named by any error from here on
     record = run_simulate(spec, args.out)
     _report(f"{spec.name}: {record.summary['event_count']} events -> {args.out}")
     return EXIT_OK
@@ -162,8 +164,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, CsvFormatError, OSError) as exc:  # a CsvFormatError and an OSError name their path
-        print(f"error: {args.command}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, message = EXIT_CONFIG, str(exc)
     except (ValueError, RuntimeError, MemoryError) as exc:
-        print(f"error: {args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_RUNTIME
+        code, message = EXIT_RUNTIME, str(exc) or type(exc).__name__
+    seed = getattr(args, "drawn_seed", None)
+    print(f"error: {args.command}: {message}" + ("" if seed is None else f" (seed {seed})"), file=sys.stderr)
+    return code

@@ -20,8 +20,9 @@ sorted time column, the kernel takes them once, as numpy scalars, for
 the whole block.  Such blocks hold 82% of the values the kernel formats
 in the benchmark's ``staircase`` workload, 84% in ``roundtrip`` and 36%
 in ``neuron``.  One product per value gives its digits and both ends of
-its rounding interval.  Text and booleans are deduplicated the same way
-and written with ``str``.
+its rounding interval, and its 17 digits split by levels
+(:func:`_digits`), all the groups of a level in one step.  Text and
+booleans are deduplicated the same way and written with ``str``.
 Tables are written in blocks of at most ``core._BLOCK`` rows, cut from
 the columns as they come (:func:`core._spans`): each column's block
 becomes a band matrix, one value a column and NUL where a value has no
@@ -257,7 +258,8 @@ def _rop_moved(hi, z, lo, g1, g0, w, up):
     split as a1 * 2**63 + a0, and the carry out of lo + (g0 << w mod 2**64).
     Down, it loses A and the borrow of lo - (g0 << w mod 2**64), taken as
     F + ~A + 1 - borrow, ~A the 127-bit complement of A.  The moved z
-    stays below 2**64, and its bit 63 carries into hi."""
+    stays below 2**64, and its bit 63 carries into hi.  The borrow moves the
+    lower end of 147,574 doubles in [2**105, 2**106), and the text of 14,758."""
     t = np.uint8(64) - w
     a0 = g1 << w - np.uint8(1)
     a0 |= g0 >> t
@@ -354,6 +356,33 @@ def _shortest(bits):
     return np.where(shorter, sp10, s), k
 
 
+def _digits(f):
+    """The 17 decimal digits of each f < 10**17 (uint64), the highest first,
+    as a ``(17, n)`` uint8 matrix.  f splits by levels, all the groups of a
+    level by one ``//``, one multiply and one subtract into the narrowest
+    type (where the product wraps, the remainder still fits): the lead
+    digit and two 8-digit halves, then quarters, pairs and digits."""
+    n = f.size
+    digits = np.empty((17, n), dtype=np.uint8)
+    head = f // np.uint64(10**8)
+    groups = np.empty((2, n), dtype=np.uint32)  # the halves
+    np.subtract(f, head * np.uint64(10**8), out=groups[1], casting="unsafe")
+    head = head.astype(np.uint32)
+    np.floor_divide(head, np.uint32(10**8), out=groups[0])
+    digits[0] = groups[0]
+    groups[0] *= np.uint32(10**8)
+    np.subtract(head, groups[0], out=groups[0])
+    for p, parts in ((np.uint16(10**4), np.empty((2, 2, n), dtype=np.uint16)),
+                     (np.uint8(100), np.empty((2, 2, 2, n), dtype=np.uint8)),
+                     (np.uint8(10), digits[1:].reshape(2, 2, 2, 2, n))):
+        high, low = parts[..., 0, :], parts[..., 1, :]
+        np.floor_divide(groups, p, out=high, casting="unsafe")
+        np.multiply(high, p, out=low)
+        np.subtract(groups, low, out=low, casting="unsafe")
+        groups = parts
+    return digits
+
+
 def _float_cells(x: np.ndarray) -> np.ndarray:
     """``repr`` of each float64 as a ``(width, n)`` uint8 band matrix.
 
@@ -370,7 +399,8 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
 
     Bands that no value of the block uses are left out.  The values with
     no digits (zeros, infinities and NaNs) are laid out as ``1.0`` with
-    their own three characters in its places.
+    their own three characters in its places.  :func:`_digits` splits
+    the digits by levels.
     """
     bits = np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
     plain = (bits & _M63) - np.uint64(1) < _POS_INF - np.uint64(1)  # finite and nonzero
@@ -380,17 +410,8 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     f *= _POW10[17 - size]  # 17 digits, the shortest ones first
     decpt += size.astype(np.int16)
     del size
-    hi = (f // np.uint64(10**8)).astype(np.uint32)
-    f -= hi * np.uint64(10**8)
-    lo = f.astype(np.uint32)
+    digits = _digits(f)
     del f
-    digits = np.empty((17, x.size), dtype=np.uint8)
-    half = lo
-    for m in range(16, -1, -1):
-        q = half // np.uint32(10)
-        np.subtract(half, q * np.uint32(10), out=digits[m], casting="unsafe")
-        half = hi if m == 9 else q  # lo holds the last eight digits, hi the nine before them
-    del q, half, lo, hi
     nd = np.max((digits != 0) * _DIGIT_RANK, axis=0).astype(np.int16)  # significant digits
     digits += ord("0")
     sci = (decpt < -3) | (decpt > 16)

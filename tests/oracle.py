@@ -11,7 +11,8 @@ another block size, to show their results do not depend on it.
 :func:`oracle_shortest` is the float kernel's digit search with three
 separate round-to-odd products, one for each end of the rounding interval
 and one for the value, which ``cfcsim.formats._shortest`` must match bit
-for bit.
+for bit, and :func:`oracle_digits` its digit loop that peels one digit a
+pass, which ``cfcsim.formats._digits`` must match too.
 """
 
 from __future__ import annotations
@@ -336,3 +337,20 @@ def oracle_shortest(bits):
     s += up
     sp10 += wpin * np.uint64(10)
     return np.where(shorter, sp10, s), k
+
+
+def oracle_digits(f):
+    """The 17 decimal digits of each f < 10**17 (uint64) as a ``(17, n)``
+    uint8 matrix, the highest first, peeled off one a pass with ``//`` by
+    ten on the two uint32 halves of f; f itself is left as it is."""
+    hi = (f // np.uint64(10**8)).astype(np.uint32)
+    f = f - hi * np.uint64(10**8)
+    lo = f.astype(np.uint32)
+    del f
+    digits = np.empty((17, lo.size), dtype=np.uint8)
+    half = lo
+    for m in range(16, -1, -1):
+        q = half // np.uint32(10)
+        np.subtract(half, q * np.uint32(10), out=digits[m], casting="unsafe")
+        half = hi if m == 9 else q  # lo holds the last eight digits, hi the nine before them
+    return digits

@@ -113,6 +113,22 @@ def test_simulate_seed_flag_replaces_the_description_seed(tmp_path):
     assert (runs["flag"] / "events.csv").read_bytes() != (runs["three"] / "events.csv").read_bytes()
 
 
+def test_simulate_error_after_the_description_names_the_seed(tmp_path, capsys):
+    # --out names a regular file: the run fails once its seed is known, and
+    # the error line names it; a description that fails to load names none
+    out = tmp_path / "out"
+    out.write_text("")
+    for seed, argv in ((5, []), (9, ["--seed", "9"])):
+        spec_path = _write_spec(tmp_path / "spec.json", seed=5)
+        assert main(["simulate", "--config", str(spec_path), "--out", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulate: ") and str(out) in err
+        assert err.endswith(f" (seed {seed})\n") and err.count("\n") == 1
+    spec_path = _write_spec(tmp_path / "spec.json", seed=5, trace="yes")
+    assert main(["simulate", "--config", str(spec_path), "--out", str(out)]) == 2
+    assert "seed" not in capsys.readouterr().err
+
+
 def test_simulate_trace_flag_still_checks_the_description_trace(tmp_path, capsys):
     spec_path = _write_spec(tmp_path / "spec.json", trace="yes")
     assert main(["simulate", "--config", str(spec_path), "--out", str(tmp_path / "run"), "--trace"]) == 2

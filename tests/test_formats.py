@@ -28,7 +28,7 @@ from cfcsim.formats import (
 )
 from cfcsim.simulator import EventStream, Phase, StateTrace, simulate, state_trace
 from cfcsim.stimulus import CurrentSignal, SpikeTrain, constant, regular_train, staircase_sweep
-from oracle import block_size, oracle_shortest
+from oracle import block_size, oracle_digits, oracle_shortest
 
 IDEAL = CfcConfig(t_rst=0.0, i_leak_floor=0.0)
 
@@ -781,9 +781,85 @@ def _carries_and_borrows(v):
     return x * g0 % m + (g0 << w) % m >= m, x * g0 % m < (g0 << w) % m, x * g1 % m < (g1 << w) % m
 
 
-def test_the_kernel_examples_carry_and_borrow():
-    assert [_carries_and_borrows(v) for v in (1e23, 1e300, 0.1, 0.3)] == [
-        (True, False, False), (False, True, True), (False, False, True), (False, False, False)]
+#: The lower end of its rounding interval, which holds it (its c is even),
+#: and a multiple of 10**16: the lower end's borrow decides its text.
+_BORROW_DECIDES = 4.056579431202816e+31
+
+
+def test_the_kernel_examples_carry_and_borrow(monkeypatch):
+    assert [_carries_and_borrows(v) for v in (1e23, 1e300, 0.1, 0.3, _BORROW_DECIDES)] == [
+        (True, False, False), (False, True, True), (False, False, True), (False, False, False),
+        (False, True, False)]
+    assert _kernel_texts([_BORROW_DECIDES]) == ["4.056579431202816e+31"] == [repr(_BORROW_DECIDES)]
+    moved = formats._rop_moved  # with the lower end's borrow forced off, the end drops out of the interval
+    monkeypatch.setattr(formats, "_rop_moved", lambda hi, z, lo, *rest, up: moved(
+        hi, z, lo if up else np.uint64(2**64 - 1), *rest, up=up))
+    assert _kernel_texts([_BORROW_DECIDES]) == ["4.0565794312028165e+31"]
+
+
+def _lower_ends(bits):
+    """rop of x - 2**w for the double of these bits (``formats._rop_moved``
+    with ``up`` false), in Python integers: as the kernel forms it, from
+    F - A - borrow, and with the borrow forced off, from F - A."""
+    e, c = bits >> 52 & 0x7FF, bits & (2**52 - 1)
+    irregular = c == 0 and e > 1
+    q = max(e, 1) - 1075
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321 >> 41) - formats._K_MIN
+    g1, g0, h = (int(t[k]) for t in formats._multipliers())
+    g, w = g1 << 63 | g0, h + q + 1 - irregular
+    x = (c | (2**52 if e else 0)) << h + q + 2
+    big_f, lo = divmod(x * g, 2**64)
+    a, b = divmod(g << w, 2**64)
+    return [f >> 63 | (f % 2**63 != 0) for f in (big_f - a - (lo < b), big_f - a)]
+
+
+def _floor_sum(n, m, a, b):
+    """The sum of floor((a * j + b) / m) over j in [0, n), for a, b >= 0,
+    by the Euclid-like reduction of AtCoder Library's floor_sum."""
+    total = 0
+    while True:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        y = a * n + b
+        if y < m:
+            return total
+        n, b = divmod(y, m)
+        m, a = a, m
+
+
+def test_the_lower_borrow_matters_in_one_binade_only():
+    # A regular double's lower end is x - 2**w = 2**w * (2c - 1), and its
+    # product with g is P = F' * 2**64 + (lo - B mod 2**64), with F' = F - A
+    # - borrow, B = g * 2**w mod 2**64 and borrow = lo < B.  Forcing the borrow
+    # off moves F' by one, which moves rop only where F' mod 2**63 is 2**63 - 1
+    # or 0: where u = ((2c - 1) * g + 2**(64 - w)) mod 2**(127 - w) lies in
+    # [0, 2**(64 - w)) or in [2**(64 - w), 2**(65 - w)), and lo < B keeps the
+    # top B / 2**w of each.  Over c, u is an arithmetic progression, and the
+    # c that put it in [low, top) number n + the floor sums of (u - low) / m
+    # less those of (u - top) / m + 1
+    near = {}
+    for e in range(2047):
+        q = max(e, 1) - 1075
+        k = (q * 661_971_961_083 >> 41) - formats._K_MIN
+        g1, g0, h = (int(t[k]) for t in formats._multipliers())
+        g, w = g1 << 63 | g0, h + q + 1
+        m, b = 2 ** (127 - w), (g << w) % 2**64
+        c = 1 if e == 0 else 2**52 + (e > 1)  # the powers of two are below
+        n = 2**52 - 1 if e == 0 else 2**53 - c
+        start = ((2 * c - 1) * g + 2 ** (64 - w)) % m
+        for top in (2 ** (64 - w), 2 ** (65 - w)):
+            low = -(-(top * 2**w - b) >> w)  # the least u whose lo < B
+            width, u0 = top - low, (start - low) % m
+            hits = n + _floor_sum(n, m, 2 * g % m, u0) - _floor_sum(n, m, 2 * g % m, u0 + m - width)
+            if hits:
+                near[e] = near.get(e, 0) + hits
+    # all in the binade of _BORROW_DECIDES: one c in every 5**15, each of which moves rop
+    assert near == {1128: 147_574}
+    bits = [1128 << 52 | c - 2**52 for c in range(4_503_616_333_007_813, 2**53, 5**15)]
+    assert len(bits) == 147_574 and int(np.float64(_BORROW_DECIDES).view(np.uint64)) in bits
+    assert all(real != off for real, off in map(_lower_ends, bits))
+    # the powers of two, whose lower half-width is smaller, one by one
+    assert all(real == off for real, off in map(_lower_ends, (e << 52 for e in range(2, 2047))))
 
 
 def _finite_bits(e):
@@ -811,12 +887,32 @@ def _kernel_inputs(draw):
 @example(bits=np.array([1e23]).view(np.uint64))  # x * g0 carries for the upper end
 @example(bits=np.array([1e300]).view(np.uint64))  # x * g0 borrows for the lower end
 @example(bits=np.array([0.1]).view(np.uint64))  # x * g1 borrows for the lower end
+@example(bits=np.array([_BORROW_DECIDES]).view(np.uint64))  # the lower end's borrow decides the digits
 @example(bits=np.array([5e-324, 0.3, 1e23, 1e300, 0.1]).view(np.uint64))
 def test_shortest_is_the_three_product_kernel_bit_for_bit(bits):
     f, k = formats._shortest(bits)
     want_f, want_k = oracle_shortest(bits)
     assert (f.dtype, k.dtype, f.shape, k.shape) == (want_f.dtype, want_k.dtype, want_f.shape, want_k.shape)
     assert (f == want_f).all() and (k == want_k).all()
+
+
+def _seventeen_digits(seed):
+    """A block of ``core._BLOCK`` random 17-digit integers."""
+    return np.random.default_rng(seed).integers(10**16, 10**17, core._BLOCK, dtype=np.uint64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=st.one_of(st.lists(st.integers(10**16, 10**17 - 1), min_size=1, max_size=2).map(np.array),
+                   st.integers(0, 2**32 - 1).map(_seventeen_digits)))
+@example(f=np.array([10**16]))  # every group below the lead digit is zero
+@example(f=np.array([10**16 + 10**8]))  # after the lead: a zero quarter, a zero pair, then 01, and a zero tail
+@example(f=np.array([12345678900000000]))  # a zero tail
+@example(f=np.array([10000000099999999, 99999999999999999]))  # zero after the lead, then nines; all nines
+def test_digits_are_the_one_digit_loop_bit_for_bit(f):
+    f = f.astype(np.uint64)
+    got, want = formats._digits(f), oracle_digits(f)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert (got == want).all()
 
 
 def test_float_kernel_needs_no_two_digit_minimum():
